@@ -6,8 +6,9 @@ stdout; progress and notes go to stderr.  Algebra files are JSON:
     {"dim": 3, "basis": ["X1", "X2", "X3"],
      "brackets": [{"i": 1, "j": 2, "v": {"3": "1"}}]}
 
-Indices are 1-based with i < j; rationals are strings "p/q" (or "p").
-The same layout serializes skew 2-cochains.
+Indices are 1-based JSON integers with i < j, each pair at most once;
+rationals are strings "p/q" (or "p") or JSON integers, never floats or
+booleans.  The same layout serializes skew 2-cochains.
 """
 
 from __future__ import annotations
@@ -56,25 +57,37 @@ def _load_doc(path: str) -> dict:
         raise CliError(f"{path}:{exc.lineno}: malformed JSON: {exc.msg}") from None
 
 
+def _is_int(x) -> bool:
+    # JSON true/false load as bool, which Python counts as an int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _parse_entries(path: str, doc: dict) -> tuple[int, dict[tuple[int, int], tuple[Q, ...]]]:
     if not isinstance(doc, dict) or "dim" not in doc:
         raise CliError(f"{path}: document must be an object with a 'dim' field")
     dim = doc["dim"]
-    if not isinstance(dim, int) or dim < 0:
+    if not _is_int(dim) or dim < 0:
         raise CliError(f"{path}: 'dim' must be a nonnegative integer")
+    brackets = doc.get("brackets", [])
+    if not isinstance(brackets, list):
+        raise CliError(f"{path}: 'brackets' must be a list")
     entries: dict[tuple[int, int], tuple[Q, ...]] = {}
-    for pos, row in enumerate(doc.get("brackets", [])):
+    for pos, row in enumerate(brackets):
         where = f"{path}: brackets[{pos}]"
-        try:
-            i, j = int(row["i"]), int(row["j"])
-        except (KeyError, TypeError, ValueError):
-            raise CliError(f"{where}: need integer fields 'i' and 'j'") from None
+        if not (isinstance(row, dict) and _is_int(row.get("i")) and _is_int(row.get("j"))):
+            raise CliError(f"{where}: need integer fields 'i' and 'j'")
+        i, j = row["i"], row["j"]
         if not (1 <= i <= dim and 1 <= j <= dim):
             raise CliError(f"{where}: index out of range 1..{dim}")
         if i >= j:
             raise CliError(f"{where}: need i < j (got i={i}, j={j})")
+        if (i - 1, j - 1) in entries:
+            raise CliError(f"{where}: repeated bracket ({i}, {j})")
+        images = row.get("v", {})
+        if not isinstance(images, dict):
+            raise CliError(f"{where}: 'v' must be an object")
         vec = [Q(0)] * dim
-        for key, val in row.get("v", {}).items():
+        for key, val in images.items():
             try:
                 k = int(key)
             except ValueError:
@@ -82,9 +95,10 @@ def _parse_entries(path: str, doc: dict) -> tuple[int, dict[tuple[int, int], tup
             if not 1 <= k <= dim:
                 raise CliError(f"{where}: image index {k} out of range")
             try:
-                vec[k - 1] += parse_rational(val) if isinstance(val, str) else Q(val)
-            except (ValueError, TypeError):
-                raise CliError(f"{where}: bad rational {val!r}") from None
+                vec[k - 1] += parse_rational(str(val) if _is_int(val) else val)
+            except ValueError:
+                raise CliError(f"{where}: bad rational {val!r}; write a string "
+                               f"\"p/q\" or an integer") from None
         entries[(i - 1, j - 1)] = tuple(vec)
     return dim, entries
 
@@ -380,10 +394,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as exc:
-        _note(f"error: {exc}")
-        return 1
-    except ValueError as exc:
+    except (CliError, ValueError, OSError) as exc:
         _note(f"error: {exc}")
         return 1
 

@@ -695,15 +695,13 @@ def ch_kernel_contained_in_chevalley(g: LieAlgebra) -> bool:
     """Rank test: ker T contained in ker(delta^2) on a 2-step algebra."""
     _require_two_step(g)
     idx = CochainIndex(g.dim)
-    only_t = RowReducer(idx.size)
+    red = RowReducer(idx.size)
     for row in t_operator_rows(g):
-        only_t.add(row)
-    stacked = RowReducer(idx.size)
-    for row in t_operator_rows(g):
-        stacked.add(row)
+        red.add(row)
+    t_rank = red.rank
     for row in chevalley2_rows(g):
-        stacked.add(row)
-    return stacked.rank == only_t.rank
+        red.add(row)
+    return red.rank == t_rank
 
 
 # ---------------------------------------------------------------------------
@@ -746,20 +744,24 @@ def check_linear_deformation_2step(g: LieAlgebra, phi: Cochain) -> DeformationCh
     return DeformationCheck(2, conditions)
 
 
-def check_linear_deformation_3step(g: LieAlgebra, phi: Cochain) -> DeformationCheck:
-    """The five graded pieces of the 3-step deformation conditions."""
-    _require_three_step(g)
+def _mixed_defect(g: LieAlgebra, phi) -> MultiMap:
+    """mu o1 phi o1 phi + phi o1 phi o1 mu + phi o1 mu o1 phi."""
     mu = mu_map(g)
-    mixed = mm_combine(
+    return mm_combine(
         (QONE, comp1(mu, comp1(phi, phi))),
         (QONE, comp1(phi, comp1(phi, mu))),
         (QONE, comp1(phi, comp1(mu, phi))),
     )
+
+
+def check_linear_deformation_3step(g: LieAlgebra, phi: Cochain) -> DeformationCheck:
+    """The five graded pieces of the 3-step deformation conditions."""
+    _require_three_step(g)
     conditions = (
         _zero_condition("chevalley_cocycle", chevalley_delta2(g, phi)),
         _zero_condition("jacobiator_square", bullet_square(phi)),
         _zero_condition("r_cocycle", r_delta2(g, phi)),
-        _zero_condition("mixed_quadratic", mixed),
+        _zero_condition("mixed_quadratic", _mixed_defect(g, phi)),
         _zero_condition("cubic", comp1(phi, comp1(phi, phi))),
     )
     return DeformationCheck(3, conditions)
@@ -768,13 +770,7 @@ def check_linear_deformation_3step(g: LieAlgebra, phi: Cochain) -> DeformationCh
 def is_attached(g: LieAlgebra, phi) -> bool:
     """mu o1 phi o1 phi + phi o1 phi o1 mu + phi o1 mu o1 phi = 0."""
     _require_three_step(g)
-    mu = mu_map(g)
-    defect = mm_combine(
-        (QONE, comp1(mu, comp1(phi, phi))),
-        (QONE, comp1(phi, comp1(phi, mu))),
-        (QONE, comp1(phi, comp1(mu, phi))),
-    )
-    return defect.is_zero()
+    return _mixed_defect(g, phi).is_zero()
 
 
 # ---------------------------------------------------------------------------

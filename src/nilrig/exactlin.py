@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 Q = Fraction
 QZERO = Q(0)
@@ -52,20 +52,12 @@ def vadd(a: Sequence[Q], b: Sequence[Q]) -> tuple[Q, ...]:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def vsub(a: Sequence[Q], b: Sequence[Q]) -> tuple[Q, ...]:
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def vscale(c: Q, v: Sequence[Q]) -> tuple[Q, ...]:
     return tuple(c * x for x in v)
 
 
 def vec_is_zero(v: Sequence[Q]) -> bool:
     return all(x == 0 for x in v)
-
-
-def sparse_of(v: Sequence[Q]) -> dict[int, Q]:
-    return {i: x for i, x in enumerate(v) if x != 0}
 
 
 def dense_of(d: Mapping[int, Q], n: int) -> tuple[Q, ...]:
@@ -150,11 +142,6 @@ class RationalMatrix:
                     entries[key] = s
         return RationalMatrix(self.nrows, other.ncols, entries)
 
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(
-            self.ncols, self.nrows,
-            {(c, r): v for (r, c), v in self.entries.items()})
-
     def to_rows(self) -> list[list[Q]]:
         rows = [[QZERO] * self.ncols for _ in range(self.nrows)]
         for (r, c), v in self.entries.items():
@@ -173,6 +160,23 @@ class RationalMatrix:
         return f"RationalMatrix({self.nrows}x{self.ncols}, nnz={len(self.entries)})"
 
 
+# rows fed between two calls of a reducer's `progress` callback
+_PROGRESS_ROWS = 10000
+
+
+def _axpy(work: dict[int, Q], coef: Q, row: Mapping[int, Q], skip: int) -> None:
+    """work -= coef * row in place, dropping zeros; column `skip` is left
+    out (the caller has already removed it from `work`)."""
+    for c, v in row.items():
+        if c == skip:
+            continue
+        s = work.get(c, QZERO) - coef * v
+        if s:
+            work[c] = s
+        else:
+            work.pop(c, None)
+
+
 class RowReducer:
     """Streaming exact Gaussian elimination.
 
@@ -183,14 +187,13 @@ class RowReducer:
     order in which rows arrive.
     """
 
-    __slots__ = ("ncols", "pivots", "rows_seen", "progress", "progress_every")
+    __slots__ = ("ncols", "pivots", "rows_seen", "progress")
 
-    def __init__(self, ncols: int, progress=None, progress_every: int = 10000):
+    def __init__(self, ncols: int, progress=None):
         self.ncols = ncols
         self.pivots: dict[int, dict[int, Q]] = {}
         self.rows_seen = 0
         self.progress = progress
-        self.progress_every = progress_every
 
     @property
     def rank(self) -> int:
@@ -199,99 +202,38 @@ class RowReducer:
     def pivot_cols(self) -> list[int]:
         return sorted(self.pivots)
 
-    def _tick(self) -> None:
-        self.rows_seen += 1
-        if self.progress is not None and self.rows_seen % self.progress_every == 0:
-            self.progress(self.rows_seen)
+    def _reduce(self, row: Mapping[int, Q]) -> dict[int, Q]:
+        # Pivot rows are zero at every other pivot column, so clearing one
+        # pivot column never refills another: one pass clears them all.
+        work = {c: Q(v) for c, v in row.items() if v != 0}
+        pivots = self.pivots
+        for c in [c for c in work if c in pivots]:
+            _axpy(work, work.pop(c), pivots[c], c)
+        return work
 
     def residual(self, row: Mapping[int, Q]) -> dict[int, Q]:
         """Reduce `row` against the pivot table without inserting it."""
-        work = {c: Q(v) for c, v in row.items() if v != 0}
-        while work:
-            c = min(work)
-            piv = self.pivots.get(c)
-            if piv is None:
-                # clear any later pivot columns, then stop
-                hit = [cc for cc in work if cc != c and cc in self.pivots]
-                if not hit:
-                    return work
-                for cc in hit:
-                    coef = work.pop(cc)
-                    for c2, v in self.pivots[cc].items():
-                        if c2 == cc:
-                            continue
-                        s = work.get(c2, QZERO) - coef * v
-                        if s == 0:
-                            work.pop(c2, None)
-                        else:
-                            work[c2] = s
-                return work
-            coef = work.pop(c)
-            for c2, v in piv.items():
-                if c2 == c:
-                    continue
-                s = work.get(c2, QZERO) - coef * v
-                if s == 0:
-                    work.pop(c2, None)
-                else:
-                    work[c2] = s
-        return work
+        return self._reduce(row)
 
     def add(self, row: Mapping[int, Q]) -> bool:
         """Insert a row; returns True when it contributed a new pivot."""
-        self._tick()
-        work = {c: Q(v) for c, v in row.items() if v != 0}
-        # eliminate leading entries that are already pivoted
-        while work:
-            c = min(work)
-            piv = self.pivots.get(c)
-            if piv is None:
-                break
-            coef = work.pop(c)
-            for c2, v in piv.items():
-                if c2 == c:
-                    continue
-                s = work.get(c2, QZERO) - coef * v
-                if s == 0:
-                    work.pop(c2, None)
-                else:
-                    work[c2] = s
+        self.rows_seen += 1
+        if self.progress is not None and self.rows_seen % _PROGRESS_ROWS == 0:
+            self.progress(self.rows_seen)
+        work = self._reduce(row)
         if not work:
             return False
         c = min(work)
         lead = work[c]
         if lead != 1:
             work = {cc: v / lead for cc, v in work.items()}
-        # clear remaining pivot columns from the new row
-        for cc in [k for k in work if k != c and k in self.pivots]:
-            coef = work.pop(cc)
-            for c2, v in self.pivots[cc].items():
-                if c2 == cc:
-                    continue
-                s = work.get(c2, QZERO) - coef * v
-                if s == 0:
-                    work.pop(c2, None)
-                else:
-                    work[c2] = s
         # back-substitute the new pivot into the existing rows
         for prow in self.pivots.values():
-            coef = prow.get(c)
+            coef = prow.pop(c, None)
             if coef:
-                for c2, v in work.items():
-                    if c2 == c:
-                        prow.pop(c, None)
-                        continue
-                    s = prow.get(c2, QZERO) - coef * v
-                    if s == 0:
-                        prow.pop(c2, None)
-                    else:
-                        prow[c2] = s
+                _axpy(prow, coef, work, c)
         self.pivots[c] = work
         return True
-
-    def extend(self, rows: Iterable[Mapping[int, Q]]) -> None:
-        for row in rows:
-            self.add(row)
 
     def in_kernel(self, vec: Mapping[int, Q]) -> bool:
         """True iff every fed row annihilates `vec` (M @ vec == 0)."""

@@ -14,12 +14,13 @@ from nilrig.cohom import Cochain, CochainIndex, ch_delta2, chevalley_delta1, che
 
 
 def dense_rank(rows: list[list[Q]]) -> int:
-    """Plain dense Gauss elimination over Fractions."""
+    """Plain dense forward elimination over Fractions: the rank is the
+    number of pivots of a row echelon form, so rows above a pivot are
+    left as they are."""
     rows = [list(map(Q, r)) for r in rows if any(x != 0 for x in r)]
     if not rows:
         return 0
     ncols = len(rows[0])
-    rank = 0
     pr = 0
     for c in range(ncols):
         piv = next((r for r in range(pr, len(rows)) if rows[r][c] != 0), None)
@@ -28,15 +29,14 @@ def dense_rank(rows: list[list[Q]]) -> int:
         rows[pr], rows[piv] = rows[piv], rows[pr]
         pv = rows[pr][c]
         rows[pr] = [x / pv for x in rows[pr]]
-        for r in range(len(rows)):
-            if r != pr and rows[r][c] != 0:
+        for r in range(pr + 1, len(rows)):
+            if rows[r][c] != 0:
                 f = rows[r][c]
                 rows[r] = [a - f * b for a, b in zip(rows[r], rows[pr])]
         pr += 1
-        rank += 1
         if pr == len(rows):
             break
-    return rank
+    return pr
 
 
 def span_dim(vectors: list[list[Q]]) -> int:

@@ -58,6 +58,14 @@ def test_unreduced_rationals_normalized(tmp_path):
     ({"dim": 3, "brackets": [{"i": 1, "j": 2, "v": {"9": "1"}}]}, "out of range"),
     ({"dim": 3, "brackets": [{"i": 1, "j": 2, "v": {"3": "1/0"}}]}, "bad rational"),
     ({"brackets": []}, "dim"),
+    ({"dim": 3, "brackets": [{"i": 1, "j": 2, "v": {"3": 0.1}}]}, "bad rational 0.1"),
+    ({"dim": 3, "brackets": [{"i": 1, "j": 2, "v": {"3": True}}]}, "bad rational True"),
+    ({"dim": 3, "brackets": [{"i": 1.7, "j": 2, "v": {"3": "1"}}]}, "need integer fields"),
+    ({"dim": True, "brackets": []}, "'dim' must be a nonnegative integer"),
+    ({"dim": 3, "brackets": [{"i": 1, "j": 2, "v": {"3": "1"}},
+                             {"i": 1, "j": 2, "v": {"3": "2"}}]}, "brackets[1]: repeated bracket (1, 2)"),
+    ({"dim": 3, "brackets": {"i": 1}}, "'brackets' must be a list"),
+    ({"dim": 3, "brackets": [{"i": 1, "j": 2, "v": ["3"]}]}, "brackets[0]: 'v' must be an object"),
 ])
 def test_parse_errors(tmp_path, doc, msg, capsys):
     path = tmp_path / "bad.json"
@@ -65,6 +73,32 @@ def test_parse_errors(tmp_path, doc, msg, capsys):
     code, out, err = run(capsys, "validate", str(path))
     assert code == 1
     assert msg in err
+
+
+def _assert_os_error(code, err):
+    assert code == 1
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if line.startswith("error: ")] == \
+        [err.splitlines()[-1]]
+
+
+def test_validate_directory_is_an_error(tmp_path, capsys):
+    code, _, err = run(capsys, "validate", str(tmp_path))
+    _assert_os_error(code, err)
+    assert err.count("\n") == 1
+
+
+def test_family_output_in_missing_directory(tmp_path, capsys):
+    code, _, err = run(capsys, "family", "heisenberg", "1",
+                       "-o", str(tmp_path / "missing" / "h.json"))
+    _assert_os_error(code, err)
+    assert err.count("\n") == 1
+
+
+def test_paper_report_json_in_missing_directory(tmp_path, capsys):
+    code, _, err = run(capsys, "paper-report", "--only", "C10.",
+                       "--json", str(tmp_path / "missing" / "r.json"))
+    _assert_os_error(code, err)
 
 
 def test_malformed_json_reports_line(tmp_path, capsys):
@@ -241,8 +275,7 @@ def test_operad_check_low_order(capsys):
     assert code == 1
 
 
-def test_paper_report_subset(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("NILRIG_THREADS", "2")
+def test_paper_report_subset(tmp_path, capsys):
     out = tmp_path / "report.json"
     code, doc, err = run(capsys, "paper-report", "--only", "C10",
                          "--json", str(out))

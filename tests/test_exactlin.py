@@ -83,10 +83,11 @@ def test_rref_idempotent():
     assert second.reduced == first.reduced
 
 
-small_matrices = st.lists(
-    st.lists(st.integers(-4, 4), min_size=1, max_size=5),
-    min_size=1, max_size=6,
-).filter(lambda rows: len({len(r) for r in rows}) == 1)
+# Draw the width first: filtering ragged lists instead left only about one
+# example in fifteen with two or more rows and two or more columns.
+small_matrices = st.integers(1, 5).flatmap(lambda ncols: st.lists(
+    st.lists(st.integers(-4, 4), min_size=ncols, max_size=ncols),
+    min_size=1, max_size=6))
 
 
 @given(small_matrices)
@@ -118,6 +119,24 @@ def test_row_reducer_membership():
     red.add({1: Q(1), 2: Q(1)})
     assert not red.residual({0: Q(1), 2: Q(-1)})  # in the row space
     assert red.residual({0: Q(1), 2: Q(1)})
+
+
+@given(small_matrices, st.lists(st.integers(-4, 4), min_size=5, max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_row_reducer_rref_and_residual(rows, probe):
+    red = RowReducer(len(rows[0]))
+    for k, r in enumerate(rows):
+        row = {c: Q(x) for c, x in enumerate(r)}
+        red.add(row)
+        assert not red.residual(row)
+        for p, prow in red.pivots.items():
+            assert min(prow) == p and prow[p] == 1
+            assert all(q == p or q not in prow for q in red.pivots)
+        v = [Q(x) for x in probe[:len(r)]]
+        res = red.residual(dict(enumerate(v)))
+        assert not set(res) & set(red.pivots)
+        seen = [list(map(Q, x)) for x in rows[:k + 1]]
+        assert (not res) == (dense_rank(seen + [v]) == dense_rank(seen))
 
 
 def test_invert_and_singular():
