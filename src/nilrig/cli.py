@@ -7,8 +7,12 @@ stdout; progress and notes go to stderr.  Algebra files are JSON:
      "brackets": [{"i": 1, "j": 2, "v": {"3": "1"}}]}
 
 Indices are 1-based JSON integers with i < j, each pair at most once;
+image keys are canonical decimal strings and no object repeats a key;
 rationals are strings "p/q" (or "p") or JSON integers, never floats or
 booleans.  The same layout serializes skew 2-cochains.
+
+Exit codes: 0 success, 1 bad input or I/O error, 2 failing paper-report
+rows (or a usage error), 3 internal error (a certified check failed).
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from fractions import Fraction as Q
 
 from . import families, operads, report
@@ -47,14 +52,25 @@ class CliError(Exception):
 # ---------------------------------------------------------------------------
 # file format
 
+def _unique_keys(pairs: list) -> dict:
+    doc = {}
+    for key, val in pairs:
+        if key in doc:
+            raise ValueError(f"repeated key {key!r}")
+        doc[key] = val
+    return doc
+
+
 def _load_doc(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except FileNotFoundError:
         raise CliError(f"{path}: no such file") from None
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}:{exc.lineno}: malformed JSON: {exc.msg}") from None
+    except ValueError as exc:
+        raise CliError(f"{path}: {exc}") from None
 
 
 def _is_int(x) -> bool:
@@ -88,10 +104,10 @@ def _parse_entries(path: str, doc: dict) -> tuple[int, dict[tuple[int, int], tup
             raise CliError(f"{where}: 'v' must be an object")
         vec = [Q(0)] * dim
         for key, val in images.items():
-            try:
-                k = int(key)
-            except ValueError:
-                raise CliError(f"{where}: image key {key!r} is not an index") from None
+            # canonical keys only: "03", "+3" or " 3" would alias "3"
+            if not (key.isascii() and key.isdigit() and str(int(key)) == key):
+                raise CliError(f"{where}: image key {key!r} is not an index")
+            k = int(key)
             if not 1 <= k <= dim:
                 raise CliError(f"{where}: image index {k} out of range")
             try:
@@ -303,12 +319,13 @@ def cmd_family(args) -> int:
 
 
 def cmd_paper_report(args) -> int:
-    doc = report.run_claims(seed=args.seed, only=args.only)
-    for row in doc["claims"]:
-        status = "PASS" if row["pass"] else "FAIL"
-        _note(f"[{status}] {report.row_line(row)} ({row['runtime_ms']} ms)")
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
+    # open --json before any claim runs, so a bad path costs nothing
+    with open(args.json, "w", encoding="utf-8") if args.json else nullcontext() as fh:
+        doc = report.run_claims(seed=args.seed, only=args.only)
+        for row in doc["claims"]:
+            status = "PASS" if row["pass"] else "FAIL"
+            _note(f"[{status}] {report.row_line(row)} ({row['runtime_ms']} ms)")
+        if fh is not None:
             json.dump(doc, fh, indent=1, default=str)
             fh.write("\n")
     _emit(doc)
@@ -397,6 +414,10 @@ def main(argv=None) -> int:
     except (CliError, ValueError, OSError) as exc:
         _note(f"error: {exc}")
         return 1
+    except RuntimeError as exc:
+        # a certified check failed (e.g. B^2 outside Z^2): a defect, not bad input
+        _note(f"internal error: {exc}")
+        return 3
 
 
 if __name__ == "__main__":

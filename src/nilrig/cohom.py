@@ -620,19 +620,42 @@ class CohomologyReport:
     representatives: tuple[Cochain, ...] | None = None
 
 
-def _matrix_unit(n: int, a: int, b: int) -> Cochain:
-    vec = [QZERO] * n
-    vec[a] = QONE
-    return Cochain(1, n, {(b,): tuple(vec)})
-
-
 def coboundary_image_vectors(g: LieAlgebra) -> list[dict[int, Q]]:
-    """Flat images delta^1(E_ab) spanning B^2, one per matrix unit."""
-    idx = CochainIndex(g.dim)
+    """Flat images delta^1(E_ab) spanning B^2, one per matrix unit, in
+    (a, b) order; E_ab maps X_b to X_a and every other X_k to 0.
+
+    Read off the bracket table: delta E_ab (X_i, X_j) gets [X_a, X_j] when
+    i = b (and, by skew symmetry, -[X_a, X_i] when j = b), plus
+    -c_ij^b X_a from the term -E_ab [X_i, X_j].
+    """
+    n = g.dim
+    idx = CochainIndex(n)
+    table = g.bracket_table()
+    # left[a] = [(j, sparse [X_a, X_j])]; down[b] = [(flat base of (i, j), c_ij^b)]
+    left: list[list[tuple[int, dict[int, Q]]]] = [[] for _ in range(n)]
+    down: list[list[tuple[int, Q]]] = [[] for _ in range(n)]
+    for (i, j), sp in table.items():
+        left[i].append((j, sp))
+        if i < j:
+            for m, c in sp.items():
+                down[m].append((idx.pidx[(i, j)] * n, c))
     out = []
-    for a in range(g.dim):
-        for b in range(g.dim):
-            out.append(idx.to_flat(chevalley_delta1(g, _matrix_unit(g.dim, a, b))))
+    for a in range(n):
+        for b in range(n):
+            vec: dict[int, Q] = {}
+            for j, sp in left[a]:
+                if j != b:
+                    for m, c in sp.items():
+                        u, sg = idx.flat(b, j, m)
+                        vec[u] = c if sg > 0 else -c
+            for base, c in down[b]:
+                u = base + a
+                s = vec.get(u, QZERO) - c
+                if s:
+                    vec[u] = s
+                else:
+                    vec.pop(u, None)
+            out.append(vec)
     return out
 
 

@@ -187,13 +187,16 @@ class RowReducer:
     order in which rows arrive.
     """
 
-    __slots__ = ("ncols", "pivots", "rows_seen", "progress")
+    __slots__ = ("ncols", "pivots", "rows_seen", "progress", "_by_col")
 
     def __init__(self, ncols: int, progress=None):
         self.ncols = ncols
         self.pivots: dict[int, dict[int, Q]] = {}
         self.rows_seen = 0
         self.progress = progress
+        # column -> pivots whose row is nonzero there; built by `in_kernel`
+        # and dropped by `add` whenever back-substitution changes the rows
+        self._by_col: dict[int, list[int]] | None = None
 
     @property
     def rank(self) -> int:
@@ -233,11 +236,24 @@ class RowReducer:
             if coef:
                 _axpy(prow, coef, work, c)
         self.pivots[c] = work
+        self._by_col = None
         return True
 
     def in_kernel(self, vec: Mapping[int, Q]) -> bool:
-        """True iff every fed row annihilates `vec` (M @ vec == 0)."""
-        for prow in self.pivots.values():
+        """True iff every fed row annihilates `vec` (M @ vec == 0).
+
+        Only the pivot rows that share a column with `vec` are dotted; any
+        other row contributes exactly 0.
+        """
+        by_col = self._by_col
+        if by_col is None:
+            by_col = {}
+            for pc, prow in self.pivots.items():
+                for c in prow:
+                    by_col.setdefault(c, []).append(pc)
+            self._by_col = by_col
+        for pc in {pc for c in vec for pc in by_col.get(c, ())}:
+            prow = self.pivots[pc]
             s = QZERO
             if len(prow) <= len(vec):
                 for c, v in prow.items():

@@ -1,5 +1,6 @@
 import json
 import os
+from fractions import Fraction as Q
 
 import pytest
 
@@ -66,10 +67,23 @@ def test_unreduced_rationals_normalized(tmp_path):
                              {"i": 1, "j": 2, "v": {"3": "2"}}]}, "brackets[1]: repeated bracket (1, 2)"),
     ({"dim": 3, "brackets": {"i": 1}}, "'brackets' must be a list"),
     ({"dim": 3, "brackets": [{"i": 1, "j": 2, "v": ["3"]}]}, "brackets[0]: 'v' must be an object"),
+    ({"dim": 3, "brackets": [{"i": 1, "j": 2, "v": {"03": "1"}}]}, "image key '03' is not an index"),
+    ({"dim": 3, "brackets": [{"i": 1, "j": 2, "v": {"+3": "1"}}]}, "image key '+3' is not an index"),
+    ({"dim": 3, "brackets": [{"i": 1, "j": 2, "v": {" 3": "1"}}]}, "image key ' 3' is not an index"),
+    ({"dim": 3, "brackets": [{"i": 1, "j": 2, "v": {"3": "1", "03": "1"}}]},
+     "image key '03' is not an index"),
+    # raw text: json.dump cannot write a repeated key
+    pytest.param('{"dim": 3, "brackets": [{"i": 1, "j": 2, "v": {"3": "5", "3": "1"}}]}',
+                 "repeated key '3'", id="repeated-image-key"),
+    pytest.param('{"dim": 3, "dim": 4, "brackets": []}', "repeated key 'dim'",
+                 id="repeated-dim"),
 ])
 def test_parse_errors(tmp_path, doc, msg, capsys):
     path = tmp_path / "bad.json"
-    write_doc(path, doc)
+    if isinstance(doc, str):
+        path.write_text(doc)
+    else:
+        write_doc(path, doc)
     code, out, err = run(capsys, "validate", str(path))
     assert code == 1
     assert msg in err
@@ -99,6 +113,9 @@ def test_paper_report_json_in_missing_directory(tmp_path, capsys):
     code, _, err = run(capsys, "paper-report", "--only", "C10.",
                        "--json", str(tmp_path / "missing" / "r.json"))
     _assert_os_error(code, err)
+    # the file is opened before any claim runs
+    assert err.count("\n") == 1
+    assert "[PASS]" not in err and "[FAIL]" not in err
 
 
 def test_malformed_json_reports_line(tmp_path, capsys):
@@ -176,6 +193,18 @@ def test_cohomology_wrong_kind(tmp_path, capsys):
     code, _, err = run(capsys, "cohomology", str(path), "--complex", "ch")
     assert code == 1
     assert "not 2-step" in err and "X" in err
+
+
+def test_cohomology_internal_error(tmp_path, capsys, monkeypatch):
+    # a coboundary outside Z^2 is a defect of the program, not of the input
+    path = tmp_path / "h3.json"
+    write_doc(path, H3_DOC)
+    not_a_cocycle = {0: Q(1)}  # phi(X1, X2) = X1: T(phi)(X1, X2, X2) = X3
+    monkeypatch.setattr("nilrig.cohom.coboundary_image_vectors",
+                        lambda g: [not_a_cocycle])
+    code, doc, err = run(capsys, "cohomology", str(path), "--complex", "ch")
+    assert code == 3 and doc is None
+    assert err.splitlines() == ["internal error: coboundary fell outside the cocycle space"]
 
 
 def test_cohomology_representatives(tmp_path, capsys):

@@ -33,10 +33,11 @@ from nilrig.cohom import (
     JORDAN_V,
 )
 from nilrig.exactlin import RowReducer
-from nilrig.liealg import LieAlgebra, abelian, derivation_algebra_dim, jacobi_defect
+from nilrig.liealg import LieAlgebra, abelian, basis_change, derivation_algebra_dim, jacobi_defect
 from nilrig.sampling import (
     random_commutative_associative,
     random_endomorphism,
+    random_invertible,
     random_skew_cochain,
     rng_for,
 )
@@ -332,6 +333,34 @@ def test_representatives_are_cocycles_spanning_z2():
         assert ch_delta2(g, c).is_zero()
         red.add(idx.to_flat(c))
     assert red.rank == r.z2_dim
+
+
+def _matrix_unit(n, a, b):
+    # E_ab: X_b -> X_a
+    return Cochain(1, n, {(b,): e(n, a)})
+
+
+@pytest.mark.parametrize("maker", [
+    lambda: families.g_p1(5),
+    lambda: families.heisenberg(3),
+    lambda: families.rigid_2step("h10"),
+    lambda: families.g_p01(3),
+    lambda: families.rigid_3step_7(),
+    pytest.param(lambda: basis_change(families.g_k3k2k1(1, 0, 2),
+                                      random_invertible(5, rng_for(29), -2, 2)),
+                 id="g_k3k2k1(1,0,2)-basis-change"),
+    # [X1, X2] = X2 is not nilpotent: for E_22, the [X_a, X_j] term and the
+    # -c_ij^b term both land on coordinate X2 of the pair (X1, X2) and cancel
+    pytest.param(lambda: LieAlgebra(2, {(0, 1): (Q(0), Q(1))}), id="affine-line"),
+])
+def test_coboundary_images_match_delta1(maker):
+    # delta^1 is linear, so agreeing on every matrix unit proves the sparse
+    # images equal the concrete operator everywhere
+    g = maker()
+    idx = CochainIndex(g.dim)
+    assert coboundary_image_vectors(g) == [
+        idx.to_flat(chevalley_delta1(g, _matrix_unit(g.dim, a, b)))
+        for a in range(g.dim) for b in range(g.dim)]
 
 
 def test_coboundaries_inside_every_kernel():

@@ -139,6 +139,26 @@ def test_row_reducer_rref_and_residual(rows, probe):
         assert (not res) == (dense_rank(seen + [v]) == dense_rank(seen))
 
 
+@given(small_matrices, st.lists(st.lists(st.integers(-2, 2), min_size=5, max_size=5),
+                                max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_in_kernel_tracks_added_rows(rows, probes):
+    # `in_kernel` keeps a column index between calls; every answer must
+    # match M @ v over the rows fed so far, also after a back-substitution
+    ncols = len(rows[0])
+    red = RowReducer(ncols)
+    kernel = []
+    for k, r in enumerate(rows):
+        red.add({c: Q(x) for c, x in enumerate(r) if x})
+        # the kernel before this row leaves it exactly when the row is new
+        vecs = kernel + [{c: Q(x) for c, x in enumerate(p[:ncols])} for p in probes]
+        kernel = red.kernel_basis_sparse()
+        for v in vecs + kernel:
+            dense = all(sum(x * v.get(c, 0) for c, x in enumerate(seen)) == 0
+                        for seen in rows[:k + 1])
+            assert red.in_kernel(v) == dense
+
+
 def test_invert_and_singular():
     m = M([[1, 2], [3, 5]])
     inv = invert(m)
