@@ -207,7 +207,8 @@ def cmd_cohomology(args) -> int:
     kind = ComplexKind.coerce(args.complex)
     progress = None
     if kind is ComplexKind.CR and g.dim >= 9:
-        progress = lambda n: _note(f"  rows processed: {n}")
+        progress = lambda n, rank, rate: _note(
+            f"  rows processed: {n}, rank {rank}, {rate:.0f} rows/s")
     r = space_dims(g, kind, with_representatives=args.representatives,
                    progress=progress)
     doc = {

@@ -687,7 +687,7 @@ def _z_rows(g: LieAlgebra, kind: ComplexKind) -> Iterator[dict[int, Q]]:
 
 
 def space_dims(g: LieAlgebra, kind, *, with_representatives: bool = False,
-               progress: Callable[[int], None] | None = None) -> CohomologyReport:
+               progress: Callable[[int, int, float], None] | None = None) -> CohomologyReport:
     """Exact Z^2/B^2/H^2 dimensions of the requested complex.
 
     B^2 is contained in Z^2 for every legal input; this is re-verified on

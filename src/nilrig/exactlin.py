@@ -1,15 +1,17 @@
 """Exact linear algebra over the rationals, plus truncated power series.
 
-Everything here computes with `fractions.Fraction`; there is no floating
-point and no tolerance anywhere.  Rank, kernel dimension and reduced row
-echelon form of a rational matrix are unchanged under extension of the
-ground field, so every dimension computed over Q holds verbatim over any
-field of characteristic zero.
+Every value that enters or leaves is a `fractions.Fraction` (or an int);
+there is no floating point and no tolerance anywhere.  Rank, kernel
+dimension and reduced row echelon form of a rational matrix are unchanged
+under extension of the ground field, so every dimension computed over Q
+holds verbatim over any field of characteristic zero.
 
 Matrices are sparse (only nonzero entries stored).  `RowReducer` accepts
 rows one at a time and maintains a fully back-substituted pivot table;
 the tall, very sparse elimination problems produced by the cohomology
 code stream their rows through it instead of materialising dense arrays.
+Inside, the reducer clears denominators and eliminates on integers; it
+converts back to `Fraction`s only in what it returns.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from time import perf_counter
 from typing import Mapping, NamedTuple, Sequence
 
 Q = Fraction
@@ -160,83 +164,142 @@ class RationalMatrix:
         return f"RationalMatrix({self.nrows}x{self.ncols}, nnz={len(self.entries)})"
 
 
-# rows fed between two calls of a reducer's `progress` callback
+# rows fed between two calls of a reducer's `progress` callback, which
+# gets (rows fed, rank, rows fed per second since the reducer was made)
 _PROGRESS_ROWS = 10000
 
 
-def _axpy(work: dict[int, Q], coef: Q, row: Mapping[int, Q], skip: int) -> None:
-    """work -= coef * row in place, dropping zeros; column `skip` is left
-    out (the caller has already removed it from `work`)."""
-    for c, v in row.items():
-        if c == skip:
-            continue
-        s = work.get(c, QZERO) - coef * v
-        if s:
-            work[c] = s
-        else:
-            work.pop(c, None)
+def _integer_row(row: Mapping[int, Q]) -> tuple[dict[int, int], int]:
+    """(ints, scale) with ints == scale * row: the nonzero entries of a
+    rational row cleared of denominators by their lcm."""
+    scale = 1
+    for v in row.values():
+        d = v.denominator
+        if d != 1:
+            scale = scale * d // gcd(scale, d)
+    return {c: v.numerator * (scale // v.denominator)
+            for c, v in row.items() if v}, scale
 
 
 class RowReducer:
     """Streaming exact Gaussian elimination.
 
-    Rows are fed one at a time; `pivots` maps a pivot column to a row that
-    is normalized (leading entry 1) and fully reduced against every other
-    pivot row, i.e. the table is always in reduced row echelon form.  The
-    result is canonical: it depends only on the row space, not on the
+    Rows are fed one at a time and the table is kept in reduced row
+    echelon form: every pivot row is zero at every other pivot column.
+    The result is canonical; it depends only on the row space, not on the
     order in which rows arrive.
+
+    Inside, each pivot row is stored as the primitive integer multiple of
+    its RREF row with a positive leading entry, so elimination runs on
+    Python integers.  `pivots`, `residual` and `kernel_basis_sparse`
+    convert back to `Fraction`s at the boundary.
     """
 
-    __slots__ = ("ncols", "pivots", "rows_seen", "progress", "_by_col")
+    __slots__ = ("ncols", "rows_seen", "progress", "_rows", "_by_col", "_started")
 
     def __init__(self, ncols: int, progress=None):
         self.ncols = ncols
-        self.pivots: dict[int, dict[int, Q]] = {}
         self.rows_seen = 0
         self.progress = progress
-        # column -> pivots whose row is nonzero there; built by `in_kernel`
-        # and dropped by `add` whenever back-substitution changes the rows
-        self._by_col: dict[int, list[int]] | None = None
+        # pivot column -> primitive integer row, in the order pivots appear
+        self._rows: dict[int, dict[int, int]] = {}
+        # column -> pivot columns whose row is nonzero there
+        self._by_col: dict[int, set[int]] = {}
+        self._started = perf_counter()
 
     @property
     def rank(self) -> int:
-        return len(self.pivots)
+        return len(self._rows)
+
+    @property
+    def pivots(self) -> dict[int, dict[int, Q]]:
+        """Pivot column -> RREF row (leading entry 1), in insertion order."""
+        out = {}
+        for pc, prow in self._rows.items():
+            lead = prow[pc]
+            out[pc] = {c: Q(v, lead) for c, v in prow.items()}
+        return out
 
     def pivot_cols(self) -> list[int]:
-        return sorted(self.pivots)
+        return sorted(self._rows)
 
-    def _reduce(self, row: Mapping[int, Q]) -> dict[int, Q]:
-        # Pivot rows are zero at every other pivot column, so clearing one
-        # pivot column never refills another: one pass clears them all.
-        work = {c: Q(v) for c, v in row.items() if v != 0}
-        pivots = self.pivots
-        for c in [c for c in work if c in pivots]:
-            _axpy(work, work.pop(c), pivots[c], c)
-        return work
+    def _reduce(self, row: Mapping[int, Q]) -> tuple[dict[int, int], int]:
+        """(work, scale): work == scale * (row reduced against the table),
+        an integer row that is zero at every pivot column."""
+        work, scale = _integer_row(row)
+        rows = self._rows
+        hits = [c for c in work if c in rows]
+        if not hits:
+            return work, scale
+        # m * work - sum work[c] * (m / lead_c) * row_c in one pass: each
+        # pivot row is zero at the other pivot columns, so clearing one
+        # never refills another
+        m = 1
+        for c in hits:
+            lead = rows[c][c]
+            if lead != 1:
+                m = m * lead // gcd(m, lead)
+        if m != 1:
+            work = {c: m * v for c, v in work.items()}
+        for c in hits:
+            prow = rows[c]
+            coef = work[c] // prow[c]
+            for cc, v in prow.items():
+                s = work.get(cc, 0) - coef * v
+                if s:
+                    work[cc] = s
+                else:
+                    del work[cc]
+        return work, scale * m
 
     def residual(self, row: Mapping[int, Q]) -> dict[int, Q]:
         """Reduce `row` against the pivot table without inserting it."""
-        return self._reduce(row)
+        work, scale = self._reduce(row)
+        return {c: Q(v, scale) for c, v in work.items()}
 
     def add(self, row: Mapping[int, Q]) -> bool:
         """Insert a row; returns True when it contributed a new pivot."""
         self.rows_seen += 1
         if self.progress is not None and self.rows_seen % _PROGRESS_ROWS == 0:
-            self.progress(self.rows_seen)
-        work = self._reduce(row)
+            elapsed = perf_counter() - self._started
+            self.progress(self.rows_seen, self.rank,
+                          self.rows_seen / elapsed if elapsed > 0 else 0.0)
+        work, _ = self._reduce(row)
         if not work:
             return False
         c = min(work)
+        g = gcd(*work.values())
+        if work[c] < 0:
+            g = -g
+        if g != 1:
+            work = {cc: v // g for cc, v in work.items()}
         lead = work[c]
-        if lead != 1:
-            work = {cc: v / lead for cc, v in work.items()}
-        # back-substitute the new pivot into the existing rows
-        for prow in self.pivots.values():
-            coef = prow.pop(c, None)
-            if coef:
-                _axpy(prow, coef, work, c)
-        self.pivots[c] = work
-        self._by_col = None
+        rows, by_col = self._rows, self._by_col
+        # back-substitute into the rows that are nonzero at the new pivot
+        # column: row <- lead * row - row[c] * work, then make it primitive
+        for pc in by_col.pop(c, ()):
+            prow = rows[pc]
+            a = prow[c]
+            if lead != 1:
+                for cc in prow:
+                    prow[cc] *= lead
+            for cc, v in work.items():
+                s = prow.get(cc, 0) - a * v
+                if s:
+                    if cc not in prow:
+                        by_col.setdefault(cc, set()).add(pc)
+                    prow[cc] = s
+                else:
+                    del prow[cc]
+                    if cc != c:
+                        by_col[cc].discard(pc)
+            content = gcd(*prow.values())
+            if content != 1:
+                for cc in prow:
+                    prow[cc] //= content
+        rows[c] = work
+        for cc in work:
+            by_col.setdefault(cc, set()).add(c)
         return True
 
     def in_kernel(self, vec: Mapping[int, Q]) -> bool:
@@ -245,41 +308,36 @@ class RowReducer:
         Only the pivot rows that share a column with `vec` are dotted; any
         other row contributes exactly 0.
         """
-        by_col = self._by_col
-        if by_col is None:
-            by_col = {}
-            for pc, prow in self.pivots.items():
-                for c in prow:
-                    by_col.setdefault(c, []).append(pc)
-            self._by_col = by_col
-        for pc in {pc for c in vec for pc in by_col.get(c, ())}:
-            prow = self.pivots[pc]
-            s = QZERO
-            if len(prow) <= len(vec):
+        ivec, _ = _integer_row(vec)
+        rows, by_col = self._rows, self._by_col
+        for pc in {pc for c in ivec for pc in by_col.get(c, ())}:
+            prow = rows[pc]
+            s = 0
+            if len(prow) <= len(ivec):
                 for c, v in prow.items():
-                    x = vec.get(c)
+                    x = ivec.get(c)
                     if x:
                         s += v * x
             else:
-                for c, x in vec.items():
+                for c, x in ivec.items():
                     v = prow.get(c)
                     if v:
                         s += v * x
-            if s != 0:
+            if s:
                 return False
         return True
 
     def kernel_basis_sparse(self) -> list[dict[int, Q]]:
         """Canonical kernel basis of the matrix whose rows were fed."""
+        rows = self._rows
         basis = []
         for free in range(self.ncols):
-            if free in self.pivots:
+            if free in rows:
                 continue
             vec = {free: QONE}
-            for pc, prow in self.pivots.items():
-                coef = prow.get(free)
-                if coef:
-                    vec[pc] = -coef
+            for pc in self._by_col.get(free, ()):
+                prow = rows[pc]
+                vec[pc] = Q(-prow[free], prow[pc])
             basis.append(vec)
         return basis
 
@@ -296,9 +354,10 @@ def rref(m: RationalMatrix) -> RrefResult:
     rows = m.rows_map()
     for r in range(m.nrows):
         red.add(rows.get(r, {}))
+    pivots = red.pivots
     entries: dict[tuple[int, int], Q] = {}
     for r, pc in enumerate(red.pivot_cols()):
-        for c, v in red.pivots[pc].items():
+        for c, v in pivots[pc].items():
             entries[(r, c)] = v
     return RrefResult(RationalMatrix(m.nrows, m.ncols, entries),
                       red.rank, red.pivot_cols())
@@ -330,12 +389,12 @@ def invert(m: RationalMatrix) -> RationalMatrix:
         row = dict(rows.get(r, {}))
         row[n + r] = QONE
         red.add(row)
-    pivots = red.pivot_cols()
-    if pivots[:n] != list(range(n)):
+    if red.pivot_cols()[:n] != list(range(n)):
         raise ValueError("matrix is singular")
+    pivots = red.pivots
     entries = {}
     for r in range(n):
-        for c, v in red.pivots[r].items():
+        for c, v in pivots[r].items():
             if c >= n:
                 entries[(r, c - n)] = v
     return RationalMatrix(n, n, entries)

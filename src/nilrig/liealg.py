@@ -18,9 +18,7 @@ from .exactlin import (
     RowReducer,
     dense_of,
     invert,
-    vadd,
     vec_is_zero,
-    vscale,
     vzero,
 )
 
@@ -144,19 +142,35 @@ def bracket_vec_basis(g: LieAlgebra, v: Sequence[Q], k: int) -> tuple[Q, ...]:
 
 
 def jacobi_defect(g: LieAlgebra) -> list[tuple[int, int, int]]:
-    """Triples (i, j, k), i < j < k, where the Jacobi identity fails."""
-    bad = []
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            bij = g.bracket_basis(i, j)
-            for k in range(j + 1, g.dim):
-                jac = vadd(
-                    vadd(bracket_vec_basis(g, bij, k),
-                         bracket_vec_basis(g, g.bracket_basis(j, k), i)),
-                    bracket_vec_basis(g, g.bracket_basis(k, i), j))
-                if not vec_is_zero(jac):
-                    bad.append((i, j, k))
-    return bad
+    """Triples (i, j, k), i < j < k, where the Jacobi identity fails.
+
+    The Jacobiator of (i, j, k) is the sum of [[X_a, X_b], X_c] over the
+    cyclic orders (a, b, c) of the triple.  Only nonzero brackets
+    contribute, so each [[X_a, X_b], X_c] with a < b is read off the table
+    and added to its sorted triple, negated when (a, b, c) is not cyclic.
+    """
+    table = g.bracket_table()
+    by_first: dict[int, list[tuple[int, dict[int, Q]]]] = {}
+    for (s, c), sp in table.items():
+        by_first.setdefault(s, []).append((c, sp))
+    jac: dict[tuple[int, int, int], dict[int, Q]] = {}
+    for (a, b), vec in g.constants.items():
+        for s, x in enumerate(vec):
+            if x == 0:
+                continue
+            for c, sp in by_first.get(s, ()):
+                if c == a or c == b:
+                    continue
+                if c < a:
+                    key, sign = (c, a, b), x
+                elif c < b:
+                    key, sign = (a, c, b), -x
+                else:
+                    key, sign = (a, b, c), x
+                acc = jac.setdefault(key, {})
+                for m, w in sp.items():
+                    acc[m] = acc.get(m, QZERO) + sign * w
+    return sorted(key for key, acc in jac.items() if any(acc.values()))
 
 
 def is_lie(g: LieAlgebra) -> bool:
@@ -193,7 +207,8 @@ def three_step_defect(g: LieAlgebra) -> list[tuple[int, int, int, int]]:
 # central series, nilpotency, characteristic sequence
 
 def _basis_rows(red: RowReducer, n: int) -> tuple[tuple[Q, ...], ...]:
-    return tuple(dense_of(red.pivots[c], n) for c in red.pivot_cols())
+    pivots = red.pivots
+    return tuple(dense_of(pivots[c], n) for c in red.pivot_cols())
 
 
 def lower_central_series(g: LieAlgebra) -> SubspaceChain:

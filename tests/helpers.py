@@ -11,6 +11,31 @@ from fractions import Fraction as Q
 from itertools import product
 
 from nilrig.cohom import Cochain, CochainIndex, ch_delta2, chevalley_delta1, chevalley_delta2, r_delta2
+from nilrig.liealg import bracket_vec_basis
+
+
+def dense_rref(rows: list[list[Q]]) -> dict[int, dict[int, Q]]:
+    """Plain dense Gauss-Jordan over Fractions, one row at a time: pivot
+    column -> nonzero entries of its reduced row (leading entry 1, zero at
+    every other pivot column)."""
+    table: dict[int, list[Q]] = {}
+    for row in rows:
+        row = list(map(Q, row))
+        for c, prow in table.items():
+            f = row[c]
+            if f != 0:
+                row = [a - f * b if b else a for a, b in zip(row, prow)]
+        lead = next((c for c, x in enumerate(row) if x != 0), None)
+        if lead is None:
+            continue
+        pv = row[lead]
+        row = [x / pv for x in row]
+        for c, prow in table.items():
+            f = prow[lead]
+            if f != 0:
+                table[c] = [a - f * b if b else a for a, b in zip(prow, row)]
+        table[lead] = row
+    return {c: {k: x for k, x in enumerate(r) if x != 0} for c, r in table.items()}
 
 
 def dense_rank(rows: list[list[Q]]) -> int:
@@ -104,6 +129,22 @@ def brute_b2(g) -> int:
             flat = idx.to_flat(chevalley_delta1(g, f))
             imgs.append([flat.get(u, Q(0)) for u in range(idx.size)])
     return dense_rank(imgs)
+
+
+def brute_jacobi_defect(g) -> list[tuple[int, int, int]]:
+    """Every triple i < j < k whose dense Jacobiator is nonzero."""
+    n = g.dim
+    bad = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            bij = g.bracket_basis(i, j)
+            for k in range(j + 1, n):
+                terms = (bracket_vec_basis(g, bij, k),
+                         bracket_vec_basis(g, g.bracket_basis(j, k), i),
+                         bracket_vec_basis(g, g.bracket_basis(k, i), j))
+                if any(sum(col) != 0 for col in zip(*terms)):
+                    bad.append((i, j, k))
+    return bad
 
 
 def jacobiator(g, i: int, j: int, k: int) -> tuple[Q, ...]:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -185,6 +186,20 @@ def test_cohomology_cr(tmp_path, capsys):
     write_algebra(families.g_p01(2), str(path))
     code, doc, _ = run(capsys, "cohomology", str(path), "--complex", "cr")
     assert code == 0 and doc["h2_dim"] == 8
+
+
+def test_cohomology_progress_lines(tmp_path, capsys, monkeypatch):
+    # cr at dim >= 9 reports rows fed, rank and rate on stderr
+    path = tmp_path / "g.json"
+    write_algebra(families.g_k3k2k1(2, 1, 1), str(path))
+    monkeypatch.setattr("nilrig.exactlin._PROGRESS_ROWS", 400)
+    code, doc, err = run(capsys, "cohomology", str(path), "--complex", "cr")
+    assert code == 0 and doc["z2_dim"] == 84
+    lines = err.splitlines()
+    assert [line.split(",")[0] for line in lines] == [
+        "  rows processed: 400", "  rows processed: 800"]
+    for line in lines:
+        assert re.fullmatch(r"  rows processed: \d+, rank \d+, \d+ rows/s", line)
 
 
 def test_cohomology_wrong_kind(tmp_path, capsys):

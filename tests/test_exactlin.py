@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nilrig import families
+from nilrig.cohom import CochainIndex, chevalley2_rows, r2_rows
 from nilrig.exactlin import (
+    _PROGRESS_ROWS,
     RationalMatrix,
     RowReducer,
     TruncatedSeries,
@@ -19,7 +22,10 @@ from nilrig.exactlin import (
     series_mul,
 )
 
-from helpers import dense_rank
+from nilrig.liealg import DEFAULT_SEED, basis_change
+from nilrig.sampling import random_invertible, rng_for
+
+from helpers import dense_rank, dense_rref
 
 
 def M(rows):
@@ -89,6 +95,12 @@ small_matrices = st.integers(1, 5).flatmap(lambda ncols: st.lists(
     st.lists(st.integers(-4, 4), min_size=ncols, max_size=ncols),
     min_size=1, max_size=6))
 
+# p/q entries: the engine clears denominators and may meet negative leads
+rationals = st.builds(Q, st.integers(-4, 4), st.integers(1, 4))
+small_rational_matrices = st.integers(1, 5).flatmap(lambda ncols: st.lists(
+    st.lists(rationals, min_size=ncols, max_size=ncols),
+    min_size=1, max_size=6))
+
 
 @given(small_matrices)
 @settings(max_examples=60, deadline=None)
@@ -121,30 +133,28 @@ def test_row_reducer_membership():
     assert red.residual({0: Q(1), 2: Q(1)})
 
 
-@given(small_matrices, st.lists(st.integers(-4, 4), min_size=5, max_size=5))
-@settings(max_examples=60, deadline=None)
-def test_row_reducer_rref_and_residual(rows, probe):
+def check_rref_and_residual(rows, probe):
     red = RowReducer(len(rows[0]))
     for k, r in enumerate(rows):
         row = {c: Q(x) for c, x in enumerate(r)}
         red.add(row)
         assert not red.residual(row)
-        for p, prow in red.pivots.items():
+        pivots = red.pivots
+        for p, prow in pivots.items():
             assert min(prow) == p and prow[p] == 1
-            assert all(q == p or q not in prow for q in red.pivots)
+            assert all(q == p or q not in prow for q in pivots)
         v = [Q(x) for x in probe[:len(r)]]
         res = red.residual(dict(enumerate(v)))
-        assert not set(res) & set(red.pivots)
+        assert not set(res) & set(pivots)
         seen = [list(map(Q, x)) for x in rows[:k + 1]]
         assert (not res) == (dense_rank(seen + [v]) == dense_rank(seen))
+        assert pivots == dense_rref(seen)
 
 
-@given(small_matrices, st.lists(st.lists(st.integers(-2, 2), min_size=5, max_size=5),
-                                max_size=3))
-@settings(max_examples=60, deadline=None)
-def test_in_kernel_tracks_added_rows(rows, probes):
-    # `in_kernel` keeps a column index between calls; every answer must
-    # match M @ v over the rows fed so far, also after a back-substitution
+def check_in_kernel(rows, probes):
+    # `in_kernel` reads a column index that `add` keeps up to date; every
+    # answer must match M @ v over the rows fed so far, also after a
+    # back-substitution
     ncols = len(rows[0])
     red = RowReducer(ncols)
     kernel = []
@@ -157,6 +167,56 @@ def test_in_kernel_tracks_added_rows(rows, probes):
             dense = all(sum(x * v.get(c, 0) for c, x in enumerate(seen)) == 0
                         for seen in rows[:k + 1])
             assert red.in_kernel(v) == dense
+
+
+@given(small_matrices, st.lists(st.integers(-4, 4), min_size=5, max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_row_reducer_rref_and_residual(rows, probe):
+    check_rref_and_residual(rows, probe)
+
+
+@given(small_rational_matrices, st.lists(rationals, min_size=5, max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_row_reducer_rref_and_residual_rational(rows, probe):
+    check_rref_and_residual(rows, probe)
+
+
+@given(small_matrices, st.lists(st.lists(st.integers(-2, 2), min_size=5, max_size=5),
+                                max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_in_kernel_tracks_added_rows(rows, probes):
+    check_in_kernel(rows, probes)
+
+
+@given(small_rational_matrices, st.lists(st.lists(rationals, min_size=5, max_size=5),
+                                         max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_in_kernel_tracks_added_rows_rational(rows, probes):
+    check_in_kernel(rows, probes)
+
+
+def test_pivots_match_dense_rref_after_basis_change():
+    # a dense basis change gives a tall redundant Z system with large
+    # denominators; the integer table must read back as the exact RREF
+    g = basis_change(families.g_k3k2k1(1, 0, 2),
+                     random_invertible(5, rng_for(DEFAULT_SEED), -2, 2))
+    size = CochainIndex(g.dim).size
+    rows = list(chevalley2_rows(g)) + list(r2_rows(g))
+    red = RowReducer(size)
+    for row in rows:
+        red.add(row)
+    expected = dense_rref([[row.get(c, 0) for c in range(size)] for row in rows])
+    assert any(v.denominator > 1 for prow in expected.values() for v in prow.values())
+    assert red.pivots == expected
+
+
+def test_progress_reports_rows_rank_and_rate():
+    calls = []
+    red = RowReducer(3, progress=lambda *args: calls.append(args))
+    for k in range(2 * _PROGRESS_ROWS + 1):
+        red.add({k % 2: Q(1), 2: Q(k)})
+    assert [(n, rank) for n, rank, _ in calls] == [(_PROGRESS_ROWS, 3), (2 * _PROGRESS_ROWS, 3)]
+    assert all(rate > 0 for _, _, rate in calls)
 
 
 def test_invert_and_singular():

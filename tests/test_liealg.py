@@ -28,7 +28,7 @@ from nilrig.liealg import (
 )
 from nilrig.sampling import random_invertible, random_nilpotent, rng_for
 
-from helpers import jacobiator, span_dim
+from helpers import brute_jacobi_defect, jacobiator, span_dim
 
 
 def e(n, i):
@@ -75,6 +75,32 @@ def test_jacobi_so3_like():
     assert jacobi_defect(g) == []
     for (i, j, k) in [(0, 1, 2)]:
         assert all(x == 0 for x in jacobiator(g, i, j, k))
+
+
+@st.composite
+def skew_brackets(draw):
+    """Random structure constants with small integer entries, most of
+    them failing the Jacobi identity."""
+    n = draw(st.integers(3, 6))
+    constants = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw(st.booleans()):
+                constants[(i, j)] = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    return LieAlgebra(n, constants)
+
+
+@given(skew_brackets())
+@settings(max_examples=80, deadline=None)
+def test_jacobi_defect_matches_dense_triples(g):
+    assert jacobi_defect(g) == brute_jacobi_defect(g)
+
+
+def test_jacobi_defect_matches_dense_triples_on_families():
+    dense = basis_change(families.g_k3k2k1(1, 0, 2), random_invertible(5, rng_for(5), -2, 2))
+    for g in (families.g_p1(4), families.g_p01(3), families.rigid_3step_7(),
+              families.heisenberg(3), dense):
+        assert jacobi_defect(g) == brute_jacobi_defect(g) == []
 
 
 def test_jacobi_violation_detected():
