@@ -19,7 +19,11 @@ def main() -> int:
     ap.add_argument("--only", default=None)
     args = ap.parse_args()
 
-    doc = run_claims(seed=args.seed, only=args.only)
+    try:
+        doc = run_claims(seed=args.seed, only=args.only)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     width = max(len(r["id"]) for r in doc["claims"])
     for r in doc["claims"]:
         mark = "PASS" if r["pass"] else "FAIL"

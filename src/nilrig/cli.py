@@ -320,7 +320,9 @@ def cmd_family(args) -> int:
 
 
 def cmd_paper_report(args) -> int:
+    # reject an unknown --only prefix before --json creates a file, and
     # open --json before any claim runs, so a bad path costs nothing
+    report.select_claims(args.only)
     with open(args.json, "w", encoding="utf-8") if args.json else nullcontext() as fh:
         doc = report.run_claims(seed=args.seed, only=args.only)
         for row in doc["claims"]:

@@ -461,11 +461,6 @@ def _action_table(g: LieAlgebra) -> dict[int, list[tuple[int, dict[int, Q]]]]:
     return act
 
 
-def _sparse_constants(g: LieAlgebra) -> dict[tuple[int, int], dict[int, Q]]:
-    return {(i, j): {k: x for k, x in enumerate(vec) if x != 0}
-            for (i, j), vec in g.constants.items()}
-
-
 def _rows_of(rows: dict[int, dict[int, Q]]) -> Iterator[dict[int, Q]]:
     for m in sorted(rows):
         row = {u: v for u, v in rows[m].items() if v != 0}
@@ -500,9 +495,9 @@ def t_operator_rows(g: LieAlgebra) -> Iterator[dict[int, Q]]:
     """Constraint rows of T(phi) = 0 over the flat 2-cochain coordinates."""
     idx = CochainIndex(g.dim)
     act = _action_table(g)
-    consts = _sparse_constants(g)
+    table = g.bracket_table()
     for (i, j) in idx.pairs:
-        cij = consts.get((i, j))
+        cij = table.get((i, j))
         for k in range(g.dim):
             rows: dict[int, dict[int, Q]] = {}
             _add_mu_of_phi(rows, idx, act, i, j, k, QONE)
@@ -515,11 +510,11 @@ def chevalley2_rows(g: LieAlgebra) -> Iterator[dict[int, Q]]:
     """Constraint rows of the classical degree-2 coboundary."""
     idx = CochainIndex(g.dim)
     act = _action_table(g)
-    consts = _sparse_constants(g)
+    table = g.bracket_table()
     n = g.dim
     for i in range(n):
         for j in range(i + 1, n):
-            cij = consts.get((i, j), {})
+            cij = table.get((i, j))
             for k in range(j + 1, n):
                 rows: dict[int, dict[int, Q]] = {}
                 # [x, phi(y,z)] terms written as -[phi(y,z), x]
@@ -528,10 +523,10 @@ def chevalley2_rows(g: LieAlgebra) -> Iterator[dict[int, Q]]:
                 _add_mu_of_phi(rows, idx, act, i, j, k, Q(-1))
                 if cij:
                     _add_phi_of_vec(rows, idx, cij, k, Q(-1))
-                cik = consts.get((i, k))
+                cik = table.get((i, k))
                 if cik:
                     _add_phi_of_vec(rows, idx, cik, j, QONE)
-                cjk = consts.get((j, k))
+                cjk = table.get((j, k))
                 if cjk:
                     _add_phi_of_vec(rows, idx, cjk, i, Q(-1))
                 yield from _rows_of(rows)
@@ -541,41 +536,19 @@ def r2_rows(g: LieAlgebra) -> Iterator[dict[int, Q]]:
     """Constraint rows of delta_R^2(phi) = 0 (streamed; can be ~1e5 rows)."""
     idx = CochainIndex(g.dim)
     act = _action_table(g)
-    consts = _sparse_constants(g)
     table = g.bracket_table()
+    double = g.double_brackets()
     n = g.dim
-    # double-bracket support: dd[(k, l)] = [(s, sparse [[X_s,X_k],X_l])]
+    # dd[(k, l)] = [(s, sparse [[X_s,X_k],X_l])], sorted by s
     dd: dict[tuple[int, int], list[tuple[int, dict[int, Q]]]] = {}
-    for k in range(n):
-        for s, sp in act[k]:
-            for l in range(n):
-                acc: dict[int, Q] = {}
-                for t, c in sp.items():
-                    row = table.get((t, l))
-                    if row:
-                        for m, v in row.items():
-                            w = acc.get(m, QZERO) + c * v
-                            if w == 0:
-                                acc.pop(m, None)
-                            else:
-                                acc[m] = w
-                if acc:
-                    dd.setdefault((k, l), []).append((s, acc))
+    for (a, b, l), vec in double.items():
+        dd.setdefault((b, l), []).append((a, vec))
+        dd.setdefault((a, l), []).append((b, {m: -x for m, x in vec.items()}))
     for (i, j) in idx.pairs:
-        cij = consts.get((i, j))
+        cij = table.get((i, j))
         pbase = idx.pidx[(i, j)] * n
         for k in range(n):
-            w: dict[int, Q] = {}
-            if cij:
-                for s, c in cij.items():
-                    row = table.get((s, k))
-                    if row:
-                        for m, v in row.items():
-                            x = w.get(m, QZERO) + c * v
-                            if x == 0:
-                                w.pop(m, None)
-                            else:
-                                w[m] = x
+            w = double.get((i, j, k))
             for l in range(n):
                 rows: dict[int, dict[int, Q]] = {}
                 for s, ddvec in dd.get((k, l), ()):

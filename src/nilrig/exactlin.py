@@ -109,9 +109,6 @@ class RationalMatrix:
     def identity(cls, n: int) -> "RationalMatrix":
         return cls(n, n, {(i, i): QONE for i in range(n)})
 
-    def row(self, r: int) -> dict[int, Q]:
-        return {c: v for (rr, c), v in self.entries.items() if rr == r}
-
     def rows_map(self) -> dict[int, dict[int, Q]]:
         out: dict[int, dict[int, Q]] = {}
         for (r, c), v in self.entries.items():

@@ -329,13 +329,10 @@ def normalized_cocycle_template(family: str, p: int) -> CocycleTemplate:
 
 @dataclass(frozen=True)
 class FamilyParams:
-    """Identifies a family member: template name, sizes, coefficient values."""
+    """Identifies a family member: template name, size, coefficient values."""
 
     name: str
     p: int = 0
-    k3: int = 0
-    k2: int = 0
-    k1: int = 0
     coeffs: Mapping[str, object] = field(default_factory=dict)
 
 

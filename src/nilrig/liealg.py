@@ -28,7 +28,7 @@ DEFAULT_SEED = 0xC0FFEE
 class LieAlgebra:
     """Finite-dimensional algebra given by rational structure constants."""
 
-    __slots__ = ("dim", "constants", "_table")
+    __slots__ = ("dim", "constants", "_table", "_double")
 
     def __init__(self, dim: int,
                  constants: Mapping[tuple[int, int], Sequence] | None = None):
@@ -46,6 +46,7 @@ class LieAlgebra:
                 clean[(i, j)] = v
         self.constants = clean
         self._table: dict[tuple[int, int], dict[int, Q]] | None = None
+        self._double: dict[tuple[int, int, int], dict[int, Q]] | None = None
 
     def bracket_basis(self, i: int, j: int) -> tuple[Q, ...]:
         """[X_i, X_j] as a dense coordinate vector."""
@@ -66,6 +67,20 @@ class LieAlgebra:
                 table[(j, i)] = {k: -x for k, x in sp.items()}
             self._table = table
         return self._table
+
+    def double_brackets(self) -> dict[tuple[int, int, int], dict[int, Q]]:
+        """Sparse [[X_i, X_j], X_k] for i < j and every k, nonzero only,
+        in sorted key order; cached and shared, so callers never mutate it."""
+        if self._double is None:
+            table = self.bracket_table()
+            double = {}
+            for pair in sorted(self.constants):
+                for k in range(self.dim):
+                    w = _bracket_sparse(table, table[pair], k)
+                    if w:
+                        double[pair + (k,)] = w
+            self._double = double
+        return self._double
 
     def pairs(self) -> list[tuple[int, int]]:
         return sorted(self.constants)
@@ -141,35 +156,42 @@ def bracket_vec_basis(g: LieAlgebra, v: Sequence[Q], k: int) -> tuple[Q, ...]:
     return tuple(acc)
 
 
+def _bracket_sparse(table, vec: Mapping[int, Q], k: int) -> dict[int, Q]:
+    """[v, X_k] for a sparse coordinate vector v, nonzero entries only."""
+    acc: dict[int, Q] = {}
+    for s, c in vec.items():
+        row = table.get((s, k))
+        if row:
+            for m, w in row.items():
+                x = acc.get(m, QZERO) + c * w
+                if x == 0:
+                    acc.pop(m, None)
+                else:
+                    acc[m] = x
+    return acc
+
+
 def jacobi_defect(g: LieAlgebra) -> list[tuple[int, int, int]]:
     """Triples (i, j, k), i < j < k, where the Jacobi identity fails.
 
     The Jacobiator of (i, j, k) is the sum of [[X_a, X_b], X_c] over the
-    cyclic orders (a, b, c) of the triple.  Only nonzero brackets
-    contribute, so each [[X_a, X_b], X_c] with a < b is read off the table
-    and added to its sorted triple, negated when (a, b, c) is not cyclic.
+    cyclic orders (a, b, c) of the triple.  Each [[X_a, X_b], X_c] with
+    a < b is read off the double-bracket table and added to its sorted
+    triple, negated when (a, b, c) is not cyclic.
     """
-    table = g.bracket_table()
-    by_first: dict[int, list[tuple[int, dict[int, Q]]]] = {}
-    for (s, c), sp in table.items():
-        by_first.setdefault(s, []).append((c, sp))
     jac: dict[tuple[int, int, int], dict[int, Q]] = {}
-    for (a, b), vec in g.constants.items():
-        for s, x in enumerate(vec):
-            if x == 0:
-                continue
-            for c, sp in by_first.get(s, ()):
-                if c == a or c == b:
-                    continue
-                if c < a:
-                    key, sign = (c, a, b), x
-                elif c < b:
-                    key, sign = (a, c, b), -x
-                else:
-                    key, sign = (a, b, c), x
-                acc = jac.setdefault(key, {})
-                for m, w in sp.items():
-                    acc[m] = acc.get(m, QZERO) + sign * w
+    for (a, b, c), vec in g.double_brackets().items():
+        if c == a or c == b:
+            continue
+        if c < a:
+            key, sign = (c, a, b), 1
+        elif c < b:
+            key, sign = (a, c, b), -1
+        else:
+            key, sign = (a, b, c), 1
+        acc = jac.setdefault(key, {})
+        for m, w in vec.items():
+            acc[m] = acc.get(m, QZERO) + sign * w
     return sorted(key for key, acc in jac.items() if any(acc.values()))
 
 
@@ -179,28 +201,14 @@ def is_lie(g: LieAlgebra) -> bool:
 
 def two_step_defect(g: LieAlgebra) -> list[tuple[int, int, int]]:
     """Basis tuples (i, j, k) with [[X_i, X_j], X_k] != 0."""
-    bad = []
-    for (i, j) in g.pairs():
-        vec = g.constants[(i, j)]
-        for k in range(g.dim):
-            if not vec_is_zero(bracket_vec_basis(g, vec, k)):
-                bad.append((i, j, k))
-    return bad
+    return list(g.double_brackets())
 
 
 def three_step_defect(g: LieAlgebra) -> list[tuple[int, int, int, int]]:
     """Basis tuples (i, j, k, l) with [[[X_i, X_j], X_k], X_l] != 0."""
-    bad = []
-    for (i, j) in g.pairs():
-        vec = g.constants[(i, j)]
-        for k in range(g.dim):
-            w = bracket_vec_basis(g, vec, k)
-            if vec_is_zero(w):
-                continue
-            for l in range(g.dim):
-                if not vec_is_zero(bracket_vec_basis(g, w, l)):
-                    bad.append((i, j, k, l))
-    return bad
+    table = g.bracket_table()
+    return [key + (l,) for key, w in g.double_brackets().items()
+            for l in range(g.dim) if _bracket_sparse(table, w, l)]
 
 
 # ---------------------------------------------------------------------------

@@ -507,13 +507,23 @@ def row_line(row: dict) -> str:
 # ---------------------------------------------------------------------------
 # runner
 
+def select_claims(only: str | None = None) -> list[ClaimSpec]:
+    """The registry entries whose id starts with `only` (all when None).
+
+    A prefix that matches no id is a ValueError, so a mistyped prefix
+    cannot pass as an empty, successful run.
+    """
+    specs = [spec for spec in CLAIMS if only is None or spec.id.startswith(only)]
+    if not specs:
+        raise ValueError(f"no claim id starts with {only!r}")
+    return specs
+
+
 def run_claims(seed: int = DEFAULT_SEED, only: str | None = None) -> dict:
-    """Run the registry (optionally filtered by id prefix) and build the
-    report document."""
+    """Run the registry (optionally filtered by id prefix, see
+    `select_claims`) and build the report document."""
     rows = []
-    for spec in CLAIMS:
-        if only is not None and not spec.id.startswith(only):
-            continue
+    for spec in select_claims(only):
         t0 = time.perf_counter()
         expected, computed, detail = spec.fn(seed)
         if spec.id in CERTIFIED:

@@ -11,6 +11,7 @@ from fractions import Fraction as Q
 from itertools import product
 
 from nilrig.cohom import Cochain, CochainIndex, ch_delta2, chevalley_delta1, chevalley_delta2, r_delta2
+from nilrig.exactlin import vec_is_zero
 from nilrig.liealg import bracket_vec_basis
 
 
@@ -144,6 +145,33 @@ def brute_jacobi_defect(g) -> list[tuple[int, int, int]]:
                          bracket_vec_basis(g, g.bracket_basis(k, i), j))
                 if any(sum(col) != 0 for col in zip(*terms)):
                     bad.append((i, j, k))
+    return bad
+
+
+def brute_two_step_defect(g) -> list[tuple[int, int, int]]:
+    """Basis tuples (i, j, k) with [[X_i, X_j], X_k] != 0, from dense vectors."""
+    bad = []
+    for (i, j) in g.pairs():
+        vec = g.constants[(i, j)]
+        for k in range(g.dim):
+            if not vec_is_zero(bracket_vec_basis(g, vec, k)):
+                bad.append((i, j, k))
+    return bad
+
+
+def brute_three_step_defect(g) -> list[tuple[int, int, int, int]]:
+    """Basis tuples (i, j, k, l) with [[[X_i, X_j], X_k], X_l] != 0, from
+    dense vectors."""
+    bad = []
+    for (i, j) in g.pairs():
+        vec = g.constants[(i, j)]
+        for k in range(g.dim):
+            w = bracket_vec_basis(g, vec, k)
+            if vec_is_zero(w):
+                continue
+            for l in range(g.dim):
+                if not vec_is_zero(bracket_vec_basis(g, w, l)):
+                    bad.append((i, j, k, l))
     return bad
 
 

@@ -1,7 +1,10 @@
 import json
 import os
 import re
+import subprocess
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
@@ -345,6 +348,41 @@ def test_paper_report_shows_recorded_target(capsys):
     assert (row["expected"], row["computed"]) == ("h2=2", "h2=2")
     assert row["detail"]["recorded"] == "h2=1"
     assert "expected 'h2=2', computed 'h2=2', recorded 'h2=1'" in err
+
+
+def test_paper_report_unknown_prefix(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    code, doc, err = run(capsys, "paper-report", "--only", "NOPE", "--json", str(out))
+    assert code == 1 and doc is None
+    assert err == "error: no claim id starts with 'NOPE'\n"
+    assert not out.exists()
+
+
+def _run_script(name, *argv):
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, str(root / "scripts" / name), *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_paper_report_script_unknown_prefix(tmp_path):
+    out = tmp_path / "r.json"
+    proc = _run_script("paper_report.py", "--only", "NOPE", "--json", str(out))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "error: no claim id starts with 'NOPE'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, argv, summary", [
+    ("paper_report.py", ["--only", "C10"],
+     r"3/3 claims match their expected values \(seed \d+\)"),
+    ("cohomology_table.py", ["--max-p", "1"], r"13 rows, 8 rigid candidates"),
+])
+def test_script_smoke(name, argv, summary):
+    proc = _run_script(name, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert re.fullmatch(summary, proc.stdout.strip().splitlines()[-1])
 
 
 def test_paper_report_exit_code_semantics(capsys):

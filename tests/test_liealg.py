@@ -13,6 +13,7 @@ from nilrig.liealg import (
     ad_matrix,
     basis_change,
     bracket,
+    bracket_vec_basis,
     center_dim,
     characteristic_sequence,
     derivation_algebra_dim,
@@ -28,7 +29,13 @@ from nilrig.liealg import (
 )
 from nilrig.sampling import random_invertible, random_nilpotent, rng_for
 
-from helpers import brute_jacobi_defect, jacobiator, span_dim
+from helpers import (
+    brute_jacobi_defect,
+    brute_three_step_defect,
+    brute_two_step_defect,
+    jacobiator,
+    span_dim,
+)
 
 
 def e(n, i):
@@ -94,6 +101,17 @@ def skew_brackets(draw):
 @settings(max_examples=80, deadline=None)
 def test_jacobi_defect_matches_dense_triples(g):
     assert jacobi_defect(g) == brute_jacobi_defect(g)
+    check_double_bracket_defects(g)
+
+
+def check_double_bracket_defects(g):
+    """The step defects and every double-bracket entry agree with the
+    dense walks."""
+    assert two_step_defect(g) == brute_two_step_defect(g)
+    assert three_step_defect(g) == brute_three_step_defect(g)
+    for (i, j, k), w in g.double_brackets().items():
+        dense = bracket_vec_basis(g, g.bracket_basis(i, j), k)
+        assert w == {m: x for m, x in enumerate(dense) if x != 0}
 
 
 def test_jacobi_defect_matches_dense_triples_on_families():
@@ -101,6 +119,7 @@ def test_jacobi_defect_matches_dense_triples_on_families():
     for g in (families.g_p1(4), families.g_p01(3), families.rigid_3step_7(),
               families.heisenberg(3), dense):
         assert jacobi_defect(g) == brute_jacobi_defect(g) == []
+        check_double_bracket_defects(g)
 
 
 def test_jacobi_violation_detected():
