@@ -7,9 +7,10 @@ Usage: python3 scripts/paper_report.py [--seed N] [--json out.json] [--only PREF
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 
 from nilrig.liealg import DEFAULT_SEED
-from nilrig.report import run_claims
+from nilrig.report import run_claims, select_claims
 
 
 def main() -> int:
@@ -19,11 +20,18 @@ def main() -> int:
     ap.add_argument("--only", default=None)
     args = ap.parse_args()
 
+    # reject an unknown --only prefix and open --json before any claim runs
     try:
-        doc = run_claims(seed=args.seed, only=args.only)
-    except ValueError as exc:
+        select_claims(args.only)
+        fh = open(args.json, "w", encoding="utf-8") if args.json else nullcontext()
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    with fh:
+        doc = run_claims(seed=args.seed, only=args.only)
+        if args.json:
+            json.dump(doc, fh, indent=1, default=str)
+            fh.write("\n")
     width = max(len(r["id"]) for r in doc["claims"])
     for r in doc["claims"]:
         mark = "PASS" if r["pass"] else "FAIL"
@@ -38,9 +46,6 @@ def main() -> int:
     print(f"\n{s['passed']}/{s['total']} claims match their expected values "
           f"(seed {doc['seed']})")
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1, default=str)
-            fh.write("\n")
         print(f"wrote {args.json}")
     return 0 if s["failed"] == 0 else 2
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product
+from itertools import permutations, product
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .exactlin import Q, QZERO, QONE, RowReducer, dense_of, vadd, vec_is_zero, vscale, vzero
@@ -175,76 +175,115 @@ def mu_map(g: LieAlgebra) -> MultiMap:
     return MultiMap(2, g.dim, coeffs)
 
 
+def _accumulate(acc: dict, key: tuple[int, ...], coef, vec: Sequence[Q]) -> None:
+    # acc[key] += coef * vec, touching only the nonzero entries of vec
+    row = acc.get(key)
+    if row is None:
+        row = acc[key] = [QZERO] * len(vec)
+    for m, x in enumerate(vec):
+        if x:
+            row[m] += coef * x
+
+
 def mm_combine(*terms: tuple[Q, MultiMap]) -> MultiMap:
     """Exact linear combination of MultiMaps of matching shape."""
     if not terms:
         raise ValueError("nothing to combine")
     arity = terms[0][1].arity
     dim = terms[0][1].dim
-    acc: dict[tuple[int, ...], tuple[Q, ...]] = {}
+    acc: dict[tuple[int, ...], list[Q]] = {}
     for coef, mm in terms:
         if mm.arity != arity or mm.dim != dim:
             raise ValueError("shape mismatch")
         if coef == 0:
             continue
         for idx, vec in mm.coeffs.items():
-            cur = acc.get(idx)
-            nv = vscale(Q(coef), vec) if cur is None else vadd(cur, vscale(Q(coef), vec))
-            if vec_is_zero(nv):
-                acc.pop(idx, None)
-            else:
-                acc[idx] = nv
+            _accumulate(acc, idx, Q(coef), vec)
     return MultiMap(arity, dim, acc)
+
+
+def _ordered_values(m) -> Iterator[tuple[tuple[int, ...], tuple[Q, ...]]]:
+    # every nonzero value of m; a Cochain gives each ordering of a stored key
+    if isinstance(m, MultiMap):
+        yield from m.coeffs.items()
+        return
+    for key, vec in m.coeffs.items():
+        neg = tuple(-x for x in vec)
+        for idx in permutations(key):
+            yield idx, vec if _perm_sign(idx) == 1 else neg
+
+
+def comp1(f, h) -> MultiMap:
+    """comp_1 substitution (f o1 h)(x_1..) = f(h(x_1,..,x_b), x_{b+1}, ..).
+
+    Walks the nonzero values of h and, for each nonzero coordinate X_s of
+    such a value, the nonzero values of f whose first argument is X_s.
+    """
+    if f.dim != h.dim:
+        raise ValueError("dimension mismatch")
+    by_first: dict[int, list[tuple[tuple[int, ...], tuple[Q, ...]]]] = {}
+    for idx, vec in _ordered_values(f):
+        by_first.setdefault(idx[0], []).append((idx[1:], vec))
+    acc: dict[tuple[int, ...], list[Q]] = {}
+    for prefix, hv in _ordered_values(h):
+        for s, c in enumerate(hv):
+            if c:
+                for suffix, fv in by_first.get(s, ()):
+                    _accumulate(acc, prefix + suffix, c, fv)
+    return MultiMap(f.arity + h.arity - 1, f.dim, acc)
+
+
+def _skew_sum(arity: int, dim: int, terms) -> Cochain:
+    """The Cochain whose value on i_1 < .. < i_k is the sum over the
+    (coef, perm, m) in `terms` of coef * m(X_{i_perm[0]}, .., X_{i_perm[k-1]})."""
+    acc: dict[tuple[int, ...], list[Q]] = {}
+    for coef, perm, m in terms:
+        for t, vec in m.coeffs.items():
+            idx = [0] * arity
+            for r, p in enumerate(perm):
+                idx[p] = t[r]
+            if all(a < b for a, b in zip(idx, idx[1:])):
+                _accumulate(acc, tuple(idx), coef, vec)
+    return Cochain(arity, dim, acc)
+
+
+#: the cyclic orderings (x,y,z), (y,z,x), (z,x,y) of three arguments
+_CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
 # ---------------------------------------------------------------------------
 # coboundary operators (concrete form)
+#
+# Each operator is a signed sum of comp1 compositions with mu = mu_map(g),
+# the only way this route reads the bracket.
 
 def chevalley_delta1(g: LieAlgebra, f: Cochain) -> Cochain:
-    """delta f (x, y) = [f x, y] + [x, f y] - f [x, y]; kernel = derivations."""
+    """delta f (x, y) = [f x, y] + [x, f y] - f [x, y]; kernel = derivations.
+
+    With A = mu o1 f and B = f o1 mu this is A(x,y) - A(y,x) - B(x,y).
+    """
     if f.arity != 1:
         raise ValueError("expected an arity-1 cochain")
     if f.dim != g.dim:
         raise ValueError("dimension mismatch")
-    n = g.dim
-    fv = [f.value((i,)) for i in range(n)]
-    coeffs = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            val = vadd(bracket_vec_basis(g, fv[i], j),
-                       tuple(-x for x in bracket_vec_basis(g, fv[j], i)))
-            cij = g.bracket_basis(i, j)
-            if not vec_is_zero(cij):
-                for s, c in enumerate(cij):
-                    if c != 0:
-                        val = vadd(val, vscale(-c, fv[s]))
-            if not vec_is_zero(val):
-                coeffs[(i, j)] = val
-    return Cochain(2, n, coeffs)
+    mu = mu_map(g)
+    a = comp1(mu, f)
+    return _skew_sum(2, g.dim, [(1, (0, 1), a), (-1, (1, 0), a),
+                                (-1, (0, 1), comp1(f, mu))])
 
 
 def chevalley_delta2(g: LieAlgebra, phi: Cochain) -> Cochain:
     """Classical degree-2 coboundary with adjoint coefficients.
 
     delta phi (x,y,z) = [x,phi(y,z)] - [y,phi(x,z)] + [z,phi(x,y)]
-                        - phi([x,y],z) + phi([x,z],y) - phi([y,z],x)
+                        - phi([x,y],z) + phi([x,z],y) - phi([y,z],x),
+    i.e. minus the cyclic sum of (mu o1 phi + phi o1 mu)(x,y,z).
     """
     if phi.arity != 2 or phi.dim != g.dim:
         raise ValueError("expected an arity-2 cochain of matching dimension")
-    n = g.dim
-    coeffs = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                val = tuple(-x for x in bracket_vec_basis(g, phi.value((j, k)), i))
-                val = vadd(val, bracket_vec_basis(g, phi.value((i, k)), j))
-                val = vadd(val, tuple(-x for x in bracket_vec_basis(g, phi.value((i, j)), k)))
-                val = vadd(val, vscale(Q(-1), eval_mixed(phi, [g.bracket_basis(i, j), k])))
-                val = vadd(val, eval_mixed(phi, [g.bracket_basis(i, k), j]))
-                val = vadd(val, vscale(Q(-1), eval_mixed(phi, [g.bracket_basis(j, k), i])))
-                if not vec_is_zero(val):
-                    coeffs[(i, j, k)] = val
-    return Cochain(3, n, coeffs)
+    mu = mu_map(g)
+    a, b = comp1(mu, phi), comp1(phi, mu)
+    return _skew_sum(3, g.dim, [(-1, p, m) for m in (a, b) for p in _CYCLIC])
 
 
 def _format_tuple(idx: Sequence[int]) -> str:
@@ -274,20 +313,8 @@ def ch_delta2(g: LieAlgebra, phi: Cochain) -> MultiMap:
     if phi.arity != 2 or phi.dim != g.dim:
         raise ValueError("expected an arity-2 cochain of matching dimension")
     _require_two_step(g)
-    n = g.dim
-    coeffs = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            pv = phi.value((i, j))
-            cij = g.bracket_basis(i, j)
-            for k in range(n):
-                val = bracket_vec_basis(g, pv, k)
-                if not vec_is_zero(cij):
-                    val = vadd(val, eval_mixed(phi, [cij, k]))
-                if not vec_is_zero(val):
-                    coeffs[(i, j, k)] = val
-                    coeffs[(j, i, k)] = tuple(-x for x in val)
-    return MultiMap(3, n, coeffs)
+    mu = mu_map(g)
+    return mm_combine((QONE, comp1(mu, phi)), (QONE, comp1(phi, mu)))
 
 
 def _pair_positions(arity: int) -> list[tuple[int, int]]:
@@ -326,44 +353,12 @@ def ch_delta_general(g: LieAlgebra, psi: Cochain) -> MultiMap:
     return MultiMap(psi.arity + 1, n, coeffs)
 
 
-def comp1(f, h) -> MultiMap:
-    """comp_1 substitution (f o1 h)(x_1..) = f(h(x_1,..,x_b), x_{b+1}, ..)."""
-    if f.dim != h.dim:
-        raise ValueError("dimension mismatch")
-    n = f.dim
-    arity = f.arity + h.arity - 1
-    coeffs = {}
-    for prefix in product(range(n), repeat=h.arity):
-        hv = h.value(prefix)
-        if vec_is_zero(hv):
-            continue
-        nz = [(s, c) for s, c in enumerate(hv) if c != 0]
-        for suffix in product(range(n), repeat=f.arity - 1):
-            acc = None
-            for s, c in nz:
-                fv = f.value((s,) + suffix)
-                if not vec_is_zero(fv):
-                    acc = vscale(c, fv) if acc is None else vadd(acc, vscale(c, fv))
-            if acc is not None and not vec_is_zero(acc):
-                coeffs[prefix + suffix] = acc
-    return MultiMap(arity, n, coeffs)
-
-
 def bullet_square(phi: Cochain) -> Cochain:
     """Jacobiator (phi . phi)(x,y,z) = phi(phi(x,y),z) + cyclic; fully skew."""
     if phi.arity != 2:
         raise ValueError("expected an arity-2 cochain")
-    n = phi.dim
-    coeffs = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                val = eval_mixed(phi, [phi.value((i, j)), k])
-                val = vadd(val, eval_mixed(phi, [phi.value((j, k)), i]))
-                val = vadd(val, eval_mixed(phi, [phi.value((k, i)), j]))
-                if not vec_is_zero(val):
-                    coeffs[(i, j, k)] = val
-    return Cochain(3, n, coeffs)
+    sq = comp1(phi, phi)
+    return _skew_sum(3, phi.dim, [(1, p, sq) for p in _CYCLIC])
 
 
 def r_delta2(g: LieAlgebra, phi: Cochain) -> MultiMap:
@@ -387,16 +382,8 @@ def r_delta3(g: LieAlgebra, psi: MultiMap) -> MultiMap:
     """delta_R^3(psi)(x1..x5) = mu(psi(x1..x4), x5) - psi(mu(x1,x2), x3, x4, x5)."""
     if psi.arity != 4 or psi.dim != g.dim:
         raise ValueError("expected an arity-4 map of matching dimension")
-    n = g.dim
-    coeffs = {}
-    for t in product(range(n), repeat=5):
-        val = bracket_vec_basis(g, psi.value(t[:4]), t[4])
-        c12 = g.bracket_basis(t[0], t[1])
-        if not vec_is_zero(c12):
-            val = vadd(val, vscale(Q(-1), eval_mixed(psi, [c12, t[2], t[3], t[4]])))
-        if not vec_is_zero(val):
-            coeffs[t] = val
-    return MultiMap(5, n, coeffs)
+    mu = mu_map(g)
+    return mm_combine((QONE, comp1(mu, psi)), (Q(-1), comp1(psi, mu)))
 
 
 def deformed_bracket(g: LieAlgebra, phi: Cochain, t: Q = QONE) -> LieAlgebra:

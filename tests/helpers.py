@@ -10,8 +10,8 @@ from __future__ import annotations
 from fractions import Fraction as Q
 from itertools import product
 
-from nilrig.cohom import Cochain, CochainIndex, ch_delta2, chevalley_delta1, chevalley_delta2, r_delta2
-from nilrig.exactlin import vec_is_zero
+from nilrig.cohom import Cochain, CochainIndex, MultiMap, ch_delta2, chevalley_delta1, chevalley_delta2, r_delta2
+from nilrig.exactlin import vadd, vec_is_zero, vscale
 from nilrig.liealg import bracket_vec_basis
 
 
@@ -80,42 +80,53 @@ def basis_cochains(n: int):
     return out
 
 
+def brute_comp1(f, h) -> MultiMap:
+    """(f o1 h)(x_1..) = f(h(x_1,..,x_b), x_{b+1}, ..), evaluated on every
+    one of the n^arity basis tuples."""
+    if f.dim != h.dim:
+        raise ValueError("dimension mismatch")
+    n = f.dim
+    arity = f.arity + h.arity - 1
+    coeffs = {}
+    for prefix in product(range(n), repeat=h.arity):
+        hv = h.value(prefix)
+        if vec_is_zero(hv):
+            continue
+        nz = [(s, c) for s, c in enumerate(hv) if c != 0]
+        for suffix in product(range(n), repeat=f.arity - 1):
+            acc = None
+            for s, c in nz:
+                fv = f.value((s,) + suffix)
+                if not vec_is_zero(fv):
+                    acc = vscale(c, fv) if acc is None else vadd(acc, vscale(c, fv))
+            if acc is not None and not vec_is_zero(acc):
+                coeffs[prefix + suffix] = acc
+    return MultiMap(arity, n, coeffs)
+
+
+def operator_rows(g, ops) -> list[dict[int, Q]]:
+    """Rows read off the concrete operators `ops` applied to every basis
+    cochain: one row per output coordinate of each operator, one column per
+    basis cochain (flat order)."""
+    rows: dict[tuple, dict[int, Q]] = {}
+    for u, bc in enumerate(basis_cochains(g.dim)):
+        for tag, op in enumerate(ops):
+            for t, vec in op(g, bc).coeffs.items():
+                for m, x in enumerate(vec):
+                    if x:
+                        rows.setdefault((tag, t, m), {})[u] = x
+    return list(rows.values())
+
+
 def brute_z2(g, kind: str) -> int:
     """Kernel dimension of the degree-2 cocycle conditions, built by
     applying the concrete operators to every basis cochain (column route)
     and eliminating densely."""
-    n = g.dim
-    cols = []
-    coords: list[tuple] = []
-    seen: dict[tuple, int] = {}
-
-    def col_of(maps) -> dict[int, Q]:
-        col: dict[int, Q] = {}
-        for tag, mm in enumerate(maps):
-            for t, vec in mm.coeffs.items():
-                for m, x in enumerate(vec):
-                    if x:
-                        key = (tag, t, m)
-                        if key not in seen:
-                            seen[key] = len(coords)
-                            coords.append(key)
-                        col[seen[key]] = x
-        return col
-
-    for bc in basis_cochains(n):
-        if kind == "ch":
-            maps = [ch_delta2(g, bc)]
-        elif kind == "chevalley":
-            maps = [chevalley_delta2(g, bc)]
-        else:
-            maps = [chevalley_delta2(g, bc), r_delta2(g, bc)]
-        cols.append(col_of(maps))
-    nrows = len(coords)
-    dense = [[Q(0)] * len(cols) for _ in range(nrows)]
-    for c, col in enumerate(cols):
-        for r, x in col.items():
-            dense[r][c] = x
-    return len(cols) - dense_rank(dense)
+    ops = {"ch": [ch_delta2], "chevalley": [chevalley_delta2]}.get(
+        kind, [chevalley_delta2, r_delta2])
+    ncols = CochainIndex(g.dim).size
+    dense = [[row.get(c, Q(0)) for c in range(ncols)] for row in operator_rows(g, ops)]
+    return ncols - dense_rank(dense)
 
 
 def brute_b2(g) -> int:

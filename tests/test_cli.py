@@ -374,6 +374,15 @@ def test_paper_report_script_unknown_prefix(tmp_path):
     assert not out.exists()
 
 
+def test_paper_report_script_json_in_missing_directory(tmp_path):
+    # the file is opened before any claim runs, so no table is printed
+    out = tmp_path / "missing" / "r.json"
+    proc = _run_script("paper_report.py", "--only", "C10.", "--json", str(out))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert str(out) in proc.stderr
+
+
 @pytest.mark.parametrize("name, argv, summary", [
     ("paper_report.py", ["--only", "C10"],
      r"3/3 claims match their expected values \(seed \d+\)"),

@@ -1,6 +1,9 @@
 from fractions import Fraction as Q
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilrig import families
 from nilrig.cohom import (
@@ -42,7 +45,7 @@ from nilrig.sampling import (
     rng_for,
 )
 
-from helpers import brute_b2, brute_z2
+from helpers import brute_b2, brute_comp1, brute_z2, operator_rows
 
 
 def e(n, i):
@@ -167,6 +170,26 @@ def test_comp1_definition():
             assert mm.value((i, j, k)) == bracket_vec_basis(g, vec, k)
 
 
+@st.composite
+def multilinear_maps(draw, dim):
+    """A Cochain or MultiMap of arity 1-3 with a few rational values."""
+    arity = draw(st.integers(1, 3))
+    skew = draw(st.booleans())
+    keys = [t for t in product(range(dim), repeat=arity)
+            if not skew or all(a < b for a, b in zip(t, t[1:]))]
+    chosen = draw(st.lists(st.sampled_from(keys), max_size=4, unique=True)) if keys else []
+    values = st.lists(st.fractions(-2, 2, max_denominator=3), min_size=dim, max_size=dim)
+    coeffs = {t: tuple(draw(values)) for t in chosen}
+    return (Cochain if skew else MultiMap)(arity, dim, coeffs)
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(multilinear_maps(n), multilinear_maps(n))))
+@settings(max_examples=200, deadline=None)
+def test_comp1_matches_dense_walk(pair):
+    f, h = pair
+    assert comp1(f, h) == brute_comp1(f, h)
+
+
 def test_comp1_identity_left():
     n = 4
     ident = Cochain(1, n, {(i,): e(n, i) for i in range(n)})
@@ -241,6 +264,13 @@ def test_r_delta3_constant_map_on_abelian():
 
 # --- matrix assembly agrees with the concrete operators -------------------------------
 
+def _pivots(rows, dim: int) -> dict:
+    red = RowReducer(CochainIndex(dim).size)
+    for row in rows:
+        red.add(row)
+    return red.pivots
+
+
 @pytest.mark.parametrize("maker", [
     lambda: families.heisenberg(2),
     lambda: families.g_p12(2),
@@ -257,6 +287,7 @@ def test_t_rows_match_operator(maker):
             sum(v * flat.get(u, Q(0)) for u, v in row.items()) == 0
             for row in t_operator_rows(g))
         assert rows_zero == ch_delta2(g, phi).is_zero()
+    assert _pivots(t_operator_rows(g), g.dim) == _pivots(operator_rows(g, [ch_delta2]), g.dim)
 
 
 @pytest.mark.parametrize("maker", [
@@ -278,6 +309,8 @@ def test_r2_and_chevalley_rows_match_operators(maker):
             for row in chevalley2_rows(g))
         assert r_zero == r_delta2(g, phi).is_zero()
         assert c_zero == chevalley_delta2(g, phi).is_zero()
+    assert _pivots(r2_rows(g), g.dim) == _pivots(operator_rows(g, [r_delta2]), g.dim)
+    assert _pivots(chevalley2_rows(g), g.dim) == _pivots(operator_rows(g, [chevalley_delta2]), g.dim)
 
 
 # --- dimension reports vs dense brute force --------------------------------------------
