@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import permutations, product
+from math import lcm
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .exactlin import Q, QZERO, QONE, RowReducer, dense_of, vadd, vec_is_zero, vscale, vzero
@@ -437,119 +438,118 @@ class CochainIndex:
         return Cochain(2, self.dim, {k: tuple(v) for k, v in coeffs.items()})
 
 
-def _action_table(g: LieAlgebra) -> dict[int, list[tuple[int, dict[int, Q]]]]:
-    """For each k, the list of (s, sparse [X_s, X_k]) with nonzero bracket."""
-    table = g.bracket_table()
-    act: dict[int, list[tuple[int, dict[int, Q]]]] = {k: [] for k in range(g.dim)}
-    for (s, k), sp in table.items():
-        act[k].append((s, sp))
-    for lst in act.values():
-        lst.sort()
-    return act
+class _IntegerMu:
+    """The bracket over the integers, read by the Z-row generators.
+
+    With L the lcm of the denominators of the structure constants, `table`
+    is L * bracket_table() and `double` is L^2 * double_brackets(), as int
+    dicts.  `images[chain]` lists (t, R(X_t)) for every t with R(X_t) != 0,
+    where R is a chain of right brackets: () is the identity, (k,) is
+    x |-> [x, X_k] (scaled like `table`) and (k, l) is x |-> [[x, X_k], X_l]
+    (scaled like `double`).
+    """
+
+    __slots__ = ("table", "double", "images")
+
+    def __init__(self, g: LieAlgebra):
+        n = g.dim
+        scale = lcm(*(x.denominator for vec in g.constants.values() for x in vec))
+        self.table = {key: _scaled(sp, scale) for key, sp in g.bracket_table().items()}
+        self.double = {key: _scaled(w, scale * scale)
+                       for key, w in g.double_brackets().items()}
+        images: dict[tuple[int, ...], list[tuple[int, dict[int, int]]]] = {
+            (): [(t, {t: 1}) for t in range(n)]}
+        for k in range(n):
+            images[(k,)] = []
+            for l in range(n):
+                images[(k, l)] = []
+        for (t, k), sp in sorted(self.table.items()):
+            images[(k,)].append((t, sp))
+        # double holds i < j only; [[X_j, X_i], X_l] = -[[X_i, X_j], X_l]
+        for (i, j, l), w in self.double.items():
+            images[(j, l)].append((i, w))
+            images[(i, l)].append((j, {m: -x for m, x in w.items()}))
+        self.images = images
 
 
-def _rows_of(rows: dict[int, dict[int, Q]]) -> Iterator[dict[int, Q]]:
+def _scaled(sp: Mapping[int, Q], scale: int) -> dict[int, int]:
+    # scale * sp as ints; every denominator of sp divides scale
+    return {m: x.numerator * (scale // x.denominator) for m, x in sp.items()}
+
+
+def _term_rows(idx: CochainIndex, terms) -> Iterator[dict[int, int]]:
+    """Rows of sum coef * R(phi(u, X_c)) over the terms (coef, u, c, images),
+    u a sparse vector and images the list of a chain R (see `_IntegerMu`),
+    as linear functionals of the flat unknowns: one row per output
+    coordinate, in sorted order, with zero entries dropped."""
+    rows: dict[int, dict[int, int]] = {}
+    for coef, u, c, images in terms:
+        for s, us in u.items():
+            if s == c:
+                continue
+            base, sg = idx.flat(s, c, 0)
+            f = coef * us * sg
+            for t, img in images:
+                col = base + t
+                for m, val in img.items():
+                    row = rows.setdefault(m, {})
+                    row[col] = row.get(col, 0) + f * val
     for m in sorted(rows):
-        row = {u: v for u, v in rows[m].items() if v != 0}
+        row = {col: v for col, v in rows[m].items() if v}
         if row:
             yield row
 
 
-def _add_mu_of_phi(rows, idx: CochainIndex, act, a: int, b: int, z: int, coef: Q) -> None:
-    # coef * [phi(X_a, X_b), X_z] as a linear functional of the unknowns
-    if a == b:
-        return
-    for s, sp in act[z]:
-        u, sg = idx.flat(a, b, s)
-        c = coef * sg
-        for m, val in sp.items():
-            row = rows.setdefault(m, {})
-            row[u] = row.get(u, QZERO) + c * val
-
-
-def _add_phi_of_vec(rows, idx: CochainIndex, vec: Mapping[int, Q], partner: int, coef: Q) -> None:
-    # coef * phi(v, X_partner) with v given in coordinates
-    for s, cs in vec.items():
-        if s == partner:
-            continue
-        for m in range(idx.dim):
-            u, sg = idx.flat(s, partner, m)
-            row = rows.setdefault(m, {})
-            row[u] = row.get(u, QZERO) + coef * cs * sg
-
-
-def t_operator_rows(g: LieAlgebra) -> Iterator[dict[int, Q]]:
-    """Constraint rows of T(phi) = 0 over the flat 2-cochain coordinates."""
+def t_operator_rows(g: LieAlgebra) -> Iterator[dict[int, int]]:
+    """Constraint rows of T(phi) = 0 over the flat 2-cochain coordinates,
+    each L times a row of T (L as in `_IntegerMu`)."""
     idx = CochainIndex(g.dim)
-    act = _action_table(g)
-    table = g.bracket_table()
+    mu = _IntegerMu(g)
     for (i, j) in idx.pairs:
-        cij = table.get((i, j))
+        cij = mu.table.get((i, j), {})
         for k in range(g.dim):
-            rows: dict[int, dict[int, Q]] = {}
-            _add_mu_of_phi(rows, idx, act, i, j, k, QONE)
-            if cij:
-                _add_phi_of_vec(rows, idx, cij, k, QONE)
-            yield from _rows_of(rows)
+            # [phi(X_i, X_j), X_k] + phi([X_i, X_j], X_k)
+            yield from _term_rows(idx, ((1, {i: 1}, j, mu.images[(k,)]),
+                                        (1, cij, k, mu.images[()])))
 
 
-def chevalley2_rows(g: LieAlgebra) -> Iterator[dict[int, Q]]:
-    """Constraint rows of the classical degree-2 coboundary."""
+def chevalley2_rows(g: LieAlgebra) -> Iterator[dict[int, int]]:
+    """Constraint rows of the classical degree-2 coboundary, each L times
+    a row of delta^2 (L as in `_IntegerMu`)."""
     idx = CochainIndex(g.dim)
-    act = _action_table(g)
-    table = g.bracket_table()
+    mu = _IntegerMu(g)
+    table, images = mu.table, mu.images
     n = g.dim
     for i in range(n):
         for j in range(i + 1, n):
-            cij = table.get((i, j))
             for k in range(j + 1, n):
-                rows: dict[int, dict[int, Q]] = {}
                 # [x, phi(y,z)] terms written as -[phi(y,z), x]
-                _add_mu_of_phi(rows, idx, act, j, k, i, Q(-1))
-                _add_mu_of_phi(rows, idx, act, i, k, j, QONE)
-                _add_mu_of_phi(rows, idx, act, i, j, k, Q(-1))
-                if cij:
-                    _add_phi_of_vec(rows, idx, cij, k, Q(-1))
-                cik = table.get((i, k))
-                if cik:
-                    _add_phi_of_vec(rows, idx, cik, j, QONE)
-                cjk = table.get((j, k))
-                if cjk:
-                    _add_phi_of_vec(rows, idx, cjk, i, Q(-1))
-                yield from _rows_of(rows)
+                yield from _term_rows(idx, (
+                    (-1, {j: 1}, k, images[(i,)]),
+                    (1, {i: 1}, k, images[(j,)]),
+                    (-1, {i: 1}, j, images[(k,)]),
+                    (-1, table.get((i, j), {}), k, images[()]),
+                    (1, table.get((i, k), {}), j, images[()]),
+                    (-1, table.get((j, k), {}), i, images[()])))
 
 
-def r2_rows(g: LieAlgebra) -> Iterator[dict[int, Q]]:
-    """Constraint rows of delta_R^2(phi) = 0 (streamed; can be ~1e5 rows)."""
+def r2_rows(g: LieAlgebra) -> Iterator[dict[int, int]]:
+    """Constraint rows of delta_R^2(phi) = 0, each L^2 times a row of
+    delta_R^2 (L as in `_IntegerMu`; streamed, can be ~1e5 rows)."""
     idx = CochainIndex(g.dim)
-    act = _action_table(g)
-    table = g.bracket_table()
-    double = g.double_brackets()
+    mu = _IntegerMu(g)
+    images = mu.images
     n = g.dim
-    # dd[(k, l)] = [(s, sparse [[X_s,X_k],X_l])], sorted by s
-    dd: dict[tuple[int, int], list[tuple[int, dict[int, Q]]]] = {}
-    for (a, b, l), vec in double.items():
-        dd.setdefault((b, l), []).append((a, vec))
-        dd.setdefault((a, l), []).append((b, {m: -x for m, x in vec.items()}))
     for (i, j) in idx.pairs:
-        cij = table.get((i, j))
-        pbase = idx.pidx[(i, j)] * n
+        cij = mu.table.get((i, j), {})
         for k in range(n):
-            w = double.get((i, j, k))
+            w = mu.double.get((i, j, k), {})
             for l in range(n):
-                rows: dict[int, dict[int, Q]] = {}
-                for s, ddvec in dd.get((k, l), ()):
-                    u = pbase + s
-                    for m, val in ddvec.items():
-                        row = rows.setdefault(m, {})
-                        row[u] = row.get(u, QZERO) + val
-                if cij:
-                    for s, cs in cij.items():
-                        if s != k:
-                            _add_mu_of_phi(rows, idx, act, s, k, l, cs)
-                if w:
-                    _add_phi_of_vec(rows, idx, w, l, QONE)
-                yield from _rows_of(rows)
+                # [[phi(X_i,X_j),X_k],X_l] + [phi([X_i,X_j],X_k),X_l]
+                #   + phi([[X_i,X_j],X_k],X_l)
+                yield from _term_rows(idx, ((1, {i: 1}, j, images[(k, l)]),
+                                            (1, cij, k, images[(l,)]),
+                                            (1, w, l, images[()])))
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +636,7 @@ def _validate_kind(g: LieAlgebra, kind: ComplexKind) -> None:
         _require_three_step(g)
 
 
-def _z_rows(g: LieAlgebra, kind: ComplexKind) -> Iterator[dict[int, Q]]:
+def _z_rows(g: LieAlgebra, kind: ComplexKind) -> Iterator[dict[int, int]]:
     if kind is ComplexKind.CHEVALLEY:
         yield from chevalley2_rows(g)
     elif kind is ComplexKind.CH:

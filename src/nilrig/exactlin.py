@@ -27,7 +27,7 @@ Q = Fraction
 QZERO = Q(0)
 QONE = Q(1)
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$", re.ASCII)
 
 
 def parse_rational(text: str) -> Q:

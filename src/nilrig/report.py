@@ -125,16 +125,19 @@ for _p, _want in ((2, 0), (3, 6), (4, 20)):
 
 # --- criterion 3: rigid 2-step algebras -----------------------------------
 
-def _make_rigid2_claim(name: str, make) -> None:
-    @_claim(f"C03.rigid-2step.{name}", 3, f"H^2_CH of {name} vanishes")
+def _h2_claim(cid: str, criterion: int, description: str, make, kind: str, want: int) -> None:
+    """Register a claim that H^2 of `make()` in complex `kind` is `want`
+    (criteria 3, 5 and 6)."""
+    @_claim(cid, criterion, description)
     def run(seed: int):
-        r = space_dims(make(), "ch")
-        return "h2=0", f"h2={r.h2_dim}", {"z2": r.z2_dim, "b2": r.b2_dim}
+        r = space_dims(make(), kind)
+        return f"h2={want}", f"h2={r.h2_dim}", {"z2": r.z2_dim, "b2": r.b2_dim}
 
 
-_make_rigid2_claim("g5", lambda: families.g_p1(2))
+_h2_claim("C03.rigid-2step.g5", 3, "H^2_CH of g5 vanishes", lambda: families.g_p1(2), "ch", 0)
 for _name in ("g7", "g9", "g6", "g8", "h6", "h8", "h10"):
-    _make_rigid2_claim(_name, lambda _n=_name: families.rigid_2step(_n))
+    _h2_claim(f"C03.rigid-2step.{_name}", 3, f"H^2_CH of {_name} vanishes",
+              lambda _n=_name: families.rigid_2step(_n), "ch", 0)
 
 
 # --- criterion 4: non-rigidity at p = 5 -----------------------------------
@@ -147,49 +150,20 @@ def _c04(seed: int):
 
 # --- criterion 5: the (2,..,2,1,1) family ---------------------------------
 
-def _make_c5_claim(p: int) -> None:
-    want = (p ** 3 - p ** 2 - 2 * p + 2) // 2
-
-    @_claim(f"C05.h2-ch-2p-family.p{p}", 5,
-            f"H^2_CH of the 2p-dim model at p={p}")
-    def run(seed: int):
-        r = space_dims(families.g_p12(p), "ch")
-        return f"h2={want}", f"h2={r.h2_dim}", {"z2": r.z2_dim, "b2": r.b2_dim}
-
-
 for _p in (2, 3, 4, 5):
-    _make_c5_claim(_p)
+    _h2_claim(f"C05.h2-ch-2p-family.p{_p}", 5, f"H^2_CH of the 2p-dim model at p={_p}",
+              lambda _p=_p: families.g_p12(_p), "ch", (_p ** 3 - _p ** 2 - 2 * _p + 2) // 2)
 
 
 # --- criterion 6: CR dimensions -------------------------------------------
 
-def _make_c6_one_block(n: int) -> None:
-    p = n - 3
-    want = (n - 3) * (n * n - 7 * n + 14) // 2 - 1
-
-    @_claim(f"C06.h2-cr-one-3-block.n{n}", 6,
-            f"H^2_CR of the dim-{n} single-3-block model")
-    def run(seed: int):
-        r = space_dims(families.g_k3k2k1(1, 0, p), "cr")
-        return f"h2={want}", f"h2={r.h2_dim}", {"z2": r.z2_dim, "b2": r.b2_dim}
-
-
 for _n in (5, 6, 7):
-    _make_c6_one_block(_n)
-
-
-def _make_c6_3p1(p: int) -> None:
-    want = p * p * (3 * p - 1) // 2
-
-    @_claim(f"C06.h2-cr-3p1.p{p}", 6,
-            f"H^2_CR of the dim-{3 * p + 1} all-3-blocks model")
-    def run(seed: int):
-        r = space_dims(families.g_p01(p), "cr")
-        return f"h2={want}", f"h2={r.h2_dim}", {"z2": r.z2_dim, "b2": r.b2_dim}
-
-
+    _h2_claim(f"C06.h2-cr-one-3-block.n{_n}", 6, f"H^2_CR of the dim-{_n} single-3-block model",
+              lambda _n=_n: families.g_k3k2k1(1, 0, _n - 3), "cr",
+              (_n - 3) * (_n * _n - 7 * _n + 14) // 2 - 1)
 for _p in (2, 3):
-    _make_c6_3p1(_p)
+    _h2_claim(f"C06.h2-cr-3p1.p{_p}", 6, f"H^2_CR of the dim-{3 * _p + 1} all-3-blocks model",
+              lambda _p=_p: families.g_p01(_p), "cr", _p * _p * (3 * _p - 1) // 2)
 
 
 # --- criterion 7: coboundary bound ----------------------------------------
@@ -230,7 +204,7 @@ def _c08(seed: int):
 
 # --- criterion 9: the 16-member classification ----------------------------
 
-def _invariant_vector(g: LieAlgebra, seed: int) -> tuple:
+def _invariant_vector(g: LieAlgebra) -> tuple:
     return (
         lower_central_series(g).dims,
         center_dim(g),
@@ -250,7 +224,7 @@ def _c09(seed: int):
         ok = (not jacobi_defect(a) and nilindex(a) == 3
               and characteristic_sequence(a, seed=seed).parts == (3, 3, 1))
         valid += ok
-        vectors[k] = _invariant_vector(a, seed)
+        vectors[k] = _invariant_vector(a)
     groups: dict[tuple, list[int]] = {}
     for k, v in vectors.items():
         groups.setdefault(v, []).append(k)

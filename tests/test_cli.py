@@ -81,6 +81,8 @@ def test_unreduced_rationals_normalized(tmp_path):
                  "repeated key '3'", id="repeated-image-key"),
     pytest.param('{"dim": 3, "dim": 4, "brackets": []}', "repeated key 'dim'",
                  id="repeated-dim"),
+    pytest.param({"dim": 3, "brackets": [{"i": 1, "j": 2, "v": {"3": "\u0661"}}]},
+                 "bad rational", id="non-ascii-digit"),
 ])
 def test_parse_errors(tmp_path, doc, msg, capsys):
     path = tmp_path / "bad.json"

@@ -35,7 +35,7 @@ from nilrig.cohom import (
     t_operator_rows,
     JORDAN_V,
 )
-from nilrig.exactlin import RowReducer
+from nilrig.exactlin import RationalMatrix, RowReducer
 from nilrig.liealg import LieAlgebra, abelian, basis_change, derivation_algebra_dim, jacobi_defect
 from nilrig.sampling import (
     random_commutative_associative,
@@ -50,6 +50,12 @@ from helpers import brute_b2, brute_comp1, brute_z2, operator_rows
 
 def e(n, i):
     return tuple(Q(1) if k == i else Q(0) for k in range(n))
+
+
+def rescaled(g, *diag):
+    """`g` in the basis diag(d_1, ..., d_n) X_k: rational structure constants."""
+    n = len(diag)
+    return basis_change(g, RationalMatrix(n, n, {(k, k): Q(d) for k, d in enumerate(diag)}))
 
 
 def single(n, pair, vec_idx, c=1):
@@ -275,6 +281,8 @@ def _pivots(rows, dim: int) -> dict:
     lambda: families.heisenberg(2),
     lambda: families.g_p12(2),
     lambda: families.rigid_2step("h6"),
+    pytest.param(lambda: rescaled(families.heisenberg(2), 1, 1, 1, 1, 2), id="heisenberg(2)-diag"),
+    pytest.param(lambda: rescaled(families.g_p12(2), 1, 1, 2, 1), id="g_p12(2)-diag"),
 ])
 def test_t_rows_match_operator(maker):
     g = maker()
@@ -293,6 +301,8 @@ def test_t_rows_match_operator(maker):
 @pytest.mark.parametrize("maker", [
     lambda: families.g_k3k2k1(1, 0, 2),
     lambda: families.rigid_3step_7(),
+    pytest.param(lambda: rescaled(families.g_k3k2k1(1, 0, 2), 1, 1, 2, 3, 1),
+                 id="g_k3k2k1(1,0,2)-diag"),
 ])
 def test_r2_and_chevalley_rows_match_operators(maker):
     g = maker()
@@ -328,6 +338,14 @@ def test_r2_and_chevalley_rows_match_operators(maker):
     pytest.param(lambda: families.g_k3k2k1(1, 0, 4), "cr", id="g_k3k2k1(1,0,4)-cr"),
     pytest.param(lambda: families.g_p01(2), "cr", id="g_p01(2)-cr"),
     pytest.param(lambda: families.g_p01(3), "cr", id="g_p01(3)-cr"),
+    # diagonal rescalings: structure constants with denominators
+    pytest.param(lambda: rescaled(families.g_k3k2k1(1, 0, 2), 1, 1, 2, 3, 1), "cr",
+                 id="g_k3k2k1(1,0,2)-diag-cr"),
+    pytest.param(lambda: rescaled(families.heisenberg(2), 1, 1, 1, 1, 2), "ch",
+                 id="heisenberg(2)-diag-ch"),
+    pytest.param(lambda: rescaled(families.g_p12(2), 1, 1, 2, 1), "ch", id="g_p12(2)-diag-ch"),
+    pytest.param(lambda: rescaled(families.g_p12(2), 1, 1, 2, 1), "chevalley",
+                 id="g_p12(2)-diag-chevalley"),
 ])
 def test_space_dims_against_brute_force(maker, kind):
     g = maker()

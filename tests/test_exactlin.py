@@ -42,7 +42,10 @@ def test_parse_rational_forms():
     assert format_rational(Q(5)) == "5"
 
 
-@pytest.mark.parametrize("bad", ["", "1/0", "1/-2", "0.5", "a", "1/04"])
+# "\u0661" (ARABIC-INDIC DIGIT ONE) and "\U0001d7d7" (MATHEMATICAL BOLD
+# DIGIT NINE) are Unicode digits, not ASCII ones
+@pytest.mark.parametrize("bad", ["", "1/0", "1/-2", "0.5", "a", "1/04",
+                                 "\u0661", "\U0001d7d7"])
 def test_parse_rational_rejects(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
