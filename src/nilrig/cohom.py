@@ -20,12 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import permutations, product
+from itertools import permutations
+from operator import itemgetter
 from math import lcm
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .exactlin import Q, QZERO, QONE, RowReducer, dense_of, vadd, vec_is_zero, vscale, vzero
-from .liealg import LieAlgebra, bracket_vec_basis, jacobi_defect, three_step_defect, two_step_defect
+from .exactlin import Q, QZERO, QONE, RowReducer, vadd, vec_is_zero, vscale, vzero
+from .liealg import LieAlgebra, jacobi_defect, three_step_defect, two_step_defect
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +42,49 @@ def _perm_sign(idx: Sequence[int]) -> int:
     return sign
 
 
-class Cochain:
+class _Multilinear:
+    """Storage shared by Cochain and MultiMap: the nonzero values of a
+    k-linear map on basis index tuples, each key checked by the
+    subclass's `_check`."""
+
+    __slots__ = ("arity", "dim", "coeffs")
+
+    def __init__(self, arity: int, dim: int,
+                 coeffs: Mapping[tuple[int, ...], Sequence] | None = None):
+        self.arity = arity
+        self.dim = dim
+        clean: dict[tuple[int, ...], tuple[Q, ...]] = {}
+        for idx, vec in (coeffs or {}).items():
+            idx = tuple(idx)
+            self._check(idx, vec)
+            v = tuple(Q(x) for x in vec)
+            if not vec_is_zero(v):
+                clean[idx] = v
+        self.coeffs = clean
+
+    @classmethod
+    def zero(cls, arity: int, dim: int):
+        return cls(arity, dim, {})
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def first_nonzero(self) -> tuple[tuple[int, ...], tuple[Q, ...]] | None:
+        if not self.coeffs:
+            return None
+        key = min(self.coeffs)
+        return key, self.coeffs[key]
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is type(self) and self.arity == other.arity
+                and self.dim == other.dim and self.coeffs == other.coeffs)
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__name__}(arity={self.arity}, dim={self.dim}, "
+                f"entries={len(self.coeffs)})")
+
+
+class Cochain(_Multilinear):
     """Skew k-linear map (k = 1, 2, 3) with values in the algebra.
 
     Coefficients are stored on strictly increasing index tuples only;
@@ -49,33 +92,23 @@ class Cochain:
     repeated arguments give zero.
     """
 
-    __slots__ = ("arity", "dim", "coeffs")
+    __slots__ = ()
 
     def __init__(self, arity: int, dim: int,
                  coeffs: Mapping[tuple[int, ...], Sequence] | None = None):
         if arity < 1:
             raise ValueError("arity must be positive")
-        self.arity = arity
-        self.dim = dim
-        clean: dict[tuple[int, ...], tuple[Q, ...]] = {}
-        for idx, vec in (coeffs or {}).items():
-            idx = tuple(idx)
-            if len(idx) != arity:
-                raise ValueError(f"index tuple {idx} has wrong arity")
-            if any(not 0 <= i < dim for i in idx):
-                raise ValueError(f"index tuple {idx} out of range")
-            if any(a >= b for a, b in zip(idx, idx[1:])):
-                raise ValueError(f"index tuple {idx} must be strictly increasing")
-            if len(vec) != dim:
-                raise ValueError("coefficient vector has wrong length")
-            v = tuple(Q(x) for x in vec)
-            if not vec_is_zero(v):
-                clean[idx] = v
-        self.coeffs = clean
+        super().__init__(arity, dim, coeffs)
 
-    @classmethod
-    def zero(cls, arity: int, dim: int) -> "Cochain":
-        return cls(arity, dim, {})
+    def _check(self, idx: tuple[int, ...], vec: Sequence) -> None:
+        if len(idx) != self.arity:
+            raise ValueError(f"index tuple {idx} has wrong arity")
+        if any(not 0 <= i < self.dim for i in idx):
+            raise ValueError(f"index tuple {idx} out of range")
+        if any(a >= b for a, b in zip(idx, idx[1:])):
+            raise ValueError(f"index tuple {idx} must be strictly increasing")
+        if len(vec) != self.dim:
+            raise ValueError("coefficient vector has wrong length")
 
     def value(self, idx: Sequence[int]) -> tuple[Q, ...]:
         idx = tuple(idx)
@@ -89,45 +122,15 @@ class Cochain:
             return vzero(self.dim)
         return vec if _perm_sign(idx) == 1 else tuple(-x for x in vec)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
-    def first_nonzero(self) -> tuple[tuple[int, ...], tuple[Q, ...]] | None:
-        if not self.coeffs:
-            return None
-        key = min(self.coeffs)
-        return key, self.coeffs[key]
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Cochain) and self.arity == other.arity
-                and self.dim == other.dim and self.coeffs == other.coeffs)
-
-    def __repr__(self) -> str:
-        return f"Cochain(arity={self.arity}, dim={self.dim}, entries={len(self.coeffs)})"
-
-
-class MultiMap:
+class MultiMap(_Multilinear):
     """Plain k-linear map on basis tuples; no symmetry assumed."""
 
-    __slots__ = ("arity", "dim", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, arity: int, dim: int,
-                 coeffs: Mapping[tuple[int, ...], Sequence] | None = None):
-        self.arity = arity
-        self.dim = dim
-        clean: dict[tuple[int, ...], tuple[Q, ...]] = {}
-        for idx, vec in (coeffs or {}).items():
-            idx = tuple(idx)
-            if len(idx) != arity or any(not 0 <= i < dim for i in idx):
-                raise ValueError(f"bad index tuple {idx}")
-            v = tuple(Q(x) for x in vec)
-            if not vec_is_zero(v):
-                clean[idx] = v
-        self.coeffs = clean
-
-    @classmethod
-    def zero(cls, arity: int, dim: int) -> "MultiMap":
-        return cls(arity, dim, {})
+    def _check(self, idx: tuple[int, ...], vec: Sequence) -> None:
+        if len(idx) != self.arity or any(not 0 <= i < self.dim for i in idx):
+            raise ValueError(f"bad index tuple {idx}")
 
     def value(self, idx: Sequence[int]) -> tuple[Q, ...]:
         idx = tuple(idx)
@@ -135,44 +138,13 @@ class MultiMap:
             raise ValueError("wrong number of arguments")
         return self.coeffs.get(idx, vzero(self.dim))
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def first_nonzero(self) -> tuple[tuple[int, ...], tuple[Q, ...]] | None:
-        if not self.coeffs:
-            return None
-        key = min(self.coeffs)
-        return key, self.coeffs[key]
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, MultiMap) and self.arity == other.arity
-                and self.dim == other.dim and self.coeffs == other.coeffs)
-
-    def __repr__(self) -> str:
-        return f"MultiMap(arity={self.arity}, dim={self.dim}, entries={len(self.coeffs)})"
-
-
-def eval_mixed(m, args: Sequence) -> tuple[Q, ...]:
-    """Evaluate a (Cochain | MultiMap) on a mix of basis indices and vectors."""
-    args = list(args)
-    for pos, a in enumerate(args):
-        if isinstance(a, int):
-            continue
-        acc = vzero(m.dim)
-        for s, c in enumerate(a):
-            if c != 0:
-                sub = eval_mixed(m, args[:pos] + [s] + args[pos + 1:])
-                if not vec_is_zero(sub):
-                    acc = vadd(acc, vscale(c, sub))
-        return acc
-    return m.value(tuple(args))
-
 
 def mu_map(g: LieAlgebra) -> MultiMap:
     """The bracket of `g` as an arity-2 MultiMap (all ordered pairs)."""
     coeffs: dict[tuple[int, ...], tuple[Q, ...]] = {}
-    for (i, j), sp in g.bracket_table().items():
-        coeffs[(i, j)] = dense_of(sp, g.dim)
+    for (i, j), vec in g.constants.items():
+        coeffs[(i, j)] = vec
+        coeffs[(j, i)] = tuple(-x for x in vec)
     return MultiMap(2, g.dim, coeffs)
 
 
@@ -214,37 +186,48 @@ def _ordered_values(m) -> Iterator[tuple[tuple[int, ...], tuple[Q, ...]]]:
             yield idx, vec if _perm_sign(idx) == 1 else neg
 
 
-def comp1(f, h) -> MultiMap:
-    """comp_1 substitution (f o1 h)(x_1..) = f(h(x_1,..,x_b), x_{b+1}, ..).
+def comp1(f, h, slot: int = 0) -> MultiMap:
+    """Partial composition: h substituted into argument `slot` of f,
 
-    Walks the nonzero values of h and, for each nonzero coordinate X_s of
-    such a value, the nonzero values of f whose first argument is X_s.
+        (f o h)(x_1..) = f(x_1, .., x_slot, h(x_{slot+1}, .., x_{slot+b}), ..),
+
+    so slot 0 is (f o1 h)(x_1..) = f(h(x_1,..,x_b), x_{b+1}, ..).  Walks the
+    nonzero values of h and, for each nonzero coordinate X_s of such a
+    value, the nonzero values of f whose argument `slot` is X_s.
     """
     if f.dim != h.dim:
         raise ValueError("dimension mismatch")
-    by_first: dict[int, list[tuple[tuple[int, ...], tuple[Q, ...]]]] = {}
+    if not 0 <= slot < f.arity:
+        raise ValueError("slot out of range")
+    by_slot: dict[int, list[tuple[tuple[int, ...], tuple[int, ...], tuple[Q, ...]]]] = {}
     for idx, vec in _ordered_values(f):
-        by_first.setdefault(idx[0], []).append((idx[1:], vec))
+        by_slot.setdefault(idx[slot], []).append((idx[:slot], idx[slot + 1:], vec))
     acc: dict[tuple[int, ...], list[Q]] = {}
-    for prefix, hv in _ordered_values(h):
+    for mid, hv in _ordered_values(h):
         for s, c in enumerate(hv):
             if c:
-                for suffix, fv in by_first.get(s, ()):
-                    _accumulate(acc, prefix + suffix, c, fv)
+                for before, after, fv in by_slot.get(s, ()):
+                    _accumulate(acc, before + mid + after, c, fv)
     return MultiMap(f.arity + h.arity - 1, f.dim, acc)
+
+
+def _placements(terms) -> Iterator[tuple[tuple[int, ...], Q, tuple[Q, ...]]]:
+    """(t, coef, m(u)) for each (coef, perm, m) in `terms` and each nonzero
+    value m(u), where the argument tuple t has t[perm[r]] = u[r].  Every
+    perm places at least two arguments, so `pick` returns a tuple."""
+    for coef, perm, m in terms:
+        pick = itemgetter(*(perm.index(p) for p in range(len(perm))))
+        for u, vec in m.coeffs.items():
+            yield pick(u), coef, vec
 
 
 def _skew_sum(arity: int, dim: int, terms) -> Cochain:
     """The Cochain whose value on i_1 < .. < i_k is the sum over the
     (coef, perm, m) in `terms` of coef * m(X_{i_perm[0]}, .., X_{i_perm[k-1]})."""
     acc: dict[tuple[int, ...], list[Q]] = {}
-    for coef, perm, m in terms:
-        for t, vec in m.coeffs.items():
-            idx = [0] * arity
-            for r, p in enumerate(perm):
-                idx[p] = t[r]
-            if all(a < b for a, b in zip(idx, idx[1:])):
-                _accumulate(acc, tuple(idx), coef, vec)
+    for t, coef, vec in _placements(terms):
+        if all(a < b for a, b in zip(t, t[1:])):
+            _accumulate(acc, t, coef, vec)
     return Cochain(arity, dim, acc)
 
 
@@ -255,8 +238,9 @@ _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 # ---------------------------------------------------------------------------
 # coboundary operators (concrete form)
 #
-# Each operator is a signed sum of comp1 compositions with mu = mu_map(g),
-# the only way this route reads the bracket.
+# Each operator is a signed sum of partial compositions (comp1 at some
+# slot) with mu = mu_map(g), the only way this route reads the bracket,
+# with arguments placed by _placements.
 
 def chevalley_delta1(g: LieAlgebra, f: Cochain) -> Cochain:
     """delta f (x, y) = [f x, y] + [x, f y] - f [x, y]; kernel = derivations.
@@ -318,40 +302,28 @@ def ch_delta2(g: LieAlgebra, phi: Cochain) -> MultiMap:
     return mm_combine((QONE, comp1(mu, phi)), (QONE, comp1(phi, mu)))
 
 
-def _pair_positions(arity: int) -> list[tuple[int, int]]:
-    # 0-based slots of the output tuple that the bracket contracts
-    if arity % 2 == 0:
-        p = arity // 2
-        return [(2 * i - 1, 2 * i) for i in range(1, p + 1)]
-    p = (arity + 1) // 2
-    return [(2 * i, 2 * i + 1) for i in range(1, p)]
+def _pair_slots(arity: int) -> range:
+    # 0-based first slot of each output pair the bracket contracts: (x2,x3),
+    # (x4,x5), .. for even arity and (x3,x4), (x5,x6), .. for odd arity
+    return range(1 if arity % 2 == 0 else 2, arity, 2)
 
 
 def ch_delta_general(g: LieAlgebra, psi: Cochain) -> MultiMap:
     """Literal parity-split coboundary of the 2-step complex.
 
     Even arity 2p:  mu(x1, psi(x2..)) + sum_i psi(.., mu(x_{2i}, x_{2i+1}), ..);
-    odd arity 2p-1: mu(x1, psi(x2..)) + sum_i psi(.., mu(x_{2i+1}, x_{2i+2}), ..).
-    Kept for inspection; degree-2 reports use `ch_delta2`.
+    odd arity 2p-1: mu(x1, psi(x2..)) + sum_i psi(.., mu(x_{2i+1}, x_{2i+2}), ..),
+    i.e. mu o2 psi plus psi composed with mu at each paired slot.  Kept for
+    inspection; degree-2 reports use `ch_delta2`.
     """
     if psi.arity > 3:
         raise ValueError("arity at most 3 supported")
     if psi.dim != g.dim:
         raise ValueError("dimension mismatch")
     _require_two_step(g)
-    n = g.dim
-    positions = _pair_positions(psi.arity)
-    coeffs = {}
-    for t in product(range(n), repeat=psi.arity + 1):
-        val = tuple(-x for x in bracket_vec_basis(g, psi.value(t[1:]), t[0]))
-        for (p1, p2) in positions:
-            w = g.bracket_basis(t[p1], t[p2])
-            if not vec_is_zero(w):
-                args = list(t[:p1]) + [w] + list(t[p2 + 1:])
-                val = vadd(val, eval_mixed(psi, args))
-        if not vec_is_zero(val):
-            coeffs[t] = val
-    return MultiMap(psi.arity + 1, n, coeffs)
+    mu = mu_map(g)
+    return mm_combine((QONE, comp1(mu, psi, 1)),
+                      *((QONE, comp1(psi, mu, p)) for p in _pair_slots(psi.arity)))
 
 
 def bullet_square(phi: Cochain) -> Cochain:
@@ -783,18 +755,10 @@ def apply_perm_combination(f: MultiMap, pc: PermCombination) -> MultiMap:
     """(F o Phi_v)(x_1..x_4) = sum_sigma c_sigma F(x_sigma(1), .., x_sigma(4))."""
     if f.arity != 4:
         raise ValueError("expected an arity-4 map")
-    n = f.dim
-    acc: dict[tuple[int, ...], tuple[Q, ...]] = {}
-    for t in product(range(n), repeat=4):
-        val = None
-        for perm, coef in pc.terms:
-            fv = f.coeffs.get(tuple(t[p] for p in perm))
-            if fv is not None:
-                term = vscale(coef, fv)
-                val = term if val is None else vadd(val, term)
-        if val is not None and not vec_is_zero(val):
-            acc[t] = val
-    return MultiMap(4, n, acc)
+    acc: dict[tuple[int, ...], list[Q]] = {}
+    for t, coef, vec in _placements((coef, perm, f) for perm, coef in pc.terms):
+        _accumulate(acc, t, coef, vec)
+    return MultiMap(4, f.dim, acc)
 
 
 def _require_symmetric(m: MultiMap, what: str) -> None:
@@ -807,20 +771,7 @@ def _require_symmetric(m: MultiMap, what: str) -> None:
 
 def _outer(outer: MultiMap, left: MultiMap, right: MultiMap) -> MultiMap:
     """(x1..x4) |-> outer(left(x1,x2), right(x3,x4))."""
-    n = outer.dim
-    coeffs = {}
-    for t12 in product(range(n), repeat=2):
-        lv = left.value(t12)
-        if vec_is_zero(lv):
-            continue
-        for t34 in product(range(n), repeat=2):
-            rv = right.value(t34)
-            if vec_is_zero(rv):
-                continue
-            val = eval_mixed(outer, [lv, rv])
-            if not vec_is_zero(val):
-                coeffs[t12 + t34] = val
-    return MultiMap(4, n, coeffs)
+    return comp1(comp1(outer, left), right, 2)
 
 
 def jordan_linearized_defect(a: MultiMap) -> MultiMap:

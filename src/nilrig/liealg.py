@@ -230,7 +230,7 @@ def lower_central_series(g: LieAlgebra) -> SubspaceChain:
     ident = tuple(tuple(QZERO if i != j else Q(1) for j in range(n)) for i in range(n))
     bases: list[tuple[tuple[Q, ...], ...]] = [ident]
     current = ident
-    while True:
+    while dims[-1]:
         red = RowReducer(n)
         for v in current:
             for k in range(n):
@@ -240,7 +240,7 @@ def lower_central_series(g: LieAlgebra) -> SubspaceChain:
         nxt = _basis_rows(red, n)
         dims.append(red.rank)
         bases.append(nxt)
-        if red.rank == 0 or red.rank == dims[-2]:
+        if red.rank == dims[-2]:
             break
         current = nxt
     return SubspaceChain(tuple(dims), tuple(bases))
@@ -311,7 +311,7 @@ def characteristic_sequence(g: LieAlgebra, seed: int = DEFAULT_SEED,
     """
     n = g.dim
     if n == 0:
-        raise ValueError("characteristic sequence needs positive dimension")
+        return CharSeq(())
     nilindex(g)  # raises for non-nilpotent input
     chain = lower_central_series(g)
     derived = RowReducer(n)
@@ -361,7 +361,8 @@ def center_dim(g: LieAlgebra) -> int:
 
 
 def derived_dim(g: LieAlgebra) -> int:
-    return lower_central_series(g).dims[1]
+    dims = lower_central_series(g).dims
+    return dims[1] if len(dims) > 1 else 0  # the zero algebra's series is (0,)
 
 
 def derivation_algebra_dim(g: LieAlgebra) -> int:

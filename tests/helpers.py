@@ -80,27 +80,28 @@ def basis_cochains(n: int):
     return out
 
 
-def brute_comp1(f, h) -> MultiMap:
-    """(f o1 h)(x_1..) = f(h(x_1,..,x_b), x_{b+1}, ..), evaluated on every
-    one of the n^arity basis tuples."""
+def brute_comp1(f, h, slot: int = 0) -> MultiMap:
+    """(f o h)(x_1..) = f(x_1, .., x_slot, h(x_{slot+1}, .., x_{slot+b}), ..),
+    evaluated on every one of the n^arity basis tuples."""
     if f.dim != h.dim:
         raise ValueError("dimension mismatch")
     n = f.dim
     arity = f.arity + h.arity - 1
     coeffs = {}
-    for prefix in product(range(n), repeat=h.arity):
-        hv = h.value(prefix)
+    for mid in product(range(n), repeat=h.arity):
+        hv = h.value(mid)
         if vec_is_zero(hv):
             continue
         nz = [(s, c) for s, c in enumerate(hv) if c != 0]
-        for suffix in product(range(n), repeat=f.arity - 1):
+        for rest in product(range(n), repeat=f.arity - 1):
+            before, after = rest[:slot], rest[slot:]
             acc = None
             for s, c in nz:
-                fv = f.value((s,) + suffix)
+                fv = f.value(before + (s,) + after)
                 if not vec_is_zero(fv):
                     acc = vscale(c, fv) if acc is None else vadd(acc, vscale(c, fv))
             if acc is not None and not vec_is_zero(acc):
-                coeffs[prefix + suffix] = acc
+                coeffs[before + mid + after] = acc
     return MultiMap(arity, n, coeffs)
 
 

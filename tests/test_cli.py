@@ -169,6 +169,16 @@ def test_analyze_abelian(tmp_path, capsys):
     assert code == 0 and doc["nilindex"] == 1
 
 
+def test_analyze_zero_algebra(tmp_path, capsys):
+    path = tmp_path / "zero.json"
+    write_doc(path, {"dim": 0})
+    code, doc, _ = run(capsys, "analyze", str(path))
+    assert code == 0
+    assert doc["lower_central_series_dims"] == [0]
+    assert doc["nilindex"] == 0
+    assert doc["characteristic_sequence"] == []
+
+
 def test_analyze_rigid7(tmp_path, capsys):
     path = tmp_path / "r7.json"
     write_algebra(families.rigid_3step_7(), str(path))

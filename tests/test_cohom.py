@@ -45,7 +45,7 @@ from nilrig.sampling import (
     rng_for,
 )
 
-from helpers import brute_b2, brute_comp1, brute_z2, operator_rows
+from helpers import basis_cochains, brute_b2, brute_comp1, brute_z2, operator_rows
 
 
 def e(n, i):
@@ -162,6 +162,19 @@ def test_ch_delta_general_examples():
     assert out1.value((0, 1)) == (Q(0),) * 3
 
 
+@pytest.mark.parametrize("g", [H3, families.g_p1(3), families.rigid_2step("g6"),
+                               families.rigid_2step("h8")], ids=["H3", "g_p1(3)", "g6", "h8"])
+def test_ch_delta_general_is_rotated_t(g):
+    # [x, psi(y,z)] + psi(x, [y,z]) = -T(psi)(y,z,x): compared as maps, so
+    # on every (x, y, z), for every basis 2-cochain psi
+    for psi in basis_cochains(g.dim):
+        t = ch_delta2(g, psi)
+        # T's value at (y, z, x) goes to (x, y, z)
+        rotated = MultiMap(3, g.dim, {(k[2], k[0], k[1]): tuple(-x for x in vec)
+                                      for k, vec in t.coeffs.items()})
+        assert ch_delta_general(g, psi) == rotated
+
+
 # --- comp1 and the Jacobiator -----------------------------------------------------
 
 def test_comp1_definition():
@@ -189,11 +202,19 @@ def multilinear_maps(draw, dim):
     return (Cochain if skew else MultiMap)(arity, dim, coeffs)
 
 
-@given(st.integers(1, 4).flatmap(lambda n: st.tuples(multilinear_maps(n), multilinear_maps(n))))
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(multilinear_maps(n), multilinear_maps(n))),
+       st.data())
 @settings(max_examples=200, deadline=None)
-def test_comp1_matches_dense_walk(pair):
+def test_comp1_matches_dense_walk(pair, data):
     f, h = pair
-    assert comp1(f, h) == brute_comp1(f, h)
+    slot = data.draw(st.integers(0, f.arity - 1), label="slot")
+    assert comp1(f, h, slot) == brute_comp1(f, h, slot)
+
+
+def test_comp1_rejects_slot_out_of_range():
+    f = Cochain(2, 3, {(0, 1): e(3, 2)})
+    with pytest.raises(ValueError, match="slot"):
+        comp1(f, f, 2)
 
 
 def test_comp1_identity_left():

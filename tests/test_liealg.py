@@ -135,6 +135,7 @@ def test_jacobi_violation_detected():
 
 def test_lcs_abelian():
     assert lower_central_series(abelian(4)).dims == (4, 0)
+    assert lower_central_series(abelian(0)).dims == (0,)
 
 
 def test_lcs_heisenberg():
@@ -159,6 +160,7 @@ def test_nilindex_values():
     assert nilindex(families.heisenberg(1)) == 2
     assert nilindex(families.g_k3k2k1(1, 0, 2)) == 3
     assert nilindex(abelian(5)) == 1
+    assert nilindex(abelian(0)) == 0
 
 
 def test_nilindex_error_for_non_nilpotent():
@@ -244,6 +246,7 @@ def test_charseq_examples():
     assert characteristic_sequence(families.heisenberg(3)).parts == (2, 1, 1, 1, 1, 1)
     assert characteristic_sequence(families.rigid_3step_7()).parts == (3, 3, 1)
     assert characteristic_sequence(abelian(4)).parts == (1, 1, 1, 1)
+    assert characteristic_sequence(abelian(0)).parts == ()
 
 
 def test_charseq_invariant_under_basis_change():
