@@ -31,7 +31,7 @@ from .cohom import (
     check_linear_deformation_3step,
     space_dims,
 )
-from .exactlin import format_rational, parse_rational
+from .exactlin import as_rational, format_rational
 from .liealg import (
     DEFAULT_SEED,
     LieAlgebra,
@@ -111,8 +111,8 @@ def _parse_entries(path: str, doc: dict) -> tuple[int, dict[tuple[int, int], tup
             if not 1 <= k <= dim:
                 raise CliError(f"{where}: image index {k} out of range")
             try:
-                vec[k - 1] += parse_rational(str(val) if _is_int(val) else val)
-            except ValueError:
+                vec[k - 1] += as_rational(val)
+            except (TypeError, ValueError):
                 raise CliError(f"{where}: bad rational {val!r}; write a string "
                                f"\"p/q\" or an integer") from None
         entries[(i - 1, j - 1)] = tuple(vec)

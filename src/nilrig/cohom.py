@@ -25,7 +25,7 @@ from operator import itemgetter
 from math import lcm
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .exactlin import Q, QZERO, QONE, RowReducer, vadd, vec_is_zero, vscale, vzero
+from .exactlin import Q, QZERO, QONE, RowReducer, as_rational, vadd, vec_is_zero, vscale, vzero
 from .liealg import LieAlgebra, jacobi_defect, three_step_defect, two_step_defect
 
 
@@ -45,7 +45,8 @@ def _perm_sign(idx: Sequence[int]) -> int:
 class _Multilinear:
     """Storage shared by Cochain and MultiMap: the nonzero values of a
     k-linear map on basis index tuples, each key checked by the
-    subclass's `_check`."""
+    subclass's `_check`.  A `Fraction` entry is stored as given; any
+    other entry goes through `as_rational`."""
 
     __slots__ = ("arity", "dim", "coeffs")
 
@@ -57,8 +58,8 @@ class _Multilinear:
         for idx, vec in (coeffs or {}).items():
             idx = tuple(idx)
             self._check(idx, vec)
-            v = tuple(Q(x) for x in vec)
-            if not vec_is_zero(v):
+            v = tuple(x if isinstance(x, Q) else as_rational(x) for x in vec)
+            if any(v):
                 clean[idx] = v
         self.coeffs = clean
 
@@ -144,18 +145,29 @@ def mu_map(g: LieAlgebra) -> MultiMap:
     coeffs: dict[tuple[int, ...], tuple[Q, ...]] = {}
     for (i, j), vec in g.constants.items():
         coeffs[(i, j)] = vec
-        coeffs[(j, i)] = tuple(-x for x in vec)
+        # a zero entry is kept as it is: -x would build a new Fraction
+        coeffs[(j, i)] = tuple(-x if x else x for x in vec)
     return MultiMap(2, g.dim, coeffs)
 
 
 def _accumulate(acc: dict, key: tuple[int, ...], coef, vec: Sequence[Q]) -> None:
-    # acc[key] += coef * vec, touching only the nonzero entries of vec
+    # acc[key] += coef * vec, touching only the nonzero entries of vec; a
+    # coef of 1 or -1 adds or subtracts without a product
     row = acc.get(key)
     if row is None:
         row = acc[key] = [QZERO] * len(vec)
-    for m, x in enumerate(vec):
-        if x:
-            row[m] += coef * x
+    if coef == 1:
+        for m, x in enumerate(vec):
+            if x:
+                row[m] += x
+    elif coef == -1:
+        for m, x in enumerate(vec):
+            if x:
+                row[m] -= x
+    else:
+        for m, x in enumerate(vec):
+            if x:
+                row[m] += coef * x
 
 
 def mm_combine(*terms: tuple[Q, MultiMap]) -> MultiMap:
@@ -168,10 +180,11 @@ def mm_combine(*terms: tuple[Q, MultiMap]) -> MultiMap:
     for coef, mm in terms:
         if mm.arity != arity or mm.dim != dim:
             raise ValueError("shape mismatch")
+        coef = as_rational(coef)
         if coef == 0:
             continue
         for idx, vec in mm.coeffs.items():
-            _accumulate(acc, idx, Q(coef), vec)
+            _accumulate(acc, idx, coef, vec)
     return MultiMap(arity, dim, acc)
 
 
@@ -181,7 +194,7 @@ def _ordered_values(m) -> Iterator[tuple[tuple[int, ...], tuple[Q, ...]]]:
         yield from m.coeffs.items()
         return
     for key, vec in m.coeffs.items():
-        neg = tuple(-x for x in vec)
+        neg = tuple(-x if x else x for x in vec)
         for idx in permutations(key):
             yield idx, vec if _perm_sign(idx) == 1 else neg
 

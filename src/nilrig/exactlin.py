@@ -41,6 +41,19 @@ def parse_rational(text: str) -> Q:
     return Q(text.strip())
 
 
+def as_rational(x) -> Q:
+    """The exact value of one API input: a Fraction passes unchanged, an
+    int or a "p/q" string is converted, and a float, a bool or anything
+    else raises TypeError naming the value."""
+    if isinstance(x, Q):
+        return x
+    if isinstance(x, int) and not isinstance(x, bool):
+        return Q(x)
+    if isinstance(x, str):
+        return parse_rational(x)
+    raise TypeError(f"not an exact rational: {x!r}")
+
+
 def format_rational(x) -> str:
     return str(Q(x))
 
@@ -86,7 +99,7 @@ class RationalMatrix:
         for (r, c), v in (entries or {}).items():
             if not (0 <= r < nrows and 0 <= c < ncols):
                 raise ValueError(f"entry index ({r},{c}) out of range")
-            v = Q(v)
+            v = as_rational(v)
             if v != 0:
                 clean[(r, c)] = v
         self.entries = clean
@@ -100,9 +113,7 @@ class RationalMatrix:
             if len(row) != ncols:
                 raise ValueError("ragged rows")
             for c, v in enumerate(row):
-                v = Q(v)
-                if v != 0:
-                    entries[(r, c)] = v
+                entries[(r, c)] = v
         return cls(nrows, ncols, entries)
 
     @classmethod

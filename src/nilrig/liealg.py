@@ -16,6 +16,7 @@ from .exactlin import (
     QZERO,
     RationalMatrix,
     RowReducer,
+    as_rational,
     dense_of,
     invert,
     vec_is_zero,
@@ -41,8 +42,8 @@ class LieAlgebra:
                 raise ValueError(f"bracket pair ({i},{j}) must satisfy 0 <= i < j < dim")
             if len(vec) != dim:
                 raise ValueError(f"bracket value for ({i},{j}) has wrong length")
-            v = tuple(Q(x) for x in vec)
-            if not vec_is_zero(v):
+            v = tuple(as_rational(x) for x in vec)
+            if any(v):
                 clean[(i, j)] = v
         self.constants = clean
         self._table: dict[tuple[int, int], dict[int, Q]] | None = None
@@ -205,9 +206,14 @@ def two_step_defect(g: LieAlgebra) -> list[tuple[int, int, int]]:
 
 
 def three_step_defect(g: LieAlgebra) -> list[tuple[int, int, int, int]]:
-    """Basis tuples (i, j, k, l) with [[[X_i, X_j], X_k], X_l] != 0."""
+    """Basis tuples (i, j, k, l) with [[[X_i, X_j], X_k], X_l] != 0.
+
+    Only a double bracket w outside the centre is bracketed with each X_l.
+    """
     table = g.bracket_table()
+    center = _center_reducer(g)
     return [key + (l,) for key, w in g.double_brackets().items()
+            if not center.in_kernel(w)
             for l in range(g.dim) if _bracket_sparse(table, w, l)]
 
 
@@ -346,18 +352,22 @@ def characteristic_sequence(g: LieAlgebra, seed: int = DEFAULT_SEED,
     return best
 
 
-def center_dim(g: LieAlgebra) -> int:
-    """Dimension of {x : [x, X_j] = 0 for all j}."""
-    n = g.dim
-    table = g.bracket_table()
+def _center_reducer(g: LieAlgebra) -> RowReducer:
+    """The rows (j, m) -> c_ij^m fed to a RowReducer, whose kernel is the
+    centre {x : [x, X_j] = 0 for all j}."""
     rows: dict[tuple[int, int], dict[int, Q]] = {}
-    for (i, j), sp in table.items():
+    for (i, j), sp in g.bracket_table().items():
         for m, v in sp.items():
             rows.setdefault((j, m), {})[i] = v
-    red = RowReducer(n)
+    red = RowReducer(g.dim)
     for row in rows.values():
         red.add(row)
-    return n - red.rank
+    return red
+
+
+def center_dim(g: LieAlgebra) -> int:
+    """Dimension of {x : [x, X_j] = 0 for all j}."""
+    return g.dim - _center_reducer(g).rank
 
 
 def derived_dim(g: LieAlgebra) -> int:

@@ -1,5 +1,6 @@
+import re
 from fractions import Fraction as Q
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -35,7 +36,7 @@ from nilrig.cohom import (
     t_operator_rows,
     JORDAN_V,
 )
-from nilrig.exactlin import RationalMatrix, RowReducer
+from nilrig.exactlin import RationalMatrix, RowReducer, vadd, vscale, vzero
 from nilrig.liealg import LieAlgebra, abelian, basis_change, derivation_algebra_dim, jacobi_defect
 from nilrig.sampling import (
     random_commutative_associative,
@@ -65,6 +66,24 @@ def single(n, pair, vec_idx, c=1):
 
 
 H3 = families.heisenberg(1)
+
+
+# --- strict values -------------------------------------------------------------
+
+@pytest.mark.parametrize("cls", [Cochain, MultiMap])
+@pytest.mark.parametrize("bad", [0.1, True])
+def test_multilinear_rejects_float_and_bool(cls, bad):
+    with pytest.raises(TypeError, match=re.escape(repr(bad))):
+        cls(2, 3, {(0, 1): (bad, 0, 0)})
+
+
+@pytest.mark.parametrize("cls", [Cochain, MultiMap])
+def test_multilinear_stores_fractions(cls):
+    x = Q(2, 3)
+    m = cls(2, 3, {(0, 1): (x, 1, "-1/2"), (0, 2): (0, "0", Q(0))})
+    assert m.coeffs == {(0, 1): (x, Q(1), Q(-1, 2))}
+    assert m.coeffs[(0, 1)][0] is x  # a Fraction is stored as given
+    assert all(type(v) is Q for v in m.coeffs[(0, 1)])
 
 
 # --- degree-1 operator -------------------------------------------------------
@@ -197,7 +216,8 @@ def multilinear_maps(draw, dim):
     keys = [t for t in product(range(dim), repeat=arity)
             if not skew or all(a < b for a, b in zip(t, t[1:]))]
     chosen = draw(st.lists(st.sampled_from(keys), max_size=4, unique=True)) if keys else []
-    values = st.lists(st.fractions(-2, 2, max_denominator=3), min_size=dim, max_size=dim)
+    values = st.lists(st.one_of(st.fractions(-2, 2, max_denominator=3), st.integers(-2, 2)),
+                      min_size=dim, max_size=dim)
     coeffs = {t: tuple(draw(values)) for t in chosen}
     return (Cochain if skew else MultiMap)(arity, dim, coeffs)
 
@@ -208,7 +228,53 @@ def multilinear_maps(draw, dim):
 def test_comp1_matches_dense_walk(pair, data):
     f, h = pair
     slot = data.draw(st.integers(0, f.arity - 1), label="slot")
-    assert comp1(f, h, slot) == brute_comp1(f, h, slot)
+    out = comp1(f, h, slot)
+    assert out == brute_comp1(f, h, slot)
+    for m in (f, h, out):  # every stored value is a nonzero vector of Fractions
+        for vec in m.coeffs.values():
+            assert any(vec) and all(type(x) is Q for x in vec)
+
+
+def _dense_cyclic_sum(n, sign, *maps):
+    """The arity-3 Cochain with value sign * sum of m(x,y,z) + m(y,z,x) +
+    m(z,x,y) over `maps` on each x < y < z, evaluated densely."""
+    coeffs = {}
+    for x, y, z in combinations(range(n), 3):
+        acc = vzero(n)
+        for m in maps:
+            for u in ((x, y, z), (y, z, x), (z, x, y)):
+                acc = vadd(acc, m.value(u))
+        coeffs[(x, y, z)] = vscale(sign, acc)
+    return Cochain(3, n, coeffs)
+
+
+def _dense_sum(arity, n, *maps):
+    keys = set().union(*(m.coeffs for m in maps))
+    return MultiMap(arity, n, {k: tuple(map(sum, zip(*(m.value(k) for m in maps))))
+                               for k in keys})
+
+
+DENSE_K3K2K1 = basis_change(families.g_k3k2k1(1, 0, 2), random_invertible(5, rng_for(3), -2, 2))
+
+
+@pytest.mark.parametrize("g", [families.g_p01(2), families.rigid_3step_7(), DENSE_K3K2K1],
+                         ids=["g_p01(2)", "rigid7", "dense-k3k2k1"])
+def test_degree2_operators_match_dense_compositions_on_basis(g):
+    """chevalley_delta2 and r_delta2 are linear in phi, so agreeing with
+    their definitions on every basis cochain proves them equal; the
+    quadratic bullet_square is compared on the same cochains.  The
+    reference composes with brute_comp1 and a bracket map built from
+    `bracket_basis`, and sums values densely."""
+    n = g.dim
+    mu = MultiMap(2, n, {(i, j): g.bracket_basis(i, j) for i in range(n) for j in range(n)})
+    mumu = brute_comp1(mu, mu)
+    for phi in basis_cochains(n):
+        assert chevalley_delta2(g, phi) == _dense_cyclic_sum(
+            n, -1, brute_comp1(mu, phi), brute_comp1(phi, mu))
+        assert bullet_square(phi) == _dense_cyclic_sum(n, 1, brute_comp1(phi, phi))
+        assert r_delta2(g, phi) == _dense_sum(
+            4, n, brute_comp1(mu, brute_comp1(mu, phi)),
+            brute_comp1(mu, brute_comp1(phi, mu)), brute_comp1(phi, mumu))
 
 
 def test_comp1_rejects_slot_out_of_range():

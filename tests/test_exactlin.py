@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -11,6 +12,7 @@ from nilrig.exactlin import (
     RationalMatrix,
     RowReducer,
     TruncatedSeries,
+    as_rational,
     format_rational,
     invert,
     kernel_basis,
@@ -49,6 +51,35 @@ def test_parse_rational_forms():
 def test_parse_rational_rejects(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
+
+
+def test_as_rational_keeps_fractions_and_converts_ints_and_strings():
+    x = Q(3, 4)
+    assert as_rational(x) is x
+    for given_value, want in ((7, Q(7)), (-2, Q(-2)), ("-3/6", Q(-1, 2)), ("5", Q(5))):
+        got = as_rational(given_value)
+        assert type(got) is Q and got == want
+
+
+@pytest.mark.parametrize("bad", [0.1, 1.0, True, False, None, 1j])
+def test_as_rational_rejects_inexact_values(bad):
+    with pytest.raises(TypeError, match=re.escape(repr(bad))):
+        as_rational(bad)
+
+
+@pytest.mark.parametrize("bad", [0.1, True])
+def test_rational_matrix_rejects_float_and_bool(bad):
+    with pytest.raises(TypeError, match=re.escape(repr(bad))):
+        RationalMatrix(2, 2, {(0, 1): bad})
+    with pytest.raises(TypeError, match=re.escape(repr(bad))):
+        RationalMatrix.from_rows([[1, bad], [0, 1]])
+
+
+def test_rational_matrix_stores_fractions():
+    for m in (RationalMatrix(2, 2, {(0, 0): 2, (1, 1): "1/3"}),
+              RationalMatrix.from_rows([[2, 0], [0, "1/3"]])):
+        assert m.entries == {(0, 0): Q(2), (1, 1): Q(1, 3)}
+        assert all(type(v) is Q for v in m.entries.values())
 
 
 # --- rref / kernel ----------------------------------------------------------

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -117,9 +118,23 @@ def check_double_bracket_defects(g):
 def test_jacobi_defect_matches_dense_triples_on_families():
     dense = basis_change(families.g_k3k2k1(1, 0, 2), random_invertible(5, rng_for(5), -2, 2))
     for g in (families.g_p1(4), families.g_p01(3), families.rigid_3step_7(),
-              families.heisenberg(3), dense):
+              families.heisenberg(3), dense, FILIFORM5):
         assert jacobi_defect(g) == brute_jacobi_defect(g) == []
         check_double_bracket_defects(g)
+
+
+#: the 4-step filiform algebra [X1, X_i] = X_(i+1), i = 2, 3, 4: its double
+#: bracket [[X1,X2],X1] = -X4 lies outside the centre and [[X1,X3],X1] = -X5
+#: inside it, so `three_step_defect` brackets some double brackets and skips others
+FILIFORM5 = LieAlgebra(5, {(0, 1): (0, 0, 1, 0, 0), (0, 2): (0, 0, 0, 1, 0),
+                           (0, 3): (0, 0, 0, 0, 1)})
+
+
+def test_three_step_defect_with_central_and_noncentral_double_brackets():
+    double = FILIFORM5.double_brackets()
+    assert double[(0, 1, 0)] == {3: Q(-1)} and double[(0, 2, 0)] == {4: Q(-1)}
+    assert three_step_defect(FILIFORM5) == brute_three_step_defect(FILIFORM5) == [
+        (0, 1, 0, 0)]
 
 
 def test_jacobi_violation_detected():
@@ -129,6 +144,18 @@ def test_jacobi_violation_detected():
     })
     assert (0, 1, 2) in jacobi_defect(g)
     assert any(x != 0 for x in jacobiator(g, 0, 1, 2))
+
+
+@pytest.mark.parametrize("bad", [0.1, True])
+def test_lie_algebra_rejects_float_and_bool(bad):
+    with pytest.raises(TypeError, match=re.escape(repr(bad))):
+        LieAlgebra(3, {(0, 1): (0, 0, bad)})
+
+
+def test_lie_algebra_stores_fractions():
+    g = LieAlgebra(3, {(0, 1): (0, "-2/4", 3), (0, 2): (0, 0, 0)})
+    assert g.constants == {(0, 1): (Q(0), Q(-1, 2), Q(3))}
+    assert all(type(x) is Q for x in g.constants[(0, 1)])
 
 
 # --- central series, nilindex --------------------------------------------------
