@@ -54,7 +54,7 @@ def export(rev: str, dest: Path) -> str:
     tar = subprocess.run(["git", "-C", str(ROOT), "archive", commit],
                          capture_output=True, check=True).stdout
     with tarfile.open(fileobj=BytesIO(tar)) as tf:
-        tf.extractall(dest)
+        tf.extractall(dest, filter="data")
     return commit
 
 
