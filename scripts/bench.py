@@ -2,18 +2,19 @@
 """Record parent-versus-change runs of the benchmark in a BENCH_<n>.json.
 
 Usage:
-    python3 scripts/bench.py --parent REV [--change REV] --out BENCH_<n>.json \
-        [--workloads report,model,dense] [--pairs 10] [--seed 7] [--seconds 30]
+    python3 scripts/bench.py --parent REV [--change REV] --out BENCH_<n>.json [--seed 7]
 
 Run from the root of the repository.  Each side is the committed tree of
 a git revision, exported with `git archive` into a temporary directory,
-and measured by its own perfbench/run.py; this script has no timer.  Per
-workload it runs `--pairs` alternating pairs at --trace 0 (the parent
-goes first in even-numbered pairs, the change in odd-numbered ones), then
-one --trace 1 run per side.  The output holds, per side, the Python
-version, nproc and src/ line count from the run records; per end-to-end
-metric, each side's values, median and quartiles and the pairs the change
-won; and the per-layer metrics of the traced runs.
+and measured by its own perfbench/run.py; this script has no timer.  The
+workloads and the run length (`run_seconds`) come from BENCHMARK.json.
+Per workload it runs 10 alternating pairs at --trace 0 (the parent goes
+first in even-numbered pairs, the change in odd-numbered ones), the
+fewest that can show a change winning 9 in 10, then one --trace 1 run per
+side.  The output holds, per side, the Python version, nproc and src/
+line count from the run records; per end-to-end metric, each side's
+values, median and quartiles and the pairs the change won; and the
+per-layer metrics of the traced runs.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+PAIRS = 10
 
 
 def parse_args(argv):
@@ -37,14 +39,8 @@ def parse_args(argv):
     ap.add_argument("--parent", required=True, help="git revision of the parent")
     ap.add_argument("--change", default="HEAD", help="git revision of the change")
     ap.add_argument("--out", required=True, help="JSON file to write")
-    ap.add_argument("--workloads", default="report,model,dense")
-    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--seconds", type=float, default=30)
-    args = ap.parse_args(argv)
-    if args.pairs < 2:
-        ap.error("--pairs must be at least 2 to give quartiles")
-    return args
+    return ap.parse_args(argv)
 
 
 def export(rev: str, dest: Path) -> str:
@@ -95,25 +91,27 @@ def compare(pairs: list[dict], metrics: list[dict]) -> dict:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    if not hasattr(tarfile, "data_filter"):
+        sys.exit("bench.py needs tarfile extraction filters: Python 3.10.12+, 3.11.4+ or 3.12+")
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    metrics = bench["end_to_end"]
-    doc = {"seed": args.seed, "seconds": args.seconds, "pairs": args.pairs,
+    metrics, seconds = bench["end_to_end"], bench["run_seconds"]
+    doc = {"seed": args.seed, "seconds": seconds, "pairs": PAIRS,
            "sides": {}, "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="nilrig-bench-") as tmp:
         trees = {}
         for side, rev in zip(SIDES, (args.parent, args.change)):
             trees[side] = Path(tmp) / side
             doc["sides"][side] = {"rev": rev, "commit": export(rev, trees[side])}
-        for workload in args.workloads.split(","):
+        for workload in (w["name"] for w in bench["workloads"]):
             pairs = []
-            for k in range(args.pairs):
+            for k in range(PAIRS):
                 order = SIDES if k % 2 == 0 else SIDES[::-1]
-                pair = {s: run(trees[s], workload, args.seed, args.seconds, 0) for s in order}
+                pair = {s: run(trees[s], workload, args.seed, seconds, 0) for s in order}
                 pairs.append(pair)
-                print(f"{workload} pair {k + 1}/{args.pairs}: " + ", ".join(
+                print(f"{workload} pair {k + 1}/{PAIRS}: " + ", ".join(
                     f"{s} wall_s {pair[s]['metrics']['wall_s']['value']:.3f}" for s in SIDES),
                     file=sys.stderr, flush=True)
-            traced = {s: run(trees[s], workload, args.seed, args.seconds, 1) for s in SIDES}
+            traced = {s: run(trees[s], workload, args.seed, seconds, 1) for s in SIDES}
             for s in SIDES:
                 rec = pairs[0][s]["record"]
                 doc["sides"][s].update(python=rec["python"], nproc=rec["nproc"],

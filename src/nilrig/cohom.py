@@ -376,7 +376,7 @@ def deformed_bracket(g: LieAlgebra, phi: Cochain, t: Q = QONE) -> LieAlgebra:
     """Structure constants of mu + t*phi (not validated as a Lie bracket)."""
     if phi.arity != 2 or phi.dim != g.dim:
         raise ValueError("expected an arity-2 cochain of matching dimension")
-    t = Q(t)
+    t = as_rational(t)
     constants: dict[tuple[int, int], tuple[Q, ...]] = {}
     keys = set(g.constants) | set(phi.coeffs)
     for key in keys:

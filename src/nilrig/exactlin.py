@@ -423,11 +423,11 @@ class TruncatedSeries:
             raise ValueError("order must be nonnegative")
         if len(self.coeffs) != self.order + 1:
             raise ValueError("need exactly order + 1 coefficients")
-        object.__setattr__(self, "coeffs", tuple(Q(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(as_rational(c) for c in self.coeffs))
 
     @classmethod
     def from_coeffs(cls, coeffs: Sequence, order: int | None = None) -> "TruncatedSeries":
-        cs = [Q(c) for c in coeffs]
+        cs = [as_rational(c) for c in coeffs]
         if order is None:
             order = len(cs) - 1
         if order >= len(cs):
@@ -455,7 +455,7 @@ class TruncatedSeries:
             n = min(self.order, other.order)
             return TruncatedSeries(
                 n, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-        return self._shift_const(Q(other))
+        return self._shift_const(as_rational(other))
 
     __radd__ = __add__
 
@@ -467,7 +467,7 @@ class TruncatedSeries:
         return TruncatedSeries(self.order, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, TruncatedSeries) else -Q(other))
+        return self + (-other if isinstance(other, TruncatedSeries) else -as_rational(other))
 
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
@@ -480,7 +480,7 @@ class TruncatedSeries:
                     if b != 0:
                         out[i + j] += a * b
             return TruncatedSeries(n, tuple(out))
-        c = Q(other)
+        c = as_rational(other)
         return TruncatedSeries(self.order, tuple(c * a for a in self.coeffs))
 
     __rmul__ = __mul__
@@ -498,7 +498,7 @@ class TruncatedSeries:
 
     def scale_argument(self, c) -> "TruncatedSeries":
         """Series of x ↦ self(c·x)."""
-        c = Q(c)
+        c = as_rational(c)
         return TruncatedSeries(
             self.order, tuple(a * c ** k for k, a in enumerate(self.coeffs)))
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
 
 from .cohom import Cochain, ch_delta2, deformed_bracket
-from .exactlin import Q, QZERO, QONE, RowReducer
+from .exactlin import Q, QZERO, QONE, RowReducer, as_rational
 from .liealg import LieAlgebra
 
 
@@ -26,7 +26,7 @@ def algebra_from_brackets(dim: int,
         for k, c in image.items():
             if not 1 <= k <= dim:
                 raise ValueError(f"image index {k} out of range")
-            vec[k - 1] += Q(c)
+            vec[k - 1] += as_rational(c)
         constants[(i - 1, j - 1)] = tuple(vec)
     return LieAlgebra(dim, constants)
 
@@ -148,7 +148,7 @@ class CocycleTemplate:
         unknown = set(coeffs) - set(self.free)
         if unknown:
             raise ValueError(f"unknown coefficient names: {sorted(unknown)}")
-        values = {name: Q(v) for name, v in coeffs.items()}
+        values = {name: as_rational(v) for name, v in coeffs.items()}
         data: dict[tuple[int, ...], list[Q]] = {}
         for (i, j), terms in self.entries:
             vec = data.setdefault((i - 1, j - 1), [QZERO] * self.dim)

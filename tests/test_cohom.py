@@ -86,6 +86,18 @@ def test_multilinear_stores_fractions(cls):
     assert all(type(v) is Q for v in m.coeffs[(0, 1)])
 
 
+@pytest.mark.parametrize("bad", [0.1, True])
+def test_deformed_bracket_rejects_float_and_bool_parameter(bad):
+    with pytest.raises(TypeError, match=re.escape(repr(bad))):
+        deformed_bracket(H3, single(3, (0, 1), 2), bad)
+
+
+def test_deformed_bracket_parameter_as_int_or_string():
+    phi = single(3, (0, 2), 1)
+    assert deformed_bracket(H3, phi, "1/2") == deformed_bracket(H3, phi, Q(1, 2))
+    assert deformed_bracket(H3, phi, 2).constants[(0, 2)] == (Q(0), Q(2), Q(0))
+
+
 # --- degree-1 operator -------------------------------------------------------
 
 def test_delta1_identity_map_returns_bracket():

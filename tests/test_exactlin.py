@@ -267,6 +267,21 @@ def S(coeffs, order=None):
     return TruncatedSeries.from_coeffs(coeffs, order)
 
 
+@pytest.mark.parametrize("bad", [0.1, True])
+def test_series_rejects_float_and_bool(bad):
+    for build in (lambda: TruncatedSeries(1, (0, bad)), lambda: S([bad]),
+                  lambda: S([1, 1]) + bad, lambda: S([1, 1]) - bad,
+                  lambda: S([1, 1]) * bad, lambda: S([1, 1]).scale_argument(bad)):
+        with pytest.raises(TypeError, match=re.escape(repr(bad))):
+            build()
+
+
+def test_series_converts_ints_and_strings():
+    a = TruncatedSeries(1, (2, "1/2"))
+    assert a.coeffs == (Q(2), Q(1, 2)) and all(type(c) is Q for c in a.coeffs)
+    assert S(["1/3", 1]) * "3" + 1 == S([2, 3])
+
+
 def test_compose_identity():
     x = TruncatedSeries.x(5)
     assert series_compose(x, x) == x

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -171,6 +172,25 @@ def test_template_instances_are_cocycles():
         for _ in range(3):
             phi = t.instantiate(t.random_coeffs(rng))
             assert ch_delta2(g, phi).is_zero()
+
+
+@pytest.mark.parametrize("bad", [0.1, True])
+def test_bracket_data_and_template_coefficients_reject_float_and_bool(bad):
+    with pytest.raises(TypeError, match=re.escape(repr(bad))):
+        families.algebra_from_brackets(3, {(1, 2): {3: bad}})
+    t = families.normalized_cocycle_template("221", 3)
+    with pytest.raises(TypeError, match=re.escape(repr(bad))):
+        t.instantiate({t.free[0]: bad})
+
+
+def test_bracket_data_and_template_coefficients_give_fractions():
+    g = families.algebra_from_brackets(3, {(1, 2): {3: "-2/4"}, (1, 3): {3: 2}})
+    assert g.constants == {(0, 1): (Q(0), Q(0), Q(-1, 2)), (0, 2): (Q(0), Q(0), Q(2))}
+    t = families.normalized_cocycle_template("221", 3)
+    phi = t.instantiate({name: (3 if k % 2 else "1/3") for k, name in enumerate(t.free)})
+    assert phi == t.instantiate({name: (Q(3) if k % 2 else Q(1, 3))
+                                 for k, name in enumerate(t.free)})
+    assert phi.coeffs and all(type(x) is Q for vec in phi.coeffs.values() for x in vec)
 
 
 # --- deformed members -------------------------------------------------------------
