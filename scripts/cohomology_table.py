@@ -5,7 +5,8 @@ Usage: python3 scripts/cohomology_table.py [--max-p N]
 
 A quick way to explore how the three complexes behave as the families
 grow; exact rational arithmetic throughout, so rows may take a moment
-for the larger models.
+for the larger models.  A characteristic sequence followed by "?" is
+the best one found, not one the rank bounds prove.
 """
 
 import argparse
@@ -17,7 +18,8 @@ from nilrig.liealg import characteristic_sequence, nilindex
 
 def row(label, g, kind):
     r = space_dims(g, kind)
-    cs = ",".join(map(str, characteristic_sequence(g).parts))
+    charseq = characteristic_sequence(g)
+    cs = ",".join(map(str, charseq.parts)) + ("" if charseq.certified else "?")
     print(f"{label:<14} dim={g.dim:<3} step={nilindex(g)} ({cs:<12}) "
           f"{kind:<9} z2={r.z2_dim:<4} b2={r.b2_dim:<4} h2={r.h2_dim:<4}"
           f"{'  rigid-candidate' if r.rigid_candidate else ''}")

@@ -6,20 +6,13 @@ from .exactlin import (
     RationalMatrix,
     RowReducer,
     TruncatedSeries,
-    kernel_basis,
-    matrix_rank,
     parse_rational,
-    rref,
-    series_add,
-    series_compose,
-    series_mul,
 )
 from .liealg import (
     CharSeq,
     LieAlgebra,
     SubspaceChain,
     abelian,
-    ad_matrix,
     basis_change,
     bracket,
     center_dim,
@@ -30,7 +23,6 @@ from .liealg import (
     is_lie,
     is_p_step,
     jacobi_defect,
-    jordan_partition,
     lower_central_series,
     nilindex,
     three_step_defect,

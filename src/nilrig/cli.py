@@ -184,7 +184,10 @@ def cmd_analyze(args) -> int:
     bad = jacobi_defect(g)
     doc: dict = {"file": args.file, "dim": g.dim, "jacobi_ok": not bad}
     if bad:
+        # no Lie invariant is meaningful for a non-Lie bracket
         doc["jacobi_violations"] = [[i + 1, j + 1, k + 1] for (i, j, k) in bad]
+        _emit(doc)
+        return 1
     chain = lower_central_series(g)
     doc["lower_central_series_dims"] = list(chain.dims)
     try:
@@ -193,8 +196,9 @@ def cmd_analyze(args) -> int:
         doc["nilindex_error"] = str(exc)
         _emit(doc)
         return 1
-    doc["characteristic_sequence"] = list(
-        characteristic_sequence(g, seed=args.seed, samples=args.samples).parts)
+    cs = characteristic_sequence(g)
+    doc["characteristic_sequence"] = list(cs.parts)
+    doc["characteristic_sequence_certified"] = cs.certified
     doc["center_dim"] = center_dim(g)
     doc["derived_dim"] = derived_dim(g)
     doc["derivation_algebra_dim"] = derivation_algebra_dim(g)
@@ -371,8 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="nilpotency invariants of an algebra file")
     p.add_argument("file")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--samples", type=int, default=50)
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("cohomology", help="Z^2/B^2/H^2 of a chosen complex")

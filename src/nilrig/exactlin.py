@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from time import perf_counter
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 Q = Fraction
 QZERO = Q(0)
@@ -138,27 +138,6 @@ class RationalMatrix:
             if x != 0:
                 acc[r] += w * x
         return tuple(acc)
-
-    def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("inner dimension mismatch")
-        brows = other.rows_map()
-        entries: dict[tuple[int, int], Q] = {}
-        for (r, k), v in self.entries.items():
-            for c, w in brows.get(k, {}).items():
-                key = (r, c)
-                s = entries.get(key, QZERO) + v * w
-                if s == 0:
-                    entries.pop(key, None)
-                else:
-                    entries[key] = s
-        return RationalMatrix(self.nrows, other.ncols, entries)
-
-    def to_rows(self) -> list[list[Q]]:
-        rows = [[QZERO] * self.ncols for _ in range(self.nrows)]
-        for (r, c), v in self.entries.items():
-            rows[r][c] = v
-        return rows
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -350,42 +329,6 @@ class RowReducer:
         return basis
 
 
-class RrefResult(NamedTuple):
-    reduced: RationalMatrix
-    rank: int
-    pivot_cols: list[int]
-
-
-def rref(m: RationalMatrix) -> RrefResult:
-    """Reduced row echelon form, exact; rank and pivot columns alongside."""
-    red = RowReducer(m.ncols)
-    rows = m.rows_map()
-    for r in range(m.nrows):
-        red.add(rows.get(r, {}))
-    pivots = red.pivots
-    entries: dict[tuple[int, int], Q] = {}
-    for r, pc in enumerate(red.pivot_cols()):
-        for c, v in pivots[pc].items():
-            entries[(r, c)] = v
-    return RrefResult(RationalMatrix(m.nrows, m.ncols, entries),
-                      red.rank, red.pivot_cols())
-
-
-def matrix_rank(m: RationalMatrix) -> int:
-    red = RowReducer(m.ncols)
-    for row in m.rows_map().values():
-        red.add(row)
-    return red.rank
-
-
-def kernel_basis(m: RationalMatrix) -> list[tuple[Q, ...]]:
-    """Canonical basis of {v : m @ v = 0}, as dense tuples."""
-    red = RowReducer(m.ncols)
-    for row in m.rows_map().values():
-        red.add(row)
-    return [dense_of(vec, m.ncols) for vec in red.kernel_basis_sparse()]
-
-
 def invert(m: RationalMatrix) -> RationalMatrix:
     """Inverse of a square matrix; raises ValueError when singular."""
     if m.nrows != m.ncols:
@@ -507,14 +450,3 @@ class TruncatedSeries:
         body = " + ".join(terms) if terms else "0"
         return f"<{body} + O(x^{self.order + 1})>"
 
-
-def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return a + b
-
-
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return a * b
-
-
-def series_compose(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return a.compose(b)

@@ -8,11 +8,12 @@ and values are treated as immutable, so concurrent use is safe.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .exactlin import (
     Q,
+    QONE,
     QZERO,
     RationalMatrix,
     RowReducer,
@@ -24,6 +25,8 @@ from .exactlin import (
 )
 
 DEFAULT_SEED = 0xC0FFEE
+# random candidates of characteristic_sequence after the basis vectors
+_COMBINATIONS = 50
 
 
 class LieAlgebra:
@@ -103,6 +106,8 @@ class CharSeq:
     """Non-increasing partition recording nilpotency block structure."""
 
     parts: tuple[int, ...]
+    # True when the rank bounds prove the value (see characteristic_sequence)
+    certified: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         if any(p <= 0 for p in self.parts):
@@ -261,95 +266,94 @@ def nilindex(g: LieAlgebra) -> int:
 
 
 def is_p_step(g: LieAlgebra, p: int) -> bool:
-    return nilindex(g) == p
+    """True iff g is nilpotent with nilindex p; False on non-nilpotent input."""
+    dims = lower_central_series(g).dims
+    return dims[-1] == 0 and len(dims) - 1 == p
 
 
-def ad_matrix(g: LieAlgebra, x: Sequence[Q]) -> RationalMatrix:
-    """Matrix of y ↦ [x, y] in the chosen basis."""
-    if len(x) != g.dim:
-        raise ValueError("vector length mismatch")
-    entries = {}
-    for j in range(g.dim):
-        col = bracket_vec_basis(g, x, j)
-        for i, v in enumerate(col):
-            if v != 0:
-                entries[(i, j)] = v
-    return RationalMatrix(g.dim, g.dim, entries)
+def _ad_ranks(table, x: Mapping[int, Q], n: int) -> list[int]:
+    """[rank (ad x)^1, rank (ad x)^2, ..., 0]; g must be nilpotent.
 
-
-def jordan_partition(m: RationalMatrix) -> CharSeq:
-    """Jordan block sizes of a nilpotent matrix, from its rank sequence.
-
-    The number of blocks of size >= k is rank(m^(k-1)) - rank(m^k).
+    The image of (ad x)^k is ad x applied to the image of (ad x)^(k-1),
+    so each power pushes only the previous pivot rows through ad x.
     """
-    if m.nrows != m.ncols:
-        raise ValueError("matrix must be square")
-    n = m.nrows
-    ranks = [n]
-    power = m
-    while True:
+    cols = [_bracket_sparse(table, x, j) for j in range(n)]  # [x, X_j]
+    ranks: list[int] = []
+    image: list[Mapping[int, Q]] = [{j: QONE} for j in range(n)]
+    while image:
         red = RowReducer(n)
-        for row in power.rows_map().values():
-            red.add(row)
-        r = red.rank
-        if r == ranks[-1]:
-            raise ValueError("matrix is not nilpotent")
-        ranks.append(r)
-        if r == 0:
-            break
-        power = power @ m
-    ge = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
+        for v in image:
+            acc: dict[int, Q] = {}
+            for j, c in v.items():
+                for m, w in cols[j].items():
+                    acc[m] = acc.get(m, QZERO) + c * w
+            red.add(acc)
+        ranks.append(red.rank)
+        image = list(red.pivots.values())
+    return ranks
+
+
+def _jordan_type(ranks: Sequence[int], n: int) -> tuple[int, ...]:
+    """Jordan block sizes from [rank A, rank A^2, ..., 0]: the number of
+    blocks of size >= k is rank A^(k-1) - rank A^k."""
+    ge = [a - b for a, b in zip([n] + list(ranks), ranks)]
     parts: list[int] = []
     for k in range(len(ge), 0, -1):
-        count = ge[k - 1] - (ge[k] if k < len(ge) else 0)
-        parts.extend([k] * count)
-    return CharSeq(tuple(sorted(parts, reverse=True)))
+        parts += [k] * (ge[k - 1] - (ge[k] if k < len(ge) else 0))
+    return tuple(parts)
 
 
-def characteristic_sequence(g: LieAlgebra, seed: int = DEFAULT_SEED,
-                            samples: int = 50) -> CharSeq:
-    """Lexicographically maximal ad-Jordan partition over elements off g^1.
+def characteristic_sequence(g: LieAlgebra) -> CharSeq:
+    """Lexicographically maximal ad-Jordan type over elements off g^1.
 
-    Candidates are every basis vector outside the derived subalgebra plus
-    `samples` seeded random small-integer combinations outside it.  The
-    maximum is attained on a Zariski-open set, so the sampled maximum is
-    the true value with overwhelming probability; `samples` is the knob.
+    Every x satisfies rank (ad x)^k <= dim g^k, and rank ad x <= n -
+    dim z(g) - 1, since ad x kills x and the centre.  A rank sequence
+    that meets these bounds is pointwise maximal, so its Jordan type
+    dominates every other ad-Jordan type and is the lexicographic
+    maximum.  Candidates are the basis vectors outside g^1, then
+    small-integer combinations drawn from DEFAULT_SEED; the first that
+    meets every bound is returned with `certified` True.  When none does
+    (the free 3-step algebra on two generators is such a case: no bound
+    is attainable there), the maximum over all candidates is returned
+    with `certified` False.
     """
     n = g.dim
-    if n == 0:
-        return CharSeq(())
-    nilindex(g)  # raises for non-nilpotent input
     chain = lower_central_series(g)
+    if chain.dims[-1] != 0:
+        raise ValueError("series stabilized at nonzero ideal")
+    if len(chain.dims) <= 2:  # abelian (or zero): ad x = 0 for every x
+        return CharSeq((1,) * n, certified=True)
+    bounds = list(chain.dims[1:-1])
+    bounds[0] = min(bounds[0], n - center_dim(g) - 1)
     derived = RowReducer(n)
     for v in chain.bases[1]:
         derived.add({i: x for i, x in enumerate(v) if x != 0})
+    table = g.bracket_table()
+    best: tuple[int, ...] = ()
+    for x in _charseq_candidates(n, derived):
+        ranks = _ad_ranks(table, x, n)
+        parts = _jordan_type(ranks, n)
+        if ranks[:len(bounds)] == bounds:
+            return CharSeq(parts, certified=True)
+        best = max(best, parts)
+    return CharSeq(best)
 
-    def outside_derived(vec: Sequence[Q]) -> bool:
-        return bool(derived.residual({i: x for i, x in enumerate(vec) if x != 0}))
 
-    candidates: list[tuple[Q, ...]] = []
+def _charseq_candidates(n: int, derived: RowReducer):
+    """Sparse basis vectors outside the row space of `derived`, then
+    `_COMBINATIONS` seeded combinations with entries in [-5, 5] outside it."""
     for i in range(n):
-        e = tuple(Q(1) if j == i else QZERO for j in range(n))
-        if outside_derived(e):
-            candidates.append(e)
-    rng = random.Random(seed)
-    attempts = 0
-    found = 0
-    while found < samples and attempts < 20 * samples + 20:
+        if derived.residual({i: QONE}):
+            yield {i: QONE}
+    rng = random.Random(DEFAULT_SEED)
+    found = attempts = 0
+    while found < _COMBINATIONS and attempts < 20 * _COMBINATIONS + 20:
         attempts += 1
-        vec = tuple(Q(rng.randint(-5, 5)) for _ in range(n))
-        if vec_is_zero(vec) or not outside_derived(vec):
-            continue
-        candidates.append(vec)
-        found += 1
-    if not candidates:
-        raise ValueError("no elements outside the derived subalgebra")
-    best: CharSeq | None = None
-    for x in candidates:
-        part = jordan_partition(ad_matrix(g, x))
-        if best is None or part.parts > best.parts:
-            best = part
-    return best
+        coeffs = [rng.randint(-5, 5) for _ in range(n)]
+        vec = {i: Q(c) for i, c in enumerate(coeffs) if c}
+        if vec and derived.residual(vec):
+            found += 1
+            yield vec
 
 
 def _center_reducer(g: LieAlgebra) -> RowReducer:

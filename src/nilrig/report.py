@@ -187,12 +187,14 @@ def _c08(seed: int):
     g = families.rigid_3step_7()
     jac = not jacobi_defect(g)
     steps = nilindex(g)
-    cs = "(" + ",".join(map(str, characteristic_sequence(g, seed=seed).parts)) + ")"
+    charseq = characteristic_sequence(g)
+    cs = "(" + ",".join(map(str, charseq.parts)) + ")"
     rcr = space_dims(g, "cr")
     expected = "jacobi;3-step;(3,3,1);h2_cr=0"
     computed = (f"{'jacobi' if jac else 'jacobi-fails'};{steps}-step;"
                 f"{cs};h2_cr={rcr.h2_dim}")
-    detail = {"cr": {"z2": rcr.z2_dim, "b2": rcr.b2_dim, "h2": rcr.h2_dim}}
+    detail = {"cr": {"z2": rcr.z2_dim, "b2": rcr.b2_dim, "h2": rcr.h2_dim},
+              "charseq_certified": charseq.certified}
     if rcr.h2_dim != 0:
         # divergent value: report both complexes, as required
         rch = space_dims(g, "chevalley")
@@ -219,10 +221,12 @@ def _c09(seed: int):
     algs = families.classification_F731()
     valid = 0
     vectors = {}
+    certified = True
     for k, a in enumerate(algs):
-        ok = (not jacobi_defect(a) and nilindex(a) == 3
-              and characteristic_sequence(a, seed=seed).parts == (3, 3, 1))
-        valid += ok
+        charseq = characteristic_sequence(a)
+        certified = certified and charseq.certified
+        valid += (not jacobi_defect(a) and nilindex(a) == 3
+                  and charseq.parts == (3, 3, 1))
         vectors[k] = _invariant_vector(a)
     groups: dict[tuple, list[int]] = {}
     for k, v in vectors.items():
@@ -232,6 +236,7 @@ def _c09(seed: int):
         "invariant_vectors": {str(k): repr(v) for k, v in vectors.items()},
         "indistinguishable_groups": collisions,
         "distinguished_pairs": f"{len(groups)} distinct vectors over 16 members",
+        "charseq_certified": certified,
     }
     return "16 valid", f"{valid} valid" if len(algs) == 16 else f"count={len(algs)}", detail
 

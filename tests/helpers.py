@@ -11,8 +11,8 @@ from fractions import Fraction as Q
 from itertools import product
 
 from nilrig.cohom import Cochain, CochainIndex, MultiMap, ch_delta2, chevalley_delta1, chevalley_delta2, r_delta2
-from nilrig.exactlin import vadd, vec_is_zero, vscale
-from nilrig.liealg import bracket_vec_basis
+from nilrig.exactlin import RationalMatrix, vadd, vec_is_zero, vscale
+from nilrig.liealg import CharSeq, bracket, bracket_vec_basis
 
 
 def dense_rref(rows: list[list[Q]]) -> dict[int, dict[int, Q]]:
@@ -63,6 +63,59 @@ def dense_rank(rows: list[list[Q]]) -> int:
         if pr == len(rows):
             break
     return pr
+
+
+def dense_rows(m: RationalMatrix) -> list[list[Q]]:
+    return [[m.entries.get((r, c), Q(0)) for c in range(m.ncols)] for r in range(m.nrows)]
+
+
+def matmul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
+    """Dense matrix product: entry (r, c) is row r of a dotted with column c of b."""
+    if a.ncols != b.nrows:
+        raise ValueError("inner dimension mismatch")
+    cols = list(zip(*dense_rows(b)))
+    return RationalMatrix(a.nrows, b.ncols, {
+        (r, c): sum((x * y for x, y in zip(row, col) if x and y), Q(0))
+        for r, row in enumerate(dense_rows(a)) for c, col in enumerate(cols)})
+
+
+def ad_matrix(g, x) -> RationalMatrix:
+    """Matrix of y -> [x, y]: column j is the dense bracket [x, X_j]."""
+    n = g.dim
+    if len(x) != n:
+        raise ValueError("vector length mismatch")
+    entries = {}
+    for j in range(n):
+        unit = [Q(int(k == j)) for k in range(n)]
+        for i, v in enumerate(bracket(g, x, unit)):
+            entries[(i, j)] = v
+    return RationalMatrix(n, n, entries)
+
+
+def power_ranks(m: RationalMatrix) -> list[int]:
+    """[rank m, rank m^2, ..., 0] from dense matrix powers."""
+    ranks = []
+    power = m
+    while True:
+        r = dense_rank(dense_rows(power))
+        if r == (ranks[-1] if ranks else m.nrows):
+            raise ValueError("matrix is not nilpotent")
+        ranks.append(r)
+        if r == 0:
+            return ranks
+        power = matmul(power, m)
+
+
+def jordan_partition(m: RationalMatrix) -> CharSeq:
+    """Jordan block sizes of a nilpotent matrix: the number of blocks of
+    size exactly k is r_(k-1) - 2 r_k + r_(k+1), with r_k = rank m^k."""
+    if m.nrows != m.ncols:
+        raise ValueError("matrix must be square")
+    r = [m.nrows] + power_ranks(m) + [0]
+    parts = []
+    for k in range(len(r) - 2, 0, -1):
+        parts += [k] * (r[k - 1] - 2 * r[k] + r[k + 1])
+    return CharSeq(tuple(parts))
 
 
 def span_dim(vectors: list[list[Q]]) -> int:

@@ -184,7 +184,29 @@ def test_analyze_rigid7(tmp_path, capsys):
     write_algebra(families.rigid_3step_7(), str(path))
     code, doc, _ = run(capsys, "analyze", str(path))
     assert doc["characteristic_sequence"] == [3, 3, 1]
+    assert doc["characteristic_sequence_certified"] is True
     assert doc["lower_central_series_dims"] == [7, 4, 2, 0]
+
+
+def test_analyze_non_lie_nilpotent_bracket_exits_1(tmp_path, capsys):
+    # the lower central series reaches 0, but Jacobi fails on (X1, X2, X3)
+    path = tmp_path / "bad.json"
+    write_doc(path, {"dim": 5, "brackets": [
+        {"i": 1, "j": 2, "v": {"3": "1"}}, {"i": 1, "j": 3, "v": {"4": "1"}},
+        {"i": 2, "j": 3, "v": {"5": "1"}}, {"i": 2, "j": 4, "v": {"5": "1"}}]})
+    code, doc, _ = run(capsys, "analyze", str(path))
+    assert code == 1
+    assert doc["jacobi_ok"] is False and doc["jacobi_violations"]
+    assert not {"characteristic_sequence", "center_dim",
+                "derivation_algebra_dim", "nilindex"} & set(doc)
+
+
+def test_analyze_has_no_sampling_options(tmp_path, capsys):
+    path = tmp_path / "h3.json"
+    write_doc(path, H3_DOC)
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", str(path), "--samples", "5"])
+    assert exc.value.code == 2
 
 
 def test_cohomology_h7(tmp_path, capsys):

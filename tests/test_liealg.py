@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilrig import families
-from nilrig.exactlin import RationalMatrix
+from nilrig.exactlin import RationalMatrix, RowReducer
 from nilrig.liealg import (
+    DEFAULT_SEED,
     CharSeq,
     LieAlgebra,
+    _ad_ranks,
     abelian,
-    ad_matrix,
     basis_change,
     bracket,
     bracket_vec_basis,
@@ -22,7 +23,6 @@ from nilrig.liealg import (
     direct_sum,
     is_p_step,
     jacobi_defect,
-    jordan_partition,
     lower_central_series,
     nilindex,
     three_step_defect,
@@ -31,10 +31,14 @@ from nilrig.liealg import (
 from nilrig.sampling import random_invertible, random_nilpotent, rng_for
 
 from helpers import (
+    ad_matrix,
     brute_jacobi_defect,
     brute_three_step_defect,
     brute_two_step_defect,
     jacobiator,
+    jordan_partition,
+    matmul,
+    power_ranks,
     span_dim,
 )
 
@@ -209,7 +213,7 @@ def test_step_defects():
     assert two_step_defect(a) == [] and three_step_defect(a) == []
 
 
-# --- ad, Jordan partitions -----------------------------------------------------
+# --- ad, Jordan partitions (dense oracle in helpers) ----------------------------
 
 def test_ad_matrix_heisenberg():
     m = ad_matrix(families.heisenberg(1), e(3, 0))
@@ -221,7 +225,7 @@ def test_ad_squared_zero_on_g21():
     g = families.g_p1(2)
     m = ad_matrix(g, e(5, 0))
     assert len({r for (r, c) in m.entries}) == 2  # rank 2 image
-    assert (m @ m).is_zero()
+    assert matmul(m, m).is_zero()
 
 
 def test_jordan_partition_zero_and_block():
@@ -253,16 +257,17 @@ def test_jordan_partition_conjugate_identity(n, rnd):
     parts = jordan_partition(m).parts
     assert sum(parts) == n
     assert all(a >= b for a, b in zip(parts, parts[1:]))
-    # conjugate-partition identity against the rank sequence
-    from nilrig.exactlin import matrix_rank
+    # conjugate-partition identity against ranks from the sparse reducer
     power = m
     ranks = [n]
     while True:
-        r = matrix_rank(power)
-        ranks.append(r)
-        if r == 0:
+        red = RowReducer(n)
+        for row in power.rows_map().values():
+            red.add(row)
+        ranks.append(red.rank)
+        if red.rank == 0:
             break
-        power = power @ m
+        power = matmul(power, m)
     for k in range(1, len(ranks)):
         assert sum(1 for p in parts if p >= k) == ranks[k - 1] - ranks[k]
 
@@ -282,7 +287,8 @@ def test_charseq_invariant_under_basis_change():
         want = characteristic_sequence(g).parts
         for _ in range(20):
             f = random_invertible(g.dim, rng, -2, 2)
-            assert characteristic_sequence(basis_change(g, f)).parts == want
+            cs = characteristic_sequence(basis_change(g, f))
+            assert cs.parts == want and cs.certified
 
 
 def test_charseq_leading_part_is_nilindex_on_families():
@@ -290,6 +296,65 @@ def test_charseq_leading_part_is_nilindex_on_families():
               families.g_k3k2k1(2, 1, 1), families.rigid_2step("g7"),
               families.rigid_3step_7()):
         assert characteristic_sequence(g).parts[0] == nilindex(g)
+
+
+#: the free 3-step algebra on two generators: rank (ad x)^2 <= 1 for every
+#: x while dim g^2 = 2, so no candidate meets the bounds
+FREE_3STEP_2GEN = LieAlgebra(5, {(0, 1): (0, 0, 1, 0, 0), (0, 2): (0, 0, 0, 1, 0),
+                                 (1, 2): (0, 0, 0, 0, 1)})
+
+
+def charseq_corpus():
+    """Model algebras whose characteristic sequence the rank bounds prove."""
+    return ([families.heisenberg(p) for p in (1, 2, 3, 4)]
+            + [families.g_p1(p) for p in (2, 3, 5, 9)]
+            + [families.g_p12(p) for p in (2, 3, 4)]
+            + [families.rigid_2step(name) for name in ("g6", "g7", "g8", "g9", "h6", "h8", "h10")]
+            + [families.g_k3k2k1(*k) for k in ((1, 0, 2), (1, 0, 3), (2, 1, 1))]
+            + [families.g_p01(2), families.g_p01(3), families.rigid_3step_7()]
+            + families.classification_F731())
+
+
+def test_charseq_uncertified_on_free_3step():
+    cs = characteristic_sequence(FREE_3STEP_2GEN)
+    assert cs.parts == (3, 1, 1) and not cs.certified
+    assert lower_central_series(FREE_3STEP_2GEN).dims[2] == 2
+
+
+def test_charseq_certified_by_combination_on_h3_plus_h3():
+    g = direct_sum(families.heisenberg(1), families.heisenberg(1))
+    # every basis vector has ad-rank 1, below the bound n - dim z - 1 = 2
+    assert all(_ad_ranks(g.bracket_table(), {i: Q(1)}, 6)[0] <= 1 for i in range(6))
+    cs = characteristic_sequence(g)
+    assert cs.parts == (2, 2, 1, 1) and cs.certified
+
+
+def test_charseq_certified_and_ranks_match_dense_oracle_on_corpus():
+    rng = rng_for(DEFAULT_SEED)
+    for g in charseq_corpus():
+        n = g.dim
+        cs = characteristic_sequence(g)
+        assert cs.certified
+        xs = [e(n, i) for i in range(n)]
+        xs += [tuple(Q(rng.randint(-3, 3)) for _ in range(n)) for _ in range(2)]
+        for x in xs:
+            m = ad_matrix(g, x)
+            assert _ad_ranks(g.bracket_table(), {i: c for i, c in enumerate(x) if c}, n) \
+                == power_ranks(m)
+            assert jordan_partition(m).parts <= cs.parts
+
+
+def test_charseq_mark_does_not_affect_equality_or_order():
+    assert CharSeq((2, 1), certified=True) == CharSeq((2, 1))
+    assert not CharSeq((2, 1), certified=True) < CharSeq((2, 1))
+
+
+def test_is_p_step():
+    assert not is_p_step(LieAlgebra(2, {(0, 1): (0, 1)}), 1)  # [X1, X2] = X2
+    assert not is_p_step(LieAlgebra(2, {(0, 1): (0, 1)}), 2)
+    assert is_p_step(families.heisenberg(1), 2)
+    assert not is_p_step(families.heisenberg(1), 3)
+    assert is_p_step(families.rigid_3step_7(), 3)
 
 
 def test_charseq_validation():
@@ -347,7 +412,8 @@ def test_basis_change_preserves_charseq_on_h5():
     h5 = families.heisenberg(2)
     for _ in range(20):
         f = random_invertible(5, rng, -2, 2)
-        assert characteristic_sequence(basis_change(h5, f)).parts == (2, 1, 1, 1)
+        cs = characteristic_sequence(basis_change(h5, f))
+        assert cs.parts == (2, 1, 1, 1) and cs.certified
 
 
 def test_direct_sum():
