@@ -14,13 +14,11 @@ from .liealg import (
     SubspaceChain,
     abelian,
     basis_change,
-    bracket,
     center_dim,
     characteristic_sequence,
     derivation_algebra_dim,
     derived_dim,
     direct_sum,
-    is_lie,
     is_p_step,
     jacobi_defect,
     lower_central_series,

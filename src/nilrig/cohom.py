@@ -704,7 +704,7 @@ def _zero_condition(name: str, defect) -> tuple[str, bool, tuple[int, ...] | Non
 def check_linear_deformation_2step(g: LieAlgebra, phi: Cochain) -> DeformationCheck:
     """mu + t*phi stays a 2-step-or-less Lie bracket for every scalar t
     iff both recorded conditions vanish identically."""
-    _require_two_step(g)
+    _validate_kind(g, ComplexKind.CH)
     conditions = (
         _zero_condition("ch_cocycle", ch_delta2(g, phi)),
         _zero_condition("quadratic", comp1(phi, phi)),
@@ -724,7 +724,7 @@ def _mixed_defect(g: LieAlgebra, phi) -> MultiMap:
 
 def check_linear_deformation_3step(g: LieAlgebra, phi: Cochain) -> DeformationCheck:
     """The five graded pieces of the 3-step deformation conditions."""
-    _require_three_step(g)
+    _validate_kind(g, ComplexKind.CR)
     conditions = (
         _zero_condition("chevalley_cocycle", chevalley_delta2(g, phi)),
         _zero_condition("jacobiator_square", bullet_square(phi)),
@@ -737,7 +737,7 @@ def check_linear_deformation_3step(g: LieAlgebra, phi: Cochain) -> DeformationCh
 
 def is_attached(g: LieAlgebra, phi) -> bool:
     """mu o1 phi o1 phi + phi o1 phi o1 mu + phi o1 mu o1 phi = 0."""
-    _require_three_step(g)
+    _validate_kind(g, ComplexKind.CR)
     return _mixed_defect(g, phi).is_zero()
 
 

@@ -77,10 +77,6 @@ def vec_is_zero(v: Sequence[Q]) -> bool:
     return all(x == 0 for x in v)
 
 
-def dense_of(d: Mapping[int, Q], n: int) -> tuple[Q, ...]:
-    return tuple(Q(d.get(i, QZERO)) for i in range(n))
-
-
 # ---------------------------------------------------------------------------
 # sparse rational matrices
 
@@ -104,30 +100,11 @@ class RationalMatrix:
                 clean[(r, c)] = v
         self.entries = clean
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "RationalMatrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if rows else 0
-        entries = {}
-        for r, row in enumerate(rows):
-            if len(row) != ncols:
-                raise ValueError("ragged rows")
-            for c, v in enumerate(row):
-                entries[(r, c)] = v
-        return cls(nrows, ncols, entries)
-
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls(n, n, {(i, i): QONE for i in range(n)})
-
     def rows_map(self) -> dict[int, dict[int, Q]]:
         out: dict[int, dict[int, Q]] = {}
         for (r, c), v in self.entries.items():
             out.setdefault(r, {})[c] = v
         return out
-
-    def column(self, c: int) -> dict[int, Q]:
-        return {r: v for (r, cc), v in self.entries.items() if cc == c}
 
     def matvec(self, v: Sequence[Q]) -> tuple[Q, ...]:
         if len(v) != self.ncols:

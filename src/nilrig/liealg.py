@@ -18,9 +18,7 @@ from .exactlin import (
     RationalMatrix,
     RowReducer,
     as_rational,
-    dense_of,
     invert,
-    vec_is_zero,
     vzero,
 )
 
@@ -51,15 +49,6 @@ class LieAlgebra:
         self.constants = clean
         self._table: dict[tuple[int, int], dict[int, Q]] | None = None
         self._double: dict[tuple[int, int, int], dict[int, Q]] | None = None
-
-    def bracket_basis(self, i: int, j: int) -> tuple[Q, ...]:
-        """[X_i, X_j] as a dense coordinate vector."""
-        if i == j:
-            return vzero(self.dim)
-        if i < j:
-            return self.constants.get((i, j), vzero(self.dim))
-        vec = self.constants.get((j, i))
-        return vzero(self.dim) if vec is None else tuple(-x for x in vec)
 
     def bracket_table(self) -> dict[tuple[int, int], dict[int, Q]]:
         """Sparse [X_i, X_j] for all ordered pairs with nonzero bracket."""
@@ -115,52 +104,18 @@ class CharSeq:
         if any(a < b for a, b in zip(self.parts, self.parts[1:])):
             raise ValueError("partition parts must be non-increasing")
 
-    @property
-    def total(self) -> int:
-        return sum(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
 
 @dataclass(frozen=True)
 class SubspaceChain:
-    """Descending chain of subspaces with canonical (RREF) bases."""
+    """Descending chain of subspaces with canonical bases: the sparse RREF
+    rows of each term, in pivot-column order."""
 
     dims: tuple[int, ...]
-    bases: tuple[tuple[tuple[Q, ...], ...], ...]
+    bases: tuple[tuple[dict[int, Q], ...], ...]
 
 
 # ---------------------------------------------------------------------------
 # bracket and validity
-
-def bracket(g: LieAlgebra, x: Sequence[Q], y: Sequence[Q]) -> tuple[Q, ...]:
-    """[x, y] for arbitrary coordinate vectors; bilinear and skew."""
-    if len(x) != g.dim or len(y) != g.dim:
-        raise ValueError("vector length mismatch")
-    acc = [QZERO] * g.dim
-    for (i, j), vec in g.constants.items():
-        coef = Q(x[i]) * Q(y[j]) - Q(x[j]) * Q(y[i])
-        if coef != 0:
-            for k, v in enumerate(vec):
-                if v != 0:
-                    acc[k] += coef * v
-    return tuple(acc)
-
-
-def bracket_vec_basis(g: LieAlgebra, v: Sequence[Q], k: int) -> tuple[Q, ...]:
-    """[v, X_k] for a coordinate vector v and basis index k."""
-    table = g.bracket_table()
-    acc = [QZERO] * g.dim
-    for s, c in enumerate(v):
-        if c == 0:
-            continue
-        row = table.get((s, k))
-        if row:
-            for m, w in row.items():
-                acc[m] += c * w
-    return tuple(acc)
-
 
 def _bracket_sparse(table, vec: Mapping[int, Q], k: int) -> dict[int, Q]:
     """[v, X_k] for a sparse coordinate vector v, nonzero entries only."""
@@ -175,6 +130,16 @@ def _bracket_sparse(table, vec: Mapping[int, Q], k: int) -> dict[int, Q]:
                 else:
                     acc[m] = x
     return acc
+
+
+def _lincomb(terms) -> dict[int, Q]:
+    """Sum of c * vec over the (c, vec) pairs of sparse vectors, nonzero
+    entries only."""
+    acc: dict[int, Q] = {}
+    for c, vec in terms:
+        for m, w in vec.items():
+            acc[m] = acc.get(m, QZERO) + c * w
+    return {m: x for m, x in acc.items() if x}
 
 
 def jacobi_defect(g: LieAlgebra) -> list[tuple[int, int, int]]:
@@ -201,10 +166,6 @@ def jacobi_defect(g: LieAlgebra) -> list[tuple[int, int, int]]:
     return sorted(key for key, acc in jac.items() if any(acc.values()))
 
 
-def is_lie(g: LieAlgebra) -> bool:
-    return not jacobi_defect(g)
-
-
 def two_step_defect(g: LieAlgebra) -> list[tuple[int, int, int]]:
     """Basis tuples (i, j, k) with [[X_i, X_j], X_k] != 0."""
     return list(g.double_brackets())
@@ -225,9 +186,27 @@ def three_step_defect(g: LieAlgebra) -> list[tuple[int, int, int, int]]:
 # ---------------------------------------------------------------------------
 # central series, nilpotency, characteristic sequence
 
-def _basis_rows(red: RowReducer, n: int) -> tuple[tuple[Q, ...], ...]:
-    pivots = red.pivots
-    return tuple(dense_of(pivots[c], n) for c in red.pivot_cols())
+def _images(n: int, push) -> list[list[dict[int, Q]]]:
+    """Sparse RREF bases, in pivot-column order, of V_1, V_2, ...: V_0 is
+    Q^n and V_k is spanned by push(v) for the basis rows v of V_(k-1).
+
+    Stops after a zero image, or after one whose dimension repeats the
+    previous one (the chain has stabilized at a nonzero subspace).
+    """
+    images: list[list[dict[int, Q]]] = []
+    rows: list[dict[int, Q]] = [{j: QONE} for j in range(n)]
+    while rows:
+        red = RowReducer(n)
+        for v in rows:
+            for w in push(v):
+                red.add(w)
+        pivots = red.pivots
+        image = [pivots[c] for c in red.pivot_cols()]
+        images.append(image)
+        if len(image) == len(rows):
+            break
+        rows = image
+    return images
 
 
 def lower_central_series(g: LieAlgebra) -> SubspaceChain:
@@ -237,24 +216,11 @@ def lower_central_series(g: LieAlgebra) -> SubspaceChain:
     stabilizes at a nonzero ideal (non-nilpotent input).
     """
     n = g.dim
-    dims = [n]
-    ident = tuple(tuple(QZERO if i != j else Q(1) for j in range(n)) for i in range(n))
-    bases: list[tuple[tuple[Q, ...], ...]] = [ident]
-    current = ident
-    while dims[-1]:
-        red = RowReducer(n)
-        for v in current:
-            for k in range(n):
-                w = bracket_vec_basis(g, v, k)
-                if not vec_is_zero(w):
-                    red.add({i: x for i, x in enumerate(w) if x != 0})
-        nxt = _basis_rows(red, n)
-        dims.append(red.rank)
-        bases.append(nxt)
-        if red.rank == dims[-2]:
-            break
-        current = nxt
-    return SubspaceChain(tuple(dims), tuple(bases))
+    table = g.bracket_table()
+    bases = [tuple({j: QONE} for j in range(n))]
+    bases += [tuple(image) for image in _images(
+        n, lambda v: (_bracket_sparse(table, v, k) for k in range(n)))]
+    return SubspaceChain(tuple(len(b) for b in bases), tuple(bases))
 
 
 def nilindex(g: LieAlgebra) -> int:
@@ -275,22 +241,11 @@ def _ad_ranks(table, x: Mapping[int, Q], n: int) -> list[int]:
     """[rank (ad x)^1, rank (ad x)^2, ..., 0]; g must be nilpotent.
 
     The image of (ad x)^k is ad x applied to the image of (ad x)^(k-1),
-    so each power pushes only the previous pivot rows through ad x.
+    so each power pushes only the previous basis rows through ad x.
     """
     cols = [_bracket_sparse(table, x, j) for j in range(n)]  # [x, X_j]
-    ranks: list[int] = []
-    image: list[Mapping[int, Q]] = [{j: QONE} for j in range(n)]
-    while image:
-        red = RowReducer(n)
-        for v in image:
-            acc: dict[int, Q] = {}
-            for j, c in v.items():
-                for m, w in cols[j].items():
-                    acc[m] = acc.get(m, QZERO) + c * w
-            red.add(acc)
-        ranks.append(red.rank)
-        image = list(red.pivots.values())
-    return ranks
+    return [len(image) for image in _images(
+        n, lambda v: (_lincomb((c, cols[j]) for j, c in v.items()),))]
 
 
 def _jordan_type(ranks: Sequence[int], n: int) -> tuple[int, ...]:
@@ -327,7 +282,7 @@ def characteristic_sequence(g: LieAlgebra) -> CharSeq:
     bounds[0] = min(bounds[0], n - center_dim(g) - 1)
     derived = RowReducer(n)
     for v in chain.bases[1]:
-        derived.add({i: x for i, x in enumerate(v) if x != 0})
+        derived.add(v)
     table = g.bracket_table()
     best: tuple[int, ...] = ()
     for x in _charseq_candidates(n, derived):
@@ -388,23 +343,37 @@ def derivation_algebra_dim(g: LieAlgebra) -> int:
 
 
 def basis_change(g: LieAlgebra, f: RationalMatrix) -> LieAlgebra:
-    """Transport of structure: (f·μ)(x, y) = f^(-1) μ(f x, f y)."""
-    if f.nrows != g.dim or f.ncols != g.dim:
+    """Transport of structure: (f·μ)(x, y) = f^(-1) μ(f x, f y).
+
+    With f X_j = sum_b f_bj X_b, [f X_i, f X_j] = sum_b f_bj [f X_i, X_b],
+    and each [f X_i, X_b] is one sparse bracket of column i of f.  f^(-1)
+    is applied through its sparse columns.
+    """
+    n = g.dim
+    if f.nrows != n or f.ncols != n:
         raise ValueError("basis change matrix has wrong shape")
     try:
         finv = invert(f)
     except ValueError:
         raise ValueError("singular basis change matrix") from None
-    cols = [dense_of(f.column(j), g.dim) for j in range(g.dim)]
+    cols, inv_cols = _columns(f), _columns(finv)
+    table = g.bracket_table()
     constants = {}
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            v = bracket(g, cols[i], cols[j])
-            if not vec_is_zero(v):
-                w = finv.matvec(v)
-                if not vec_is_zero(w):
-                    constants[(i, j)] = w
-    return LieAlgebra(g.dim, constants)
+    for i in range(n):
+        left = [_bracket_sparse(table, cols[i], b) for b in range(n)]  # [f X_i, X_b]
+        for j in range(i + 1, n):
+            v = _lincomb((c, left[b]) for b, c in cols[j].items())
+            w = _lincomb((c, inv_cols[m]) for m, c in v.items())
+            if w:
+                constants[(i, j)] = tuple(w.get(m, QZERO) for m in range(n))
+    return LieAlgebra(n, constants)
+
+
+def _columns(m: RationalMatrix) -> list[dict[int, Q]]:
+    cols: list[dict[int, Q]] = [{} for _ in range(m.ncols)]
+    for (r, c), v in m.entries.items():
+        cols[c][r] = v
+    return cols
 
 
 def direct_sum(g1: LieAlgebra, g2: LieAlgebra) -> LieAlgebra:

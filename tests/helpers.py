@@ -12,7 +12,56 @@ from itertools import product
 
 from nilrig.cohom import Cochain, CochainIndex, MultiMap, ch_delta2, chevalley_delta1, chevalley_delta2, r_delta2
 from nilrig.exactlin import RationalMatrix, vadd, vec_is_zero, vscale
-from nilrig.liealg import CharSeq, bracket, bracket_vec_basis
+from nilrig.liealg import CharSeq, LieAlgebra
+
+
+def bracket_basis(g, i: int, j: int) -> tuple[Q, ...]:
+    """[X_i, X_j] as a dense vector, read from the stored i < j constants."""
+    zero = (Q(0),) * g.dim
+    if i < j:
+        return g.constants.get((i, j), zero)
+    vec = g.constants.get((j, i))
+    return zero if vec is None else tuple(-x for x in vec)
+
+
+def bracket(g, x, y) -> tuple[Q, ...]:
+    """[x, y] for dense coordinate vectors, expanded over the stored pairs."""
+    if len(x) != g.dim or len(y) != g.dim:
+        raise ValueError("vector length mismatch")
+    acc = [Q(0)] * g.dim
+    for (i, j), vec in g.constants.items():
+        coef = Q(x[i]) * Q(y[j]) - Q(x[j]) * Q(y[i])
+        if coef != 0:
+            for k, v in enumerate(vec):
+                acc[k] += coef * v
+    return tuple(acc)
+
+
+def bracket_vec_basis(g, v, k: int) -> tuple[Q, ...]:
+    """[v, X_k] for a dense coordinate vector v and basis index k."""
+    acc = [Q(0)] * g.dim
+    for s, c in enumerate(v):
+        if c:
+            acc = [a + c * w for a, w in zip(acc, bracket_basis(g, s, k))]
+    return tuple(acc)
+
+
+def dense_basis_change(g, f: RationalMatrix):
+    """f^(-1) [f X_i, f X_j] with dense columns of f and a dense inverse
+    read off the RREF of [f | I]."""
+    n = g.dim
+    rows = [row + [Q(int(c == r)) for c in range(n)] for r, row in enumerate(dense_rows(f))]
+    rref = dense_rref(rows)
+    inv = [[rref[r].get(n + c, Q(0)) for c in range(n)] for r in range(n)]
+    cols = list(zip(*dense_rows(f)))
+    constants = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = bracket(g, cols[i], cols[j])
+            w = tuple(sum((a * b for a, b in zip(row, v)), Q(0)) for row in inv)
+            if any(w):
+                constants[(i, j)] = w
+    return LieAlgebra(n, constants)
 
 
 def dense_rref(rows: list[list[Q]]) -> dict[int, dict[int, Q]]:
@@ -203,11 +252,11 @@ def brute_jacobi_defect(g) -> list[tuple[int, int, int]]:
     bad = []
     for i in range(n):
         for j in range(i + 1, n):
-            bij = g.bracket_basis(i, j)
+            bij = bracket_basis(g, i, j)
             for k in range(j + 1, n):
                 terms = (bracket_vec_basis(g, bij, k),
-                         bracket_vec_basis(g, g.bracket_basis(j, k), i),
-                         bracket_vec_basis(g, g.bracket_basis(k, i), j))
+                         bracket_vec_basis(g, bracket_basis(g, j, k), i),
+                         bracket_vec_basis(g, bracket_basis(g, k, i), j))
                 if any(sum(col) != 0 for col in zip(*terms)):
                     bad.append((i, j, k))
     return bad

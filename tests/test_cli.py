@@ -297,6 +297,19 @@ def test_deform_zero_passes(tmp_path, capsys):
     assert code == 0 and doc["passes_all"] is True
 
 
+def test_deform_non_lie_base_exits_1(tmp_path, capsys):
+    # Jacobi fails at (X1, X2, X3) while every triple bracket vanishes, so
+    # only the Jacobi check rejects this base
+    base = tmp_path / "base.json"
+    write_doc(base, {"dim": 5, "brackets": [{"i": 1, "j": 2, "v": {"4": "1"}},
+                                            {"i": 3, "j": 4, "v": {"5": "-1"}}]})
+    phi = tmp_path / "phi.json"
+    write_doc(phi, {"dim": 5, "brackets": []})
+    code, doc, err = run(capsys, "deform", str(base), str(phi), "--steps", "3")
+    assert code == 1 and doc is None
+    assert err.splitlines() == ["error: not a Lie algebra: Jacobi fails at (X1,X2,X3)"]
+
+
 def test_deform_dim_mismatch(tmp_path, capsys):
     base = tmp_path / "base.json"
     write_algebra(families.g_p1(2), str(base))

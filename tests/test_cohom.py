@@ -37,7 +37,14 @@ from nilrig.cohom import (
     JORDAN_V,
 )
 from nilrig.exactlin import RationalMatrix, RowReducer, vadd, vscale, vzero
-from nilrig.liealg import LieAlgebra, abelian, basis_change, derivation_algebra_dim, jacobi_defect
+from nilrig.liealg import (
+    LieAlgebra,
+    abelian,
+    basis_change,
+    derivation_algebra_dim,
+    jacobi_defect,
+    three_step_defect,
+)
 from nilrig.sampling import (
     random_commutative_associative,
     random_endomorphism,
@@ -46,7 +53,15 @@ from nilrig.sampling import (
     rng_for,
 )
 
-from helpers import basis_cochains, brute_b2, brute_comp1, brute_z2, operator_rows
+from helpers import (
+    basis_cochains,
+    bracket_basis,
+    bracket_vec_basis,
+    brute_b2,
+    brute_comp1,
+    brute_z2,
+    operator_rows,
+)
 
 
 def e(n, i):
@@ -213,7 +228,6 @@ def test_comp1_definition():
     mu = mu_map(g)
     mm = comp1(mu, mu)
     # (mu o1 mu)(x,y,z) = [[x,y],z]
-    from nilrig.liealg import bracket_vec_basis
     for (i, j) in g.pairs():
         vec = g.constants[(i, j)]
         for k in range(g.dim):
@@ -278,7 +292,7 @@ def test_degree2_operators_match_dense_compositions_on_basis(g):
     reference composes with brute_comp1 and a bracket map built from
     `bracket_basis`, and sums values densely."""
     n = g.dim
-    mu = MultiMap(2, n, {(i, j): g.bracket_basis(i, j) for i in range(n) for j in range(n)})
+    mu = MultiMap(2, n, {(i, j): bracket_basis(g, i, j) for i in range(n) for j in range(n)})
     mumu = brute_comp1(mu, mu)
     for phi in basis_cochains(n):
         assert chevalley_delta2(g, phi) == _dense_cyclic_sum(
@@ -721,6 +735,19 @@ def test_deformation_3step_zero_passes():
     g = families.g_p01(2)
     chk = check_linear_deformation_3step(g, Cochain.zero(2, 7))
     assert chk.passes_all and chk.failed() == []
+
+
+def test_deformation_checks_reject_non_lie_base():
+    # [X1,X2] = X4, [X3,X4] = -X5: Jacobi fails at (X1,X2,X3), while every
+    # triple bracket vanishes
+    g = LieAlgebra(5, {(0, 1): (0, 0, 0, 1, 0), (2, 3): (0, 0, 0, 0, -1)})
+    assert three_step_defect(g) == []
+    zero = Cochain.zero(2, 5)
+    for check in (check_linear_deformation_2step, check_linear_deformation_3step,
+                  is_attached):
+        with pytest.raises(ValueError, match=re.escape(
+                "not a Lie algebra: Jacobi fails at (X1,X2,X3)")):
+            check(g, zero)
 
 
 # --- attached multiplications --------------------------------------------------------

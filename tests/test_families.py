@@ -20,6 +20,8 @@ from nilrig.liealg import (
 )
 from nilrig.sampling import rng_for
 
+from helpers import bracket_vec_basis
+
 
 def e(n, i):
     return tuple(Q(1) if k == i else Q(0) for k in range(n))
@@ -229,7 +231,6 @@ def test_deformed_2step_c2_center_contains_x2p():
     params = families.FamilyParams("C2", p=p, coeffs=t.random_coeffs(rng))
     g = families.deformed_2step("g_p12", params)
     # X_{2p} central: brackets never involve it as an argument
-    from nilrig.liealg import bracket_vec_basis
     x = e(2 * p, 2 * p - 1)
     for k in range(2 * p):
         assert all(v == 0 for v in bracket_vec_basis(g, x, k))

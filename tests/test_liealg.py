@@ -12,10 +12,9 @@ from nilrig.liealg import (
     CharSeq,
     LieAlgebra,
     _ad_ranks,
+    _bracket_sparse,
     abelian,
     basis_change,
-    bracket,
-    bracket_vec_basis,
     center_dim,
     characteristic_sequence,
     derivation_algebra_dim,
@@ -28,13 +27,17 @@ from nilrig.liealg import (
     three_step_defect,
     two_step_defect,
 )
-from nilrig.sampling import random_invertible, random_nilpotent, rng_for
+from nilrig.sampling import random_invertible, random_nilpotent, random_unipotent, rng_for
 
 from helpers import (
     ad_matrix,
+    bracket_basis,
+    bracket_vec_basis,
     brute_jacobi_defect,
     brute_three_step_defect,
     brute_two_step_defect,
+    dense_basis_change,
+    dense_rref,
     jacobiator,
     jordan_partition,
     matmul,
@@ -50,25 +53,27 @@ def e(n, i):
 # --- bracket -----------------------------------------------------------------
 
 def test_heisenberg_bracket():
-    h3 = families.heisenberg(1)
-    assert bracket(h3, e(3, 0), e(3, 1)) == e(3, 2)
-    assert bracket(h3, e(3, 1), e(3, 0)) == tuple(-x for x in e(3, 2))
+    table = families.heisenberg(1).bracket_table()
+    assert _bracket_sparse(table, {0: Q(1)}, 1) == {2: Q(1)}
+    assert _bracket_sparse(table, {1: Q(1)}, 0) == {2: Q(-1)}
 
 
 def test_bracket_skew_on_diagonal():
-    g = families.g_p1(2)
-    x = (Q(1), Q(2), Q(-1), Q(0), Q(3))
-    assert all(v == 0 for v in bracket(g, x, x))
+    table = families.g_p1(2).bracket_table()
+    assert all(table[(j, i)] == {m: -w for m, w in sp.items()} and i != j
+               for (i, j), sp in table.items())
+    x = {0: Q(1), 1: Q(2), 2: Q(-1), 4: Q(3)}
+    # [x, x] = sum_k x_k [x, X_k]
+    acc = {}
+    for k, c in x.items():
+        for m, w in _bracket_sparse(table, x, k).items():
+            acc[m] = acc.get(m, Q(0)) + c * w
+    assert not any(acc.values())
 
 
 def test_g21_bracket():
-    g = families.g_p1(2)
-    assert bracket(g, e(5, 0), e(5, 3)) == e(5, 4)  # [X1, X4] = X5
-
-
-def test_bracket_length_mismatch():
-    with pytest.raises(ValueError):
-        bracket(families.heisenberg(1), (1, 0), (0, 1, 0))
+    table = families.g_p1(2).bracket_table()
+    assert _bracket_sparse(table, {0: Q(1)}, 3) == {4: Q(1)}  # [X1, X4] = X5
 
 
 # --- Jacobi ------------------------------------------------------------------
@@ -115,7 +120,7 @@ def check_double_bracket_defects(g):
     assert two_step_defect(g) == brute_two_step_defect(g)
     assert three_step_defect(g) == brute_three_step_defect(g)
     for (i, j, k), w in g.double_brackets().items():
-        dense = bracket_vec_basis(g, g.bracket_basis(i, j), k)
+        dense = bracket_vec_basis(g, bracket_basis(g, i, j), k)
         assert w == {m: x for m, x in enumerate(dense) if x != 0}
 
 
@@ -178,13 +183,41 @@ def test_lcs_rigid7():
     assert chain.dims == (7, 4, 2, 0)
     # oracle: spans computed densely and independently
     g = families.rigid_3step_7()
-    layer1 = [list(v) for v in chain.bases[1]]
+    layer1 = [[v.get(c, Q(0)) for c in range(7)] for v in chain.bases[1]]
     assert span_dim(layer1) == 4
     # g^1 = span{X3, X4, X6, X7}
     expect = [[Q(0)] * 7 for _ in range(4)]
     for r, c in enumerate((2, 3, 5, 6)):
         expect[r][c] = Q(1)
     assert span_dim(layer1 + expect) == 4
+
+
+def check_lcs_against_dense_rref(g):
+    """Every sparse basis of the series is the RREF of the dense brackets
+    [v, X_k] of the previous basis rows v."""
+    n = g.dim
+    chain = lower_central_series(g)
+    assert chain.bases[0] == tuple({i: Q(1)} for i in range(n))
+    assert chain.dims == tuple(len(b) for b in chain.bases)
+    for prev, basis in zip(chain.bases, chain.bases[1:]):
+        rows = [list(bracket_vec_basis(g, [v.get(c, Q(0)) for c in range(n)], k))
+                for v in prev for k in range(n)]
+        expected = dense_rref(rows)
+        assert list(basis) == [expected[c] for c in sorted(expected)]
+    return chain.dims
+
+
+def test_lcs_matches_dense_rref_on_random_nilpotent():
+    rng = rng_for(41)
+    for _ in range(50):
+        dims = check_lcs_against_dense_rref(random_nilpotent(rng))
+        assert dims[-1] == 0 and all(a > b for a, b in zip(dims, dims[1:]))
+
+
+def test_lcs_matches_dense_rref_on_non_nilpotent():
+    # [X1,X2] = X3, [X1,X3] = -X2: g^1 = span{X2, X3} = [g^1, g]
+    g = LieAlgebra(3, {(0, 1): (0, 0, 1), (0, 2): (0, -1, 0)})
+    assert check_lcs_against_dense_rref(g) == (3, 2, 2)
 
 
 def test_nilindex_values():
@@ -241,7 +274,7 @@ def test_jordan_partition_g21():
 
 def test_jordan_partition_rejects_non_nilpotent():
     with pytest.raises(ValueError, match="not nilpotent"):
-        jordan_partition(RationalMatrix.identity(3))
+        jordan_partition(RationalMatrix(3, 3, {(i, i): 1 for i in range(3)}))
 
 
 @given(st.integers(2, 5), st.randoms(use_true_random=False))
@@ -384,7 +417,7 @@ def test_derivation_dims():
 
 def test_basis_change_identity():
     g = families.g_p1(2)
-    assert basis_change(g, RationalMatrix.identity(5)) == g
+    assert basis_change(g, RationalMatrix(5, 5, {(i, i): 1 for i in range(5)})) == g
 
 
 def test_basis_change_scaling_realizes_linear_deformation():
@@ -405,6 +438,39 @@ def test_basis_change_scaling_realizes_linear_deformation():
 def test_basis_change_requires_invertible():
     with pytest.raises(ValueError, match="singular"):
         basis_change(families.heisenberg(1), RationalMatrix(3, 3))
+    with pytest.raises(ValueError, match="wrong shape"):
+        basis_change(families.heisenberg(1), RationalMatrix(2, 2, {(0, 0): 1, (1, 1): 1}))
+
+
+def rational_invertible(n, rng):
+    """An invertible matrix with entries p/q, |p| <= 3, 1 <= q <= 4."""
+    while True:
+        f = RationalMatrix(n, n, {(i, j): Q(rng.randint(-3, 3), rng.randint(1, 4))
+                                  for i in range(n) for j in range(n)})
+        if dense_rref([[f.entries.get((i, j), 0) for j in range(n)]
+                       for i in range(n)]).keys() == set(range(n)):
+            return f
+
+
+#: a skew bracket that fails the Jacobi identity; transport of structure
+#: is defined for any skew bilinear map
+SKEW_NON_LIE = LieAlgebra(4, {(0, 1): (0, 0, 1, 0), (0, 2): (0, 1, 0, "1/2"),
+                              (1, 3): (2, 0, 0, -1), (2, 3): (0, 0, 1, 0)})
+
+
+@pytest.mark.parametrize("g", [families.heisenberg(2), families.rigid_3step_7(),
+                               families.g_p01(2), FILIFORM5, SKEW_NON_LIE],
+                         ids=["heisenberg(2)", "rigid7", "g_p01(2)", "filiform5", "skew"])
+def test_basis_change_matches_dense_oracle(g):
+    assert bool(jacobi_defect(g)) == (g is SKEW_NON_LIE)
+    rng = rng_for(11)
+    n = g.dim
+    fs = ([random_invertible(n, rng, -2, 2) for _ in range(3)]
+          + [random_unipotent(n, rng, extra=n) for _ in range(3)]
+          + [rational_invertible(n, rng) for _ in range(3)])
+    assert any(v.denominator > 1 for f in fs for v in f.entries.values())
+    for f in fs:
+        assert basis_change(g, f) == dense_basis_change(g, f)
 
 
 def test_basis_change_preserves_charseq_on_h5():
