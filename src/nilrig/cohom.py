@@ -25,7 +25,9 @@ from operator import itemgetter
 from math import lcm
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .exactlin import Q, QZERO, QONE, RowReducer, as_rational, vadd, vec_is_zero, vscale, vzero
+from . import liealg
+from .exactlin import (Q, QZERO, QONE, RationalMatrix, RowReducer, as_rational, invert, vadd,
+                       vec_is_zero, vscale, vzero)
 from .liealg import LieAlgebra, jacobi_defect, three_step_defect, two_step_defect
 
 
@@ -635,18 +637,28 @@ def space_dims(g: LieAlgebra, kind, *, with_representatives: bool = False,
                progress: Callable[[int, int, float], None] | None = None) -> CohomologyReport:
     """Exact Z^2/B^2/H^2 dimensions of the requested complex.
 
-    B^2 is contained in Z^2 for every legal input; this is re-verified on
-    each call, so h2 = z2 - b2 is the actual quotient dimension.
+    The dimensions do not depend on the basis, so they are computed on
+    h = basis_change(g, f) for the basis f adapted to the lower central
+    series (`liealg.adapted_basis`), where the structure constants are
+    sparse; representatives are returned in the basis of g.  B^2 is
+    contained in Z^2 for every legal input; this is re-verified on each
+    call, so h2 = z2 - b2 is the actual quotient dimension.
     """
     kind = ComplexKind.coerce(kind)
-    _validate_kind(g, kind)
-    idx = CochainIndex(g.dim)
+    f = liealg.adapted_basis(g)
+    h = g if f is None else liealg.basis_change(g, f)
+    try:
+        _validate_kind(h, kind)
+    except ValueError:
+        _validate_kind(g, kind)  # the error names a witness in the basis of g
+        raise
+    idx = CochainIndex(h.dim)
     red = RowReducer(idx.size, progress=progress)
-    for row in _z_rows(g, kind):
+    for row in _z_rows(h, kind):
         red.add(row)
     z2 = idx.size - red.rank
     bred = RowReducer(idx.size)
-    images = coboundary_image_vectors(g)
+    images = coboundary_image_vectors(h)
     for vec in images:
         bred.add(vec)
         if not red.in_kernel(vec):
@@ -655,8 +667,18 @@ def space_dims(g: LieAlgebra, kind, *, with_representatives: bool = False,
     h2 = z2 - b2
     reps = None
     if with_representatives:
-        reps = tuple(idx.to_cochain(vec) for vec in red.kernel_basis_sparse())
+        kernel = red.kernel_basis_sparse()
+        reps = (tuple(map(idx.to_cochain, kernel)) if f is None
+                else _transport_back(idx, kernel, f))
     return CohomologyReport(kind, z2, b2, h2, h2 == 0, reps)
+
+
+def _transport_back(idx: CochainIndex, kernel, f: RationalMatrix) -> tuple[Cochain, ...]:
+    """The cochains phi(x, y) = f phi'(f^-1 x, f^-1 y) of g, for the flat
+    vectors of cochains phi' of basis_change(g, f)."""
+    n, finv = idx.dim, invert(f)
+    return tuple(Cochain(2, n, liealg.transported(
+        LieAlgebra(n, idx.to_cochain(vec).coeffs).bracket_table(), n, finv, f)) for vec in kernel)
 
 
 def ch_kernel_contained_in_chevalley(g: LieAlgebra) -> bool:

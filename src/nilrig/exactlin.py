@@ -328,6 +328,29 @@ def invert(m: RationalMatrix) -> RationalMatrix:
     return RationalMatrix(n, n, entries)
 
 
+def iterated_images(n: int, push) -> list[list[dict[int, Q]]]:
+    """Sparse RREF bases, in pivot-column order, of V_1, V_2, ...: V_0 is
+    Q^n and V_k is spanned by push(v) for the basis rows v of V_(k-1).
+
+    Stops after a zero image, or after one whose dimension repeats the
+    previous one (the chain has stabilized at a nonzero subspace).
+    """
+    images: list[list[dict[int, Q]]] = []
+    rows: list[dict[int, Q]] = [{j: QONE} for j in range(n)]
+    while rows:
+        red = RowReducer(n)
+        for v in rows:
+            for w in push(v):
+                red.add(w)
+        pivots = red.pivots
+        image = [pivots[c] for c in red.pivot_cols()]
+        images.append(image)
+        if len(image) == len(rows):
+            break
+        rows = image
+    return images
+
+
 # ---------------------------------------------------------------------------
 # truncated power series
 

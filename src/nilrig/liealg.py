@@ -19,6 +19,7 @@ from .exactlin import (
     RowReducer,
     as_rational,
     invert,
+    iterated_images,
     vzero,
 )
 
@@ -186,29 +187,6 @@ def three_step_defect(g: LieAlgebra) -> list[tuple[int, int, int, int]]:
 # ---------------------------------------------------------------------------
 # central series, nilpotency, characteristic sequence
 
-def _images(n: int, push) -> list[list[dict[int, Q]]]:
-    """Sparse RREF bases, in pivot-column order, of V_1, V_2, ...: V_0 is
-    Q^n and V_k is spanned by push(v) for the basis rows v of V_(k-1).
-
-    Stops after a zero image, or after one whose dimension repeats the
-    previous one (the chain has stabilized at a nonzero subspace).
-    """
-    images: list[list[dict[int, Q]]] = []
-    rows: list[dict[int, Q]] = [{j: QONE} for j in range(n)]
-    while rows:
-        red = RowReducer(n)
-        for v in rows:
-            for w in push(v):
-                red.add(w)
-        pivots = red.pivots
-        image = [pivots[c] for c in red.pivot_cols()]
-        images.append(image)
-        if len(image) == len(rows):
-            break
-        rows = image
-    return images
-
-
 def lower_central_series(g: LieAlgebra) -> SubspaceChain:
     """Chain g = g^0 ⊇ g^1 ⊇ ... with g^k = [g^(k-1), g].
 
@@ -218,7 +196,7 @@ def lower_central_series(g: LieAlgebra) -> SubspaceChain:
     n = g.dim
     table = g.bracket_table()
     bases = [tuple({j: QONE} for j in range(n))]
-    bases += [tuple(image) for image in _images(
+    bases += [tuple(image) for image in iterated_images(
         n, lambda v: (_bracket_sparse(table, v, k) for k in range(n)))]
     return SubspaceChain(tuple(len(b) for b in bases), tuple(bases))
 
@@ -244,7 +222,7 @@ def _ad_ranks(table, x: Mapping[int, Q], n: int) -> list[int]:
     so each power pushes only the previous basis rows through ad x.
     """
     cols = [_bracket_sparse(table, x, j) for j in range(n)]  # [x, X_j]
-    return [len(image) for image in _images(
+    return [len(image) for image in iterated_images(
         n, lambda v: (_lincomb((c, cols[j]) for j, c in v.items()),))]
 
 
@@ -343,12 +321,7 @@ def derivation_algebra_dim(g: LieAlgebra) -> int:
 
 
 def basis_change(g: LieAlgebra, f: RationalMatrix) -> LieAlgebra:
-    """Transport of structure: (f·μ)(x, y) = f^(-1) μ(f x, f y).
-
-    With f X_j = sum_b f_bj X_b, [f X_i, f X_j] = sum_b f_bj [f X_i, X_b],
-    and each [f X_i, X_b] is one sparse bracket of column i of f.  f^(-1)
-    is applied through its sparse columns.
-    """
+    """Transport of structure: (f·μ)(x, y) = f^(-1) μ(f x, f y)."""
     n = g.dim
     if f.nrows != n or f.ncols != n:
         raise ValueError("basis change matrix has wrong shape")
@@ -356,17 +329,55 @@ def basis_change(g: LieAlgebra, f: RationalMatrix) -> LieAlgebra:
         finv = invert(f)
     except ValueError:
         raise ValueError("singular basis change matrix") from None
+    return LieAlgebra(n, transported(g.bracket_table(), n, f, finv))
+
+
+def transported(table, n: int, f: RationalMatrix,
+                finv: RationalMatrix) -> dict[tuple[int, int], tuple[Q, ...]]:
+    """Constants, on pairs i < j, of (x, y) |-> finv β(f x, f y) for the
+    skew bilinear map β whose sparse values on ordered basis pairs are
+    `table` (laid out like `bracket_table`).
+
+    With f X_j = sum_b f_bj X_b, β(f X_i, f X_j) = sum_b f_bj β(f X_i, X_b),
+    and each β(f X_i, X_b) is one sparse bracket of column i of f.  finv
+    is applied through its sparse columns.
+    """
     cols, inv_cols = _columns(f), _columns(finv)
-    table = g.bracket_table()
     constants = {}
     for i in range(n):
-        left = [_bracket_sparse(table, cols[i], b) for b in range(n)]  # [f X_i, X_b]
+        left = [_bracket_sparse(table, cols[i], b) for b in range(n)]  # β(f X_i, X_b)
         for j in range(i + 1, n):
             v = _lincomb((c, left[b]) for b, c in cols[j].items())
             w = _lincomb((c, inv_cols[m]) for m, c in v.items())
             if w:
                 constants[(i, j)] = tuple(w.get(m, QZERO) for m in range(n))
-    return LieAlgebra(n, constants)
+    return constants
+
+
+def adapted_basis(g: LieAlgebra) -> RationalMatrix | None:
+    """A basis f adapted to the lower central series: for every k, the
+    last dim g^k columns of f span g^k.  None when the given basis is
+    already adapted up to order, i.e. every RREF basis row of every g^k
+    is a unit vector.
+
+    If U ⊂ W, every RREF pivot column of U is one of W, so the basis rows
+    of g^k whose pivot is no pivot of g^(k+1) span a complement of
+    g^(k+1); these rows, from g down, are the columns of f.  When every
+    [X_i, X_j] is a multiple of one X_m, every g^k is spanned by basis
+    vectors, and the series is not computed.  A series that stops at a
+    nonzero ideal gives a shorter flag.
+    """
+    if all(len(sp) == 1 for sp in g.bracket_table().values()):
+        return None
+    bases = lower_central_series(g).bases
+    if all(len(v) == 1 for basis in bases for v in basis):
+        return None
+    cols = []
+    for basis, deeper in zip(bases, bases[1:] + ((),)):
+        pivots = {min(v) for v in deeper}
+        cols += [v for v in basis if min(v) not in pivots]
+    return RationalMatrix(g.dim, g.dim, {(r, c): x for c, v in enumerate(cols)
+                                         for r, x in v.items()})
 
 
 def _columns(m: RationalMatrix) -> list[dict[int, Q]]:

@@ -89,29 +89,8 @@ def dense_rref(rows: list[list[Q]]) -> dict[int, dict[int, Q]]:
 
 
 def dense_rank(rows: list[list[Q]]) -> int:
-    """Plain dense forward elimination over Fractions: the rank is the
-    number of pivots of a row echelon form, so rows above a pivot are
-    left as they are."""
-    rows = [list(map(Q, r)) for r in rows if any(x != 0 for x in r)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    pr = 0
-    for c in range(ncols):
-        piv = next((r for r in range(pr, len(rows)) if rows[r][c] != 0), None)
-        if piv is None:
-            continue
-        rows[pr], rows[piv] = rows[piv], rows[pr]
-        pv = rows[pr][c]
-        rows[pr] = [x / pv for x in rows[pr]]
-        for r in range(pr + 1, len(rows)):
-            if rows[r][c] != 0:
-                f = rows[r][c]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[pr])]
-        pr += 1
-        if pr == len(rows):
-            break
-    return pr
+    """Number of pivots of the dense Gauss-Jordan table of `rows`."""
+    return len(dense_rref(rows))
 
 
 def dense_rows(m: RationalMatrix) -> list[list[Q]]:
@@ -292,28 +271,8 @@ def brute_three_step_defect(g) -> list[tuple[int, int, int, int]]:
 def jacobiator(g, i: int, j: int, k: int) -> tuple[Q, ...]:
     """Direct expansion of [[x,y],z] + [[y,z],x] + [[z,x],y] reading the
     structure constants straight from the table."""
-    n = g.dim
-
-    def bb(a, b):
-        if a == b:
-            return [Q(0)] * n
-        if a < b:
-            vec = g.constants.get((a, b))
-            return list(vec) if vec else [Q(0)] * n
-        vec = g.constants.get((b, a))
-        return [-x for x in vec] if vec else [Q(0)] * n
-
-    def b_vec(v, c):
-        out = [Q(0)] * n
-        for s, x in enumerate(v):
-            if x:
-                w = bb(s, c)
-                for m in range(n):
-                    out[m] += x * w[m]
-        return out
-
-    total = [Q(0)] * n
+    total = [Q(0)] * g.dim
     for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-        term = b_vec(bb(a, b), c)
+        term = bracket_vec_basis(g, bracket_basis(g, a, b), c)
         total = [p + q for p, q in zip(total, term)]
     return tuple(total)

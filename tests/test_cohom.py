@@ -41,9 +41,10 @@ from nilrig.liealg import (
     LieAlgebra,
     abelian,
     basis_change,
+    adapted_basis,
     derivation_algebra_dim,
-    jacobi_defect,
     three_step_defect,
+    two_step_defect,
 )
 from nilrig.sampling import (
     random_commutative_associative,
@@ -72,6 +73,11 @@ def rescaled(g, *diag):
     """`g` in the basis diag(d_1, ..., d_n) X_k: rational structure constants."""
     n = len(diag)
     return basis_change(g, RationalMatrix(n, n, {(k, k): Q(d) for k, d in enumerate(diag)}))
+
+
+def moved(g, seed):
+    """`g` after a random dense basis change: most constants nonzero."""
+    return basis_change(g, random_invertible(g.dim, rng_for(seed), -2, 2))
 
 
 def single(n, pair, vec_idx, c=1):
@@ -280,7 +286,8 @@ def _dense_sum(arity, n, *maps):
                                for k in keys})
 
 
-DENSE_K3K2K1 = basis_change(families.g_k3k2k1(1, 0, 2), random_invertible(5, rng_for(3), -2, 2))
+DENSE_K3K2K1 = moved(families.g_k3k2k1(1, 0, 2), 3)
+DENSE_P12 = moved(families.g_p12(2), 37)
 
 
 @pytest.mark.parametrize("g", [families.g_p01(2), families.rigid_3step_7(), DENSE_K3K2K1],
@@ -459,6 +466,12 @@ def test_r2_and_chevalley_rows_match_operators(maker):
     pytest.param(lambda: rescaled(families.g_p12(2), 1, 1, 2, 1), "ch", id="g_p12(2)-diag-ch"),
     pytest.param(lambda: rescaled(families.g_p12(2), 1, 1, 2, 1), "chevalley",
                  id="g_p12(2)-diag-chevalley"),
+    # dense basis changes: space_dims moves these to an adapted basis, the
+    # oracle works in the given one
+    pytest.param(lambda: DENSE_K3K2K1, "cr", id="g_k3k2k1(1,0,2)-dense-cr"),
+    pytest.param(lambda: DENSE_P12, "ch", id="g_p12(2)-dense-ch"),
+    pytest.param(lambda: DENSE_P12, "chevalley", id="g_p12(2)-dense-chevalley"),
+    pytest.param(lambda: moved(families.heisenberg(2), 41), "ch", id="heisenberg(2)-dense-ch"),
 ])
 def test_space_dims_against_brute_force(maker, kind):
     g = maker()
@@ -497,6 +510,45 @@ def test_representatives_are_cocycles_spanning_z2():
         assert ch_delta2(g, c).is_zero()
         red.add(idx.to_flat(c))
     assert red.rank == r.z2_dim
+
+
+@pytest.mark.parametrize("g,kind", [(DENSE_K3K2K1, "cr"), (DENSE_P12, "ch")],
+                         ids=["g_k3k2k1(1,0,2)-dense-cr", "g_p12(2)-dense-ch"])
+def test_transported_representatives_are_cocycles_in_given_basis(g, kind):
+    """space_dims computes in an adapted basis; the representatives it
+    returns are independent cocycles of g in the basis g was given in."""
+    assert adapted_basis(g) is not None
+    r = space_dims(g, kind, with_representatives=True)
+    assert len(r.representatives) == r.z2_dim
+    idx = CochainIndex(g.dim)
+    red = RowReducer(idx.size)
+    for c in r.representatives:
+        if kind == "cr":
+            assert chevalley_delta2(g, c).is_zero() and r_delta2(g, c).is_zero()
+        else:
+            assert ch_delta2(g, c).is_zero()
+        red.add(idx.to_flat(c))
+    assert red.rank == r.z2_dim
+
+
+FILIFORM5 = LieAlgebra(5, {(0, 1): e(5, 2), (0, 2): e(5, 3), (0, 3): e(5, 4)})
+
+
+@pytest.mark.parametrize("kind", ["cr", "ch"])
+def test_step_error_names_a_witness_in_the_given_basis(kind):
+    """Validity does not depend on the basis, but the witness does: the
+    error names the first defect tuple of the algebra as given."""
+    for seed in range(20):
+        g = moved(FILIFORM5, seed)
+        if kind == "cr":
+            i, j, k, l = three_step_defect(g)[0]
+            text = f"not 3-step: [[[X{i + 1},X{j + 1}],X{k + 1}],X{l + 1}] != 0"
+        else:
+            i, j, k = two_step_defect(g)[0]
+            text = f"not 2-step: [[X{i + 1},X{j + 1}],X{k + 1}] != 0"
+        with pytest.raises(ValueError) as err:
+            space_dims(g, kind)
+        assert str(err.value) == text
 
 
 def _matrix_unit(n, a, b):

@@ -4,12 +4,7 @@ from fractions import Fraction as Q
 import pytest
 
 from nilrig import families
-from nilrig.cohom import (
-    Cochain,
-    ch_delta2,
-    check_linear_deformation_2step,
-    deformed_bracket,
-)
+from nilrig.cohom import ch_delta2, check_linear_deformation_2step
 from nilrig.liealg import (
     center_dim,
     characteristic_sequence,

@@ -14,6 +14,7 @@ from nilrig.liealg import (
     _ad_ranks,
     _bracket_sparse,
     abelian,
+    adapted_basis,
     basis_change,
     center_dim,
     characteristic_sequence,
@@ -37,6 +38,7 @@ from helpers import (
     brute_three_step_defect,
     brute_two_step_defect,
     dense_basis_change,
+    dense_rows,
     dense_rref,
     jacobiator,
     jordan_partition,
@@ -480,6 +482,51 @@ def test_basis_change_preserves_charseq_on_h5():
         f = random_invertible(5, rng, -2, 2)
         cs = characteristic_sequence(basis_change(h5, f))
         assert cs.parts == (2, 1, 1, 1) and cs.certified
+
+
+# --- adapted basis -------------------------------------------------------------
+
+def diagonal(*diag):
+    n = len(diag)
+    return RationalMatrix(n, n, {(k, k): Q(d) for k, d in enumerate(diag)})
+
+
+def test_adapted_basis_none_on_model_bases():
+    models = [g for g in charseq_corpus() if g.dim <= 10]
+    models += [abelian(0), abelian(4), FILIFORM5, families.g_p01(5), families.g_p1(9)]
+    # the diagonal rescalings of the space_dims oracle cases
+    models += [basis_change(families.g_k3k2k1(1, 0, 2), diagonal(1, 1, 2, 3, 1)),
+               basis_change(families.heisenberg(2), diagonal(1, 1, 1, 1, 2)),
+               basis_change(families.g_p12(2), diagonal(1, 1, 2, 1))]
+    for g in models:
+        assert adapted_basis(g) is None
+
+
+AFFINE_LINE = LieAlgebra(2, {(0, 1): (0, 1)})  # [X1, X2] = X2: not nilpotent
+
+
+@pytest.mark.parametrize("g", [families.heisenberg(2), families.g_k3k2k1(1, 0, 2),
+                               families.g_p12(2), families.rigid_3step_7(), FILIFORM5,
+                               direct_sum(AFFINE_LINE, families.heisenberg(1))],
+                         ids=["heisenberg(2)", "g_k3k2k1(1,0,2)", "g_p12(2)", "rigid7",
+                              "filiform5", "affine+h3"])
+def test_adapted_basis_spans_lower_central_series(g):
+    """On dense basis changes f is invertible and, for each k, its last
+    dim g^k columns lie in g^k, hence span it."""
+    rng = rng_for(19)
+    n = g.dim
+    for _ in range(4):
+        h = basis_change(g, random_invertible(n, rng, -2, 2))
+        f = adapted_basis(h)
+        assert f is not None
+        assert dense_rref(dense_rows(f)).keys() == set(range(n))
+        cols = [{r: v for (r, c), v in f.entries.items() if c == k} for k in range(n)]
+        chain = lower_central_series(h)
+        for dim, basis in zip(chain.dims, chain.bases):
+            red = RowReducer(n)
+            for v in basis:
+                red.add(v)
+            assert all(not red.residual(col) for col in cols[n - dim:])
 
 
 def test_direct_sum():
