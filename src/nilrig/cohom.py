@@ -154,11 +154,14 @@ def mu_map(g: LieAlgebra) -> MultiMap:
 
 def _accumulate(acc: dict, key: tuple[int, ...], coef, vec: Sequence[Q]) -> None:
     # acc[key] += coef * vec, touching only the nonzero entries of vec; a
-    # coef of 1 or -1 adds or subtracts without a product
+    # coef of 1 or -1 adds or subtracts without a product, and the first
+    # contribution to a key is stored as it is
     row = acc.get(key)
     if row is None:
-        row = acc[key] = [QZERO] * len(vec)
-    if coef == 1:
+        acc[key] = (list(vec) if coef == 1
+                    else [-x if x else x for x in vec] if coef == -1
+                    else [coef * x if x else x for x in vec])
+    elif coef == 1:
         for m, x in enumerate(vec):
             if x:
                 row[m] += x
@@ -492,9 +495,12 @@ def t_operator_rows(g: LieAlgebra) -> Iterator[dict[int, int]]:
     each L times a row of T (L as in `_IntegerMu`)."""
     idx = CochainIndex(g.dim)
     mu = _IntegerMu(g)
+    # the k with [x, X_k] != 0 for some x; any other k gives a row only
+    # when [X_i, X_j] != 0
+    right = [k for k in range(g.dim) if mu.images[(k,)]]
     for (i, j) in idx.pairs:
         cij = mu.table.get((i, j), {})
-        for k in range(g.dim):
+        for k in range(g.dim) if cij else right:
             # [phi(X_i, X_j), X_k] + phi([X_i, X_j], X_k)
             yield from _term_rows(idx, ((1, {i: 1}, j, mu.images[(k,)]),
                                         (1, cij, k, mu.images[()])))
@@ -527,11 +533,17 @@ def r2_rows(g: LieAlgebra) -> Iterator[dict[int, int]]:
     mu = _IntegerMu(g)
     images = mu.images
     n = g.dim
+    # the tuples where a term can be nonzero: every l when w != 0; else the
+    # l with [[x, X_k], X_l] != 0 for some x, joined when [X_i, X_j] != 0
+    # by the l with [x, X_l] != 0 for some x
+    chain = [[l for l in range(n) if images[(k, l)]] for k in range(n)]
+    chain_or_right = [[l for l in range(n) if images[(k, l)] or images[(l,)]]
+                      for k in range(n)]
     for (i, j) in idx.pairs:
         cij = mu.table.get((i, j), {})
         for k in range(n):
             w = mu.double.get((i, j, k), {})
-            for l in range(n):
+            for l in range(n) if w else chain_or_right[k] if cij else chain[k]:
                 # [[phi(X_i,X_j),X_k],X_l] + [phi([X_i,X_j],X_k),X_l]
                 #   + phi([[X_i,X_j],X_k],X_l)
                 yield from _term_rows(idx, ((1, {i: 1}, j, images[(k, l)]),

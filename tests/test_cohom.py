@@ -38,6 +38,7 @@ from nilrig.cohom import (
 )
 from nilrig.exactlin import RationalMatrix, RowReducer, vadd, vscale, vzero
 from nilrig.liealg import (
+    DEFAULT_SEED,
     LieAlgebra,
     abelian,
     basis_change,
@@ -403,6 +404,8 @@ def _pivots(rows, dim: int) -> dict:
     lambda: families.rigid_2step("h6"),
     pytest.param(lambda: rescaled(families.heisenberg(2), 1, 1, 1, 1, 2), id="heisenberg(2)-diag"),
     pytest.param(lambda: rescaled(families.g_p12(2), 1, 1, 2, 1), id="g_p12(2)-diag"),
+    pytest.param(lambda: families.g_p1(3), id="g_p1(3)"),
+    pytest.param(lambda: families.rigid_2step("g8"), id="g8"),
 ])
 def test_t_rows_match_operator(maker):
     g = maker()
@@ -423,6 +426,13 @@ def test_t_rows_match_operator(maker):
     lambda: families.rigid_3step_7(),
     pytest.param(lambda: rescaled(families.g_k3k2k1(1, 0, 2), 1, 1, 2, 3, 1),
                  id="g_k3k2k1(1,0,2)-diag"),
+    pytest.param(lambda: families.g_p01(2), id="g_p01(2)"),
+    pytest.param(lambda: families.classification_F731()[6], id="F731[6]"),
+    # a dense basis, not moved to an adapted one: almost every chain of
+    # right brackets is nonzero, so the generators skip almost no tuple
+    pytest.param(lambda: basis_change(families.g_k3k2k1(1, 0, 2),
+                                      random_invertible(5, rng_for(DEFAULT_SEED), -2, 2)),
+                 id="g_k3k2k1(1,0,2)-dense"),
 ])
 def test_r2_and_chevalley_rows_match_operators(maker):
     g = maker()
@@ -487,6 +497,17 @@ def test_space_dims_abelian_ch():
     r = space_dims(abelian(n), "ch")
     assert r.z2_dim == n * n * (n - 1) // 2
     assert r.b2_dim == 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_abelian_has_no_z_rows(n):
+    # every bracket is zero, so the generators skip every index tuple
+    g = abelian(n)
+    for gen in (chevalley2_rows, t_operator_rows, r2_rows):
+        assert list(gen(g)) == []
+    for kind in ("chevalley", "ch", "cr"):
+        r = space_dims(g, kind)
+        assert (r.z2_dim, r.b2_dim, r.h2_dim) == (n * n * (n - 1) // 2, 0, n * n * (n - 1) // 2)
 
 
 def test_space_dims_kind_errors():
