@@ -78,7 +78,7 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _parse_entries(path: str, doc: dict) -> tuple[int, dict[tuple[int, int], tuple[Q, ...]]]:
+def _parse_entries(path: str, doc: dict) -> tuple[int, dict[tuple[int, int], dict[int, Q]]]:
     if not isinstance(doc, dict) or "dim" not in doc:
         raise CliError(f"{path}: document must be an object with a 'dim' field")
     dim = doc["dim"]
@@ -87,7 +87,7 @@ def _parse_entries(path: str, doc: dict) -> tuple[int, dict[tuple[int, int], tup
     brackets = doc.get("brackets", [])
     if not isinstance(brackets, list):
         raise CliError(f"{path}: 'brackets' must be a list")
-    entries: dict[tuple[int, int], tuple[Q, ...]] = {}
+    entries: dict[tuple[int, int], dict[int, Q]] = {}
     for pos, row in enumerate(brackets):
         where = f"{path}: brackets[{pos}]"
         if not (isinstance(row, dict) and _is_int(row.get("i")) and _is_int(row.get("j"))):
@@ -102,7 +102,7 @@ def _parse_entries(path: str, doc: dict) -> tuple[int, dict[tuple[int, int], tup
         images = row.get("v", {})
         if not isinstance(images, dict):
             raise CliError(f"{where}: 'v' must be an object")
-        vec = [Q(0)] * dim
+        vec = {}
         for key, val in images.items():
             # canonical keys only: "03", "+3" or " 3" would alias "3"
             if not (key.isascii() and key.isdigit() and str(int(key)) == key):
@@ -111,11 +111,11 @@ def _parse_entries(path: str, doc: dict) -> tuple[int, dict[tuple[int, int], tup
             if not 1 <= k <= dim:
                 raise CliError(f"{where}: image index {k} out of range")
             try:
-                vec[k - 1] += as_rational(val)
+                vec[k - 1] = as_rational(val)
             except (TypeError, ValueError):
                 raise CliError(f"{where}: bad rational {val!r}; write a string "
                                f"\"p/q\" or an integer") from None
-        entries[(i - 1, j - 1)] = tuple(vec)
+        entries[(i - 1, j - 1)] = vec
     return dim, entries
 
 
@@ -132,9 +132,7 @@ def parse_cochain(path: str) -> Cochain:
 def _entries_doc(dim: int, constants) -> dict:
     brackets = []
     for (i, j) in sorted(constants):
-        vec = constants[(i, j)]
-        v = {str(k + 1): format_rational(x)
-             for k, x in sorted(enumerate(vec)) if x != 0}
+        v = {str(k + 1): format_rational(x) for k, x in sorted(constants[(i, j)].items())}
         brackets.append({"i": i + 1, "j": j + 1, "v": v})
     return {"dim": dim, "basis": [f"X{k + 1}" for k in range(dim)],
             "brackets": brackets}

@@ -14,6 +14,11 @@ In every case the degree-2 coboundary space is the image of the common
 degree-1 operator  f |-> [f x, y] + [x, f y] - f [x, y].  Dimensions are
 exact; H^2 is reported as dim Z^2 - dim B^2 after verifying the
 containment B^2 in Z^2.
+
+A cochain's value on a basis tuple is a sparse dict {coordinate:
+Fraction} of its nonzero entries, the layout of `LieAlgebra.constants`;
+the bracket enters the concrete operators as its table
+(`LieAlgebra.bracket_table`).
 """
 
 from __future__ import annotations
@@ -26,8 +31,8 @@ from math import lcm
 from typing import Callable, Iterator, Mapping, Sequence
 
 from . import liealg
-from .exactlin import (Q, QZERO, QONE, RationalMatrix, RowReducer, as_rational, invert, vadd,
-                       vec_is_zero, vscale, vzero)
+from .exactlin import (Q, QZERO, QONE, RationalMatrix, RowReducer, as_rational,
+                       as_sparse_vector, invert)
 from .liealg import LieAlgebra, jacobi_defect, three_step_defect, two_step_defect
 
 
@@ -47,21 +52,21 @@ def _perm_sign(idx: Sequence[int]) -> int:
 class _Multilinear:
     """Storage shared by Cochain and MultiMap: the nonzero values of a
     k-linear map on basis index tuples, each key checked by the
-    subclass's `_check`.  A `Fraction` entry is stored as given; any
-    other entry goes through `as_rational`."""
+    subclass's `_check` and each value by `as_sparse_vector` (a
+    `Fraction` entry is stored as given)."""
 
     __slots__ = ("arity", "dim", "coeffs")
 
     def __init__(self, arity: int, dim: int,
-                 coeffs: Mapping[tuple[int, ...], Sequence] | None = None):
+                 coeffs: Mapping[tuple[int, ...], Mapping[int, object]] | None = None):
         self.arity = arity
         self.dim = dim
-        clean: dict[tuple[int, ...], tuple[Q, ...]] = {}
+        clean: dict[tuple[int, ...], dict[int, Q]] = {}
         for idx, vec in (coeffs or {}).items():
             idx = tuple(idx)
-            self._check(idx, vec)
-            v = tuple(x if isinstance(x, Q) else as_rational(x) for x in vec)
-            if any(v):
+            self._check(idx)
+            v = as_sparse_vector(vec, dim)
+            if v:
                 clean[idx] = v
         self.coeffs = clean
 
@@ -72,7 +77,7 @@ class _Multilinear:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def first_nonzero(self) -> tuple[tuple[int, ...], tuple[Q, ...]] | None:
+    def first_nonzero(self) -> tuple[tuple[int, ...], dict[int, Q]] | None:
         if not self.coeffs:
             return None
         key = min(self.coeffs)
@@ -103,27 +108,25 @@ class Cochain(_Multilinear):
             raise ValueError("arity must be positive")
         super().__init__(arity, dim, coeffs)
 
-    def _check(self, idx: tuple[int, ...], vec: Sequence) -> None:
+    def _check(self, idx: tuple[int, ...]) -> None:
         if len(idx) != self.arity:
             raise ValueError(f"index tuple {idx} has wrong arity")
         if any(not 0 <= i < self.dim for i in idx):
             raise ValueError(f"index tuple {idx} out of range")
         if any(a >= b for a, b in zip(idx, idx[1:])):
             raise ValueError(f"index tuple {idx} must be strictly increasing")
-        if len(vec) != self.dim:
-            raise ValueError("coefficient vector has wrong length")
 
-    def value(self, idx: Sequence[int]) -> tuple[Q, ...]:
+    def value(self, idx: Sequence[int]) -> dict[int, Q]:
+        """The value on the basis tuple `idx`, {} for zero; a stored value
+        is returned as it is, so callers never mutate it."""
         idx = tuple(idx)
         if len(idx) != self.arity:
             raise ValueError("wrong number of arguments")
-        if len(set(idx)) != len(idx):
-            return vzero(self.dim)
-        key = tuple(sorted(idx))
-        vec = self.coeffs.get(key)
+        # no stored key repeats an index, so repeated arguments give {}
+        vec = self.coeffs.get(tuple(sorted(idx)))
         if vec is None:
-            return vzero(self.dim)
-        return vec if _perm_sign(idx) == 1 else tuple(-x for x in vec)
+            return {}
+        return vec if _perm_sign(idx) == 1 else {m: -x for m, x in vec.items()}
 
 
 class MultiMap(_Multilinear):
@@ -131,48 +134,36 @@ class MultiMap(_Multilinear):
 
     __slots__ = ()
 
-    def _check(self, idx: tuple[int, ...], vec: Sequence) -> None:
+    def _check(self, idx: tuple[int, ...]) -> None:
         if len(idx) != self.arity or any(not 0 <= i < self.dim for i in idx):
             raise ValueError(f"bad index tuple {idx}")
 
-    def value(self, idx: Sequence[int]) -> tuple[Q, ...]:
+    def value(self, idx: Sequence[int]) -> dict[int, Q]:
+        """The value on the basis tuple `idx`, {} for zero (see Cochain.value)."""
         idx = tuple(idx)
         if len(idx) != self.arity:
             raise ValueError("wrong number of arguments")
-        return self.coeffs.get(idx, vzero(self.dim))
+        return self.coeffs.get(idx, {})
 
 
 def mu_map(g: LieAlgebra) -> MultiMap:
-    """The bracket of `g` as an arity-2 MultiMap (all ordered pairs)."""
-    coeffs: dict[tuple[int, ...], tuple[Q, ...]] = {}
-    for (i, j), vec in g.constants.items():
-        coeffs[(i, j)] = vec
-        # a zero entry is kept as it is: -x would build a new Fraction
-        coeffs[(j, i)] = tuple(-x if x else x for x in vec)
-    return MultiMap(2, g.dim, coeffs)
+    """The bracket of `g` as an arity-2 MultiMap: its bracket table."""
+    return MultiMap(2, g.dim, g.bracket_table())
 
 
-def _accumulate(acc: dict, key: tuple[int, ...], coef, vec: Sequence[Q]) -> None:
-    # acc[key] += coef * vec, touching only the nonzero entries of vec; a
-    # coef of 1 or -1 adds or subtracts without a product, and the first
-    # contribution to a key is stored as it is
+def _accumulate(acc: dict, key: tuple[int, ...], coef, vec: Mapping[int, Q]) -> None:
+    # acc[key] += coef * vec; a coef of 1 or -1 needs no product, and a
+    # coordinate's first contribution is stored as it is
+    if coef != 1:
+        vec = ({m: -x for m, x in vec.items()} if coef == -1
+               else {m: coef * x for m, x in vec.items()})
     row = acc.get(key)
     if row is None:
-        acc[key] = (list(vec) if coef == 1
-                    else [-x if x else x for x in vec] if coef == -1
-                    else [coef * x if x else x for x in vec])
-    elif coef == 1:
-        for m, x in enumerate(vec):
-            if x:
-                row[m] += x
-    elif coef == -1:
-        for m, x in enumerate(vec):
-            if x:
-                row[m] -= x
-    else:
-        for m, x in enumerate(vec):
-            if x:
-                row[m] += coef * x
+        acc[key] = dict(vec) if coef == 1 else vec
+        return
+    for m, x in vec.items():
+        y = row.get(m)
+        row[m] = x if y is None else y + x
 
 
 def mm_combine(*terms: tuple[Q, MultiMap]) -> MultiMap:
@@ -181,7 +172,7 @@ def mm_combine(*terms: tuple[Q, MultiMap]) -> MultiMap:
         raise ValueError("nothing to combine")
     arity = terms[0][1].arity
     dim = terms[0][1].dim
-    acc: dict[tuple[int, ...], list[Q]] = {}
+    acc: dict[tuple[int, ...], dict[int, Q]] = {}
     for coef, mm in terms:
         if mm.arity != arity or mm.dim != dim:
             raise ValueError("shape mismatch")
@@ -193,13 +184,13 @@ def mm_combine(*terms: tuple[Q, MultiMap]) -> MultiMap:
     return MultiMap(arity, dim, acc)
 
 
-def _ordered_values(m) -> Iterator[tuple[tuple[int, ...], tuple[Q, ...]]]:
+def _ordered_values(m) -> Iterator[tuple[tuple[int, ...], dict[int, Q]]]:
     # every nonzero value of m; a Cochain gives each ordering of a stored key
     if isinstance(m, MultiMap):
         yield from m.coeffs.items()
         return
     for key, vec in m.coeffs.items():
-        neg = tuple(-x if x else x for x in vec)
+        neg = {c: -x for c, x in vec.items()}
         for idx in permutations(key):
             yield idx, vec if _perm_sign(idx) == 1 else neg
 
@@ -217,19 +208,18 @@ def comp1(f, h, slot: int = 0) -> MultiMap:
         raise ValueError("dimension mismatch")
     if not 0 <= slot < f.arity:
         raise ValueError("slot out of range")
-    by_slot: dict[int, list[tuple[tuple[int, ...], tuple[int, ...], tuple[Q, ...]]]] = {}
+    by_slot: dict[int, list[tuple[tuple[int, ...], tuple[int, ...], dict[int, Q]]]] = {}
     for idx, vec in _ordered_values(f):
         by_slot.setdefault(idx[slot], []).append((idx[:slot], idx[slot + 1:], vec))
-    acc: dict[tuple[int, ...], list[Q]] = {}
+    acc: dict[tuple[int, ...], dict[int, Q]] = {}
     for mid, hv in _ordered_values(h):
-        for s, c in enumerate(hv):
-            if c:
-                for before, after, fv in by_slot.get(s, ()):
-                    _accumulate(acc, before + mid + after, c, fv)
+        for s, c in hv.items():
+            for before, after, fv in by_slot.get(s, ()):
+                _accumulate(acc, before + mid + after, c, fv)
     return MultiMap(f.arity + h.arity - 1, f.dim, acc)
 
 
-def _placements(terms) -> Iterator[tuple[tuple[int, ...], Q, tuple[Q, ...]]]:
+def _placements(terms) -> Iterator[tuple[tuple[int, ...], Q, dict[int, Q]]]:
     """(t, coef, m(u)) for each (coef, perm, m) in `terms` and each nonzero
     value m(u), where the argument tuple t has t[perm[r]] = u[r].  Every
     perm places at least two arguments, so `pick` returns a tuple."""
@@ -242,7 +232,7 @@ def _placements(terms) -> Iterator[tuple[tuple[int, ...], Q, tuple[Q, ...]]]:
 def _skew_sum(arity: int, dim: int, terms) -> Cochain:
     """The Cochain whose value on i_1 < .. < i_k is the sum over the
     (coef, perm, m) in `terms` of coef * m(X_{i_perm[0]}, .., X_{i_perm[k-1]})."""
-    acc: dict[tuple[int, ...], list[Q]] = {}
+    acc: dict[tuple[int, ...], dict[int, Q]] = {}
     for t, coef, vec in _placements(terms):
         if all(a < b for a, b in zip(t, t[1:])):
             _accumulate(acc, t, coef, vec)
@@ -257,8 +247,8 @@ _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 # coboundary operators (concrete form)
 #
 # Each operator is a signed sum of partial compositions (comp1 at some
-# slot) with mu = mu_map(g), the only way this route reads the bracket,
-# with arguments placed by _placements.
+# slot) with mu = mu_map(g), the bracket table and the only way this route
+# reads the bracket, with arguments placed by _placements.
 
 def chevalley_delta1(g: LieAlgebra, f: Cochain) -> Cochain:
     """delta f (x, y) = [f x, y] + [x, f y] - f [x, y]; kernel = derivations.
@@ -382,13 +372,9 @@ def deformed_bracket(g: LieAlgebra, phi: Cochain, t: Q = QONE) -> LieAlgebra:
     if phi.arity != 2 or phi.dim != g.dim:
         raise ValueError("expected an arity-2 cochain of matching dimension")
     t = as_rational(t)
-    constants: dict[tuple[int, int], tuple[Q, ...]] = {}
-    keys = set(g.constants) | set(phi.coeffs)
-    for key in keys:
-        vec = vadd(g.constants.get(key, vzero(g.dim)),
-                   vscale(t, phi.coeffs.get(key, vzero(g.dim))))
-        if not vec_is_zero(vec):
-            constants[key] = vec
+    constants = {key: dict(vec) for key, vec in g.constants.items()}
+    for key, vec in phi.coeffs.items():
+        _accumulate(constants, key, t, vec)
     return LieAlgebra(g.dim, constants)
 
 
@@ -411,21 +397,15 @@ class CochainIndex:
         return self.pidx[(j, i)] * self.dim + m, -1
 
     def to_flat(self, phi: Cochain) -> dict[int, Q]:
-        vec = {}
-        for (i, j), val in phi.coeffs.items():
-            base = self.pidx[(i, j)] * self.dim
-            for m, x in enumerate(val):
-                if x != 0:
-                    vec[base + m] = x
-        return vec
+        return {self.pidx[pair] * self.dim + m: x
+                for pair, val in phi.coeffs.items() for m, x in val.items()}
 
     def to_cochain(self, vec: Mapping[int, Q]) -> Cochain:
-        coeffs: dict[tuple[int, ...], list[Q]] = {}
+        coeffs: dict[tuple[int, int], dict[int, Q]] = {}
         for u, x in vec.items():
             p, m = divmod(u, self.dim)
-            pair = self.pairs[p]
-            coeffs.setdefault(pair, [QZERO] * self.dim)[m] = x
-        return Cochain(2, self.dim, {k: tuple(v) for k, v in coeffs.items()})
+            coeffs.setdefault(self.pairs[p], {})[m] = x
+        return Cochain(2, self.dim, coeffs)
 
 
 class _IntegerMu:
@@ -443,7 +423,7 @@ class _IntegerMu:
 
     def __init__(self, g: LieAlgebra):
         n = g.dim
-        scale = lcm(*(x.denominator for vec in g.constants.values() for x in vec))
+        scale = lcm(*(x.denominator for vec in g.constants.values() for x in vec.values()))
         self.table = {key: _scaled(sp, scale) for key, sp in g.bracket_table().items()}
         self.double = {key: _scaled(w, scale * scale)
                        for key, w in g.double_brackets().items()}
@@ -802,7 +782,7 @@ def apply_perm_combination(f: MultiMap, pc: PermCombination) -> MultiMap:
     """(F o Phi_v)(x_1..x_4) = sum_sigma c_sigma F(x_sigma(1), .., x_sigma(4))."""
     if f.arity != 4:
         raise ValueError("expected an arity-4 map")
-    acc: dict[tuple[int, ...], list[Q]] = {}
+    acc: dict[tuple[int, ...], dict[int, Q]] = {}
     for t, coef, vec in _placements((coef, perm, f) for perm, coef in pc.terms):
         _accumulate(acc, t, coef, vec)
     return MultiMap(4, f.dim, acc)

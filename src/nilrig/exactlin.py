@@ -17,11 +17,11 @@ converts back to `Fraction`s only in what it returns.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from time import perf_counter
-from typing import Mapping, Sequence
 
 Q = Fraction
 QZERO = Q(0)
@@ -54,27 +54,27 @@ def as_rational(x) -> Q:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
+def as_sparse_vector(vec, dim: int) -> dict[int, Q]:
+    """The exact value of one vector input {coordinate: rational}: the
+    nonzero entries, each through `as_rational`.  A value that is not a
+    mapping (a tuple or list included) raises TypeError, a coordinate
+    that is not an int in range(dim) raises ValueError."""
+    if not isinstance(vec, Mapping):
+        raise TypeError(f"vector value must be a mapping {{coordinate: rational}}, "
+                        f"got {type(vec).__name__}")
+    out = {}
+    for m, x in vec.items():
+        if type(m) is not int or not 0 <= m < dim:
+            raise ValueError(f"coordinate {m!r} outside range({dim})")
+        if not isinstance(x, Q):
+            x = as_rational(x)
+        if x:
+            out[m] = x
+    return out
+
+
 def format_rational(x) -> str:
     return str(Q(x))
-
-
-# ---------------------------------------------------------------------------
-# dense rational vectors (tuples)
-
-def vzero(n: int) -> tuple[Q, ...]:
-    return (QZERO,) * n
-
-
-def vadd(a: Sequence[Q], b: Sequence[Q]) -> tuple[Q, ...]:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vscale(c: Q, v: Sequence[Q]) -> tuple[Q, ...]:
-    return tuple(c * x for x in v)
-
-
-def vec_is_zero(v: Sequence[Q]) -> bool:
-    return all(x == 0 for x in v)
 
 
 # ---------------------------------------------------------------------------

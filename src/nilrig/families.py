@@ -7,6 +7,7 @@ labels, and converted to the 0-based internal representation here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Mapping, NamedTuple, Sequence
 
 from .cohom import Cochain, ch_delta2, deformed_bracket
@@ -18,16 +19,14 @@ def algebra_from_brackets(dim: int,
                           brackets: Mapping[tuple[int, int], Mapping[int, object]]
                           ) -> LieAlgebra:
     """Build an algebra from 1-based bracket data {(i, j): {k: coeff}}."""
-    constants: dict[tuple[int, int], tuple[Q, ...]] = {}
+    constants: dict[tuple[int, int], dict[int, object]] = {}
     for (i, j), image in brackets.items():
         if not (1 <= i < j <= dim):
             raise ValueError(f"bracket pair ({i},{j}) must satisfy 1 <= i < j <= dim")
-        vec = [QZERO] * dim
-        for k, c in image.items():
+        for k in image:
             if not 1 <= k <= dim:
                 raise ValueError(f"image index {k} out of range")
-            vec[k - 1] += as_rational(c)
-        constants[(i - 1, j - 1)] = tuple(vec)
+        constants[(i - 1, j - 1)] = {k - 1: c for k, c in image.items()}
     return LieAlgebra(dim, constants)
 
 
@@ -149,14 +148,14 @@ class CocycleTemplate:
         if unknown:
             raise ValueError(f"unknown coefficient names: {sorted(unknown)}")
         values = {name: as_rational(v) for name, v in coeffs.items()}
-        data: dict[tuple[int, ...], list[Q]] = {}
+        data: dict[tuple[int, int], dict[int, Q]] = {}
         for (i, j), terms in self.entries:
-            vec = data.setdefault((i - 1, j - 1), [QZERO] * self.dim)
+            vec = data.setdefault((i - 1, j - 1), {})
             for name, k, mult in terms:
                 c = values.get(name, QZERO)
                 if c != 0:
-                    vec[k - 1] += mult * c
-        return Cochain(2, self.dim, {key: tuple(v) for key, v in data.items()})
+                    vec[k - 1] = vec.get(k - 1, QZERO) + mult * c
+        return Cochain(2, self.dim, data)
 
     def random_coeffs(self, rng, lo: int = -3, hi: int = 3) -> dict[str, Q]:
         return {name: Q(rng.randint(lo, hi)) for name in self.free}
@@ -186,61 +185,23 @@ def _template_221(p: int) -> CocycleTemplate:
                            tuple((pair, terms) for pair, terms in entries if terms))
 
 
-def _template_z2kk(p: int) -> CocycleTemplate:
+def _template_p12(family: str, p: int) -> CocycleTemplate:
+    """Z2kk, C1 and C2 on g_p12(p): phi(X_2i, X_2j) for 2 <= i < j <= last
+    has a free coefficient on each odd X_3 .. X_{2p-1} and on X_{2p}.
+    C2 stops at last = p - 1, C1 has no X_{2p} term, and Z2kk adds
+    phi(X_1, X_{2p}) = a X_{2p}."""
     if p < 2:
         raise ValueError("p must be at least 2")
-    dim = 2 * p
-    names = ["a"]
-    entries = [((1, 2 * p), (("a", 2 * p, QONE),))]
-    for i in range(2, p + 1):
-        for j in range(i + 1, p + 1):
-            terms = []
-            for k in range(1, p):  # odd images X_3 .. X_{2p-1}
-                name = _coeff_name(2 * i, 2 * j, 2 * k + 1)
-                names.append(name)
-                terms.append((name, 2 * k + 1, QONE))
-            name = _coeff_name(2 * i, 2 * j, 2 * p)
-            names.append(name)
-            terms.append((name, 2 * p, QONE))
-            entries.append(((2 * i, 2 * j), tuple(terms)))
-    return CocycleTemplate("Z2kk", p, dim, tuple(names), tuple(entries))
-
-
-def _template_c1(p: int) -> CocycleTemplate:
-    if p < 2:
-        raise ValueError("p must be at least 2")
-    dim = 2 * p
-    names: list[str] = []
-    entries = []
-    for i in range(2, p + 1):
-        for j in range(i + 1, p + 1):
-            terms = []
-            for k in range(1, p):
-                name = _coeff_name(2 * i, 2 * j, 2 * k + 1)
-                names.append(name)
-                terms.append((name, 2 * k + 1, QONE))
-            entries.append(((2 * i, 2 * j), tuple(terms)))
-    return CocycleTemplate("C1", p, dim, tuple(names), tuple(entries))
-
-
-def _template_c2(p: int) -> CocycleTemplate:
-    if p < 2:
-        raise ValueError("p must be at least 2")
-    dim = 2 * p
-    names: list[str] = []
-    entries = []
-    for i in range(2, p):
-        for j in range(i + 1, p):
-            terms = []
-            for k in range(1, p):
-                name = _coeff_name(2 * i, 2 * j, 2 * k + 1)
-                names.append(name)
-                terms.append((name, 2 * k + 1, QONE))
-            name = _coeff_name(2 * i, 2 * j, 2 * p)
-            names.append(name)
-            terms.append((name, 2 * p, QONE))
-            entries.append(((2 * i, 2 * j), tuple(terms)))
-    return CocycleTemplate("C2", p, dim, tuple(names), tuple(entries))
+    last = p - 1 if family == "C2" else p
+    images = [2 * k + 1 for k in range(1, p)] + ([] if family == "C1" else [2 * p])
+    names = ["a"] if family == "Z2kk" else []
+    entries = [((1, 2 * p), (("a", 2 * p, QONE),))] if family == "Z2kk" else []
+    for i in range(2, last + 1):
+        for j in range(i + 1, last + 1):
+            terms = tuple((_coeff_name(2 * i, 2 * j, k), k, QONE) for k in images)
+            names += [name for name, _, _ in terms]
+            entries.append(((2 * i, 2 * j), terms))
+    return CocycleTemplate(family, p, 2 * p, tuple(names), tuple(entries))
 
 
 def _template_p01(p: int) -> CocycleTemplate:
@@ -306,9 +267,9 @@ def _template_clas3111(p: int) -> CocycleTemplate:
 
 _TEMPLATES = {
     "221": _template_221,
-    "Z2kk": _template_z2kk,
-    "C1": _template_c1,
-    "C2": _template_c2,
+    "Z2kk": partial(_template_p12, "Z2kk"),
+    "C1": partial(_template_p12, "C1"),
+    "C2": partial(_template_p12, "C2"),
     "p01": _template_p01,
     "clas3111": _template_clas3111,
 }

@@ -1,8 +1,10 @@
 """Structure-constant Lie algebras over exact rationals.
 
 A `LieAlgebra` stores only the brackets [X_i, X_j] with i < j (0-based);
-skew-symmetry and [X_i, X_i] = 0 are structural.  All operations are pure
-and values are treated as immutable, so concurrent use is safe.
+skew-symmetry and [X_i, X_i] = 0 are structural.  A vector, such as a
+bracket value, is a sparse dict {coordinate: Fraction} holding its nonzero
+entries only.  All operations are pure and values are treated as
+immutable, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -17,10 +19,9 @@ from .exactlin import (
     QZERO,
     RationalMatrix,
     RowReducer,
-    as_rational,
+    as_sparse_vector,
     invert,
     iterated_images,
-    vzero,
 )
 
 DEFAULT_SEED = 0xC0FFEE
@@ -34,18 +35,16 @@ class LieAlgebra:
     __slots__ = ("dim", "constants", "_table", "_double")
 
     def __init__(self, dim: int,
-                 constants: Mapping[tuple[int, int], Sequence] | None = None):
+                 constants: Mapping[tuple[int, int], Mapping[int, object]] | None = None):
         if dim < 0:
             raise ValueError("dimension must be nonnegative")
         self.dim = dim
-        clean: dict[tuple[int, int], tuple[Q, ...]] = {}
+        clean: dict[tuple[int, int], dict[int, Q]] = {}
         for (i, j), vec in (constants or {}).items():
             if not (0 <= i < j < dim):
                 raise ValueError(f"bracket pair ({i},{j}) must satisfy 0 <= i < j < dim")
-            if len(vec) != dim:
-                raise ValueError(f"bracket value for ({i},{j}) has wrong length")
-            v = tuple(as_rational(x) for x in vec)
-            if any(v):
+            v = as_sparse_vector(vec, dim)
+            if v:
                 clean[(i, j)] = v
         self.constants = clean
         self._table: dict[tuple[int, int], dict[int, Q]] | None = None
@@ -56,9 +55,8 @@ class LieAlgebra:
         if self._table is None:
             table: dict[tuple[int, int], dict[int, Q]] = {}
             for (i, j), vec in self.constants.items():
-                sp = {k: x for k, x in enumerate(vec) if x != 0}
-                table[(i, j)] = sp
-                table[(j, i)] = {k: -x for k, x in sp.items()}
+                table[(i, j)] = dict(vec)
+                table[(j, i)] = {k: -x for k, x in vec.items()}
             self._table = table
         return self._table
 
@@ -333,7 +331,7 @@ def basis_change(g: LieAlgebra, f: RationalMatrix) -> LieAlgebra:
 
 
 def transported(table, n: int, f: RationalMatrix,
-                finv: RationalMatrix) -> dict[tuple[int, int], tuple[Q, ...]]:
+                finv: RationalMatrix) -> dict[tuple[int, int], dict[int, Q]]:
     """Constants, on pairs i < j, of (x, y) |-> finv β(f x, f y) for the
     skew bilinear map β whose sparse values on ordered basis pairs are
     `table` (laid out like `bracket_table`).
@@ -350,7 +348,7 @@ def transported(table, n: int, f: RationalMatrix,
             v = _lincomb((c, left[b]) for b, c in cols[j].items())
             w = _lincomb((c, inv_cols[m]) for m, c in v.items())
             if w:
-                constants[(i, j)] = tuple(w.get(m, QZERO) for m in range(n))
+                constants[(i, j)] = w
     return constants
 
 
@@ -388,10 +386,8 @@ def _columns(m: RationalMatrix) -> list[dict[int, Q]]:
 
 
 def direct_sum(g1: LieAlgebra, g2: LieAlgebra) -> LieAlgebra:
-    n1, n2 = g1.dim, g2.dim
-    constants: dict[tuple[int, int], tuple[Q, ...]] = {}
-    for (i, j), vec in g1.constants.items():
-        constants[(i, j)] = tuple(vec) + vzero(n2)
+    n1 = g1.dim
+    constants = dict(g1.constants)
     for (i, j), vec in g2.constants.items():
-        constants[(i + n1, j + n1)] = vzero(n1) + tuple(vec)
-    return LieAlgebra(n1 + n2, constants)
+        constants[(i + n1, j + n1)] = {m + n1: x for m, x in vec.items()}
+    return LieAlgebra(n1 + g2.dim, constants)

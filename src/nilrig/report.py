@@ -274,7 +274,7 @@ def _matrix_units(n: int):
     """E_ab for every a, b: X_b -> X_a and every other X_k -> 0."""
     for a in range(n):
         for b in range(n):
-            yield Cochain(1, n, {(b,): tuple(Q(int(m == a)) for m in range(n))})
+            yield Cochain(1, n, {(b,): {a: Q(1)}})
 
 
 def _vanishes_after_d1(fixtures, outer) -> tuple[str, str, None]:
@@ -392,25 +392,17 @@ def _c11f(seed: int):
 # --- criterion 12: Jordan identities --------------------------------------
 
 def _matrix_jordan_algebra():
+    """2x2 matrices under x * y = (xy + yx) / 2 on the units E_11, E_12,
+    E_21, E_22, where E_ab is basis vector 2a + b and E_ab E_cd = [b = c] E_ad."""
     from .cohom import MultiMap
 
-    def unit(i):
-        m = [[0, 0], [0, 0]]
-        m[i // 2][i % 2] = 1
-        return m
-
-    def mul(a, b):
-        return [[sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2)]
-                for i in range(2)]
-
-    coeffs = {}
+    coeffs: dict[tuple[int, int], dict[int, Q]] = {}
     for i in range(4):
         for j in range(4):
-            p = mul(unit(i), unit(j))
-            q = mul(unit(j), unit(i))
-            vec = tuple(Q(p[k // 2][k % 2] + q[k // 2][k % 2], 2) for k in range(4))
-            if any(vec):
-                coeffs[(i, j)] = vec
+            vec = coeffs[(i, j)] = {}
+            for (a, b), (c, d) in ((divmod(i, 2), divmod(j, 2)), (divmod(j, 2), divmod(i, 2))):
+                if b == c:
+                    vec[2 * a + d] = vec.get(2 * a + d, 0) + Q(1, 2)
     return MultiMap(2, 4, coeffs)
 
 

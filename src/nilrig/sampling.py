@@ -14,7 +14,7 @@ from fractions import Fraction as Q
 from . import families
 from .cohom import Cochain, MultiMap
 from .exactlin import RationalMatrix, invert
-from .liealg import LieAlgebra, abelian, basis_change, direct_sum
+from .liealg import LieAlgebra, _columns, _lincomb, abelian, basis_change, direct_sum
 
 
 def rng_for(seed: int) -> random.Random:
@@ -55,24 +55,20 @@ def random_unipotent(n: int, rng: random.Random, extra: int = 3) -> RationalMatr
 
 def random_skew_cochain(n: int, rng: random.Random, entries: int = 4,
                         lo: int = -2, hi: int = 2) -> Cochain:
-    coeffs: dict[tuple[int, ...], list[Q]] = {}
+    coeffs: dict[tuple[int, ...], dict[int, Q]] = {}
     for _ in range(entries):
         i, j = rng.randrange(n), rng.randrange(n)
         if i == j:
             continue
-        i, j = min(i, j), max(i, j)
-        vec = coeffs.setdefault((i, j), [Q(0)] * n)
-        vec[rng.randrange(n)] += Q(rng.randint(lo, hi))
-    return Cochain(2, n, {k: tuple(v) for k, v in coeffs.items()})
+        vec = coeffs.setdefault((min(i, j), max(i, j)), {})
+        m = rng.randrange(n)
+        vec[m] = vec.get(m, 0) + Q(rng.randint(lo, hi))
+    return Cochain(2, n, coeffs)
 
 
 def random_endomorphism(n: int, rng: random.Random, lo: int = -3, hi: int = 3) -> Cochain:
-    coeffs = {}
-    for b in range(n):
-        vec = tuple(Q(rng.randint(lo, hi)) for _ in range(n))
-        if any(vec):
-            coeffs[(b,)] = vec
-    return Cochain(1, n, coeffs)
+    return Cochain(1, n, {(b,): {m: Q(rng.randint(lo, hi)) for m in range(n)}
+                          for b in range(n)})
 
 
 def random_two_step(rng: random.Random, dim: int) -> LieAlgebra:
@@ -85,15 +81,12 @@ def random_two_step(rng: random.Random, dim: int) -> LieAlgebra:
     constants = {}
     for i in range(nv):
         for j in range(i + 1, nv):
-            vec = [Q(0)] * dim
-            hit = False
+            vec = {}
             for k in range(nv, dim):
                 v = rng.randint(-2, 2)
                 if v and rng.random() < 0.6:
                     vec[k] = Q(v)
-                    hit = True
-            if hit:
-                constants[(i, j)] = tuple(vec)
+            constants[(i, j)] = vec
     return LieAlgebra(dim, constants)
 
 
@@ -131,24 +124,16 @@ def random_commutative_associative(rng: random.Random, dim: int) -> MultiMap:
     polynomial algebra t^i * t^j = t^(i+j) (zero past degree dim-1),
     conjugated by a random invertible basis change."""
     f = random_invertible(dim, rng, -2, 2)
-    finv = invert(f)
-    cols = [[f.entries.get((r, c), Q(0)) for r in range(dim)] for c in range(dim)]
+    cols, inv_cols = _columns(f), _columns(invert(f))
 
     def base_mul(u, v):
-        out = [Q(0)] * dim
-        for i, a in enumerate(u):
-            if a == 0:
-                continue
-            for j, b in enumerate(v):
-                if b != 0 and i + j < dim:
-                    out[i + j] += a * b
+        out = {}
+        for i, a in u.items():
+            for j, b in v.items():
+                if i + j < dim:
+                    out[i + j] = out.get(i + j, 0) + a * b
         return out
 
-    coeffs = {}
-    for i in range(dim):
-        for j in range(dim):
-            prod = base_mul(cols[i], cols[j])
-            vec = finv.matvec(prod)
-            if any(vec):
-                coeffs[(i, j)] = tuple(vec)
-    return MultiMap(2, dim, coeffs)
+    return MultiMap(2, dim, {
+        (i, j): _lincomb((c, inv_cols[s]) for s, c in base_mul(cols[i], cols[j]).items())
+        for i in range(dim) for j in range(dim)})

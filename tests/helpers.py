@@ -3,6 +3,8 @@
 Everything here deliberately reimplements the checked functionality with
 different machinery (dense Fraction elimination, direct operator
 application) so that agreement with the package is a two-route check.
+Vectors here are dense length-n tuples; `dense` and `sparse` convert
+from and to the package's {coordinate: Fraction} values.
 """
 
 from __future__ import annotations
@@ -11,17 +13,41 @@ from fractions import Fraction as Q
 from itertools import product
 
 from nilrig.cohom import Cochain, CochainIndex, MultiMap, ch_delta2, chevalley_delta1, chevalley_delta2, r_delta2
-from nilrig.exactlin import RationalMatrix, vadd, vec_is_zero, vscale
+from nilrig.exactlin import RationalMatrix
 from nilrig.liealg import CharSeq, LieAlgebra
+
+
+def dense(vec, n: int) -> tuple[Q, ...]:
+    """A sparse value {m: x} as a length-n tuple."""
+    return tuple(vec.get(m, Q(0)) for m in range(n))
+
+
+def sparse(vec) -> dict[int, Q]:
+    """A dense vector as {m: x}, nonzero entries only."""
+    return {m: x for m, x in enumerate(vec) if x}
+
+
+def vzero(n: int) -> tuple[Q, ...]:
+    return (Q(0),) * n
+
+
+def vadd(a, b) -> tuple[Q, ...]:
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def vscale(c, v) -> tuple[Q, ...]:
+    return tuple(c * x for x in v)
+
+
+def vec_is_zero(v) -> bool:
+    return all(x == 0 for x in v)
 
 
 def bracket_basis(g, i: int, j: int) -> tuple[Q, ...]:
     """[X_i, X_j] as a dense vector, read from the stored i < j constants."""
-    zero = (Q(0),) * g.dim
     if i < j:
-        return g.constants.get((i, j), zero)
-    vec = g.constants.get((j, i))
-    return zero if vec is None else tuple(-x for x in vec)
+        return dense(g.constants.get((i, j), {}), g.dim)
+    return vscale(-1, dense(g.constants.get((j, i), {}), g.dim))
 
 
 def bracket(g, x, y) -> tuple[Q, ...]:
@@ -32,7 +58,7 @@ def bracket(g, x, y) -> tuple[Q, ...]:
     for (i, j), vec in g.constants.items():
         coef = Q(x[i]) * Q(y[j]) - Q(x[j]) * Q(y[i])
         if coef != 0:
-            for k, v in enumerate(vec):
+            for k, v in enumerate(dense(vec, g.dim)):
                 acc[k] += coef * v
     return tuple(acc)
 
@@ -59,8 +85,7 @@ def dense_basis_change(g, f: RationalMatrix):
         for j in range(i + 1, n):
             v = bracket(g, cols[i], cols[j])
             w = tuple(sum((a * b for a, b in zip(row, v)), Q(0)) for row in inv)
-            if any(w):
-                constants[(i, j)] = w
+            constants[(i, j)] = sparse(w)
     return LieAlgebra(n, constants)
 
 
@@ -155,9 +180,7 @@ def basis_cochains(n: int):
     out = []
     for (i, j) in idx.pairs:
         for m in range(n):
-            vec = [Q(0)] * n
-            vec[m] = Q(1)
-            out.append(Cochain(2, n, {(i, j): tuple(vec)}))
+            out.append(Cochain(2, n, {(i, j): {m: Q(1)}}))
     return out
 
 
@@ -170,7 +193,7 @@ def brute_comp1(f, h, slot: int = 0) -> MultiMap:
     arity = f.arity + h.arity - 1
     coeffs = {}
     for mid in product(range(n), repeat=h.arity):
-        hv = h.value(mid)
+        hv = dense(h.value(mid), n)
         if vec_is_zero(hv):
             continue
         nz = [(s, c) for s, c in enumerate(hv) if c != 0]
@@ -178,11 +201,11 @@ def brute_comp1(f, h, slot: int = 0) -> MultiMap:
             before, after = rest[:slot], rest[slot:]
             acc = None
             for s, c in nz:
-                fv = f.value(before + (s,) + after)
+                fv = dense(f.value(before + (s,) + after), n)
                 if not vec_is_zero(fv):
                     acc = vscale(c, fv) if acc is None else vadd(acc, vscale(c, fv))
             if acc is not None and not vec_is_zero(acc):
-                coeffs[before + mid + after] = acc
+                coeffs[before + mid + after] = sparse(acc)
     return MultiMap(arity, n, coeffs)
 
 
@@ -194,9 +217,8 @@ def operator_rows(g, ops) -> list[dict[int, Q]]:
     for u, bc in enumerate(basis_cochains(g.dim)):
         for tag, op in enumerate(ops):
             for t, vec in op(g, bc).coeffs.items():
-                for m, x in enumerate(vec):
-                    if x:
-                        rows.setdefault((tag, t, m), {})[u] = x
+                for m, x in vec.items():
+                    rows.setdefault((tag, t, m), {})[u] = x
     return list(rows.values())
 
 
@@ -217,9 +239,7 @@ def brute_b2(g) -> int:
     imgs = []
     for a in range(n):
         for b in range(n):
-            vec = [Q(0)] * n
-            vec[a] = Q(1)
-            f = Cochain(1, n, {(b,): tuple(vec)})
+            f = Cochain(1, n, {(b,): {a: Q(1)}})
             flat = idx.to_flat(chevalley_delta1(g, f))
             imgs.append([flat.get(u, Q(0)) for u in range(idx.size)])
     return dense_rank(imgs)
@@ -228,24 +248,15 @@ def brute_b2(g) -> int:
 def brute_jacobi_defect(g) -> list[tuple[int, int, int]]:
     """Every triple i < j < k whose dense Jacobiator is nonzero."""
     n = g.dim
-    bad = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            bij = bracket_basis(g, i, j)
-            for k in range(j + 1, n):
-                terms = (bracket_vec_basis(g, bij, k),
-                         bracket_vec_basis(g, bracket_basis(g, j, k), i),
-                         bracket_vec_basis(g, bracket_basis(g, k, i), j))
-                if any(sum(col) != 0 for col in zip(*terms)):
-                    bad.append((i, j, k))
-    return bad
+    return [(i, j, k) for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n)
+            if not vec_is_zero(jacobiator(g, i, j, k))]
 
 
 def brute_two_step_defect(g) -> list[tuple[int, int, int]]:
     """Basis tuples (i, j, k) with [[X_i, X_j], X_k] != 0, from dense vectors."""
     bad = []
     for (i, j) in g.pairs():
-        vec = g.constants[(i, j)]
+        vec = bracket_basis(g, i, j)
         for k in range(g.dim):
             if not vec_is_zero(bracket_vec_basis(g, vec, k)):
                 bad.append((i, j, k))
@@ -257,7 +268,7 @@ def brute_three_step_defect(g) -> list[tuple[int, int, int, int]]:
     dense vectors."""
     bad = []
     for (i, j) in g.pairs():
-        vec = g.constants[(i, j)]
+        vec = bracket_basis(g, i, j)
         for k in range(g.dim):
             w = bracket_vec_basis(g, vec, k)
             if vec_is_zero(w):

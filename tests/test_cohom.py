@@ -36,7 +36,7 @@ from nilrig.cohom import (
     t_operator_rows,
     JORDAN_V,
 )
-from nilrig.exactlin import RationalMatrix, RowReducer, vadd, vscale, vzero
+from nilrig.exactlin import RationalMatrix, RowReducer
 from nilrig.liealg import (
     DEFAULT_SEED,
     LieAlgebra,
@@ -62,12 +62,19 @@ from helpers import (
     brute_b2,
     brute_comp1,
     brute_z2,
+    dense,
     operator_rows,
+    sparse,
+    vadd,
+    vscale,
+    vzero,
 )
 
 
 def e(n, i):
-    return tuple(Q(1) if k == i else Q(0) for k in range(n))
+    """X_i of an n-dimensional space as a value {coordinate: Fraction}."""
+    assert 0 <= i < n
+    return {i: Q(1)}
 
 
 def rescaled(g, *diag):
@@ -82,9 +89,7 @@ def moved(g, seed):
 
 
 def single(n, pair, vec_idx, c=1):
-    vec = [Q(0)] * n
-    vec[vec_idx] = Q(c)
-    return Cochain(2, n, {pair: tuple(vec)})
+    return Cochain(2, n, {pair: {vec_idx: Q(c)}})
 
 
 H3 = families.heisenberg(1)
@@ -93,19 +98,28 @@ H3 = families.heisenberg(1)
 # --- strict values -------------------------------------------------------------
 
 @pytest.mark.parametrize("cls", [Cochain, MultiMap])
-@pytest.mark.parametrize("bad", [0.1, True])
-def test_multilinear_rejects_float_and_bool(cls, bad):
-    with pytest.raises(TypeError, match=re.escape(repr(bad))):
-        cls(2, 3, {(0, 1): (bad, 0, 0)})
+@pytest.mark.parametrize("value,error,text", [
+    pytest.param({0: 0.1}, TypeError, "0.1", id="0.1"),
+    pytest.param({0: True}, TypeError, "True", id="True"),
+    # a value is {coordinate: rational}: no dense tuple or list, and no
+    # fourth coordinate in a 3-dim space
+    pytest.param((1, 2, 3, 4), TypeError, "mapping", id="tuple"),
+    pytest.param([0, 0, 1], TypeError, "mapping", id="list"),
+    pytest.param({3: 4}, ValueError, "coordinate 3", id="coordinate-3"),
+    pytest.param({-1: 1}, ValueError, "coordinate -1", id="coordinate-minus-1"),
+])
+def test_multilinear_rejects_float_and_bool(cls, value, error, text):
+    with pytest.raises(error, match=re.escape(text)):
+        cls(2, 3, {(0, 1): value})
 
 
 @pytest.mark.parametrize("cls", [Cochain, MultiMap])
 def test_multilinear_stores_fractions(cls):
     x = Q(2, 3)
-    m = cls(2, 3, {(0, 1): (x, 1, "-1/2"), (0, 2): (0, "0", Q(0))})
-    assert m.coeffs == {(0, 1): (x, Q(1), Q(-1, 2))}
+    m = cls(2, 3, {(0, 1): {0: x, 1: 1, 2: "-1/2"}, (0, 2): {0: 0, 1: "0", 2: Q(0)}})
+    assert m.coeffs == {(0, 1): {0: x, 1: Q(1), 2: Q(-1, 2)}}
     assert m.coeffs[(0, 1)][0] is x  # a Fraction is stored as given
-    assert all(type(v) is Q for v in m.coeffs[(0, 1)])
+    assert all(type(v) is Q for v in m.coeffs[(0, 1)].values())
 
 
 @pytest.mark.parametrize("bad", [0.1, True])
@@ -117,7 +131,7 @@ def test_deformed_bracket_rejects_float_and_bool_parameter(bad):
 def test_deformed_bracket_parameter_as_int_or_string():
     phi = single(3, (0, 2), 1)
     assert deformed_bracket(H3, phi, "1/2") == deformed_bracket(H3, phi, Q(1, 2))
-    assert deformed_bracket(H3, phi, 2).constants[(0, 2)] == (Q(0), Q(2), Q(0))
+    assert deformed_bracket(H3, phi, 2).constants[(0, 2)] == {1: Q(2)}
 
 
 # --- degree-1 operator -------------------------------------------------------
@@ -142,7 +156,7 @@ def test_delta1_hand_case():
     f = Cochain(1, 3, {(0,): e(3, 0)})
     d = chevalley_delta1(H3, f)
     assert d.value((0, 1)) == e(3, 2)
-    assert d.value((0, 2)) == (Q(0),) * 3
+    assert d.value((0, 2)) == {}
     assert chevalley_delta1(H3, Cochain.zero(1, 3)).is_zero()
 
 
@@ -171,7 +185,7 @@ def test_delta2_hand_case():
     # = 0 - 0 + [X3,X1] - phi(X3,X3) + 0 - 0 = 0
     phi = single(3, (0, 1), 0)
     d = chevalley_delta2(H3, phi)
-    assert d.value((0, 1, 2)) == (Q(0),) * 3
+    assert d.value((0, 1, 2)) == {}
     # and on h3 with phi(X2,X3) = X2 the coboundary term survives:
     phi2 = single(3, (1, 2), 1)
     d2 = chevalley_delta2(H3, phi2)
@@ -193,7 +207,7 @@ def test_t_operator_hand_case():
     phi = single(3, (1, 2), 1)
     t = ch_delta2(H3, phi)
     # T(phi)(X2,X3,X1) = mu(phi(X2,X3),X1) + phi(mu(X2,X3),X1) = [X2,X1] = -X3
-    assert t.value((1, 2, 0)) == (Q(0), Q(0), Q(-1))
+    assert t.value((1, 2, 0)) == {2: Q(-1)}
     assert not t.is_zero()
 
 
@@ -206,13 +220,13 @@ def test_ch_delta_general_examples():
     # arity 2, evaluated on a repeated-argument tuple
     psi = single(3, (0, 1), 2)
     out = ch_delta_general(H3, psi)
-    assert out.value((0, 0, 1)) == (Q(0),) * 3
+    assert out.value((0, 0, 1)) == {}
     assert ch_delta_general(H3, Cochain.zero(2, 3)).is_zero()
     # odd arity 1: reduces to (x, y) -> mu(x, f y)
     f = Cochain(1, 3, {(0,): e(3, 0)})
     out1 = ch_delta_general(H3, f)
-    assert out1.value((1, 0)) == (Q(0), Q(0), Q(-1))  # mu(X2, f X1) = [X2, X1] = -X3
-    assert out1.value((0, 1)) == (Q(0),) * 3
+    assert out1.value((1, 0)) == {2: Q(-1)}  # mu(X2, f X1) = [X2, X1] = -X3
+    assert out1.value((0, 1)) == {}
 
 
 @pytest.mark.parametrize("g", [H3, families.g_p1(3), families.rigid_2step("g6"),
@@ -223,7 +237,7 @@ def test_ch_delta_general_is_rotated_t(g):
     for psi in basis_cochains(g.dim):
         t = ch_delta2(g, psi)
         # T's value at (y, z, x) goes to (x, y, z)
-        rotated = MultiMap(3, g.dim, {(k[2], k[0], k[1]): tuple(-x for x in vec)
+        rotated = MultiMap(3, g.dim, {(k[2], k[0], k[1]): {m: -x for m, x in vec.items()}
                                       for k, vec in t.coeffs.items()})
         assert ch_delta_general(g, psi) == rotated
 
@@ -236,9 +250,9 @@ def test_comp1_definition():
     mm = comp1(mu, mu)
     # (mu o1 mu)(x,y,z) = [[x,y],z]
     for (i, j) in g.pairs():
-        vec = g.constants[(i, j)]
+        vec = bracket_basis(g, i, j)
         for k in range(g.dim):
-            assert mm.value((i, j, k)) == bracket_vec_basis(g, vec, k)
+            assert mm.value((i, j, k)) == sparse(bracket_vec_basis(g, vec, k))
 
 
 @st.composite
@@ -251,7 +265,7 @@ def multilinear_maps(draw, dim):
     chosen = draw(st.lists(st.sampled_from(keys), max_size=4, unique=True)) if keys else []
     values = st.lists(st.one_of(st.fractions(-2, 2, max_denominator=3), st.integers(-2, 2)),
                       min_size=dim, max_size=dim)
-    coeffs = {t: tuple(draw(values)) for t in chosen}
+    coeffs = {t: dict(enumerate(draw(values))) for t in chosen}
     return (Cochain if skew else MultiMap)(arity, dim, coeffs)
 
 
@@ -265,7 +279,7 @@ def test_comp1_matches_dense_walk(pair, data):
     assert out == brute_comp1(f, h, slot)
     for m in (f, h, out):  # every stored value is a nonzero vector of Fractions
         for vec in m.coeffs.values():
-            assert any(vec) and all(type(x) is Q for x in vec)
+            assert vec and all(x and type(x) is Q for x in vec.values())
 
 
 def _dense_cyclic_sum(n, sign, *maps):
@@ -276,14 +290,14 @@ def _dense_cyclic_sum(n, sign, *maps):
         acc = vzero(n)
         for m in maps:
             for u in ((x, y, z), (y, z, x), (z, x, y)):
-                acc = vadd(acc, m.value(u))
-        coeffs[(x, y, z)] = vscale(sign, acc)
+                acc = vadd(acc, dense(m.value(u), n))
+        coeffs[(x, y, z)] = sparse(vscale(sign, acc))
     return Cochain(3, n, coeffs)
 
 
 def _dense_sum(arity, n, *maps):
     keys = set().union(*(m.coeffs for m in maps))
-    return MultiMap(arity, n, {k: tuple(map(sum, zip(*(m.value(k) for m in maps))))
+    return MultiMap(arity, n, {k: sparse(map(sum, zip(*(dense(m.value(k), n) for m in maps))))
                                for k in keys})
 
 
@@ -300,7 +314,7 @@ def test_degree2_operators_match_dense_compositions_on_basis(g):
     reference composes with brute_comp1 and a bracket map built from
     `bracket_basis`, and sums values densely."""
     n = g.dim
-    mu = MultiMap(2, n, {(i, j): bracket_basis(g, i, j) for i in range(n) for j in range(n)})
+    mu = MultiMap(2, n, {(i, j): sparse(bracket_basis(g, i, j)) for i in range(n) for j in range(n)})
     mumu = brute_comp1(mu, mu)
     for phi in basis_cochains(n):
         assert chevalley_delta2(g, phi) == _dense_cyclic_sum(
@@ -341,11 +355,11 @@ def test_bullet_square():
         assert bullet_square(mu).is_zero()
     assert bullet_square(Cochain.zero(2, 4)).is_zero()
     phi = LieAlgebra(3, {
-        (0, 1): (Q(0), Q(0), Q(1)),
-        (0, 2): (Q(1), Q(0), Q(0)),
+        (0, 1): {2: Q(1)},
+        (0, 2): {0: Q(1)},
     })
     bad = bullet_square(Cochain(2, 3, dict(phi.constants)))
-    assert bad.value((0, 1, 2)) != (Q(0),) * 3
+    assert bad.value((0, 1, 2)) != {}
 
 
 # --- the associativity-chain operators ----------------------------------------------
@@ -366,8 +380,7 @@ def test_r_delta2_kills_coboundaries():
 
 
 def test_r_delta2_requires_three_step():
-    four = LieAlgebra(4, {(0, 1): (0, 0, Q(1), 0), (0, 2): (0, 0, 0, Q(1)),
-                          (0, 3): (Q(1), 0, 0, 0)})
+    four = LieAlgebra(4, {(0, 1): {2: Q(1)}, (0, 2): {3: Q(1)}, (0, 3): {0: Q(1)}})
     with pytest.raises(ValueError, match="not 3-step"):
         r_delta2(four, Cochain.zero(2, 4))
 
@@ -516,7 +529,7 @@ def test_space_dims_kind_errors():
     filiform5 = LieAlgebra(5, {(0, 1): e(5, 2), (0, 2): e(5, 3), (0, 3): e(5, 4)})
     with pytest.raises(ValueError, match="not 3-step"):
         space_dims(filiform5, ComplexKind.CR)
-    bad = LieAlgebra(3, {(0, 1): (0, 0, Q(1)), (0, 2): (Q(1), 0, 0)})
+    bad = LieAlgebra(3, {(0, 1): {2: Q(1)}, (0, 2): {0: Q(1)}})
     with pytest.raises(ValueError, match="Jacobi"):
         space_dims(bad, "chevalley")
 
@@ -588,7 +601,7 @@ def _matrix_unit(n, a, b):
                  id="g_k3k2k1(1,0,2)-basis-change"),
     # [X1, X2] = X2 is not nilpotent: for E_22, the [X_a, X_j] term and the
     # -c_ij^b term both land on coordinate X2 of the pair (X1, X2) and cancel
-    pytest.param(lambda: LieAlgebra(2, {(0, 1): (Q(0), Q(1))}), id="affine-line"),
+    pytest.param(lambda: LieAlgebra(2, {(0, 1): {1: Q(1)}}), id="affine-line"),
 ])
 def test_coboundary_images_match_delta1(maker):
     # delta^1 is linear, so agreeing on every matrix unit proves the sparse
@@ -787,8 +800,8 @@ def test_deformation_3step_worked_example():
 
     def make(a, b, c):
         return Cochain(2, 5, {
-            (1, 2): (0, 0, 0, 0, Q(a)),
-            (1, 4): (0, 0, 0, Q(b), Q(c)),
+            (1, 2): {4: Q(a)},
+            (1, 4): {3: Q(b), 4: Q(c)},
         })
 
     ok = check_linear_deformation_3step(g, make(1, 0, 0))
@@ -813,7 +826,7 @@ def test_deformation_3step_zero_passes():
 def test_deformation_checks_reject_non_lie_base():
     # [X1,X2] = X4, [X3,X4] = -X5: Jacobi fails at (X1,X2,X3), while every
     # triple bracket vanishes
-    g = LieAlgebra(5, {(0, 1): (0, 0, 0, 1, 0), (2, 3): (0, 0, 0, 0, -1)})
+    g = LieAlgebra(5, {(0, 1): {3: 1}, (2, 3): {4: -1}})
     assert three_step_defect(g) == []
     zero = Cochain.zero(2, 5)
     for check in (check_linear_deformation_2step, check_linear_deformation_3step,
@@ -854,9 +867,7 @@ def matrix_jordan():
         for j in range(4):
             p = mul(unit(i), unit(j))
             q = mul(unit(j), unit(i))
-            vec = tuple(Q(p[k // 2][k % 2] + q[k // 2][k % 2], 2) for k in range(4))
-            if any(vec):
-                coeffs[(i, j)] = vec
+            coeffs[(i, j)] = {k: Q(p[k // 2][k % 2] + q[k // 2][k % 2], 2) for k in range(4)}
     return MultiMap(2, 4, coeffs)
 
 
@@ -875,14 +886,14 @@ def test_jordan_commutative_associative():
 
 
 def test_jordan_rejects_nonsymmetric():
-    skew = MultiMap(2, 2, {(0, 1): (Q(0), Q(1)), (1, 0): (Q(0), Q(-1))})
+    skew = MultiMap(2, 2, {(0, 1): {1: Q(1)}, (1, 0): {1: Q(-1)}})
     with pytest.raises(ValueError, match="symmetric|commutative"):
         jordan_linearized_defect(skew)
 
 
 def test_jordan_detects_non_jordan():
     # x*x = y, y*y = x, x*y = 0 is commutative but not Jordan
-    a = MultiMap(2, 2, {(0, 0): (Q(0), Q(1)), (1, 1): (Q(1), Q(0))})
+    a = MultiMap(2, 2, {(0, 0): {1: Q(1)}, (1, 1): {0: Q(1)}})
     assert not jordan_linearized_defect(a).is_zero()
 
 

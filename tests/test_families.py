@@ -15,11 +15,13 @@ from nilrig.liealg import (
 )
 from nilrig.sampling import rng_for
 
-from helpers import bracket_vec_basis
+from helpers import bracket_vec_basis, dense
 
 
 def e(n, i):
-    return tuple(Q(1) if k == i else Q(0) for k in range(n))
+    """X_i of an n-dimensional space as a value {coordinate: Fraction}."""
+    assert 0 <= i < n
+    return {i: Q(1)}
 
 
 # --- model constructors -------------------------------------------------------
@@ -135,7 +137,7 @@ def test_template_z2kk_shape():
     t = families.normalized_cocycle_template("Z2kk", 2)
     assert "a" in t.free
     phi = t.instantiate({"a": 3})
-    assert phi.value((0, 3)) == (0, 0, 0, Q(3))  # phi(X1, X4) = 3 X4
+    assert phi.value((0, 3)) == {3: Q(3)}  # phi(X1, X4) = 3 X4
 
 
 def test_template_clas3111_counts():
@@ -182,12 +184,12 @@ def test_bracket_data_and_template_coefficients_reject_float_and_bool(bad):
 
 def test_bracket_data_and_template_coefficients_give_fractions():
     g = families.algebra_from_brackets(3, {(1, 2): {3: "-2/4"}, (1, 3): {3: 2}})
-    assert g.constants == {(0, 1): (Q(0), Q(0), Q(-1, 2)), (0, 2): (Q(0), Q(0), Q(2))}
+    assert g.constants == {(0, 1): {2: Q(-1, 2)}, (0, 2): {2: Q(2)}}
     t = families.normalized_cocycle_template("221", 3)
     phi = t.instantiate({name: (3 if k % 2 else "1/3") for k, name in enumerate(t.free)})
     assert phi == t.instantiate({name: (Q(3) if k % 2 else Q(1, 3))
                                  for k, name in enumerate(t.free)})
-    assert phi.coeffs and all(type(x) is Q for vec in phi.coeffs.values() for x in vec)
+    assert phi.coeffs and all(type(x) is Q for vec in phi.coeffs.values() for x in vec.values())
 
 
 # --- deformed members -------------------------------------------------------------
@@ -226,7 +228,7 @@ def test_deformed_2step_c2_center_contains_x2p():
     params = families.FamilyParams("C2", p=p, coeffs=t.random_coeffs(rng))
     g = families.deformed_2step("g_p12", params)
     # X_{2p} central: brackets never involve it as an argument
-    x = e(2 * p, 2 * p - 1)
+    x = dense(e(2 * p, 2 * p - 1), 2 * p)
     for k in range(2 * p):
         assert all(v == 0 for v in bracket_vec_basis(g, x, k))
 
@@ -277,7 +279,7 @@ def test_classification_member_example():
     a = families.classification_F731()[idx]
     assert jacobi_defect(a) == []
     # [X2,X3] = a1 X4 + b1 X7 = X4 + X7
-    assert a.constants[(1, 2)] == (0, 0, 0, Q(1), 0, 0, Q(1))
+    assert a.constants[(1, 2)] == {3: Q(1), 6: Q(1)}
 
 
 # --- pattern-space dimension ----------------------------------------------------------

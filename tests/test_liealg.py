@@ -87,9 +87,9 @@ def test_jacobi_heisenberg():
 def test_jacobi_so3_like():
     # standard so(3) table: a non-nilpotent algebra passing the Jacobi check
     g = LieAlgebra(3, {
-        (0, 1): (Q(0), Q(0), Q(1)),
-        (0, 2): (Q(0), Q(-1), Q(0)),
-        (1, 2): (Q(1), Q(0), Q(0)),
+        (0, 1): {2: Q(1)},
+        (0, 2): {1: Q(-1)},
+        (1, 2): {0: Q(1)},
     })
     assert jacobi_defect(g) == []
     for (i, j, k) in [(0, 1, 2)]:
@@ -105,7 +105,8 @@ def skew_brackets(draw):
     for i in range(n):
         for j in range(i + 1, n):
             if draw(st.booleans()):
-                constants[(i, j)] = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+                constants[(i, j)] = dict(enumerate(
+                    draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))))
     return LieAlgebra(n, constants)
 
 
@@ -137,8 +138,7 @@ def test_jacobi_defect_matches_dense_triples_on_families():
 #: the 4-step filiform algebra [X1, X_i] = X_(i+1), i = 2, 3, 4: its double
 #: bracket [[X1,X2],X1] = -X4 lies outside the centre and [[X1,X3],X1] = -X5
 #: inside it, so `three_step_defect` brackets some double brackets and skips others
-FILIFORM5 = LieAlgebra(5, {(0, 1): (0, 0, 1, 0, 0), (0, 2): (0, 0, 0, 1, 0),
-                           (0, 3): (0, 0, 0, 0, 1)})
+FILIFORM5 = LieAlgebra(5, {(0, 1): {2: 1}, (0, 2): {3: 1}, (0, 3): {4: 1}})
 
 
 def test_three_step_defect_with_central_and_noncentral_double_brackets():
@@ -150,23 +150,31 @@ def test_three_step_defect_with_central_and_noncentral_double_brackets():
 
 def test_jacobi_violation_detected():
     g = LieAlgebra(3, {
-        (0, 1): (Q(0), Q(0), Q(1)),   # [e1,e2] = e3
-        (0, 2): (Q(1), Q(0), Q(0)),   # [e1,e3] = e1
+        (0, 1): {2: Q(1)},   # [e1,e2] = e3
+        (0, 2): {0: Q(1)},   # [e1,e3] = e1
     })
     assert (0, 1, 2) in jacobi_defect(g)
     assert any(x != 0 for x in jacobiator(g, 0, 1, 2))
 
 
-@pytest.mark.parametrize("bad", [0.1, True])
-def test_lie_algebra_rejects_float_and_bool(bad):
-    with pytest.raises(TypeError, match=re.escape(repr(bad))):
-        LieAlgebra(3, {(0, 1): (0, 0, bad)})
+@pytest.mark.parametrize("value,error,text", [
+    pytest.param({2: 0.1}, TypeError, "0.1", id="0.1"),
+    pytest.param({2: True}, TypeError, "True", id="True"),
+    # a bracket value is {coordinate: rational}: no dense tuple or list
+    pytest.param((0, 0, 1), TypeError, "mapping", id="tuple"),
+    pytest.param([0, 0, 1], TypeError, "mapping", id="list"),
+    pytest.param({3: 1}, ValueError, "coordinate 3", id="coordinate-3"),
+    pytest.param({-1: 1}, ValueError, "coordinate -1", id="coordinate-minus-1"),
+])
+def test_lie_algebra_rejects_float_and_bool(value, error, text):
+    with pytest.raises(error, match=re.escape(text)):
+        LieAlgebra(3, {(0, 1): value})
 
 
 def test_lie_algebra_stores_fractions():
-    g = LieAlgebra(3, {(0, 1): (0, "-2/4", 3), (0, 2): (0, 0, 0)})
-    assert g.constants == {(0, 1): (Q(0), Q(-1, 2), Q(3))}
-    assert all(type(x) is Q for x in g.constants[(0, 1)])
+    g = LieAlgebra(3, {(0, 1): {0: 0, 1: "-2/4", 2: 3}, (0, 2): {0: 0, 1: "0"}})
+    assert g.constants == {(0, 1): {1: Q(-1, 2), 2: Q(3)}}
+    assert all(type(x) is Q for x in g.constants[(0, 1)].values())
 
 
 # --- central series, nilindex --------------------------------------------------
@@ -218,7 +226,7 @@ def test_lcs_matches_dense_rref_on_random_nilpotent():
 
 def test_lcs_matches_dense_rref_on_non_nilpotent():
     # [X1,X2] = X3, [X1,X3] = -X2: g^1 = span{X2, X3} = [g^1, g]
-    g = LieAlgebra(3, {(0, 1): (0, 0, 1), (0, 2): (0, -1, 0)})
+    g = LieAlgebra(3, {(0, 1): {2: 1}, (0, 2): {1: -1}})
     assert check_lcs_against_dense_rref(g) == (3, 2, 2)
 
 
@@ -231,9 +239,9 @@ def test_nilindex_values():
 
 def test_nilindex_error_for_non_nilpotent():
     g = LieAlgebra(3, {
-        (0, 1): (Q(0), Q(0), Q(1)),
-        (0, 2): (Q(0), Q(-1), Q(0)),
-        (1, 2): (Q(1), Q(0), Q(0)),
+        (0, 1): {2: Q(1)},
+        (0, 2): {1: Q(-1)},
+        (1, 2): {0: Q(1)},
     })
     with pytest.raises(ValueError, match="stabilized at nonzero ideal"):
         nilindex(g)
@@ -335,8 +343,7 @@ def test_charseq_leading_part_is_nilindex_on_families():
 
 #: the free 3-step algebra on two generators: rank (ad x)^2 <= 1 for every
 #: x while dim g^2 = 2, so no candidate meets the bounds
-FREE_3STEP_2GEN = LieAlgebra(5, {(0, 1): (0, 0, 1, 0, 0), (0, 2): (0, 0, 0, 1, 0),
-                                 (1, 2): (0, 0, 0, 0, 1)})
+FREE_3STEP_2GEN = LieAlgebra(5, {(0, 1): {2: 1}, (0, 2): {3: 1}, (1, 2): {4: 1}})
 
 
 def charseq_corpus():
@@ -385,8 +392,8 @@ def test_charseq_mark_does_not_affect_equality_or_order():
 
 
 def test_is_p_step():
-    assert not is_p_step(LieAlgebra(2, {(0, 1): (0, 1)}), 1)  # [X1, X2] = X2
-    assert not is_p_step(LieAlgebra(2, {(0, 1): (0, 1)}), 2)
+    assert not is_p_step(LieAlgebra(2, {(0, 1): {1: 1}}), 1)  # [X1, X2] = X2
+    assert not is_p_step(LieAlgebra(2, {(0, 1): {1: 1}}), 2)
     assert is_p_step(families.heisenberg(1), 2)
     assert not is_p_step(families.heisenberg(1), 3)
     assert is_p_step(families.rigid_3step_7(), 3)
@@ -456,8 +463,8 @@ def rational_invertible(n, rng):
 
 #: a skew bracket that fails the Jacobi identity; transport of structure
 #: is defined for any skew bilinear map
-SKEW_NON_LIE = LieAlgebra(4, {(0, 1): (0, 0, 1, 0), (0, 2): (0, 1, 0, "1/2"),
-                              (1, 3): (2, 0, 0, -1), (2, 3): (0, 0, 1, 0)})
+SKEW_NON_LIE = LieAlgebra(4, {(0, 1): {2: 1}, (0, 2): {1: 1, 3: "1/2"},
+                              (1, 3): {0: 2, 3: -1}, (2, 3): {2: 1}})
 
 
 @pytest.mark.parametrize("g", [families.heisenberg(2), families.rigid_3step_7(),
@@ -502,7 +509,7 @@ def test_adapted_basis_none_on_model_bases():
         assert adapted_basis(g) is None
 
 
-AFFINE_LINE = LieAlgebra(2, {(0, 1): (0, 1)})  # [X1, X2] = X2: not nilpotent
+AFFINE_LINE = LieAlgebra(2, {(0, 1): {1: 1}})  # [X1, X2] = X2: not nilpotent
 
 
 @pytest.mark.parametrize("g", [families.heisenberg(2), families.g_k3k2k1(1, 0, 2),
