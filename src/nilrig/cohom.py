@@ -635,6 +635,12 @@ def space_dims(g: LieAlgebra, kind, *, with_representatives: bool = False,
     sparse; representatives are returned in the basis of g.  B^2 is
     contained in Z^2 for every legal input; this is re-verified on each
     call, so h2 = z2 - b2 is the actual quotient dimension.
+
+    The Z rows go through `RowReducer.add_rows`, which sets rows with a
+    single nonzero entry (most rows in a model basis) aside as unit
+    pivots and eliminates the rest once the stream ends.  `progress`
+    gets (Z rows read, rank so far, rows per second) every
+    `exactlin._PROGRESS_ROWS` rows; every row read counts, repeats too.
     """
     kind = ComplexKind.coerce(kind)
     f = liealg.adapted_basis(g)
@@ -646,8 +652,7 @@ def space_dims(g: LieAlgebra, kind, *, with_representatives: bool = False,
         raise
     idx = CochainIndex(h.dim)
     red = RowReducer(idx.size, progress=progress)
-    for row in _z_rows(h, kind):
-        red.add(row)
+    red.add_rows(_z_rows(h, kind))
     z2 = idx.size - red.rank
     bred = RowReducer(idx.size)
     images = coboundary_image_vectors(h)
@@ -678,11 +683,9 @@ def ch_kernel_contained_in_chevalley(g: LieAlgebra) -> bool:
     _require_two_step(g)
     idx = CochainIndex(g.dim)
     red = RowReducer(idx.size)
-    for row in t_operator_rows(g):
-        red.add(row)
+    red.add_rows(t_operator_rows(g))
     t_rank = red.rank
-    for row in chevalley2_rows(g):
-        red.add(row)
+    red.add_rows(chevalley2_rows(g))
     return red.rank == t_rank
 
 

@@ -17,7 +17,7 @@ converts back to `Fraction`s only in what it returns.
 from __future__ import annotations
 
 import re
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -105,16 +105,6 @@ class RationalMatrix:
         for (r, c), v in self.entries.items():
             out.setdefault(r, {})[c] = v
         return out
-
-    def matvec(self, v: Sequence[Q]) -> tuple[Q, ...]:
-        if len(v) != self.ncols:
-            raise ValueError("vector length mismatch")
-        acc = [QZERO] * self.nrows
-        for (r, c), w in self.entries.items():
-            x = v[c]
-            if x != 0:
-                acc[r] += w * x
-        return tuple(acc)
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -221,13 +211,51 @@ class RowReducer:
         work, scale = self._reduce(row)
         return {c: Q(v, scale) for c, v in work.items()}
 
-    def add(self, row: Mapping[int, Q]) -> bool:
-        """Insert a row; returns True when it contributed a new pivot."""
+    def _tick(self) -> None:
+        """Count one row offered, and report progress every _PROGRESS_ROWS."""
         self.rows_seen += 1
         if self.progress is not None and self.rows_seen % _PROGRESS_ROWS == 0:
             elapsed = perf_counter() - self._started
             self.progress(self.rows_seen, self.rank,
                           self.rows_seen / elapsed if elapsed > 0 else 0.0)
+
+    def add(self, row: Mapping[int, Q]) -> bool:
+        """Insert a row; returns True when it contributed a new pivot."""
+        self._tick()
+        return self._insert(row)
+
+    def add_rows(self, rows: Iterable[Mapping[int, Q]]) -> None:
+        """Insert every row of `rows`; the table ends as if each went
+        through `add`, and `rows_seen` and progress count each row as it
+        is read.
+
+        A row with one nonzero entry at column c puts e_c in the row
+        space: the first such row at c is inserted at once as the unit
+        pivot row e_c, a repeat is only counted.  Every other row is held back and inserted after
+        the stream ends with those unit columns dropped, so no row is
+        reduced against a unit pivot and no unit pivot back-substitutes.
+        """
+        units: set[int] = set()
+        held = []
+        for row in rows:
+            self._tick()
+            if len(row) == 1:
+                (c, v), = row.items()
+                if v and c not in units:
+                    units.add(c)
+                    if c in self._by_col:
+                        self._insert(row)
+                    else:
+                        # no pivot row touches c: e_c is already reduced
+                        # and nothing needs back-substituting
+                        self._rows[c] = {c: 1}
+                        self._by_col[c] = {c}
+                continue
+            held.append(row)
+        for row in held:
+            self._insert({c: v for c, v in row.items() if c not in units})
+
+    def _insert(self, row: Mapping[int, Q]) -> bool:
         work, _ = self._reduce(row)
         if not work:
             return False

@@ -122,6 +122,13 @@ def dense_rows(m: RationalMatrix) -> list[list[Q]]:
     return [[m.entries.get((r, c), Q(0)) for c in range(m.ncols)] for r in range(m.nrows)]
 
 
+def dense_matvec(m: RationalMatrix, v: list[Q]) -> list[Q]:
+    """Dense matrix times vector: entry r is row r of m dotted with v."""
+    if len(v) != m.ncols:
+        raise ValueError("vector length mismatch")
+    return [sum((x * y for x, y in zip(row, v) if x and y), Q(0)) for row in dense_rows(m)]
+
+
 def matmul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     """Dense matrix product: entry (r, c) is row r of a dotted with column c of b."""
     if a.ncols != b.nrows:

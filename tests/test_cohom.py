@@ -35,6 +35,7 @@ from nilrig.cohom import (
     space_dims,
     t_operator_rows,
     JORDAN_V,
+    _z_rows,
 )
 from nilrig.exactlin import RationalMatrix, RowReducer
 from nilrig.liealg import (
@@ -629,6 +630,37 @@ def test_coboundaries_inside_every_kernel():
             zred.add(row)
         for vec in coboundary_image_vectors(g):
             assert zred.in_kernel(vec)
+
+
+@pytest.mark.parametrize("maker,kind", [
+    # the model-basis inputs of the benchmark's model workload
+    pytest.param(lambda: families.g_p1(5), "ch", id="g_p1(5)-ch"),
+    pytest.param(lambda: families.g_p1(9), "ch", id="g_p1(9)-ch"),
+    pytest.param(lambda: families.heisenberg(8), "ch", id="heisenberg(8)-ch"),
+    pytest.param(lambda: families.rigid_2step("h10"), "chevalley", id="h10-chevalley"),
+    pytest.param(lambda: families.g_p01(3), "cr", id="g_p01(3)-cr"),
+    pytest.param(lambda: families.g_p01(5), "cr", id="g_p01(5)-cr"),
+    pytest.param(lambda: families.rigid_3step_7(), "cr", id="rigid7-cr"),
+    # dense basis changes, moved to their adapted basis as space_dims does
+    pytest.param(lambda: DENSE_K3K2K1, "cr", id="g_k3k2k1(1,0,2)-dense-cr"),
+    pytest.param(lambda: moved(families.g_k3k2k1(1, 0, 2), 11), "cr",
+                 id="g_k3k2k1(1,0,2)-dense11-cr"),
+    pytest.param(lambda: DENSE_P12, "ch", id="g_p12(2)-dense-ch"),
+])
+def test_z_add_rows_matches_add(maker, kind):
+    g = maker()
+    f = adapted_basis(g)
+    h = g if f is None else basis_change(g, f)
+    rows = list(_z_rows(h, ComplexKind.coerce(kind)))
+    one = RowReducer(CochainIndex(h.dim).size)
+    for row in rows:
+        one.add(row)
+    many = RowReducer(CochainIndex(h.dim).size)
+    many.add_rows(rows)
+    assert many.pivots == one.pivots
+    assert many.kernel_basis_sparse() == one.kernel_basis_sparse()
+    assert (many.rank, many.rows_seen) == (one.rank, one.rows_seen)
+    assert one.ncols - one.rank == space_dims(g, kind).z2_dim
 
 
 def test_ch_kernel_contained_in_chevalley_kernel():

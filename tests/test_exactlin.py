@@ -21,7 +21,7 @@ from nilrig.exactlin import (
 from nilrig.liealg import DEFAULT_SEED, basis_change
 from nilrig.sampling import random_invertible, rng_for
 
-from helpers import dense_rank, dense_rref, matmul
+from helpers import dense_matvec, dense_rank, dense_rref, matmul
 
 
 def M(rows):
@@ -149,7 +149,7 @@ def test_rank_plus_nullity(rows):
     vecs = red.kernel_basis_sparse()
     assert red.rank + len(vecs) == m.ncols
     for v in vecs:
-        assert all(x == 0 for x in m.matvec([v.get(c, 0) for c in range(m.ncols)]))
+        assert all(x == 0 for x in dense_matvec(m, [v.get(c, 0) for c in range(m.ncols)]))
     assert red.rank == dense_rank([list(map(Q, r)) for r in rows])
 
 
@@ -247,6 +247,57 @@ def test_pivots_match_dense_rref_after_basis_change():
     expected = dense_rref([[row.get(c, 0) for c in range(size)] for row in rows])
     assert any(v.denominator > 1 for prow in expected.values() for v in prow.values())
     assert red.pivots == expected
+
+
+# Rows over 2-6 columns, each either a single entry {c: v} (v may be 0,
+# and the few columns make repeats and singles after multi-entry rows on
+# the same column common) or a multi-entry row; plus a cut that splits
+# the rows over two add_rows calls, so the second meets a non-empty table.
+def _rows_and_cut(ncols):
+    col = st.integers(0, ncols - 1)
+    single = st.builds(lambda c, v: {c: v}, col, rationals)
+    multi = st.dictionaries(col, rationals, min_size=2, max_size=ncols)
+    rows = st.lists(st.one_of(single, single, multi), max_size=12)
+    return rows.flatmap(lambda rs: st.tuples(st.just(ncols), st.just(rs),
+                                             st.integers(0, len(rs))))
+
+
+def check_add_rows_matches_add(ncols, batches):
+    one = RowReducer(ncols)
+    for batch in batches:
+        for row in batch:
+            one.add(row)
+    many = RowReducer(ncols)
+    for batch in batches:
+        many.add_rows(iter(batch))
+    assert many.pivots == one.pivots
+    assert many.kernel_basis_sparse() == one.kernel_basis_sparse()
+    assert (many.rank, many.rows_seen) == (one.rank, one.rows_seen)
+
+
+@given(st.integers(2, 6).flatmap(_rows_and_cut))
+@settings(max_examples=150, deadline=None)
+def test_add_rows_matches_add(case):
+    ncols, rows, cut = case
+    check_add_rows_matches_add(ncols, [rows[:cut], rows[cut:]])
+
+
+def test_add_rows_zero_single_entry_is_no_unit():
+    # {0: 0} has one key but is the zero row: column 0 stays a pivot of
+    # the multi-entry row, not a unit column
+    check_add_rows_matches_add(2, [[{0: Q(0)}, {0: Q(1), 1: Q(1)}]])
+    red = RowReducer(2)
+    red.add_rows([{0: Q(0)}, {0: Q(1), 1: Q(1)}])
+    assert red.pivots == {0: {0: Q(1), 1: Q(1)}}
+
+
+def test_add_rows_progress_counts_every_row_read():
+    calls = []
+    red = RowReducer(3, progress=lambda *args: calls.append(args))
+    # repeats of one unit row: only the first inserts, each one counts
+    red.add_rows({0: Q(k + 1)} for k in range(2 * _PROGRESS_ROWS + 1))
+    assert [(n, rank) for n, rank, _ in calls] == [(_PROGRESS_ROWS, 1), (2 * _PROGRESS_ROWS, 1)]
+    assert red.rows_seen == 2 * _PROGRESS_ROWS + 1
 
 
 def test_progress_reports_rows_rank_and_rate():
