@@ -230,10 +230,11 @@ class RowReducer:
         is read.
 
         A row with one nonzero entry at column c puts e_c in the row
-        space: the first such row at c is inserted at once as the unit
-        pivot row e_c, a repeat is only counted.  Every other row is held back and inserted after
-        the stream ends with those unit columns dropped, so no row is
-        reduced against a unit pivot and no unit pivot back-substitutes.
+        space: the first such row at c becomes the pivot row e_c at once,
+        a repeat is only counted.  Every other row is held back and
+        inserted after the stream ends with those unit columns dropped,
+        so no row is reduced against a unit pivot and no unit pivot
+        back-substitutes.
         """
         units: set[int] = set()
         held = []

@@ -2,7 +2,7 @@ import re
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nilrig import families
@@ -262,42 +262,22 @@ def _rows_and_cut(ncols):
                                              st.integers(0, len(rs))))
 
 
-def check_add_rows_matches_add(ncols, batches):
-    one = RowReducer(ncols)
-    for batch in batches:
-        for row in batch:
-            one.add(row)
-    many = RowReducer(ncols)
-    for batch in batches:
-        many.add_rows(iter(batch))
-    assert many.pivots == one.pivots
-    assert many.kernel_basis_sparse() == one.kernel_basis_sparse()
-    assert (many.rank, many.rows_seen) == (one.rank, one.rows_seen)
-
-
 @given(st.integers(2, 6).flatmap(_rows_and_cut))
+# {0: 0} has one key but is the zero row: it must not make column 0 a
+# unit column, so the pivot row at 0 stays {0: 1, 1: 1}
+@example((2, [{0: Q(0)}, {0: Q(1), 1: Q(1)}], 2))
 @settings(max_examples=150, deadline=None)
 def test_add_rows_matches_add(case):
     ncols, rows, cut = case
-    check_add_rows_matches_add(ncols, [rows[:cut], rows[cut:]])
-
-
-def test_add_rows_zero_single_entry_is_no_unit():
-    # {0: 0} has one key but is the zero row: column 0 stays a pivot of
-    # the multi-entry row, not a unit column
-    check_add_rows_matches_add(2, [[{0: Q(0)}, {0: Q(1), 1: Q(1)}]])
-    red = RowReducer(2)
-    red.add_rows([{0: Q(0)}, {0: Q(1), 1: Q(1)}])
-    assert red.pivots == {0: {0: Q(1), 1: Q(1)}}
-
-
-def test_add_rows_progress_counts_every_row_read():
-    calls = []
-    red = RowReducer(3, progress=lambda *args: calls.append(args))
-    # repeats of one unit row: only the first inserts, each one counts
-    red.add_rows({0: Q(k + 1)} for k in range(2 * _PROGRESS_ROWS + 1))
-    assert [(n, rank) for n, rank, _ in calls] == [(_PROGRESS_ROWS, 1), (2 * _PROGRESS_ROWS, 1)]
-    assert red.rows_seen == 2 * _PROGRESS_ROWS + 1
+    one = RowReducer(ncols)
+    for row in rows:
+        one.add(row)
+    many = RowReducer(ncols)
+    many.add_rows(iter(rows[:cut]))
+    many.add_rows(iter(rows[cut:]))
+    assert many.pivots == one.pivots
+    assert many.kernel_basis_sparse() == one.kernel_basis_sparse()
+    assert (many.rank, many.rows_seen) == (one.rank, one.rows_seen)
 
 
 def test_progress_reports_rows_rank_and_rate():
