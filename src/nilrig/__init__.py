@@ -42,7 +42,6 @@ from .cohom import (
     chevalley_delta2,
     comp1,
     deformed_bracket,
-    is_attached,
     jordan_cocycle_defect,
     jordan_linearized_defect,
     r_delta2,

@@ -451,7 +451,9 @@ def _term_rows(idx: CochainIndex, terms) -> Iterator[dict[int, int]]:
     """Rows of sum coef * R(phi(u, X_c)) over the terms (coef, u, c, images),
     u a sparse vector and images the list of a chain R (see `_IntegerMu`),
     as linear functionals of the flat unknowns: one row per output
-    coordinate, in sorted order, with zero entries dropped."""
+    coordinate, in sorted order, with zero entries dropped.  The rows of
+    pairs with a nonzero bracket come from here directly; those of the
+    zero pairs come from it once, at pair (0, 1) (`_zero_pair_block`)."""
     rows: dict[int, dict[int, int]] = {}
     for coef, u, c, images in terms:
         for s, us in u.items():
@@ -470,17 +472,47 @@ def _term_rows(idx: CochainIndex, terms) -> Iterator[dict[int, int]]:
             yield row
 
 
+def _zero_pair_block(idx: CochainIndex, chains) -> list[dict[int, int]]:
+    """A basis of the rows R(phi(X_0, X_1)) over the chains R (image
+    lists, see `_IntegerMu`), on the n columns of pair (0, 1): the RREF
+    rows, each times the lcm of its denominators.
+
+    For a pair with [X_i, X_j] = 0 the T and delta_R terms reduce to
+    R(phi(X_i, X_j)), which depend on (i, j) only through the flat base of
+    the pair, so this block shifted by that base spans the pair's rows.
+    """
+    if not idx.pairs:
+        return []
+    red = RowReducer(idx.dim)
+    red.add_rows(row for images in chains
+                 for row in _term_rows(idx, ((1, {0: 1}, 1, images),)))
+    return [_scaled(row, lcm(*(x.denominator for x in row.values())))
+            for row in red.pivots.values()]
+
+
+def _shifted(block: list[dict[int, int]], base: int) -> Iterator[dict[int, int]]:
+    for row in block:
+        yield {base + c: v for c, v in row.items()}
+
+
 def t_operator_rows(g: LieAlgebra) -> Iterator[dict[int, int]]:
-    """Constraint rows of T(phi) = 0 over the flat 2-cochain coordinates,
-    each L times a row of T (L as in `_IntegerMu`)."""
+    """Integer rows spanning L times the constraint rows of T(phi) = 0
+    over the flat 2-cochain coordinates (L as in `_IntegerMu`).
+
+    A pair with [X_i, X_j] = 0 gives the shared block of
+    `_zero_pair_block` over the chains x |-> [x, X_k]; any other pair
+    gives the rows of each k.
+    """
     idx = CochainIndex(g.dim)
     mu = _IntegerMu(g)
-    # the k with [x, X_k] != 0 for some x; any other k gives a row only
-    # when [X_i, X_j] != 0
-    right = [k for k in range(g.dim) if mu.images[(k,)]]
+    n = g.dim
+    block = _zero_pair_block(idx, (mu.images[(k,)] for k in range(n)))
     for (i, j) in idx.pairs:
-        cij = mu.table.get((i, j), {})
-        for k in range(g.dim) if cij else right:
+        cij = mu.table.get((i, j))
+        if not cij:
+            yield from _shifted(block, idx.pidx[(i, j)] * n)
+            continue
+        for k in range(n):
             # [phi(X_i, X_j), X_k] + phi([X_i, X_j], X_k)
             yield from _term_rows(idx, ((1, {i: 1}, j, mu.images[(k,)]),
                                         (1, cij, k, mu.images[()])))
@@ -507,23 +539,30 @@ def chevalley2_rows(g: LieAlgebra) -> Iterator[dict[int, int]]:
 
 
 def r2_rows(g: LieAlgebra) -> Iterator[dict[int, int]]:
-    """Constraint rows of delta_R^2(phi) = 0, each L^2 times a row of
-    delta_R^2 (L as in `_IntegerMu`; streamed, can be ~1e5 rows)."""
+    """Integer rows spanning L^2 times the constraint rows of
+    delta_R^2(phi) = 0 (L as in `_IntegerMu`; streamed, can be ~1e5 rows).
+
+    A pair with [X_i, X_j] = 0 gives the shared block of
+    `_zero_pair_block` over the chains x |-> [[x, X_k], X_l]; any other
+    pair gives the rows of each (k, l) where a term can be nonzero: every
+    l when w = [[X_i, X_j], X_k] != 0, else the l with [[x, X_k], X_l] != 0
+    or [x, X_l] != 0 for some x.
+    """
     idx = CochainIndex(g.dim)
     mu = _IntegerMu(g)
     images = mu.images
     n = g.dim
-    # the tuples where a term can be nonzero: every l when w != 0; else the
-    # l with [[x, X_k], X_l] != 0 for some x, joined when [X_i, X_j] != 0
-    # by the l with [x, X_l] != 0 for some x
-    chain = [[l for l in range(n) if images[(k, l)]] for k in range(n)]
+    block = _zero_pair_block(idx, (images[(k, l)] for k in range(n) for l in range(n)))
     chain_or_right = [[l for l in range(n) if images[(k, l)] or images[(l,)]]
                       for k in range(n)]
     for (i, j) in idx.pairs:
-        cij = mu.table.get((i, j), {})
+        cij = mu.table.get((i, j))
+        if not cij:
+            yield from _shifted(block, idx.pidx[(i, j)] * n)
+            continue
         for k in range(n):
             w = mu.double.get((i, j, k), {})
-            for l in range(n) if w else chain_or_right[k] if cij else chain[k]:
+            for l in range(n) if w else chain_or_right[k]:
                 # [[phi(X_i,X_j),X_k],X_l] + [phi([X_i,X_j],X_k),X_l]
                 #   + phi([[X_i,X_j],X_k],X_l)
                 yield from _term_rows(idx, ((1, {i: 1}, j, images[(k, l)]),
@@ -750,12 +789,6 @@ def check_linear_deformation_3step(g: LieAlgebra, phi: Cochain) -> DeformationCh
         _zero_condition("cubic", comp1(phi, comp1(phi, phi))),
     )
     return DeformationCheck(3, conditions)
-
-
-def is_attached(g: LieAlgebra, phi) -> bool:
-    """mu o1 phi o1 phi + phi o1 phi o1 mu + phi o1 mu o1 phi = 0."""
-    _validate_kind(g, ComplexKind.CR)
-    return _mixed_defect(g, phi).is_zero()
 
 
 # ---------------------------------------------------------------------------

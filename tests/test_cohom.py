@@ -25,7 +25,6 @@ from nilrig.cohom import (
     coboundary_image_vectors,
     comp1,
     deformed_bracket,
-    is_attached,
     jordan_cocycle_defect,
     jordan_linearized_defect,
     mu_map,
@@ -94,6 +93,13 @@ def single(n, pair, vec_idx, c=1):
 
 
 H3 = families.heisenberg(1)
+
+# [X1,X3] = X4, [X2,X3] = 1/2 X4: the zero-pair T block is the one row
+# 2 phi^1 + phi^2 (the RREF row phi^1 + 1/2 phi^2 times 2) plus phi^3
+HALF4 = LieAlgebra(4, {(0, 2): {3: Q(1)}, (1, 2): {3: Q(1, 2)}})
+# the same plus [X4,X3] = X5, 3-step: the zero-pair delta_R block is
+# 2 phi^1 + phi^2 and phi^3
+HALF5 = LieAlgebra(5, {(0, 2): {3: Q(1)}, (1, 2): {3: Q(1, 2)}, (2, 3): {4: Q(-1)}})
 
 
 # --- strict values -------------------------------------------------------------
@@ -420,6 +426,7 @@ def _pivots(rows, dim: int) -> dict:
     pytest.param(lambda: rescaled(families.g_p12(2), 1, 1, 2, 1), id="g_p12(2)-diag"),
     pytest.param(lambda: families.g_p1(3), id="g_p1(3)"),
     pytest.param(lambda: families.rigid_2step("g8"), id="g8"),
+    pytest.param(lambda: HALF4, id="half4"),
 ])
 def test_t_rows_match_operator(maker):
     g = maker()
@@ -447,6 +454,7 @@ def test_t_rows_match_operator(maker):
     pytest.param(lambda: basis_change(families.g_k3k2k1(1, 0, 2),
                                       random_invertible(5, rng_for(DEFAULT_SEED), -2, 2)),
                  id="g_k3k2k1(1,0,2)-dense"),
+    pytest.param(lambda: HALF5, id="half5"),
 ])
 def test_r2_and_chevalley_rows_match_operators(maker):
     g = maker()
@@ -465,6 +473,42 @@ def test_r2_and_chevalley_rows_match_operators(maker):
         assert c_zero == chevalley_delta2(g, phi).is_zero()
     assert _pivots(r2_rows(g), g.dim) == _pivots(operator_rows(g, [r_delta2]), g.dim)
     assert _pivots(chevalley2_rows(g), g.dim) == _pivots(operator_rows(g, [chevalley_delta2]), g.dim)
+
+
+@pytest.mark.parametrize("gen,g,block", [
+    pytest.param(t_operator_rows, HALF4, [{0: 2, 1: 1}, {2: 1}], id="t-half4"),
+    pytest.param(r2_rows, HALF5, [{0: 2, 1: 1}, {2: 1}], id="r2-half5"),
+])
+def test_zero_pair_block(gen, g, block):
+    # pair (0, 1) is a zero pair and comes first; every zero pair emits
+    # the same block, shifted to the pair's columns
+    n = g.dim
+    idx = CochainIndex(n)
+    rows = list(gen(g))
+    assert sorted(rows[:len(block)], key=sorted) == block
+    for pair in idx.pairs:
+        if not g.bracket_table().get(pair):
+            base = idx.pidx[pair] * n
+            assert all({base + c: v for c, v in row.items()} in rows for row in block)
+
+
+def _corpus_rows():
+    """(id, generator, algebra) over the model corpus and one algebra with
+    rational structure constants."""
+    corpus = [("g_p1(5)", families.g_p1(5)), ("g_p1(9)", families.g_p1(9)),
+              ("heisenberg(8)", families.heisenberg(8)), ("h10", families.rigid_2step("h10")),
+              ("g_p01(3)", families.g_p01(3)), ("g_p01(5)", families.g_p01(5)),
+              ("rigid7", families.rigid_3step_7()), ("half5", HALF5)]
+    for name, g in corpus:
+        yield name, chevalley2_rows, g
+        yield name, t_operator_rows if not two_step_defect(g) else r2_rows, g
+
+
+def test_z_rows_are_nonzero_int_dicts():
+    for name, gen, g in _corpus_rows():
+        for row in gen(g):
+            assert isinstance(row, dict) and row, (name, gen.__name__)
+            assert all(type(v) is int and v for v in row.values()), (name, gen.__name__, row)
 
 
 # --- dimension reports vs dense brute force --------------------------------------------
@@ -861,25 +905,28 @@ def test_deformation_checks_reject_non_lie_base():
     g = LieAlgebra(5, {(0, 1): {3: 1}, (2, 3): {4: -1}})
     assert three_step_defect(g) == []
     zero = Cochain.zero(2, 5)
-    for check in (check_linear_deformation_2step, check_linear_deformation_3step,
-                  is_attached):
+    for check in (check_linear_deformation_2step, check_linear_deformation_3step):
         with pytest.raises(ValueError, match=re.escape(
                 "not a Lie algebra: Jacobi fails at (X1,X2,X3)")):
             check(g, zero)
 
 
-# --- attached multiplications --------------------------------------------------------
+# --- attached multiplications: the mixed quadratic condition ---------------------------
 
 def test_attached_examples():
+    # phi is attached to mu when mu o1 phi o1 phi + phi o1 phi o1 mu
+    # + phi o1 mu o1 phi = 0, the "mixed_quadratic" condition
     g = families.g_p01(2)
-    assert is_attached(g, Cochain.zero(2, 7))
-    mu = Cochain(2, 7, dict(g.constants))
-    assert is_attached(g, mu)
+
+    def attached(phi):
+        return check_linear_deformation_3step(g, phi).condition("mixed_quadratic")[0]
+
+    assert attached(Cochain.zero(2, 7))
+    assert attached(Cochain(2, 7, dict(g.constants)))
     rng = rng_for(31)
     template = families.normalized_cocycle_template("p01", 2)
     for _ in range(5):
-        phi = template.instantiate(template.random_coeffs(rng))
-        assert is_attached(g, phi)
+        assert attached(template.instantiate(template.random_coeffs(rng)))
 
 
 # --- Jordan identities ----------------------------------------------------------------
