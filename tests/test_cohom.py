@@ -94,8 +94,8 @@ def single(n, pair, vec_idx, c=1):
 
 H3 = families.heisenberg(1)
 
-# [X1,X3] = X4, [X2,X3] = 1/2 X4: the zero-pair T block is the one row
-# 2 phi^1 + phi^2 (the RREF row phi^1 + 1/2 phi^2 times 2) plus phi^3
+# [X1,X3] = X4, [X2,X3] = 1/2 X4: the zero-pair T block is 2 phi^1 + phi^2
+# (the RREF row phi^1 + 1/2 phi^2 times its lcm 2) and phi^3
 HALF4 = LieAlgebra(4, {(0, 2): {3: Q(1)}, (1, 2): {3: Q(1, 2)}})
 # the same plus [X4,X3] = X5, 3-step: the zero-pair delta_R block is
 # 2 phi^1 + phi^2 and phi^3
@@ -492,23 +492,16 @@ def test_zero_pair_block(gen, g, block):
             assert all({base + c: v for c, v in row.items()} in rows for row in block)
 
 
-def _corpus_rows():
-    """(id, generator, algebra) over the model corpus and one algebra with
-    rational structure constants."""
-    corpus = [("g_p1(5)", families.g_p1(5)), ("g_p1(9)", families.g_p1(9)),
-              ("heisenberg(8)", families.heisenberg(8)), ("h10", families.rigid_2step("h10")),
-              ("g_p01(3)", families.g_p01(3)), ("g_p01(5)", families.g_p01(5)),
-              ("rigid7", families.rigid_3step_7()), ("half5", HALF5)]
-    for name, g in corpus:
-        yield name, chevalley2_rows, g
-        yield name, t_operator_rows if not two_step_defect(g) else r2_rows, g
-
-
 def test_z_rows_are_nonzero_int_dicts():
-    for name, gen, g in _corpus_rows():
-        for row in gen(g):
-            assert isinstance(row, dict) and row, (name, gen.__name__)
-            assert all(type(v) is int and v for v in row.values()), (name, gen.__name__, row)
+    # the model corpus of the benchmark and one algebra with rational
+    # structure constants
+    for g in (families.g_p1(5), families.g_p1(9), families.heisenberg(8),
+              families.rigid_2step("h10"), families.g_p01(3), families.g_p01(5),
+              families.rigid_3step_7(), HALF5):
+        for gen in (chevalley2_rows, r2_rows if two_step_defect(g) else t_operator_rows):
+            for row in gen(g):
+                assert isinstance(row, dict) and row, gen.__name__
+                assert all(type(v) is int and v for v in row.values()), (gen.__name__, row)
 
 
 # --- dimension reports vs dense brute force --------------------------------------------
