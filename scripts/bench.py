@@ -10,11 +10,12 @@ and measured by its own perfbench/run.py; this script has no timer.  The
 workloads and the run length (`run_seconds`) come from BENCHMARK.json.
 Per workload it runs 10 alternating pairs at --trace 0 (the parent goes
 first in even-numbered pairs, the change in odd-numbered ones), the
-fewest that can show a change winning 9 in 10, then one --trace 1 run per
-side.  The output holds, per side, the Python version, nproc and src/
-line count from the run records; per end-to-end metric, each side's
-values, median and quartiles and the pairs the change won; and the
-per-layer metrics of the traced runs.
+fewest that can show a change winning 9 in 10, then 3 alternating
+--trace 1 pairs.  The output holds, per side, the Python version, nproc
+and src/ line count from the run records; per end-to-end metric, each
+side's values, median and quartiles and the pairs the change won; and per
+per-layer metric, each side's 3 traced values and their median, so one
+slow traced run does not read as a stage regression.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 PAIRS = 10
+TRACED_PAIRS = 3
 
 
 def parse_args(argv):
@@ -89,6 +91,15 @@ def compare(pairs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def per_layer(runs: list[dict]) -> dict:
+    """Per traced metric: each run's value and their median."""
+    out = {}
+    for name in runs[0]["metrics"]:
+        values = [r["metrics"][name]["value"] for r in runs]
+        out[name] = {"values": values, "median": statistics.median(values)}
+    return out
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     if not hasattr(tarfile, "data_filter"):
@@ -96,7 +107,7 @@ def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics, seconds = bench["end_to_end"], bench["run_seconds"]
     doc = {"seed": args.seed, "seconds": seconds, "pairs": PAIRS,
-           "sides": {}, "workloads": {}}
+           "traced_pairs": TRACED_PAIRS, "sides": {}, "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="nilrig-bench-") as tmp:
         trees = {}
         for side, rev in zip(SIDES, (args.parent, args.change)):
@@ -111,17 +122,19 @@ def main(argv=None) -> int:
                 print(f"{workload} pair {k + 1}/{PAIRS}: " + ", ".join(
                     f"{s} wall_s {pair[s]['metrics']['wall_s']['value']:.3f}" for s in SIDES),
                     file=sys.stderr, flush=True)
-            traced = {s: run(trees[s], workload, args.seed, seconds, 1) for s in SIDES}
+            traced = []
+            for k in range(TRACED_PAIRS):
+                order = SIDES if k % 2 == 0 else SIDES[::-1]
+                traced.append({s: run(trees[s], workload, args.seed, seconds, 1) for s in order})
+                print(f"{workload} traced pair {k + 1}/{TRACED_PAIRS}", file=sys.stderr, flush=True)
             for s in SIDES:
                 rec = pairs[0][s]["record"]
                 doc["sides"][s].update(python=rec["python"], nproc=rec["nproc"],
                                        src_lines=rec["src_lines"])
             doc["workloads"][workload] = {
-                "failed": {s: [p[s]["failed"] for p in pairs] + [traced[s]["failed"]]
-                           for s in SIDES},
+                "failed": {s: [p[s]["failed"] for p in pairs + traced] for s in SIDES},
                 "end_to_end": compare(pairs, metrics),
-                "per_layer": {s: {k: v["value"] for k, v in traced[s]["metrics"].items()}
-                              for s in SIDES},
+                "per_layer": {s: per_layer([p[s] for p in traced]) for s in SIDES},
             }
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
     return 0

@@ -18,8 +18,6 @@ from .liealg import (
     characteristic_sequence,
     derivation_algebra_dim,
     derived_dim,
-    direct_sum,
-    is_p_step,
     jacobi_defect,
     lower_central_series,
     nilindex,
@@ -35,7 +33,6 @@ from .cohom import (
     PermCombination,
     bullet_square,
     ch_delta2,
-    ch_delta_general,
     check_linear_deformation_2step,
     check_linear_deformation_3step,
     chevalley_delta1,
@@ -45,7 +42,6 @@ from .cohom import (
     jordan_cocycle_defect,
     jordan_linearized_defect,
     r_delta2,
-    r_delta3,
     space_dims,
 )
 from .families import (

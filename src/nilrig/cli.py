@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import nullcontext
 from fractions import Fraction as Q
@@ -31,7 +32,7 @@ from .cohom import (
     check_linear_deformation_3step,
     space_dims,
 )
-from .exactlin import as_rational, format_rational
+from .exactlin import as_rational
 from .liealg import (
     DEFAULT_SEED,
     LieAlgebra,
@@ -132,7 +133,7 @@ def parse_cochain(path: str) -> Cochain:
 def _entries_doc(dim: int, constants) -> dict:
     brackets = []
     for (i, j) in sorted(constants):
-        v = {str(k + 1): format_rational(x) for k, x in sorted(constants[(i, j)].items())}
+        v = {str(k + 1): str(x) for k, x in sorted(constants[(i, j)].items())}
         brackets.append({"i": i + 1, "j": j + 1, "v": v})
     return {"dim": dim, "basis": [f"X{k + 1}" for k in range(dim)],
             "brackets": brackets}
@@ -290,8 +291,6 @@ def _build_family(name: str, params: list[str]) -> list[tuple[str, LieAlgebra]]:
 
 
 def cmd_family(args) -> int:
-    import os
-
     built = _build_family(args.name, args.params)
     written = []
     if len(built) == 1:
@@ -348,7 +347,7 @@ def cmd_operad_check(args) -> int:
     doc = {
         "order": order,
         "dual_dims": list(dual_dims.dims),
-        "residual_coeffs": [format_rational(c) for c in residual.coeffs],
+        "residual_coeffs": [str(c) for c in residual.coeffs],
         "residual_zero": residual.is_zero(),
         "table": [
             {"operad": row.operad, "arity": row.arity, "dim": row.dim,

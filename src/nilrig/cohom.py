@@ -310,30 +310,6 @@ def ch_delta2(g: LieAlgebra, phi: Cochain) -> MultiMap:
     return mm_combine((QONE, comp1(mu, phi)), (QONE, comp1(phi, mu)))
 
 
-def _pair_slots(arity: int) -> range:
-    # 0-based first slot of each output pair the bracket contracts: (x2,x3),
-    # (x4,x5), .. for even arity and (x3,x4), (x5,x6), .. for odd arity
-    return range(1 if arity % 2 == 0 else 2, arity, 2)
-
-
-def ch_delta_general(g: LieAlgebra, psi: Cochain) -> MultiMap:
-    """Literal parity-split coboundary of the 2-step complex.
-
-    Even arity 2p:  mu(x1, psi(x2..)) + sum_i psi(.., mu(x_{2i}, x_{2i+1}), ..);
-    odd arity 2p-1: mu(x1, psi(x2..)) + sum_i psi(.., mu(x_{2i+1}, x_{2i+2}), ..),
-    i.e. mu o2 psi plus psi composed with mu at each paired slot.  Kept for
-    inspection; degree-2 reports use `ch_delta2`.
-    """
-    if psi.arity > 3:
-        raise ValueError("arity at most 3 supported")
-    if psi.dim != g.dim:
-        raise ValueError("dimension mismatch")
-    _require_two_step(g)
-    mu = mu_map(g)
-    return mm_combine((QONE, comp1(mu, psi, 1)),
-                      *((QONE, comp1(psi, mu, p)) for p in _pair_slots(psi.arity)))
-
-
 def bullet_square(phi: Cochain) -> Cochain:
     """Jacobiator (phi . phi)(x,y,z) = phi(phi(x,y),z) + cyclic; fully skew."""
     if phi.arity != 2:
@@ -357,14 +333,6 @@ def r_delta2(g: LieAlgebra, phi: Cochain) -> MultiMap:
         (QONE, comp1(mu, comp1(phi, mu))),
         (QONE, comp1(phi, comp1(mu, mu))),
     )
-
-
-def r_delta3(g: LieAlgebra, psi: MultiMap) -> MultiMap:
-    """delta_R^3(psi)(x1..x5) = mu(psi(x1..x4), x5) - psi(mu(x1,x2), x3, x4, x5)."""
-    if psi.arity != 4 or psi.dim != g.dim:
-        raise ValueError("expected an arity-4 map of matching dimension")
-    mu = mu_map(g)
-    return mm_combine((QONE, comp1(mu, psi)), (Q(-1), comp1(psi, mu)))
 
 
 def deformed_bracket(g: LieAlgebra, phi: Cochain, t: Q = QONE) -> LieAlgebra:

@@ -73,10 +73,6 @@ def as_sparse_vector(vec, dim: int) -> dict[int, Q]:
     return out
 
 
-def format_rational(x) -> str:
-    return str(Q(x))
-
-
 # ---------------------------------------------------------------------------
 # sparse rational matrices
 

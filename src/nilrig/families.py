@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Mapping, NamedTuple, Sequence
 
-from .cohom import Cochain, ch_delta2, deformed_bracket
+from .cohom import Cochain, CochainIndex, ch_delta2, deformed_bracket
 from .exactlin import Q, QZERO, QONE, RowReducer, as_rational
 from .liealg import LieAlgebra
 
@@ -156,9 +156,6 @@ class CocycleTemplate:
                 if c != 0:
                     vec[k - 1] = vec.get(k - 1, QZERO) + mult * c
         return Cochain(2, self.dim, data)
-
-    def random_coeffs(self, rng, lo: int = -3, hi: int = 3) -> dict[str, Q]:
-        return {name: Q(rng.randint(lo, hi)) for name in self.free}
 
 
 def _template_221(p: int) -> CocycleTemplate:
@@ -374,8 +371,6 @@ def cocycle_space_dim_221(p: int) -> CocycleSpaceDim:
         raise ValueError("p must be at least 2")
     template = normalized_cocycle_template("221", p)
     g = g_p1(p)
-    from .cohom import CochainIndex  # local import to avoid cycle at load
-
     idx = CochainIndex(g.dim)
     red = RowReducer(idx.size)
     for name in template.free:

@@ -207,12 +207,6 @@ def nilindex(g: LieAlgebra) -> int:
     raise ValueError("series stabilized at nonzero ideal")
 
 
-def is_p_step(g: LieAlgebra, p: int) -> bool:
-    """True iff g is nilpotent with nilindex p; False on non-nilpotent input."""
-    dims = lower_central_series(g).dims
-    return dims[-1] == 0 and len(dims) - 1 == p
-
-
 def _ad_ranks(table, x: Mapping[int, Q], n: int) -> list[int]:
     """[rank (ad x)^1, rank (ad x)^2, ..., 0]; g must be nilpotent.
 
@@ -383,11 +377,3 @@ def _columns(m: RationalMatrix) -> list[dict[int, Q]]:
     for (r, c), v in m.entries.items():
         cols[c][r] = v
     return cols
-
-
-def direct_sum(g1: LieAlgebra, g2: LieAlgebra) -> LieAlgebra:
-    n1 = g1.dim
-    constants = dict(g1.constants)
-    for (i, j), vec in g2.constants.items():
-        constants[(i + n1, j + n1)] = {m + n1: x for m, x in vec.items()}
-    return LieAlgebra(n1 + g2.dim, constants)

@@ -20,6 +20,7 @@ from typing import Callable
 from . import families, operads, sampling
 from .cohom import (
     Cochain,
+    MultiMap,
     ch_delta2,
     ch_kernel_contained_in_chevalley,
     check_linear_deformation_2step,
@@ -394,8 +395,6 @@ def _c11f(seed: int):
 def _matrix_jordan_algebra():
     """2x2 matrices under x * y = (xy + yx) / 2 on the units E_11, E_12,
     E_21, E_22, where E_ab is basis vector 2a + b and E_ab E_cd = [b = c] E_ad."""
-    from .cohom import MultiMap
-
     coeffs: dict[tuple[int, int], dict[int, Q]] = {}
     for i in range(4):
         for j in range(4):
@@ -508,7 +507,3 @@ def run_claims(seed: int = DEFAULT_SEED, only: str | None = None) -> dict:
         "summary": {"total": len(rows), "passed": passed,
                     "failed": len(rows) - passed},
     }
-
-
-def criterion_rows(doc: dict, criterion: int) -> list[dict]:
-    return [r for r in doc["claims"] if r["criterion"] == criterion]

@@ -1,9 +1,7 @@
 """Seeded random generators used by the verification report and the tests.
 
 Everything takes an explicit `random.Random`; results are deterministic
-for a fixed seed.  Nilpotent test algebras are produced from the model
-constructors plus random basis changes, so validity (Jacobi, nilindex)
-is guaranteed by construction rather than by rejection.
+for a fixed seed.
 """
 
 from __future__ import annotations
@@ -11,10 +9,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction as Q
 
-from . import families
 from .cohom import Cochain, MultiMap
 from .exactlin import RationalMatrix, invert
-from .liealg import LieAlgebra, _columns, _lincomb, abelian, basis_change, direct_sum
+from .liealg import LieAlgebra, _columns, _lincomb, abelian
 
 
 def rng_for(seed: int) -> random.Random:
@@ -88,35 +85,6 @@ def random_two_step(rng: random.Random, dim: int) -> LieAlgebra:
                     vec[k] = Q(v)
             constants[(i, j)] = vec
     return LieAlgebra(dim, constants)
-
-
-def random_nilpotent(rng: random.Random, max_dim: int = 6) -> LieAlgebra:
-    """Random nilpotent Lie algebra of dim <= max_dim: a model algebra or
-    direct sum thereof, disguised by a random invertible basis change."""
-    choices = []
-    if max_dim >= 1:
-        choices.append(abelian(rng.randint(1, max_dim)))
-    if max_dim >= 3:
-        choices.append(families.heisenberg(1))
-    if max_dim >= 4:
-        choices.append(families.g_p12(2))
-        choices.append(direct_sum(families.heisenberg(1), abelian(1)))
-    if max_dim >= 5:
-        choices.append(families.g_p1(2))
-        choices.append(families.g_k3k2k1(1, 0, 2))
-        choices.append(random_two_step(rng, 5))
-    if max_dim >= 6:
-        choices.append(families.g_p12(3))
-        choices.append(families.g_k3k2k1(1, 1, 1))
-        choices.append(families.g_k3k2k1(1, 0, 3))
-        choices.append(direct_sum(families.g_p1(1), abelian(3)))
-        choices.append(random_two_step(rng, 6))
-    g = rng.choice(choices)
-    if rng.random() < 0.5:
-        f = random_unipotent(g.dim, rng)
-    else:
-        f = random_invertible(g.dim, rng, -2, 2)
-    return basis_change(g, f)
 
 
 def random_commutative_associative(rng: random.Random, dim: int) -> MultiMap:

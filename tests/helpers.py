@@ -12,9 +12,11 @@ from __future__ import annotations
 from fractions import Fraction as Q
 from itertools import product
 
+from nilrig import families
 from nilrig.cohom import Cochain, CochainIndex, MultiMap, ch_delta2, chevalley_delta1, chevalley_delta2, r_delta2
 from nilrig.exactlin import RationalMatrix
-from nilrig.liealg import CharSeq, LieAlgebra
+from nilrig.liealg import CharSeq, LieAlgebra, abelian, basis_change
+from nilrig.sampling import random_invertible, random_two_step, random_unipotent
 
 
 def dense(vec, n: int) -> tuple[Q, ...]:
@@ -294,3 +296,56 @@ def jacobiator(g, i: int, j: int, k: int) -> tuple[Q, ...]:
         term = bracket_vec_basis(g, bracket_basis(g, a, b), c)
         total = [p + q for p, q in zip(total, term)]
     return tuple(total)
+
+
+# --- test inputs ---------------------------------------------------------------
+
+def direct_sum(g1: LieAlgebra, g2: LieAlgebra) -> LieAlgebra:
+    """g1 + g2 with the basis of g2 placed after that of g1."""
+    n1 = g1.dim
+    constants = dict(g1.constants)
+    for (i, j), vec in g2.constants.items():
+        constants[(i + n1, j + n1)] = {m + n1: x for m, x in vec.items()}
+    return LieAlgebra(n1 + g2.dim, constants)
+
+
+def random_nilpotent(rng, max_dim: int = 6) -> LieAlgebra:
+    """Random nilpotent Lie algebra of dim <= max_dim: a model algebra or
+    direct sum thereof, disguised by a random invertible basis change, so
+    validity (Jacobi, nilindex) holds by construction rather than by
+    rejection."""
+    choices = []
+    if max_dim >= 1:
+        choices.append(abelian(rng.randint(1, max_dim)))
+    if max_dim >= 3:
+        choices.append(families.heisenberg(1))
+    if max_dim >= 4:
+        choices.append(families.g_p12(2))
+        choices.append(direct_sum(families.heisenberg(1), abelian(1)))
+    if max_dim >= 5:
+        choices.append(families.g_p1(2))
+        choices.append(families.g_k3k2k1(1, 0, 2))
+        choices.append(random_two_step(rng, 5))
+    if max_dim >= 6:
+        choices.append(families.g_p12(3))
+        choices.append(families.g_k3k2k1(1, 1, 1))
+        choices.append(families.g_k3k2k1(1, 0, 3))
+        choices.append(direct_sum(families.g_p1(1), abelian(3)))
+        choices.append(random_two_step(rng, 6))
+    g = rng.choice(choices)
+    if rng.random() < 0.5:
+        f = random_unipotent(g.dim, rng)
+    else:
+        f = random_invertible(g.dim, rng, -2, 2)
+    return basis_change(g, f)
+
+
+def random_coeffs(template, rng, lo: int = -3, hi: int = 3) -> dict[str, Q]:
+    """A random integer value in [lo, hi] for each free name of a
+    `CocycleTemplate`, drawn in the order of `template.free`."""
+    return {name: Q(rng.randint(lo, hi)) for name in template.free}
+
+
+def criterion_rows(doc: dict, criterion: int) -> list[dict]:
+    """The rows of a `run_claims` document that belong to `criterion`."""
+    return [r for r in doc["claims"] if r["criterion"] == criterion]

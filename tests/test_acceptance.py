@@ -14,6 +14,8 @@ import pytest
 
 from nilrig import report
 
+from helpers import criterion_rows
+
 CRITERIA = {
     1: "Heisenberg CH dimensions",
     2: "normalized 221-pattern counts",
@@ -36,7 +38,7 @@ def full_report():
 
 
 def _check(full_report, criterion: int):
-    rows = report.criterion_rows(full_report, criterion)
+    rows = criterion_rows(full_report, criterion)
     assert rows, f"no claims registered for criterion {criterion}"
     ok = all(r["pass"] for r in rows)
     print(f"ACCEPTANCE criterion {criterion} ({CRITERIA[criterion]}): "

@@ -413,27 +413,10 @@ def _run_script(name, *argv):
                           capture_output=True, text=True, env=env, timeout=60)
 
 
-def test_paper_report_script_unknown_prefix(tmp_path):
-    out = tmp_path / "r.json"
-    proc = _run_script("paper_report.py", "--only", "NOPE", "--json", str(out))
-    assert proc.returncode == 1 and proc.stdout == ""
-    assert proc.stderr == "error: no claim id starts with 'NOPE'\n"
-    assert not out.exists()
-
-
-def test_paper_report_script_json_in_missing_directory(tmp_path):
-    # the file is opened before any claim runs, so no table is printed
-    out = tmp_path / "missing" / "r.json"
-    proc = _run_script("paper_report.py", "--only", "C10.", "--json", str(out))
-    assert proc.returncode == 1 and proc.stdout == ""
-    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-    assert str(out) in proc.stderr
-
-
 @pytest.mark.parametrize("name, argv, summary", [
-    ("paper_report.py", ["--only", "C10"],
-     r"3/3 claims match their expected values \(seed \d+\)"),
-    ("cohomology_table.py", ["--max-p", "1"], r"13 rows, 8 rigid candidates"),
+    # an explicit id keeps each case's id stable when scripts come and go
+    pytest.param("cohomology_table.py", ["--max-p", "1"], r"13 rows, 8 rigid candidates",
+                 id="cohomology_table.py-argv1-13 rows, 8 rigid candidates"),
 ])
 def test_script_smoke(name, argv, summary):
     proc = _run_script(name, *argv)

@@ -20,15 +20,13 @@ from nilrig.liealg import (
     characteristic_sequence,
     derivation_algebra_dim,
     derived_dim,
-    direct_sum,
-    is_p_step,
     jacobi_defect,
     lower_central_series,
     nilindex,
     three_step_defect,
     two_step_defect,
 )
-from nilrig.sampling import random_invertible, random_nilpotent, random_unipotent, rng_for
+from nilrig.sampling import random_invertible, random_unipotent, rng_for
 
 from helpers import (
     ad_matrix,
@@ -40,10 +38,12 @@ from helpers import (
     dense_basis_change,
     dense_rows,
     dense_rref,
+    direct_sum,
     jacobiator,
     jordan_partition,
     matmul,
     power_ranks,
+    random_nilpotent,
     span_dim,
 )
 
@@ -389,14 +389,6 @@ def test_charseq_certified_and_ranks_match_dense_oracle_on_corpus():
 def test_charseq_mark_does_not_affect_equality_or_order():
     assert CharSeq((2, 1), certified=True) == CharSeq((2, 1))
     assert not CharSeq((2, 1), certified=True) < CharSeq((2, 1))
-
-
-def test_is_p_step():
-    assert not is_p_step(LieAlgebra(2, {(0, 1): {1: 1}}), 1)  # [X1, X2] = X2
-    assert not is_p_step(LieAlgebra(2, {(0, 1): {1: 1}}), 2)
-    assert is_p_step(families.heisenberg(1), 2)
-    assert not is_p_step(families.heisenberg(1), 3)
-    assert is_p_step(families.rigid_3step_7(), 3)
 
 
 def test_charseq_validation():
