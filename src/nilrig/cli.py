@@ -208,12 +208,9 @@ def cmd_analyze(args) -> int:
 def cmd_cohomology(args) -> int:
     g = parse_algebra(args.file)
     kind = ComplexKind.coerce(args.complex)
-    progress = None
-    if kind is ComplexKind.CR and g.dim >= 9:
-        progress = lambda n, rank, rate: _note(
-            f"  rows processed: {n}, rank {rank}, {rate:.0f} rows/s")
     r = space_dims(g, kind, with_representatives=args.representatives,
-                   progress=progress)
+                   progress=lambda n, rank, rate: _note(
+                       f"  rows processed: {n}, rank {rank}, {rate:.0f} rows/s"))
     doc = {
         "file": args.file,
         "complex": kind.value,
@@ -255,37 +252,29 @@ def cmd_deform(args) -> int:
     return 0
 
 
-_FAMILY_ARITY = {
-    "heisenberg": 1, "g-p1": 1, "g-p12": 1, "g-p01": 1,
-    "g-k3k2k1": 3, "rigid-2step": 1, "rigid-3step-7": 0,
-    "classification-F731": 0,
+#: family name -> (number of parameters, builder of its (label, algebra) members)
+_FAMILIES = {
+    "heisenberg": (1, lambda p: [(f"h{2 * int(p[0]) + 1}", families.heisenberg(int(p[0])))]),
+    "g-p1": (1, lambda p: [(f"g_{p[0]}_1", families.g_p1(int(p[0])))]),
+    "g-p12": (1, lambda p: [(f"g_{int(p[0]) - 1}_2", families.g_p12(int(p[0])))]),
+    "g-p01": (1, lambda p: [(f"g_{p[0]}_0_1", families.g_p01(int(p[0])))]),
+    "g-k3k2k1": (3, lambda p: [("g_" + "_".join(str(int(x)) for x in p),
+                                families.g_k3k2k1(*map(int, p)))]),
+    "rigid-2step": (1, lambda p: [(p[0], families.rigid_2step(p[0]))]),
+    "rigid-3step-7": (0, lambda p: [("rigid7", families.rigid_3step_7())]),
+    "classification-F731": (0, lambda p: [(f"F731_{k:02d}", a) for k, a
+                                          in enumerate(families.classification_F731())]),
 }
 
 
 def _build_family(name: str, params: list[str]) -> list[tuple[str, LieAlgebra]]:
-    if name not in _FAMILY_ARITY:
-        raise CliError(f"unknown family {name!r}; choose from "
-                       f"{sorted(_FAMILY_ARITY)}")
-    if len(params) != _FAMILY_ARITY[name]:
-        raise CliError(f"family {name} takes {_FAMILY_ARITY[name]} parameter(s)")
+    if name not in _FAMILIES:
+        raise CliError(f"unknown family {name!r}; choose from {sorted(_FAMILIES)}")
+    arity, build = _FAMILIES[name]
+    if len(params) != arity:
+        raise CliError(f"family {name} takes {arity} parameter(s)")
     try:
-        if name == "heisenberg":
-            return [(f"h{2 * int(params[0]) + 1}", families.heisenberg(int(params[0])))]
-        if name == "g-p1":
-            return [(f"g_{params[0]}_1", families.g_p1(int(params[0])))]
-        if name == "g-p12":
-            return [(f"g_{int(params[0]) - 1}_2", families.g_p12(int(params[0])))]
-        if name == "g-p01":
-            return [(f"g_{params[0]}_0_1", families.g_p01(int(params[0])))]
-        if name == "g-k3k2k1":
-            k3, k2, k1 = (int(x) for x in params)
-            return [(f"g_{k3}_{k2}_{k1}", families.g_k3k2k1(k3, k2, k1))]
-        if name == "rigid-2step":
-            return [(params[0], families.rigid_2step(params[0]))]
-        if name == "rigid-3step-7":
-            return [("rigid7", families.rigid_3step_7())]
-        return [(f"F731_{k:02d}", a)
-                for k, a in enumerate(families.classification_F731())]
+        return build(params)
     except ValueError as exc:
         raise CliError(str(exc)) from None
 

@@ -96,8 +96,8 @@ class Cochain(_Multilinear):
     """Skew k-linear map (k = 1, 2, 3) with values in the algebra.
 
     Coefficients are stored on strictly increasing index tuples only;
-    evaluation on any other ordering applies the permutation sign, and
-    repeated arguments give zero.
+    the value on any other ordering is the stored one times the
+    permutation sign, and repeated arguments give zero.
     """
 
     __slots__ = ()
@@ -116,18 +116,6 @@ class Cochain(_Multilinear):
         if any(a >= b for a, b in zip(idx, idx[1:])):
             raise ValueError(f"index tuple {idx} must be strictly increasing")
 
-    def value(self, idx: Sequence[int]) -> dict[int, Q]:
-        """The value on the basis tuple `idx`, {} for zero; a stored value
-        is returned as it is, so callers never mutate it."""
-        idx = tuple(idx)
-        if len(idx) != self.arity:
-            raise ValueError("wrong number of arguments")
-        # no stored key repeats an index, so repeated arguments give {}
-        vec = self.coeffs.get(tuple(sorted(idx)))
-        if vec is None:
-            return {}
-        return vec if _perm_sign(idx) == 1 else {m: -x for m, x in vec.items()}
-
 
 class MultiMap(_Multilinear):
     """Plain k-linear map on basis tuples; no symmetry assumed."""
@@ -137,13 +125,6 @@ class MultiMap(_Multilinear):
     def _check(self, idx: tuple[int, ...]) -> None:
         if len(idx) != self.arity or any(not 0 <= i < self.dim for i in idx):
             raise ValueError(f"bad index tuple {idx}")
-
-    def value(self, idx: Sequence[int]) -> dict[int, Q]:
-        """The value on the basis tuple `idx`, {} for zero (see Cochain.value)."""
-        idx = tuple(idx)
-        if len(idx) != self.arity:
-            raise ValueError("wrong number of arguments")
-        return self.coeffs.get(idx, {})
 
 
 def mu_map(g: LieAlgebra) -> MultiMap:
@@ -558,7 +539,6 @@ class ComplexKind(Enum):
 
 @dataclass(frozen=True)
 class CohomologyReport:
-    kind: ComplexKind
     z2_dim: int
     b2_dim: int
     h2_dim: int
@@ -674,7 +654,7 @@ def space_dims(g: LieAlgebra, kind, *, with_representatives: bool = False,
         kernel = red.kernel_basis_sparse()
         reps = (tuple(map(idx.to_cochain, kernel)) if f is None
                 else _transport_back(idx, kernel, f))
-    return CohomologyReport(kind, z2, b2, h2, h2 == 0, reps)
+    return CohomologyReport(z2, b2, h2, h2 == 0, reps)
 
 
 def _transport_back(idx: CochainIndex, kernel, f: RationalMatrix) -> tuple[Cochain, ...]:
@@ -703,21 +683,11 @@ def ch_kernel_contained_in_chevalley(g: LieAlgebra) -> bool:
 class DeformationCheck:
     """Per-condition exact zero tests for a linear one-parameter family."""
 
-    steps: int
     conditions: tuple[tuple[str, bool, tuple[int, ...] | None], ...]
 
     @property
     def passes_all(self) -> bool:
         return all(ok for _, ok, _ in self.conditions)
-
-    def condition(self, name: str) -> tuple[bool, tuple[int, ...] | None]:
-        for cname, ok, witness in self.conditions:
-            if cname == name:
-                return ok, witness
-        raise KeyError(name)
-
-    def failed(self) -> list[str]:
-        return [name for name, ok, _ in self.conditions if not ok]
 
 
 def _zero_condition(name: str, defect) -> tuple[str, bool, tuple[int, ...] | None]:
@@ -733,7 +703,7 @@ def check_linear_deformation_2step(g: LieAlgebra, phi: Cochain) -> DeformationCh
         _zero_condition("ch_cocycle", ch_delta2(g, phi)),
         _zero_condition("quadratic", comp1(phi, phi)),
     )
-    return DeformationCheck(2, conditions)
+    return DeformationCheck(conditions)
 
 
 def _mixed_defect(g: LieAlgebra, phi) -> MultiMap:
@@ -756,7 +726,7 @@ def check_linear_deformation_3step(g: LieAlgebra, phi: Cochain) -> DeformationCh
         _zero_condition("mixed_quadratic", _mixed_defect(g, phi)),
         _zero_condition("cubic", comp1(phi, comp1(phi, phi))),
     )
-    return DeformationCheck(3, conditions)
+    return DeformationCheck(conditions)
 
 
 # ---------------------------------------------------------------------------
@@ -796,7 +766,7 @@ def _require_symmetric(m: MultiMap, what: str) -> None:
     if m.arity != 2:
         raise ValueError(f"{what} must be bilinear")
     for (a, b), vec in m.coeffs.items():
-        if m.value((b, a)) != vec:
+        if m.coeffs.get((b, a)) != vec:
             raise ValueError(f"{what} must be symmetric")
 
 

@@ -102,9 +102,6 @@ class RationalMatrix:
             out.setdefault(r, {})[c] = v
         return out
 
-    def is_zero(self) -> bool:
-        return not self.entries
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, RationalMatrix)
                 and self.nrows == other.nrows and self.ncols == other.ncols

@@ -74,9 +74,6 @@ class LieAlgebra:
             self._double = double
         return self._double
 
-    def pairs(self) -> list[tuple[int, int]]:
-        return sorted(self.constants)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, LieAlgebra)
                 and self.dim == other.dim and self.constants == other.constants)

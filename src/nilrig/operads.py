@@ -31,11 +31,6 @@ class DimSequence:
     def __getitem__(self, k: int) -> int:
         return self.dims[k]
 
-    def __add__(self, other: "DimSequence") -> "DimSequence":
-        if len(self) != len(other):
-            raise ValueError("length mismatch")
-        return DimSequence(tuple(a + b for a, b in zip(self.dims, other.dims)))
-
 
 def two_nilp_dims(order: int) -> DimSequence:
     """Dimensions 1, 1, 0, 0, ... of the quadratic nilpotency operad."""

@@ -10,7 +10,7 @@ from and to the package's {coordinate: Fraction} values.
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from itertools import product
+from itertools import combinations, product
 
 from nilrig import families
 from nilrig.cohom import Cochain, CochainIndex, MultiMap, ch_delta2, chevalley_delta1, chevalley_delta2, r_delta2
@@ -184,6 +184,21 @@ def span_dim(vectors: list[list[Q]]) -> int:
     return dense_rank(vectors) if vectors else 0
 
 
+def value(m, idx) -> dict[int, Q]:
+    """m(X_idx[0], ..) as a sparse value, {} for zero.  A Cochain stores
+    increasing keys only: another ordering of distinct indices takes the
+    sign of the parity of its inversions, and a repeated index gives zero.
+    A MultiMap is read as stored."""
+    idx = tuple(idx)
+    if len(idx) != m.arity:
+        raise ValueError("wrong number of arguments")
+    if not isinstance(m, Cochain):
+        return m.coeffs.get(idx, {})
+    vec = m.coeffs.get(tuple(sorted(idx)), {})
+    inversions = sum(a > b for a, b in combinations(idx, 2))
+    return vec if inversions % 2 == 0 else {k: -x for k, x in vec.items()}
+
+
 def basis_cochains(n: int):
     idx = CochainIndex(n)
     out = []
@@ -202,7 +217,7 @@ def brute_comp1(f, h, slot: int = 0) -> MultiMap:
     arity = f.arity + h.arity - 1
     coeffs = {}
     for mid in product(range(n), repeat=h.arity):
-        hv = dense(h.value(mid), n)
+        hv = dense(value(h, mid), n)
         if vec_is_zero(hv):
             continue
         nz = [(s, c) for s, c in enumerate(hv) if c != 0]
@@ -210,7 +225,7 @@ def brute_comp1(f, h, slot: int = 0) -> MultiMap:
             before, after = rest[:slot], rest[slot:]
             acc = None
             for s, c in nz:
-                fv = dense(f.value(before + (s,) + after), n)
+                fv = dense(value(f, before + (s,) + after), n)
                 if not vec_is_zero(fv):
                     acc = vscale(c, fv) if acc is None else vadd(acc, vscale(c, fv))
             if acc is not None and not vec_is_zero(acc):
@@ -264,7 +279,7 @@ def brute_jacobi_defect(g) -> list[tuple[int, int, int]]:
 def brute_two_step_defect(g) -> list[tuple[int, int, int]]:
     """Basis tuples (i, j, k) with [[X_i, X_j], X_k] != 0, from dense vectors."""
     bad = []
-    for (i, j) in g.pairs():
+    for (i, j) in sorted(g.constants):
         vec = bracket_basis(g, i, j)
         for k in range(g.dim):
             if not vec_is_zero(bracket_vec_basis(g, vec, k)):
@@ -276,7 +291,7 @@ def brute_three_step_defect(g) -> list[tuple[int, int, int, int]]:
     """Basis tuples (i, j, k, l) with [[[X_i, X_j], X_k], X_l] != 0, from
     dense vectors."""
     bad = []
-    for (i, j) in g.pairs():
+    for (i, j) in sorted(g.constants):
         vec = bracket_basis(g, i, j)
         for k in range(g.dim):
             w = bracket_vec_basis(g, vec, k)

@@ -226,7 +226,7 @@ def test_cohomology_cr(tmp_path, capsys):
 
 
 def test_cohomology_progress_lines(tmp_path, capsys, monkeypatch):
-    # cr at dim >= 9 reports rows fed, rank and rate on stderr
+    # every _PROGRESS_ROWS Z rows, rows fed, rank and rate go to stderr
     path = tmp_path / "g.json"
     write_algebra(families.g_k3k2k1(2, 1, 1), str(path))
     monkeypatch.setattr("nilrig.exactlin._PROGRESS_ROWS", 400)
@@ -237,6 +237,17 @@ def test_cohomology_progress_lines(tmp_path, capsys, monkeypatch):
         "  rows processed: 400", "  rows processed: 800"]
     for line in lines:
         assert re.fullmatch(r"  rows processed: \d+, rank \d+, \d+ rows/s", line)
+
+
+def test_cohomology_progress_lines_ch(tmp_path, capsys, monkeypatch):
+    # the 2-step complex reports progress too: g_p1(5) streams 850 Z rows
+    path = tmp_path / "g.json"
+    write_algebra(families.g_p1(5), str(path))
+    monkeypatch.setattr("nilrig.exactlin._PROGRESS_ROWS", 400)
+    code, _, err = run(capsys, "cohomology", str(path), "--complex", "ch")
+    assert code == 0
+    assert [line.split(",")[0] for line in err.splitlines()] == [
+        "  rows processed: 400", "  rows processed: 800"]
 
 
 def test_cohomology_wrong_kind(tmp_path, capsys):

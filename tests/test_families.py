@@ -15,7 +15,7 @@ from nilrig.liealg import (
 )
 from nilrig.sampling import rng_for
 
-from helpers import bracket_vec_basis, dense, random_coeffs
+from helpers import bracket_vec_basis, dense, random_coeffs, value
 
 
 def e(n, i):
@@ -130,14 +130,14 @@ def test_template_p01_counts_and_couplings():
     assert t.relations  # the coupled X_{3k} coefficients are documented
     # coupled entry: phi(X2,X5) contains (a_{3,5}^1 + a_{2,6}^1) X3
     phi = t.instantiate({"a_{3,5}^1": 2, "a_{2,6}^1": 5})
-    assert phi.value((1, 4))[2] == Q(7)
+    assert value(phi, (1, 4))[2] == Q(7)
 
 
 def test_template_z2kk_shape():
     t = families.normalized_cocycle_template("Z2kk", 2)
     assert "a" in t.free
     phi = t.instantiate({"a": 3})
-    assert phi.value((0, 3)) == {3: Q(3)}  # phi(X1, X4) = 3 X4
+    assert value(phi, (0, 3)) == {3: Q(3)}  # phi(X1, X4) = 3 X4
 
 
 def test_template_clas3111_counts():

@@ -1,6 +1,8 @@
 """The benchmark tracer wraps program functions by (module, attribute)
 name; a renamed function would otherwise only show up as a
-`missing_wrappers` entry in a traced run record."""
+`missing_wrappers` entry in a traced run record, and a function bound at
+import time (say, in a dispatch table) would escape its wrapper, so its
+per-layer metric would read 0."""
 
 import importlib
 import importlib.util
@@ -8,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from nilrig import cohom, families, report
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -29,3 +33,22 @@ def _targets():
 @pytest.mark.parametrize("modname,attr", _targets())
 def test_tracer_target_resolves(modname, attr):
     assert callable(getattr(importlib.import_module(modname), attr, None))
+
+
+def test_tracer_measures_every_layer():
+    tracer = _tracer().Tracer()
+    g = families.g_p01(2)
+    tracer.install()
+    try:
+        tracer.run_case("g_p01(2) cr", lambda: cohom.space_dims(
+            g, "cr", with_representatives=True))
+        tracer.run_case("C08", lambda: report.run_claims(only="C08"))
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
+    assert tracer.rank_mismatches() == []
+    metrics = tracer.metrics()
+    for name in ("cohom.z_rows", "exactlin.pivots", "cohom.d1_calls",
+                 "exactlin.b2_elim_s", "cohom.containment_s",
+                 "liealg.validate_s", "report.c08_s"):
+        assert metrics[name][0] > 0, name
