@@ -255,9 +255,9 @@ def cmd_deform(args) -> int:
 #: family name -> (number of parameters, builder of its (label, algebra) members)
 _FAMILIES = {
     "heisenberg": (1, lambda p: [(f"h{2 * int(p[0]) + 1}", families.heisenberg(int(p[0])))]),
-    "g-p1": (1, lambda p: [(f"g_{p[0]}_1", families.g_p1(int(p[0])))]),
+    "g-p1": (1, lambda p: [(f"g_{int(p[0])}_1", families.g_p1(int(p[0])))]),
     "g-p12": (1, lambda p: [(f"g_{int(p[0]) - 1}_2", families.g_p12(int(p[0])))]),
-    "g-p01": (1, lambda p: [(f"g_{p[0]}_0_1", families.g_p01(int(p[0])))]),
+    "g-p01": (1, lambda p: [(f"g_{int(p[0])}_0_1", families.g_p01(int(p[0])))]),
     "g-k3k2k1": (3, lambda p: [("g_" + "_".join(str(int(x)) for x in p),
                                 families.g_k3k2k1(*map(int, p)))]),
     "rigid-2step": (1, lambda p: [(p[0], families.rigid_2step(p[0]))]),

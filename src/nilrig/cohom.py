@@ -27,12 +27,11 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import permutations
 from operator import itemgetter
-from math import lcm
 from typing import Callable, Iterator, Mapping, Sequence
 
 from . import liealg
-from .exactlin import (Q, QZERO, QONE, RationalMatrix, RowReducer, as_rational,
-                       as_sparse_vector, invert)
+from .exactlin import (Q, QZERO, QONE, RationalMatrix, RowReducer, _integer_row,
+                       as_rational, as_sparse_vector, invert)
 from .liealg import LieAlgebra, jacobi_defect, three_step_defect, two_step_defect
 
 
@@ -361,7 +360,8 @@ class _IntegerMu:
     """The bracket over the integers, read by the Z-row generators.
 
     With L the lcm of the denominators of the structure constants, `table`
-    is L * bracket_table() and `double` is L^2 * double_brackets(), as int
+    is the shared L * bracket_table() of `LieAlgebra.integer_table` and
+    `double` is L^2 * double_brackets(), bracketed on that table, as int
     dicts.  `images[chain]` lists (t, R(X_t)) for every t with R(X_t) != 0,
     where R is a chain of right brackets: () is the identity, (k,) is
     x |-> [x, X_k] (scaled like `table`) and (k, l) is x |-> [[x, X_k], X_l]
@@ -372,10 +372,9 @@ class _IntegerMu:
 
     def __init__(self, g: LieAlgebra):
         n = g.dim
-        scale = lcm(*(x.denominator for vec in g.constants.values() for x in vec.values()))
-        self.table = {key: _scaled(sp, scale) for key, sp in g.bracket_table().items()}
-        self.double = {key: _scaled(w, scale * scale)
-                       for key, w in g.double_brackets().items()}
+        self.table = table = g.integer_table()[0]
+        self.double = {(i, j, k): liealg._bracket_sparse(table, table[(i, j)], k)
+                       for i, j, k in g.double_brackets()}
         images: dict[tuple[int, ...], list[tuple[int, dict[int, int]]]] = {
             (): [(t, {t: 1}) for t in range(n)]}
         for k in range(n):
@@ -389,11 +388,6 @@ class _IntegerMu:
             images[(j, l)].append((i, w))
             images[(i, l)].append((j, {m: -x for m, x in w.items()}))
         self.images = images
-
-
-def _scaled(sp: Mapping[int, Q], scale: int) -> dict[int, int]:
-    # scale * sp as ints; every denominator of sp divides scale
-    return {m: x.numerator * (scale // x.denominator) for m, x in sp.items()}
 
 
 def _term_rows(idx: CochainIndex, terms) -> Iterator[dict[int, int]]:
@@ -435,8 +429,7 @@ def _zero_pair_block(idx: CochainIndex, chains) -> list[dict[int, int]]:
     red = RowReducer(idx.dim)
     red.add_rows(row for images in chains
                  for row in _term_rows(idx, ((1, {0: 1}, 1, images),)))
-    return [_scaled(row, lcm(*(x.denominator for x in row.values())))
-            for row in red.pivots.values()]
+    return [_integer_row(row)[0] for row in red.pivots.values()]
 
 
 def _shifted(block: list[dict[int, int]], base: int) -> Iterator[dict[int, int]]:
@@ -662,7 +655,7 @@ def _transport_back(idx: CochainIndex, kernel, f: RationalMatrix) -> tuple[Cocha
     vectors of cochains phi' of basis_change(g, f)."""
     n, finv = idx.dim, invert(f)
     return tuple(Cochain(2, n, liealg.transported(
-        LieAlgebra(n, idx.to_cochain(vec).coeffs).bracket_table(), n, finv, f)) for vec in kernel)
+        LieAlgebra(n, idx.to_cochain(vec).coeffs), finv, f)) for vec in kernel)
 
 
 def ch_kernel_contained_in_chevalley(g: LieAlgebra) -> bool:

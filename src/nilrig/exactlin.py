@@ -354,11 +354,14 @@ def iterated_images(n: int, push) -> list[list[dict[int, Q]]]:
     """Sparse RREF bases, in pivot-column order, of V_1, V_2, ...: V_0 is
     Q^n and V_k is spanned by push(v) for the basis rows v of V_(k-1).
 
-    Stops after a zero image, or after one whose dimension repeats the
+    `push` gets each basis row as the reducer's primitive integer
+    multiple of it (unit rows {j: 1} for V_0), so a push that keeps
+    ints stays on ints; only the returned bases are `Fraction`s.  Stops
+    after a zero image, or after one whose dimension repeats the
     previous one (the chain has stabilized at a nonzero subspace).
     """
     images: list[list[dict[int, Q]]] = []
-    rows: list[dict[int, Q]] = [{j: QONE} for j in range(n)]
+    rows: list[dict[int, int]] = [{j: 1} for j in range(n)]
     while rows:
         red = RowReducer(n)
         for v in rows:
@@ -369,7 +372,7 @@ def iterated_images(n: int, push) -> list[list[dict[int, Q]]]:
         images.append(image)
         if len(image) == len(rows):
             break
-        rows = image
+        rows = [red._rows[c] for c in red.pivot_cols()]
     return images
 
 

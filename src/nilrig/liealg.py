@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from math import lcm
 from typing import Mapping, Sequence
 
 from .exactlin import (
@@ -19,6 +20,7 @@ from .exactlin import (
     QZERO,
     RationalMatrix,
     RowReducer,
+    _integer_row,
     as_sparse_vector,
     invert,
     iterated_images,
@@ -59,6 +61,16 @@ class LieAlgebra:
                 table[(j, i)] = {k: -x for k, x in vec.items()}
             self._table = table
         return self._table
+
+    def integer_table(self) -> tuple[dict[tuple[int, int], dict[int, int]], int]:
+        """(table, L): L is the lcm of the denominators of the structure
+        constants and table is L * bracket_table() as int dicts, in the
+        same key order.  Built on each call and not kept on the algebra;
+        each caller reads it once per computation."""
+        scale = lcm(*(x.denominator for vec in self.constants.values()
+                      for x in vec.values()))
+        return {key: {m: x.numerator * (scale // x.denominator) for m, x in sp.items()}
+                for key, sp in self.bracket_table().items()}, scale
 
     def double_brackets(self) -> dict[tuple[int, int, int], dict[int, Q]]:
         """Sparse [[X_i, X_j], X_k] for i < j and every k, nonzero only,
@@ -114,13 +126,16 @@ class SubspaceChain:
 # bracket and validity
 
 def _bracket_sparse(table, vec: Mapping[int, Q], k: int) -> dict[int, Q]:
-    """[v, X_k] for a sparse coordinate vector v, nonzero entries only."""
+    """[v, X_k] for a sparse coordinate vector v, nonzero entries only.
+
+    The sums start at the int 0, so an int table (`integer_table`) and
+    an int v give int values, and a `Fraction` table gives `Fraction`s."""
     acc: dict[int, Q] = {}
     for s, c in vec.items():
         row = table.get((s, k))
         if row:
             for m, w in row.items():
-                x = acc.get(m, QZERO) + c * w
+                x = acc.get(m, 0) + c * w
                 if x == 0:
                     acc.pop(m, None)
                 else:
@@ -130,11 +145,11 @@ def _bracket_sparse(table, vec: Mapping[int, Q], k: int) -> dict[int, Q]:
 
 def _lincomb(terms) -> dict[int, Q]:
     """Sum of c * vec over the (c, vec) pairs of sparse vectors, nonzero
-    entries only."""
+    entries only; int terms give int values, as in `_bracket_sparse`."""
     acc: dict[int, Q] = {}
     for c, vec in terms:
         for m, w in vec.items():
-            acc[m] = acc.get(m, QZERO) + c * w
+            acc[m] = acc.get(m, 0) + c * w
     return {m: x for m, x in acc.items() if x}
 
 
@@ -186,10 +201,13 @@ def lower_central_series(g: LieAlgebra) -> SubspaceChain:
     """Chain g = g^0 ⊇ g^1 ⊇ ... with g^k = [g^(k-1), g].
 
     The recorded dims stop at the first 0, or repeat once when the chain
-    stabilizes at a nonzero ideal (non-nilpotent input).
+    stabilizes at a nonzero ideal (non-nilpotent input).  The brackets
+    are taken on integers: the integer rows of each term are pushed
+    through the L-scaled table of `integer_table`, which spans the same
+    image, and only the RREF bases are `Fraction`s.
     """
     n = g.dim
-    table = g.bracket_table()
+    table, _ = g.integer_table()
     bases = [tuple({j: QONE} for j in range(n))]
     bases += [tuple(image) for image in iterated_images(
         n, lambda v: (_bracket_sparse(table, v, k) for k in range(n)))]
@@ -318,28 +336,40 @@ def basis_change(g: LieAlgebra, f: RationalMatrix) -> LieAlgebra:
         finv = invert(f)
     except ValueError:
         raise ValueError("singular basis change matrix") from None
-    return LieAlgebra(n, transported(g.bracket_table(), n, f, finv))
+    return LieAlgebra(n, transported(g, f, finv))
 
 
-def transported(table, n: int, f: RationalMatrix,
+def transported(g: LieAlgebra, f: RationalMatrix,
                 finv: RationalMatrix) -> dict[tuple[int, int], dict[int, Q]]:
     """Constants, on pairs i < j, of (x, y) |-> finv β(f x, f y) for the
-    skew bilinear map β whose sparse values on ordered basis pairs are
-    `table` (laid out like `bracket_table`).
+    skew bilinear map β whose values on basis pairs are the structure
+    constants of g.
 
     With f X_j = sum_b f_bj X_b, β(f X_i, f X_j) = sum_b f_bj β(f X_i, X_b),
     and each β(f X_i, X_b) is one sparse bracket of column i of f.  finv
-    is applied through its sparse columns.
+    is applied through its sparse columns.  The sums run on integers:
+    the table is L * β (`integer_table`), column i of f is cleared to
+    a_i times itself (`exactlin._integer_row`) and every column of finv
+    to B times itself, B the lcm of their denominators, so each sum is
+    a_i a_j L B times its value and one `Fraction` is made per nonzero
+    output entry.
     """
-    cols, inv_cols = _columns(f), _columns(finv)
+    n = g.dim
+    table, scale = g.integer_table()
+    cols = [_integer_row(col) for col in _columns(f)]
+    inv = [_integer_row(col) for col in _columns(finv)]
+    common = lcm(*(b for _, b in inv))
+    inv_cols = [{r: x * (common // b) for r, x in col.items()} for col, b in inv]
     constants = {}
-    for i in range(n):
-        left = [_bracket_sparse(table, cols[i], b) for b in range(n)]  # β(f X_i, X_b)
+    for i, (ci, ai) in enumerate(cols):
+        left = [_bracket_sparse(table, ci, b) for b in range(n)]  # a_i L β(f X_i, X_b)
         for j in range(i + 1, n):
-            v = _lincomb((c, left[b]) for b, c in cols[j].items())
+            cj, aj = cols[j]
+            v = _lincomb((c, left[b]) for b, c in cj.items())
             w = _lincomb((c, inv_cols[m]) for m, c in v.items())
             if w:
-                constants[(i, j)] = w
+                d = ai * aj * scale * common
+                constants[(i, j)] = {m: Q(x, d) for m, x in w.items()}
     return constants
 
 

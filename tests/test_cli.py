@@ -346,6 +346,24 @@ def test_family_g_k3k2k1(tmp_path, capsys):
     assert doc["algebras"][0]["dim"] == 9
 
 
+@pytest.mark.parametrize("name,spellings,label", [
+    ("g-p1", ("3", "03"), "g_3_1"),
+    ("g-p01", ("2", "002"), "g_2_0_1"),
+], ids=["g-p1", "g-p01"])
+def test_family_label_normalises_parameter(tmp_path, monkeypatch, capsys, name, spellings,
+                                           label):
+    """Every spelling of one integer names the same member and file."""
+    for k, param in enumerate(spellings):
+        workdir = tmp_path / str(k)
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        code, doc, _ = run(capsys, "family", name, param)
+        assert code == 0
+        assert doc["algebras"][0]["label"] == label
+        assert doc["written"] == [f"{label}.json"]
+        assert os.listdir(".") == [f"{label}.json"]
+
+
 def test_family_classification(tmp_path, capsys):
     outdir = tmp_path / "members"
     code, doc, _ = run(capsys, "family", "classification-F731", "-o", str(outdir))

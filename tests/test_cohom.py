@@ -565,6 +565,29 @@ def test_transported_representatives_are_cocycles_in_given_basis(g, kind):
     assert red.rank == r.z2_dim
 
 
+def test_representatives_after_rational_basis_change_are_recorded():
+    """A basis change with denominators on both sides: the adapted basis
+    and its inverse clear to different scales, and the representatives
+    are moved back through one Fraction per entry.  The expected cochains
+    were recorded from the Fraction implementation of the transport."""
+    rows = [["-3/4", "-3/4", "-2"], ["-2", "1/2", "1"], ["-2", "2", "-1"]]
+    f = RationalMatrix(3, 3, {(r, c): Q(x) for r, row in enumerate(rows)
+                              for c, x in enumerate(row)})
+    g = basis_change(H3, f)
+    assert adapted_basis(g) is not None
+    r = space_dims(g, "ch", with_representatives=True)
+    expected = [
+        {(0, 1): {0: "-15/2", 1: "-285/2", 2: "225/4"},
+         (0, 2): {0: "-19", 1: "-361", 2: "285/2"},
+         (1, 2): {0: "1", 1: "19", 2: "-15/2"}},
+        {(0, 1): {0: "-1", 1: "-19", 2: "15"}, (0, 2): {2: "19"}, (1, 2): {2: "-1"}},
+        {(0, 1): {1: "-15/2"}, (0, 2): {0: "-1", 1: "-38", 2: "15/2"}, (1, 2): {1: "1"}},
+    ]
+    assert [c.coeffs for c in r.representatives] == [
+        {pair: {m: Q(x) for m, x in vec.items()} for pair, vec in rep.items()}
+        for rep in expected]
+
+
 FILIFORM5 = LieAlgebra(5, {(0, 1): e(5, 2), (0, 2): e(5, 3), (0, 3): e(5, 4)})
 
 

@@ -459,11 +459,21 @@ SKEW_NON_LIE = LieAlgebra(4, {(0, 1): {2: 1}, (0, 2): {1: 1, 3: "1/2"},
                               (1, 3): {0: 2, 3: -1}, (2, 3): {2: 1}})
 
 
+#: a Lie algebra with rational structure constants: g_k3k2k1(1,0,2) with
+#: its basis rescaled by diag(1, 1/2, 1/3, 2, 1)
+RATIONAL_K3K2K1 = dense_basis_change(
+    families.g_k3k2k1(1, 0, 2),
+    RationalMatrix(5, 5, {(k, k): Q(d) for k, d in enumerate(["1", "1/2", "1/3", "2", "1"])}))
+
+
 @pytest.mark.parametrize("g", [families.heisenberg(2), families.rigid_3step_7(),
-                               families.g_p01(2), FILIFORM5, SKEW_NON_LIE],
-                         ids=["heisenberg(2)", "rigid7", "g_p01(2)", "filiform5", "skew"])
+                               families.g_p01(2), FILIFORM5, SKEW_NON_LIE, RATIONAL_K3K2K1],
+                         ids=["heisenberg(2)", "rigid7", "g_p01(2)", "filiform5", "skew",
+                              "g_k3k2k1(1,0,2)-rational"])
 def test_basis_change_matches_dense_oracle(g):
     assert bool(jacobi_defect(g)) == (g is SKEW_NON_LIE)
+    if g is RATIONAL_K3K2K1:
+        assert any(x.denominator > 1 for vec in g.constants.values() for x in vec.values())
     rng = rng_for(11)
     n = g.dim
     fs = ([random_invertible(n, rng, -2, 2) for _ in range(3)]
@@ -472,6 +482,54 @@ def test_basis_change_matches_dense_oracle(g):
     assert any(v.denominator > 1 for f in fs for v in f.entries.values())
     for f in fs:
         assert basis_change(g, f) == dense_basis_change(g, f)
+
+
+def _rational_move(g, seed):
+    return basis_change(g, rational_invertible(g.dim, rng_for(seed)))
+
+
+def fraction_adapted_basis(g):
+    """adapted_basis recomputed on Fractions only: the series by dense
+    Gauss-Jordan of the dense brackets [v, X_k], then the basis rows of
+    each term whose pivot is no pivot of the next term, as columns."""
+    n = g.dim
+    bases = [[{i: Q(1)} for i in range(n)]]
+    while bases[-1]:
+        rows = [list(bracket_vec_basis(g, [v.get(c, Q(0)) for c in range(n)], k))
+                for v in bases[-1] for k in range(n)]
+        rref = dense_rref(rows)
+        bases.append([rref[c] for c in sorted(rref)])
+        if len(bases[-1]) == len(bases[-2]):
+            break
+    if all(len(v) == 1 for basis in bases for v in basis):
+        return None
+    cols = []
+    for basis, deeper in zip(bases, bases[1:] + [[]]):
+        pivots = {min(v) for v in deeper}
+        cols += [v for v in basis if min(v) not in pivots]
+    return RationalMatrix(n, n, {(r, c): x for c, v in enumerate(cols) for r, x in v.items()})
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: _rational_move(families.g_k3k2k1(1, 0, 2), 23),
+                 id="g_k3k2k1(1,0,2)-rational23"),
+    pytest.param(lambda: _rational_move(families.g_k3k2k1(1, 0, 2), 24),
+                 id="g_k3k2k1(1,0,2)-rational24"),
+    pytest.param(lambda: _rational_move(families.rigid_3step_7(), 23), id="rigid7-rational23"),
+    pytest.param(lambda: _rational_move(families.rigid_3step_7(), 24), id="rigid7-rational24"),
+    pytest.param(lambda: SKEW_NON_LIE, id="skew"),
+])
+def test_lcs_and_adapted_basis_with_denominators(make):
+    """Structure constants and series bases with denominators, so the
+    series is taken on L-scaled brackets of integer rows: it still
+    matches the dense RREF, and the adapted basis matches its Fraction
+    recomputation."""
+    g = make()
+    assert any(x.denominator > 1 for vec in g.constants.values() for x in vec.values())
+    bases = lower_central_series(g).bases
+    assert any(x.denominator > 1 for basis in bases for v in basis for x in v.values())
+    check_lcs_against_dense_rref(g)
+    assert adapted_basis(g) == fraction_adapted_basis(g)
 
 
 def test_basis_change_preserves_charseq_on_h5():
