@@ -30,11 +30,8 @@ from .cohom import (
     ComplexKind,
     DeformationCheck,
     MultiMap,
-    PermCombination,
-    bullet_square,
     ch_delta2,
-    check_linear_deformation_2step,
-    check_linear_deformation_3step,
+    check_linear_deformation,
     chevalley_delta1,
     chevalley_delta2,
     comp1,

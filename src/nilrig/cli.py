@@ -28,8 +28,7 @@ from . import families, operads, report
 from .cohom import (
     Cochain,
     ComplexKind,
-    check_linear_deformation_2step,
-    check_linear_deformation_3step,
+    check_linear_deformation,
     space_dims,
 )
 from .exactlin import as_rational
@@ -230,10 +229,7 @@ def cmd_deform(args) -> int:
     phi = parse_cochain(args.phi)
     if phi.dim != g.dim:
         raise CliError(f"dimension mismatch: base dim {g.dim}, cochain dim {phi.dim}")
-    if args.steps == 2:
-        check = check_linear_deformation_2step(g, phi)
-    else:
-        check = check_linear_deformation_3step(g, phi)
+    check = check_linear_deformation(g, phi, args.steps)
     doc = {
         "base": args.base,
         "phi": args.phi,

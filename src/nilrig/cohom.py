@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import permutations
+from functools import lru_cache
+from itertools import permutations, product
 from operator import itemgetter
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -146,24 +147,6 @@ def _accumulate(acc: dict, key: tuple[int, ...], coef, vec: Mapping[int, Q]) -> 
         row[m] = x if y is None else y + x
 
 
-def mm_combine(*terms: tuple[Q, MultiMap]) -> MultiMap:
-    """Exact linear combination of MultiMaps of matching shape."""
-    if not terms:
-        raise ValueError("nothing to combine")
-    arity = terms[0][1].arity
-    dim = terms[0][1].dim
-    acc: dict[tuple[int, ...], dict[int, Q]] = {}
-    for coef, mm in terms:
-        if mm.arity != arity or mm.dim != dim:
-            raise ValueError("shape mismatch")
-        coef = as_rational(coef)
-        if coef == 0:
-            continue
-        for idx, vec in mm.coeffs.items():
-            _accumulate(acc, idx, coef, vec)
-    return MultiMap(arity, dim, acc)
-
-
 def _ordered_values(m) -> Iterator[tuple[tuple[int, ...], dict[int, Q]]]:
     # every nonzero value of m; a Cochain gives each ordering of a stored key
     if isinstance(m, MultiMap):
@@ -199,36 +182,110 @@ def comp1(f, h, slot: int = 0) -> MultiMap:
     return MultiMap(f.arity + h.arity - 1, f.dim, acc)
 
 
-def _placements(terms) -> Iterator[tuple[tuple[int, ...], Q, dict[int, Q]]]:
-    """(t, coef, m(u)) for each (coef, perm, m) in `terms` and each nonzero
-    value m(u), where the argument tuple t has t[perm[r]] = u[r].  Every
-    perm places at least two arguments, so `pick` returns a tuple."""
-    for coef, perm, m in terms:
-        pick = itemgetter(*(perm.index(p) for p in range(len(perm))))
-        for u, vec in m.coeffs.items():
-            yield pick(u), coef, vec
-
-
-def _skew_sum(arity: int, dim: int, terms) -> Cochain:
-    """The Cochain whose value on i_1 < .. < i_k is the sum over the
-    (coef, perm, m) in `terms` of coef * m(X_{i_perm[0]}, .., X_{i_perm[k-1]})."""
+def _combine(arity: int, dim: int, skew: bool, terms) -> Cochain | MultiMap:
+    """The sum over (coef, perm, m) in `terms` of the maps
+    (x_1..x_k) |-> coef * m(x_perm[0], .., x_perm[k-1]): a Cochain of its
+    values on increasing tuples when `skew`, else a MultiMap."""
     acc: dict[tuple[int, ...], dict[int, Q]] = {}
-    for t, coef, vec in _placements(terms):
-        if all(a < b for a, b in zip(t, t[1:])):
-            _accumulate(acc, t, coef, vec)
-    return Cochain(arity, dim, acc)
+    for coef, perm, m in terms:
+        values = m.coeffs.items()
+        if list(perm) != sorted(perm):
+            # t[perm[r]] = u[r]; every perm places at least two arguments,
+            # so `pick` returns a tuple
+            pick = itemgetter(*(perm.index(p) for p in range(len(perm))))
+            values = ((pick(u), vec) for u, vec in values)
+        for t, vec in values:
+            if not skew or all(a < b for a, b in zip(t, t[1:])):
+                _accumulate(acc, t, coef, vec)
+    return (Cochain if skew else MultiMap)(arity, dim, acc)
 
+
+# ---------------------------------------------------------------------------
+# identities F(nu) of a bilinear law nu and their graded pieces
+#
+# An identity is a list of words (coef, perm, tree): a tree is a comp1
+# tree over the placeholder leaf _NU, a node (f, h, slot) standing for
+# comp1(f, h, slot), and the word is the map tree(x_perm[0], ..) (see
+# `_combine`).  When nu is a sum of leaves, each of some multidegree,
+# F(nu) splits into pieces by multidegree; `_graded_pieces` computes them.
+
+_NU = "nu"
+_SQUARE = (_NU, _NU, 0)   # nu o1 nu: nu(nu(x1,x2),x3)
+_CUBE = (_NU, _SQUARE, 0)   # nu o1 (nu o1 nu): nu(nu(nu(x1,x2),x3),x4)
+_SPLIT = (_SQUARE, _NU, 2)   # nu(nu(x1,x2),nu(x3,x4))
 
 #: the cyclic orderings (x,y,z), (y,z,x), (z,x,y) of three arguments
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+
+#: v = (2341) + (3142) + tau_34 in one-line notation, zero-based images.
+JORDAN_V = ((1, 2, 3, 0), (2, 0, 3, 1), (0, 1, 3, 2))
+
+
+@dataclass(frozen=True, eq=False)
+class _Identity:
+    arity: int
+    skew: bool   # the values are those of a fully skew map, kept as a Cochain
+    words: tuple[tuple[int, tuple[int, ...], object], ...]
+
+
+_TWO_STEP = _Identity(3, False, ((1, (0, 1, 2), _SQUARE),))
+_THREE_STEP = _Identity(4, False, ((1, (0, 1, 2, 3), _CUBE),))
+#: the Jacobiator: the cyclic sum of nu o1 nu
+_JACOBI = _Identity(3, True, tuple((1, p, _SQUARE) for p in _CYCLIC))
+#: (nu o1 (nu o1 nu) - nu(nu(x1,x2),nu(x3,x4))) o Phi_v, the linearised
+#: degree-4 Jordan identity of a commutative multiplication nu
+_JORDAN = _Identity(4, False, tuple((c, p, tree) for p in JORDAN_V
+                                    for c, tree in ((1, _CUBE), (-1, _SPLIT))))
+
+
+@lru_cache(maxsize=None)
+def _expansion(degrees: tuple[tuple[int, ...], ...], pieces: tuple) -> tuple:
+    """(nodes, terms) for the (identity, degree) pieces when leaf k has
+    multidegree degrees[k].  A labelled tree puts a leaf on each _NU of a
+    word's tree, the degree of a node split exactly between its two
+    subtrees; the leaves' multidegrees sum to the piece's degree.  Value
+    k is leaf k for k < len(degrees), and after them come the distinct
+    labelled nodes in `nodes`, as (f, h, slot) with f and h earlier
+    values.  terms[i] lists (coef, perm, value) for pieces[i]."""
+    index: dict[tuple[int, int, int], int] = {}
+
+    def label(tree, d: tuple[int, ...]) -> list[int]:
+        if tree == _NU:
+            return [k for k, dk in enumerate(degrees) if dk == d]
+        f, h, slot = tree
+        out = []
+        for df in product(*(range(x + 1) for x in d)):
+            dh = tuple(x - y for x, y in zip(d, df))
+            for node in ((a, b, slot) for a in label(f, df) for b in label(h, dh)):
+                out.append(index.setdefault(node, len(degrees) + len(index)))
+        return out
+
+    terms = tuple(tuple((coef, perm, k) for coef, perm, tree in identity.words
+                        for k in label(tree, degree)) for identity, degree in pieces)
+    return tuple(index), terms
+
+
+def _graded_pieces(leaves: Mapping[tuple[int, ...], object], pieces,
+                   sign: int = 1) -> list[Cochain | MultiMap]:
+    """sign times the part of multidegree `degree` of identity(nu), for
+    each (identity, degree) in `pieces`, where nu is the sum of the maps
+    in `leaves` {multidegree: Cochain or MultiMap}.  Each labelled node is
+    composed once, for all the pieces."""
+    nodes, terms = _expansion(tuple(leaves), tuple(pieces))
+    values = list(leaves.values())
+    for f, h, slot in nodes:
+        values.append(comp1(values[f], values[h], slot))
+    return [_combine(identity.arity, values[0].dim, identity.skew,
+                     [(sign * coef, perm, values[k]) for coef, perm, k in piece])
+            for (identity, _), piece in zip(pieces, terms)]
 
 
 # ---------------------------------------------------------------------------
 # coboundary operators (concrete form)
 #
-# Each operator is a signed sum of partial compositions (comp1 at some
-# slot) with mu = mu_map(g), the bracket table and the only way this route
-# reads the bracket, with arguments placed by _placements.
+# Each degree-2 operator is the part of degree 1 in phi of an identity at
+# nu = mu + phi, with mu = mu_map(g), the bracket table and the only way
+# this route reads the bracket.
 
 def chevalley_delta1(g: LieAlgebra, f: Cochain) -> Cochain:
     """delta f (x, y) = [f x, y] + [x, f y] - f [x, y]; kernel = derivations.
@@ -241,8 +298,15 @@ def chevalley_delta1(g: LieAlgebra, f: Cochain) -> Cochain:
         raise ValueError("dimension mismatch")
     mu = mu_map(g)
     a = comp1(mu, f)
-    return _skew_sum(2, g.dim, [(1, (0, 1), a), (-1, (1, 0), a),
-                                (-1, (0, 1), comp1(f, mu))])
+    return _combine(2, g.dim, True, [(1, (0, 1), a), (-1, (1, 0), a),
+                                     (-1, (0, 1), comp1(f, mu))])
+
+
+def _along(g: LieAlgebra, phi: Cochain) -> dict[tuple[int, ...], object]:
+    """The leaves of nu = mu + t*phi: mu in degree 0, phi in degree 1."""
+    if phi.arity != 2 or phi.dim != g.dim:
+        raise ValueError("expected an arity-2 cochain of matching dimension")
+    return {(0,): mu_map(g), (1,): phi}
 
 
 def chevalley_delta2(g: LieAlgebra, phi: Cochain) -> Cochain:
@@ -250,13 +314,10 @@ def chevalley_delta2(g: LieAlgebra, phi: Cochain) -> Cochain:
 
     delta phi (x,y,z) = [x,phi(y,z)] - [y,phi(x,z)] + [z,phi(x,y)]
                         - phi([x,y],z) + phi([x,z],y) - phi([y,z],x),
-    i.e. minus the cyclic sum of (mu o1 phi + phi o1 mu)(x,y,z).
+    i.e. minus the cyclic sum of (mu o1 phi + phi o1 mu)(x,y,z): minus
+    the part of the Jacobiator of mu + t*phi linear in t.
     """
-    if phi.arity != 2 or phi.dim != g.dim:
-        raise ValueError("expected an arity-2 cochain of matching dimension")
-    mu = mu_map(g)
-    a, b = comp1(mu, phi), comp1(phi, mu)
-    return _skew_sum(3, g.dim, [(-1, p, m) for m in (a, b) for p in _CYCLIC])
+    return _graded_pieces(_along(g, phi), [(_JACOBI, (1,))], -1)[0]
 
 
 def _format_tuple(idx: Sequence[int]) -> str:
@@ -278,41 +339,27 @@ def _require_three_step(g: LieAlgebra) -> None:
 
 
 def ch_delta2(g: LieAlgebra, phi: Cochain) -> MultiMap:
-    """T(phi)(x,y,z) = mu(phi(x,y),z) + phi(mu(x,y),z) on a 2-step algebra.
+    """T(phi)(x,y,z) = mu(phi(x,y),z) + phi(mu(x,y),z) on a 2-step algebra,
+    the part of (mu + t*phi) o1 (mu + t*phi) linear in t.
 
     The output is skew in (x, y) only; its full vanishing is the degree-2
     cocycle condition of the 2-step deformation complex.
     """
-    if phi.arity != 2 or phi.dim != g.dim:
-        raise ValueError("expected an arity-2 cochain of matching dimension")
+    leaves = _along(g, phi)
     _require_two_step(g)
-    mu = mu_map(g)
-    return mm_combine((QONE, comp1(mu, phi)), (QONE, comp1(phi, mu)))
-
-
-def bullet_square(phi: Cochain) -> Cochain:
-    """Jacobiator (phi . phi)(x,y,z) = phi(phi(x,y),z) + cyclic; fully skew."""
-    if phi.arity != 2:
-        raise ValueError("expected an arity-2 cochain")
-    sq = comp1(phi, phi)
-    return _skew_sum(3, phi.dim, [(1, p, sq) for p in _CYCLIC])
+    return _graded_pieces(leaves, [(_TWO_STEP, (1,))])[0]
 
 
 def r_delta2(g: LieAlgebra, phi: Cochain) -> MultiMap:
     """Associativity-chain coboundary on a 3-step algebra:
 
     mu o1 mu o1 phi + mu o1 phi o1 mu + phi o1 mu o1 mu, i.e. the 4-linear
-    map [[phi(x1,x2),x3],x4] + [phi([x1,x2],x3),x4] + phi([[x1,x2],x3],x4).
+    map [[phi(x1,x2),x3],x4] + [phi([x1,x2],x3),x4] + phi([[x1,x2],x3],x4),
+    the part of nu o1 (nu o1 nu) at nu = mu + t*phi linear in t.
     """
-    if phi.arity != 2 or phi.dim != g.dim:
-        raise ValueError("expected an arity-2 cochain of matching dimension")
+    leaves = _along(g, phi)
     _require_three_step(g)
-    mu = mu_map(g)
-    return mm_combine(
-        (QONE, comp1(mu, comp1(mu, phi))),
-        (QONE, comp1(mu, comp1(phi, mu))),
-        (QONE, comp1(phi, comp1(mu, mu))),
-    )
+    return _graded_pieces(leaves, [(_THREE_STEP, (1,))])[0]
 
 
 def deformed_bracket(g: LieAlgebra, phi: Cochain, t: Q = QONE) -> LieAlgebra:
@@ -652,10 +699,21 @@ def space_dims(g: LieAlgebra, kind, *, with_representatives: bool = False,
 
 def _transport_back(idx: CochainIndex, kernel, f: RationalMatrix) -> tuple[Cochain, ...]:
     """The cochains phi(x, y) = f phi'(f^-1 x, f^-1 y) of g, for the flat
-    vectors of cochains phi' of basis_change(g, f)."""
-    n, finv = idx.dim, invert(f)
-    return tuple(Cochain(2, n, liealg.transported(
-        LieAlgebra(n, idx.to_cochain(vec).coeffs), finv, f)) for vec in kernel)
+    vectors of cochains phi' of basis_change(g, f): each vector is read
+    as an integer table (see `LieAlgebra.integer_table`) and moved by one
+    `liealg.transport`, which clears f and f^-1 once for all of them."""
+    n, move = idx.dim, liealg.transport(invert(f), f)
+    reps = []
+    for vec in kernel:
+        ints, scale = _integer_row(vec)
+        table: dict[tuple[int, int], dict[int, int]] = {}
+        for u, x in ints.items():
+            p, m = divmod(u, n)
+            i, j = idx.pairs[p]
+            table.setdefault((i, j), {})[m] = x
+            table.setdefault((j, i), {})[m] = -x
+        reps.append(Cochain(2, n, move(table, scale)))
+    return tuple(reps)
 
 
 def ch_kernel_contained_in_chevalley(g: LieAlgebra) -> bool:
@@ -688,72 +746,33 @@ def _zero_condition(name: str, defect) -> tuple[str, bool, tuple[int, ...] | Non
     return (name, hit is None, None if hit is None else hit[0])
 
 
-def check_linear_deformation_2step(g: LieAlgebra, phi: Cochain) -> DeformationCheck:
-    """mu + t*phi stays a 2-step-or-less Lie bracket for every scalar t
-    iff both recorded conditions vanish identically."""
-    _validate_kind(g, ComplexKind.CH)
-    conditions = (
-        _zero_condition("ch_cocycle", ch_delta2(g, phi)),
-        _zero_condition("quadratic", comp1(phi, phi)),
-    )
-    return DeformationCheck(conditions)
+#: (name, identity, power of t) of each condition, by number of steps
+_DEFORMATION_CONDITIONS = {
+    2: (("ch_cocycle", _TWO_STEP, 1), ("quadratic", _TWO_STEP, 2)),
+    3: (("chevalley_cocycle", _JACOBI, 1), ("jacobiator_square", _JACOBI, 2),
+        ("r_cocycle", _THREE_STEP, 1), ("mixed_quadratic", _THREE_STEP, 2),
+        ("cubic", _THREE_STEP, 3)),
+}
 
 
-def _mixed_defect(g: LieAlgebra, phi) -> MultiMap:
-    """mu o1 phi o1 phi + phi o1 phi o1 mu + phi o1 mu o1 phi."""
-    mu = mu_map(g)
-    return mm_combine(
-        (QONE, comp1(mu, comp1(phi, phi))),
-        (QONE, comp1(phi, comp1(phi, mu))),
-        (QONE, comp1(phi, comp1(mu, phi))),
-    )
-
-
-def check_linear_deformation_3step(g: LieAlgebra, phi: Cochain) -> DeformationCheck:
-    """The five graded pieces of the 3-step deformation conditions."""
-    _validate_kind(g, ComplexKind.CR)
-    conditions = (
-        _zero_condition("chevalley_cocycle", chevalley_delta2(g, phi)),
-        _zero_condition("jacobiator_square", bullet_square(phi)),
-        _zero_condition("r_cocycle", r_delta2(g, phi)),
-        _zero_condition("mixed_quadratic", _mixed_defect(g, phi)),
-        _zero_condition("cubic", comp1(phi, comp1(phi, phi))),
-    )
-    return DeformationCheck(conditions)
+def check_linear_deformation(g: LieAlgebra, phi: Cochain, steps: int) -> DeformationCheck:
+    """mu + t*phi stays a Lie bracket that is `steps`-step or less (2 or
+    3) for every scalar t iff every recorded condition vanishes: the
+    pieces in t of (mu + t*phi) o1 (mu + t*phi) for 2 steps, and of the
+    Jacobiator and of nu o1 (nu o1 nu) for 3.  mu itself is checked
+    first, so the t^0 pieces vanish.  A condition's witness is its first
+    argument tuple with a nonzero value."""
+    if steps not in _DEFORMATION_CONDITIONS:
+        raise ValueError(f"steps must be 2 or 3, got {steps!r}")
+    _validate_kind(g, ComplexKind.CH if steps == 2 else ComplexKind.CR)
+    conditions = _DEFORMATION_CONDITIONS[steps]
+    pieces = _graded_pieces(_along(g, phi), [(identity, (k,)) for _, identity, k in conditions])
+    return DeformationCheck(tuple(_zero_condition(name, piece)
+                                  for (name, _, _), piece in zip(conditions, pieces)))
 
 
 # ---------------------------------------------------------------------------
 # Jordan-type identities
-
-@dataclass(frozen=True)
-class PermCombination:
-    """Formal combination of permutations of four arguments."""
-
-    terms: tuple[tuple[tuple[int, int, int, int], Q], ...]
-
-    def __post_init__(self):
-        for perm, _ in self.terms:
-            if sorted(perm) != [0, 1, 2, 3]:
-                raise ValueError(f"not a permutation of four letters: {perm}")
-
-
-#: v = (2341) + (3142) + tau_34 in one-line notation, zero-based images.
-JORDAN_V = PermCombination((
-    ((1, 2, 3, 0), QONE),
-    ((2, 0, 3, 1), QONE),
-    ((0, 1, 3, 2), QONE),
-))
-
-
-def apply_perm_combination(f: MultiMap, pc: PermCombination) -> MultiMap:
-    """(F o Phi_v)(x_1..x_4) = sum_sigma c_sigma F(x_sigma(1), .., x_sigma(4))."""
-    if f.arity != 4:
-        raise ValueError("expected an arity-4 map")
-    acc: dict[tuple[int, ...], dict[int, Q]] = {}
-    for t, coef, vec in _placements((coef, perm, f) for perm, coef in pc.terms):
-        _accumulate(acc, t, coef, vec)
-    return MultiMap(4, f.dim, acc)
-
 
 def _require_symmetric(m: MultiMap, what: str) -> None:
     if m.arity != 2:
@@ -763,36 +782,21 @@ def _require_symmetric(m: MultiMap, what: str) -> None:
             raise ValueError(f"{what} must be symmetric")
 
 
-def _outer(outer: MultiMap, left: MultiMap, right: MultiMap) -> MultiMap:
-    """(x1..x4) |-> outer(left(x1,x2), right(x3,x4))."""
-    return comp1(comp1(outer, left), right, 2)
-
-
 def jordan_linearized_defect(a: MultiMap) -> MultiMap:
-    """Six-term linearized defect; identically zero iff the commutative
-    multiplication satisfies the degree-4 Jordan identity."""
+    """Six-term linearized defect (a o1 (a o1 a) - a o (a x a)) o Phi_v;
+    identically zero iff the commutative multiplication satisfies the
+    degree-4 Jordan identity."""
     _require_symmetric(a, "multiplication")
-    g4 = mm_combine(
-        (QONE, comp1(a, comp1(a, a))),
-        (Q(-1), _outer(a, a, a)),
-    )
-    return apply_perm_combination(g4, JORDAN_V)
+    return _graded_pieces({(0,): a}, [(_JORDAN, (0,))])[0]
 
 
 def jordan_cocycle_defect(a: MultiMap, phi: MultiMap) -> MultiMap:
-    """Linearization of the Jordan identity along a symmetric perturbation.
+    """Linearization of the Jordan identity along a symmetric perturbation,
+    the part of the Jordan defect of a + t*phi linear in t:
 
     (phi o1 a o1 a + a o1 phi o1 a + a o1 a o1 phi
        - a o (a x phi) - a o (phi x a) - phi o (a x a)) o Phi_v.
     """
     _require_symmetric(a, "multiplication")
     _require_symmetric(phi, "cochain")
-    lin = mm_combine(
-        (QONE, comp1(phi, comp1(a, a))),
-        (QONE, comp1(a, comp1(phi, a))),
-        (QONE, comp1(a, comp1(a, phi))),
-        (Q(-1), _outer(a, a, phi)),
-        (Q(-1), _outer(a, phi, a)),
-        (Q(-1), _outer(phi, a, a)),
-    )
-    return apply_perm_combination(lin, JORDAN_V)
+    return _graded_pieces({(0,): a, (1,): phi}, [(_JORDAN, (1,))])[0]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from math import lcm
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .exactlin import (
     Q,
@@ -336,41 +336,41 @@ def basis_change(g: LieAlgebra, f: RationalMatrix) -> LieAlgebra:
         finv = invert(f)
     except ValueError:
         raise ValueError("singular basis change matrix") from None
-    return LieAlgebra(n, transported(g, f, finv))
+    return LieAlgebra(n, transport(f, finv)(*g.integer_table()))
 
 
-def transported(g: LieAlgebra, f: RationalMatrix,
-                finv: RationalMatrix) -> dict[tuple[int, int], dict[int, Q]]:
-    """Constants, on pairs i < j, of (x, y) |-> finv β(f x, f y) for the
-    skew bilinear map β whose values on basis pairs are the structure
-    constants of g.
+def transport(f: RationalMatrix, finv: RationalMatrix) -> Callable[..., dict]:
+    """The map from (table, L), L times the table of a skew bilinear map β
+    on all ordered pairs as `LieAlgebra.integer_table` gives it, to the
+    constants, on pairs i < j, of (x, y) |-> finv β(f x, f y).
 
     With f X_j = sum_b f_bj X_b, β(f X_i, f X_j) = sum_b f_bj β(f X_i, X_b),
     and each β(f X_i, X_b) is one sparse bracket of column i of f.  finv
     is applied through its sparse columns.  The sums run on integers:
-    the table is L * β (`integer_table`), column i of f is cleared to
-    a_i times itself (`exactlin._integer_row`) and every column of finv
-    to B times itself, B the lcm of their denominators, so each sum is
-    a_i a_j L B times its value and one `Fraction` is made per nonzero
-    output entry.
+    column i of f is cleared to a_i times itself (`exactlin._integer_row`)
+    and every column of finv to B times itself, B the lcm of their
+    denominators, once when the map is made, so each sum is a_i a_j L B
+    times its value and one `Fraction` is made per nonzero output entry.
     """
-    n = g.dim
-    table, scale = g.integer_table()
+    n = f.nrows
     cols = [_integer_row(col) for col in _columns(f)]
     inv = [_integer_row(col) for col in _columns(finv)]
     common = lcm(*(b for _, b in inv))
     inv_cols = [{r: x * (common // b) for r, x in col.items()} for col, b in inv]
-    constants = {}
-    for i, (ci, ai) in enumerate(cols):
-        left = [_bracket_sparse(table, ci, b) for b in range(n)]  # a_i L β(f X_i, X_b)
-        for j in range(i + 1, n):
-            cj, aj = cols[j]
-            v = _lincomb((c, left[b]) for b, c in cj.items())
-            w = _lincomb((c, inv_cols[m]) for m, c in v.items())
-            if w:
-                d = ai * aj * scale * common
-                constants[(i, j)] = {m: Q(x, d) for m, x in w.items()}
-    return constants
+
+    def move(table, scale: int) -> dict[tuple[int, int], dict[int, Q]]:
+        constants = {}
+        for i, (ci, ai) in enumerate(cols):
+            left = [_bracket_sparse(table, ci, b) for b in range(n)]  # a_i L β(f X_i, X_b)
+            for j in range(i + 1, n):
+                cj, aj = cols[j]
+                v = _lincomb((c, left[b]) for b, c in cj.items())
+                w = _lincomb((c, inv_cols[m]) for m, c in v.items())
+                if w:
+                    d = ai * aj * scale * common
+                    constants[(i, j)] = {m: Q(x, d) for m, x in w.items()}
+        return constants
+    return move
 
 
 def adapted_basis(g: LieAlgebra) -> RationalMatrix | None:

@@ -23,8 +23,7 @@ from .cohom import (
     MultiMap,
     ch_delta2,
     ch_kernel_contained_in_chevalley,
-    check_linear_deformation_2step,
-    check_linear_deformation_3step,
+    check_linear_deformation,
     chevalley_delta1,
     chevalley_delta2,
     deformed_bracket,
@@ -331,15 +330,12 @@ def _c11e(seed: int):
             g = sampling.random_two_step(rng, dim)
             if two_step_defect(g):
                 continue
-            phi = _random_phi_2step(rng, g)
-            ok_checked = check_linear_deformation_2step(g, phi).passes_all
-            ok_brute = _brute_deformation_ok(g, phi, 2)
+            phi, steps = _random_phi_2step(rng, g), 2
         else:
             g = families.g_k3k2k1(1, 0, 2)
-            phi = _random_phi_3step(rng, g)
-            ok_checked = check_linear_deformation_3step(g, phi).passes_all
-            ok_brute = _brute_deformation_ok(g, phi, 3)
-        mismatches += ok_checked != ok_brute
+            phi, steps = _random_phi_3step(rng, g), 3
+        ok_checked = check_linear_deformation(g, phi, steps).passes_all
+        mismatches += ok_checked != _brute_deformation_ok(g, phi, steps)
         passes += ok_checked
     detail = {"valid_deformations_seen": passes}
     return "equivalent", "equivalent" if mismatches == 0 else f"{mismatches} mismatches", detail

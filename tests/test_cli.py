@@ -321,6 +321,42 @@ def test_deform_non_lie_base_exits_1(tmp_path, capsys):
     assert err.splitlines() == ["error: not a Lie algebra: Jacobi fails at (X1,X2,X3)"]
 
 
+def _conditions(*rows):
+    return [{"name": name, "pass": witness is None, "witness": witness}
+            for name, witness in rows]
+
+
+@pytest.mark.parametrize("steps,base,brackets,expected", [
+    (2, families.g_p1(2), [{"i": 1, "j": 2, "v": {"3": "5"}}],
+     _conditions(("ch_cocycle", None), ("quadratic", None))),
+    (2, families.g_p1(2), [{"i": 1, "j": 2, "v": {"1": "1"}},
+                           {"i": 1, "j": 3, "v": {"2": "-1/2"}},
+                           {"i": 3, "j": 4, "v": {"5": "1"}}],
+     _conditions(("ch_cocycle", [1, 2, 1]), ("quadratic", [1, 2, 2]))),
+    (3, families.g_k3k2k1(1, 0, 2), [{"i": 2, "j": 3, "v": {"5": "1"}}],
+     _conditions(("chevalley_cocycle", None), ("jacobiator_square", None),
+                 ("r_cocycle", None), ("mixed_quadratic", None), ("cubic", None))),
+    (3, families.g_k3k2k1(1, 0, 2), [{"i": 1, "j": 2, "v": {"1": "1"}},
+                                     {"i": 1, "j": 3, "v": {"2": "1"}},
+                                     {"i": 2, "j": 5, "v": {"4": "1", "5": "1"}}],
+     _conditions(("chevalley_cocycle", [1, 2, 3]), ("jacobiator_square", [1, 2, 3]),
+                 ("r_cocycle", [1, 2, 1, 1]), ("mixed_quadratic", [1, 2, 1, 1]),
+                 ("cubic", [1, 2, 2, 2]))),
+], ids=["2-pass", "2-fail", "3-pass", "3-fail"])
+def test_deform_condition_names_order_and_witnesses(tmp_path, capsys, steps, base, brackets,
+                                                    expected):
+    # the whole printed contract: each condition's name, its place in the
+    # list, its verdict and its first failing argument tuple (1-based)
+    base_path, phi_path = tmp_path / "base.json", tmp_path / "phi.json"
+    write_algebra(base, str(base_path))
+    write_doc(phi_path, {"dim": base.dim, "brackets": brackets})
+    code, doc, _ = run(capsys, "deform", str(base_path), str(phi_path), "--steps", str(steps))
+    assert code == 0
+    assert doc == {"base": str(base_path), "phi": str(phi_path), "steps": steps,
+                   "conditions": expected,
+                   "passes_all": all(c["pass"] for c in expected)}
+
+
 def test_deform_dim_mismatch(tmp_path, capsys):
     base = tmp_path / "base.json"
     write_algebra(families.g_p1(2), str(base))

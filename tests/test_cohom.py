@@ -1,6 +1,6 @@
 import re
 from fractions import Fraction as Q
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -12,12 +12,9 @@ from nilrig.cohom import (
     CochainIndex,
     ComplexKind,
     MultiMap,
-    apply_perm_combination,
-    bullet_square,
     ch_delta2,
     ch_kernel_contained_in_chevalley,
-    check_linear_deformation_2step,
-    check_linear_deformation_3step,
+    check_linear_deformation,
     chevalley_delta1,
     chevalley_delta2,
     chevalley2_rows,
@@ -32,6 +29,11 @@ from nilrig.cohom import (
     space_dims,
     t_operator_rows,
     JORDAN_V,
+    _DEFORMATION_CONDITIONS,
+    _JACOBI,
+    _THREE_STEP,
+    _combine,
+    _graded_pieces,
     _z_rows,
 )
 from nilrig.exactlin import RationalMatrix, RowReducer
@@ -90,6 +92,12 @@ def moved(g, seed):
 
 def single(n, pair, vec_idx, c=1):
     return Cochain(2, n, {pair: {vec_idx: Q(c)}})
+
+
+def jacobiator_square(phi):
+    """(phi . phi)(x,y,z) = phi(phi(x,y),z) + cyclic: the Jacobiator of phi,
+    the t^2 piece of the Jacobiator of mu + t*phi."""
+    return _graded_pieces({(1,): phi}, [(_JACOBI, (2,))])[0]
 
 
 def conditions(check):
@@ -287,6 +295,12 @@ def _dense_sum(arity, n, *maps):
                                for k in keys})
 
 
+def _dense_mu(g):
+    """The bracket as a MultiMap on every ordered pair, read by `bracket_basis`."""
+    n = g.dim
+    return MultiMap(2, n, {(i, j): sparse(bracket_basis(g, i, j)) for i in range(n) for j in range(n)})
+
+
 DENSE_K3K2K1 = moved(families.g_k3k2k1(1, 0, 2), 3)
 DENSE_P12 = moved(families.g_p12(2), 37)
 
@@ -296,19 +310,145 @@ DENSE_P12 = moved(families.g_p12(2), 37)
 def test_degree2_operators_match_dense_compositions_on_basis(g):
     """chevalley_delta2 and r_delta2 are linear in phi, so agreeing with
     their definitions on every basis cochain proves them equal; the
-    quadratic bullet_square is compared on the same cochains.  The
+    quadratic Jacobiator of phi is compared on the same cochains.  The
     reference composes with brute_comp1 and a bracket map built from
     `bracket_basis`, and sums values densely."""
     n = g.dim
-    mu = MultiMap(2, n, {(i, j): sparse(bracket_basis(g, i, j)) for i in range(n) for j in range(n)})
+    mu = _dense_mu(g)
     mumu = brute_comp1(mu, mu)
     for phi in basis_cochains(n):
         assert chevalley_delta2(g, phi) == _dense_cyclic_sum(
             n, -1, brute_comp1(mu, phi), brute_comp1(phi, mu))
-        assert bullet_square(phi) == _dense_cyclic_sum(n, 1, brute_comp1(phi, phi))
+        assert jacobiator_square(phi) == _dense_cyclic_sum(n, 1, brute_comp1(phi, phi))
         assert r_delta2(g, phi) == _dense_sum(
             4, n, brute_comp1(mu, brute_comp1(mu, phi)),
             brute_comp1(mu, brute_comp1(phi, mu)), brute_comp1(phi, mumu))
+
+
+def _dense_combination(like, *terms):
+    """The sum of c * m over the (c, m) in `terms`, summed densely on each
+    stored key, as a map of the type and shape of `like`."""
+    n = like.dim
+    coeffs = {}
+    for k in set().union(*(m.coeffs for _, m in terms)):
+        acc = vzero(n)
+        for c, m in terms:
+            acc = vadd(acc, vscale(c, dense(value(m, k), n)))
+        coeffs[k] = sparse(acc)
+    return type(like)(like.arity, n, coeffs)
+
+
+@pytest.mark.parametrize("g", [families.g_p01(2), families.rigid_3step_7(), DENSE_K3K2K1],
+                         ids=["g_p01(2)", "rigid7", "dense-k3k2k1"])
+def test_deformation_pieces_match_dense_compositions_on_basis(g):
+    """Every piece in t that `check_linear_deformation` tests, on every
+    fifth basis cochain phi, against its definition composed with
+    brute_comp1: the nonlinear pieces meet the dense oracle here (the
+    linear ones are compared on the whole basis above).  The pieces are
+    algebra in mu and phi, so 2-step and 3-step pieces are compared on
+    each g."""
+    n = g.dim
+    mu = _dense_mu(g)
+    for phi in basis_cochains(n)[::5]:
+        sq = brute_comp1(phi, phi)
+        expected = {
+            "ch_cocycle": _dense_sum(3, n, brute_comp1(mu, phi), brute_comp1(phi, mu)),
+            "quadratic": sq,
+            "chevalley_cocycle": _dense_cyclic_sum(
+                n, 1, brute_comp1(mu, phi), brute_comp1(phi, mu)),
+            "jacobiator_square": _dense_cyclic_sum(n, 1, sq),
+            "r_cocycle": _dense_sum(4, n, brute_comp1(mu, brute_comp1(mu, phi)),
+                                    brute_comp1(mu, brute_comp1(phi, mu)),
+                                    brute_comp1(phi, brute_comp1(mu, mu))),
+            "mixed_quadratic": _dense_sum(4, n, brute_comp1(mu, sq),
+                                          brute_comp1(phi, brute_comp1(phi, mu)),
+                                          brute_comp1(phi, brute_comp1(mu, phi))),
+            "cubic": brute_comp1(phi, sq),
+        }
+        for steps in (2, 3):
+            conditions = _DEFORMATION_CONDITIONS[steps]
+            pieces = _graded_pieces({(0,): mu_map(g), (1,): phi},
+                                    [(identity, (k,)) for _, identity, k in conditions])
+            for (name, _, _), piece in zip(conditions, pieces):
+                assert piece == expected[name], name
+
+
+@pytest.mark.parametrize("g", [families.g_p01(2), DENSE_K3K2K1], ids=["g_p01(2)", "dense-k3k2k1"])
+def test_polarised_piece_is_one_call(g):
+    """Q(phi_a, phi_b), the part of degree (1, 1) of F(mu + s phi_a + t phi_b),
+    is one expansion; it is the polarisation Q(a + b) - Q(a) - Q(b) of the
+    t^2 piece Q, and it matches its definition composed with brute_comp1:
+    the six placements of (mu, a, b) in nu o1 (nu o1 nu), and the cyclic
+    sum of a o1 b + b o1 a for the Jacobiator."""
+    n = g.dim
+    mu, dmu = mu_map(g), _dense_mu(g)
+    basis = basis_cochains(n)
+    rng = rng_for(43)
+    pairs = [(basis[i], basis[j]) for i, j in (rng.sample(range(len(basis)), 2) for _ in range(12))]
+    pairs += [(basis[i], basis[i + 1]) for i in range(0, len(basis) - 1, 7)]
+    def square(identity, phi):
+        return _graded_pieces({(0,): mu, (1,): phi}, [(identity, (2,))])[0]
+
+    for a, b in pairs:
+        both = _dense_combination(a, (1, a), (1, b))
+        for identity, composed in (
+                (_THREE_STEP, _dense_sum(4, n, *(brute_comp1(x, brute_comp1(y, z))
+                                                 for x, y, z in permutations((dmu, a, b))))),
+                (_JACOBI, _dense_cyclic_sum(n, 1, brute_comp1(a, b), brute_comp1(b, a)))):
+            [polar] = _graded_pieces({(0, 0): mu, (1, 0): a, (0, 1): b}, [(identity, (1, 1))])
+            assert polar == _dense_combination(polar, (1, square(identity, both)),
+                                               (-1, square(identity, a)), (-1, square(identity, b)))
+            assert polar == composed
+
+
+def _symmetric_basis(n):
+    return [MultiMap(2, n, {(i, j): {m: Q(1)}, (j, i): {m: Q(1)}})
+            for i in range(n) for j in range(i, n) for m in range(n)]
+
+
+def _dense_jordan(n, *signed_maps):
+    """(sum of c * F) o Phi_v over the (c, F) in `signed_maps`, arity 4,
+    summed densely on every argument tuple: the value at (x1..x4) adds
+    F(x_sigma(1), .., x_sigma(4)) for each sigma of v, in one-line notation."""
+    perms = ((1, 2, 3, 0), (2, 0, 3, 1), (0, 1, 3, 2))
+    tuples = list(product(range(n), repeat=4))
+    total = {t: vzero(n) for t in tuples}
+    for c, m in signed_maps:
+        for t in tuples:
+            total[t] = vadd(total[t], vscale(c, dense(value(m, t), n)))
+    coeffs = {}
+    for t in tuples:
+        acc = vzero(n)
+        for p in perms:
+            acc = vadd(acc, total[tuple(t[r] for r in p)])
+        coeffs[t] = sparse(acc)
+    return MultiMap(4, n, coeffs)
+
+
+def _dense_outer(outer, left, right):
+    """(x1..x4) |-> outer(left(x1,x2), right(x3,x4))."""
+    return brute_comp1(brute_comp1(outer, left), right, 2)
+
+
+def test_jordan_defects_match_dense_compositions():
+    """Both Jordan defects against their six-term definitions composed
+    with brute_comp1, on a Jordan algebra, a non-Jordan commutative
+    multiplication and a random commutative associative one, with phi
+    every other basis symmetric map."""
+    rng = rng_for(47)
+    algebras = [matrix_jordan(), MultiMap(2, 2, {(0, 0): {1: Q(1)}, (1, 1): {0: Q(1)}}),
+                random_commutative_associative(rng, 3)]
+    for a in algebras:
+        n = a.dim
+        assert jordan_linearized_defect(a) == _dense_jordan(
+            n, (1, brute_comp1(a, brute_comp1(a, a))), (-1, _dense_outer(a, a, a)))
+        for phi in _symmetric_basis(n)[::2]:
+            assert jordan_cocycle_defect(a, phi) == _dense_jordan(
+                n, (1, brute_comp1(phi, brute_comp1(a, a))),
+                (1, brute_comp1(a, brute_comp1(phi, a))),
+                (1, brute_comp1(a, brute_comp1(a, phi))),
+                (-1, _dense_outer(a, a, phi)), (-1, _dense_outer(a, phi, a)),
+                (-1, _dense_outer(phi, a, a)))
 
 
 def test_comp1_rejects_slot_out_of_range():
@@ -338,13 +478,13 @@ def test_comp1_triple_bracket_shape():
 def test_bullet_square():
     for g in (H3, families.g_p1(3)):
         mu = Cochain(2, g.dim, dict(g.constants))
-        assert bullet_square(mu).is_zero()
-    assert bullet_square(Cochain.zero(2, 4)).is_zero()
+        assert jacobiator_square(mu).is_zero()
+    assert jacobiator_square(Cochain.zero(2, 4)).is_zero()
     phi = LieAlgebra(3, {
         (0, 1): {2: Q(1)},
         (0, 2): {0: Q(1)},
     })
-    bad = bullet_square(Cochain(2, 3, dict(phi.constants)))
+    bad = jacobiator_square(Cochain(2, 3, dict(phi.constants)))
     assert value(bad, (0, 1, 2)) != {}
 
 
@@ -730,7 +870,7 @@ def test_h8_has_nontrivial_class():
     assert bred.residual(idx.to_flat(phi))
     assert space_dims(g, "ch").h2_dim == 1
     # the matching valid deformation changes an isomorphism invariant
-    check = check_linear_deformation_2step(g, phi)
+    check = check_linear_deformation(g, phi, 2)
     assert check.passes_all
     moved = deformed_bracket(g, phi)
     assert derivation_algebra_dim(moved) != derivation_algebra_dim(g)
@@ -783,7 +923,7 @@ def test_rigid7_cr_class():
     for vec in coboundary_image_vectors(g):
         bred.add(vec)
     assert bred.residual(idx.to_flat(phi))
-    check = check_linear_deformation_3step(g, phi)
+    check = check_linear_deformation(g, phi, 3)
     assert check.passes_all
     moved = deformed_bracket(g, phi)
     assert derivation_algebra_dim(moved) != derivation_algebra_dim(g)
@@ -835,7 +975,7 @@ def test_clas3111_template_misses_x1_classes(p, h2):
 
 def test_deformation_2step_zero_passes():
     g = families.g_p1(3)
-    assert check_linear_deformation_2step(g, Cochain.zero(2, g.dim)).passes_all
+    assert check_linear_deformation(g, Cochain.zero(2, g.dim), 2).passes_all
 
 
 def test_deformation_2step_template_passes():
@@ -844,7 +984,7 @@ def test_deformation_2step_template_passes():
     g = families.g_p1(3)
     for _ in range(5):
         phi = template.instantiate(random_coeffs(template, rng))
-        assert check_linear_deformation_2step(g, phi).passes_all
+        assert check_linear_deformation(g, phi, 2).passes_all
 
 
 def test_deformation_3step_worked_example():
@@ -858,23 +998,30 @@ def test_deformation_3step_worked_example():
             (1, 4): {3: Q(b), 4: Q(c)},
         })
 
-    ok = check_linear_deformation_3step(g, make(1, 0, 0))
+    ok = check_linear_deformation(g, make(1, 0, 0), 3)
     assert ok.passes_all
-    ok = check_linear_deformation_3step(g, make(0, 1, 0))
+    ok = check_linear_deformation(g, make(0, 1, 0), 3)
     assert ok.passes_all
-    bad = conditions(check_linear_deformation_3step(g, make(1, 1, 0)))
+    bad = conditions(check_linear_deformation(g, make(1, 1, 0), 3))
     ok, witness = bad["mixed_quadratic"]
     assert not ok
     assert witness is not None and len(witness) == 4
-    bad_c = conditions(check_linear_deformation_3step(g, make(0, 1, 1)))
+    bad_c = conditions(check_linear_deformation(g, make(0, 1, 1), 3))
     assert not bad_c["cubic"][0]
     assert bad_c["r_cocycle"][0]
 
 
 def test_deformation_3step_zero_passes():
     g = families.g_p01(2)
-    chk = check_linear_deformation_3step(g, Cochain.zero(2, 7))
+    chk = check_linear_deformation(g, Cochain.zero(2, 7), 3)
     assert chk.passes_all and [name for name, ok, _ in chk.conditions if not ok] == []
+
+
+@pytest.mark.parametrize("steps", [1, 4, "3", None])
+def test_deformation_check_rejects_bad_steps(steps):
+    g = families.g_k3k2k1(1, 0, 2)
+    with pytest.raises(ValueError, match=r"^steps must be 2 or 3, got [^\n]*$"):
+        check_linear_deformation(g, Cochain.zero(2, g.dim), steps)
 
 
 def test_deformation_checks_reject_non_lie_base():
@@ -883,10 +1030,10 @@ def test_deformation_checks_reject_non_lie_base():
     g = LieAlgebra(5, {(0, 1): {3: 1}, (2, 3): {4: -1}})
     assert three_step_defect(g) == []
     zero = Cochain.zero(2, 5)
-    for check in (check_linear_deformation_2step, check_linear_deformation_3step):
+    for steps in (2, 3):
         with pytest.raises(ValueError, match=re.escape(
                 "not a Lie algebra: Jacobi fails at (X1,X2,X3)")):
-            check(g, zero)
+            check_linear_deformation(g, zero, steps)
 
 
 # --- attached multiplications: the mixed quadratic condition ---------------------------
@@ -897,7 +1044,7 @@ def test_attached_examples():
     g = families.g_p01(2)
 
     def attached(phi):
-        return conditions(check_linear_deformation_3step(g, phi))["mixed_quadratic"][0]
+        return conditions(check_linear_deformation(g, phi, 3))["mixed_quadratic"][0]
 
     assert attached(Cochain.zero(2, 7))
     assert attached(Cochain(2, 7, dict(g.constants)))
@@ -958,7 +1105,7 @@ def test_perm_combination_action():
     n = 2
     coeffs = {t: e(n, 0) for t in [(0, 1, 0, 1)]}
     f = MultiMap(4, n, coeffs)
-    out = apply_perm_combination(f, JORDAN_V)
+    out = _combine(4, n, False, [(1, perm, f) for perm in JORDAN_V])
     # (2341): F(x2,x3,x4,x1) hits (0,1,0,1) when (x2,x3,x4,x1) = (0,1,0,1),
     # i.e. the output tuple (1,0,1,0) receives a contribution
     assert value(out, (1, 0, 1, 0)) == e(n, 0)

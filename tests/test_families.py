@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 import pytest
 
 from nilrig import families
-from nilrig.cohom import ch_delta2, check_linear_deformation_2step
+from nilrig.cohom import ch_delta2, check_linear_deformation
 from nilrig.liealg import (
     center_dim,
     characteristic_sequence,
@@ -218,7 +218,7 @@ def test_deformed_2step_passes_checks():
             assert two_step_defect(g) == []
             base_alg = families.g_p1(p) if base == "g_p1" else families.g_p12(p)
             phi = t.instantiate(params.coeffs)
-            assert check_linear_deformation_2step(base_alg, phi).passes_all
+            assert check_linear_deformation(base_alg, phi, 2).passes_all
 
 
 def test_deformed_2step_c2_center_contains_x2p():
