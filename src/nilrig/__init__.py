@@ -34,7 +34,6 @@ from .cohom import (
     check_linear_deformation,
     chevalley_delta1,
     chevalley_delta2,
-    comp1,
     deformed_bracket,
     jordan_cocycle_defect,
     jordan_linearized_defect,

@@ -16,9 +16,11 @@ exact; H^2 is reported as dim Z^2 - dim B^2 after verifying the
 containment B^2 in Z^2.
 
 A cochain's value on a basis tuple is a sparse dict {coordinate:
-Fraction} of its nonzero entries, the layout of `LieAlgebra.constants`;
-the bracket enters the concrete operators as its table
-(`LieAlgebra.bracket_table`).
+Fraction} of its nonzero entries, the layout of `LieAlgebra.constants`.
+The concrete operators run on integers: each input map is cleared once
+per call (`_cleared`), the bracket enters as its integer table
+(`LieAlgebra.integer_table`), and one `Fraction` is made per nonzero
+output entry.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import permutations, product
-from operator import itemgetter
+from math import lcm
+from operator import itemgetter, lt
 from typing import Callable, Iterator, Mapping, Sequence
 
 from . import liealg
@@ -127,11 +130,6 @@ class MultiMap(_Multilinear):
             raise ValueError(f"bad index tuple {idx}")
 
 
-def mu_map(g: LieAlgebra) -> MultiMap:
-    """The bracket of `g` as an arity-2 MultiMap: its bracket table."""
-    return MultiMap(2, g.dim, g.bracket_table())
-
-
 def _accumulate(acc: dict, key: tuple[int, ...], coef, vec: Mapping[int, Q]) -> None:
     # acc[key] += coef * vec; a coef of 1 or -1 needs no product, and a
     # coordinate's first contribution is stored as it is
@@ -147,15 +145,42 @@ def _accumulate(acc: dict, key: tuple[int, ...], coef, vec: Mapping[int, Q]) -> 
         row[m] = x if y is None else y + x
 
 
-def _ordered_values(m) -> Iterator[tuple[tuple[int, ...], dict[int, Q]]]:
-    # every nonzero value of m; a Cochain gives each ordering of a stored key
-    if isinstance(m, MultiMap):
-        yield from m.coeffs.items()
-        return
+# A cleared map is a pair (values, L): L times the values of a
+# multilinear map on ordered basis tuples, as int dicts.  The concrete
+# operators compose and place cleared maps and make `Fraction`s only in
+# their outputs; a composed map may keep entries that cancelled to 0,
+# and the placement step drops them.
+
+def _cleared(m) -> tuple[dict[tuple[int, ...], dict[int, int]], int]:
+    """m as a cleared map, L the lcm of the denominators of its values;
+    a Cochain gives each ordering of a stored key, with its sign."""
+    scale = lcm(*(x.denominator for vec in m.coeffs.values() for x in vec.values()))
+    values: dict[tuple[int, ...], dict[int, int]] = {}
     for key, vec in m.coeffs.items():
-        neg = {c: -x for c, x in vec.items()}
+        ints = {c: x.numerator * (scale // x.denominator) for c, x in vec.items()}
+        if isinstance(m, MultiMap):
+            values[key] = ints
+            continue
+        neg = {c: -x for c, x in ints.items()}
         for idx in permutations(key):
-            yield idx, vec if _perm_sign(idx) == 1 else neg
+            values[idx] = ints if _perm_sign(idx) == 1 else neg
+    return values, scale
+
+
+def _compose(f, h, slot: int):
+    """f o_slot h on cleared maps; its scale is the product of theirs.
+    Walks the stored values of h and, for each coordinate X_s of such a
+    value, the stored values of f whose argument `slot` is X_s."""
+    (fvalues, fscale), (hvalues, hscale) = f, h
+    by_slot: dict[int, list[tuple[tuple[int, ...], tuple[int, ...], dict[int, int]]]] = {}
+    for idx, vec in fvalues.items():
+        by_slot.setdefault(idx[slot], []).append((idx[:slot], idx[slot + 1:], vec))
+    acc: dict[tuple[int, ...], dict[int, int]] = {}
+    for mid, hv in hvalues.items():
+        for s, c in hv.items():
+            for before, after, fv in by_slot.get(s, ()):
+                _accumulate(acc, before + mid + after, c, fv)
+    return acc, fscale * hscale
 
 
 def comp1(f, h, slot: int = 0) -> MultiMap:
@@ -163,41 +188,40 @@ def comp1(f, h, slot: int = 0) -> MultiMap:
 
         (f o h)(x_1..) = f(x_1, .., x_slot, h(x_{slot+1}, .., x_{slot+b}), ..),
 
-    so slot 0 is (f o1 h)(x_1..) = f(h(x_1,..,x_b), x_{b+1}, ..).  Walks the
-    nonzero values of h and, for each nonzero coordinate X_s of such a
-    value, the nonzero values of f whose argument `slot` is X_s.
+    so slot 0 is (f o1 h)(x_1..) = f(h(x_1,..,x_b), x_{b+1}, ..).  The
+    one-shot form of the composition step of the concrete operators: f
+    and h are cleared, composed on integers and returned in `Fraction`s.
     """
     if f.dim != h.dim:
         raise ValueError("dimension mismatch")
     if not 0 <= slot < f.arity:
         raise ValueError("slot out of range")
-    by_slot: dict[int, list[tuple[tuple[int, ...], tuple[int, ...], dict[int, Q]]]] = {}
-    for idx, vec in _ordered_values(f):
-        by_slot.setdefault(idx[slot], []).append((idx[:slot], idx[slot + 1:], vec))
-    acc: dict[tuple[int, ...], dict[int, Q]] = {}
-    for mid, hv in _ordered_values(h):
-        for s, c in hv.items():
-            for before, after, fv in by_slot.get(s, ()):
-                _accumulate(acc, before + mid + after, c, fv)
-    return MultiMap(f.arity + h.arity - 1, f.dim, acc)
+    arity = f.arity + h.arity - 1
+    return _combine(arity, f.dim, False,
+                    [(1, tuple(range(arity)), _compose(_cleared(f), _cleared(h), slot))])
 
 
 def _combine(arity: int, dim: int, skew: bool, terms) -> Cochain | MultiMap:
-    """The sum over (coef, perm, m) in `terms` of the maps
-    (x_1..x_k) |-> coef * m(x_perm[0], .., x_perm[k-1]): a Cochain of its
-    values on increasing tuples when `skew`, else a MultiMap."""
-    acc: dict[tuple[int, ...], dict[int, Q]] = {}
-    for coef, perm, m in terms:
-        values = m.coeffs.items()
+    """The sum over (coef, perm, m) in `terms`, m a cleared map, of the
+    maps (x_1..x_k) |-> coef * m(x_perm[0], .., x_perm[k-1]): a Cochain
+    of its values on increasing tuples when `skew`, else a MultiMap.  The
+    terms are brought to the lcm of their scales and summed on integers;
+    each nonzero entry of the sum is divided by that lcm once."""
+    scale = lcm(*(s for _, _, (_, s) in terms))
+    acc: dict[tuple[int, ...], dict[int, int]] = {}
+    for coef, perm, (values, s) in terms:
+        values = values.items()
         if list(perm) != sorted(perm):
             # t[perm[r]] = u[r]; every perm places at least two arguments,
             # so `pick` returns a tuple
             pick = itemgetter(*(perm.index(p) for p in range(len(perm))))
             values = ((pick(u), vec) for u, vec in values)
+        coef *= scale // s
         for t, vec in values:
-            if not skew or all(a < b for a, b in zip(t, t[1:])):
+            if not skew or all(map(lt, t, t[1:])):
                 _accumulate(acc, t, coef, vec)
-    return (Cochain if skew else MultiMap)(arity, dim, acc)
+    return (Cochain if skew else MultiMap)(arity, dim, {
+        t: {m: Q(x, scale) for m, x in row.items() if x} for t, row in acc.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -265,17 +289,18 @@ def _expansion(degrees: tuple[tuple[int, ...], ...], pieces: tuple) -> tuple:
     return tuple(index), terms
 
 
-def _graded_pieces(leaves: Mapping[tuple[int, ...], object], pieces,
+def _graded_pieces(dim: int, leaves: Mapping[tuple[int, ...], tuple], pieces,
                    sign: int = 1) -> list[Cochain | MultiMap]:
     """sign times the part of multidegree `degree` of identity(nu), for
     each (identity, degree) in `pieces`, where nu is the sum of the maps
-    in `leaves` {multidegree: Cochain or MultiMap}.  Each labelled node is
-    composed once, for all the pieces."""
+    in `leaves` {multidegree: cleared map} on a `dim`-dimensional space.
+    Each labelled node is composed once, for all the pieces, and stays
+    cleared until the placement step."""
     nodes, terms = _expansion(tuple(leaves), tuple(pieces))
     values = list(leaves.values())
     for f, h, slot in nodes:
-        values.append(comp1(values[f], values[h], slot))
-    return [_combine(identity.arity, values[0].dim, identity.skew,
+        values.append(_compose(values[f], values[h], slot))
+    return [_combine(identity.arity, dim, identity.skew,
                      [(sign * coef, perm, values[k]) for coef, perm, k in piece])
             for (identity, _), piece in zip(pieces, terms)]
 
@@ -284,7 +309,7 @@ def _graded_pieces(leaves: Mapping[tuple[int, ...], object], pieces,
 # coboundary operators (concrete form)
 #
 # Each degree-2 operator is the part of degree 1 in phi of an identity at
-# nu = mu + phi, with mu = mu_map(g), the bracket table and the only way
+# nu = mu + phi, with mu the cleared map g.integer_table(), the only way
 # this route reads the bracket.
 
 def chevalley_delta1(g: LieAlgebra, f: Cochain) -> Cochain:
@@ -296,17 +321,17 @@ def chevalley_delta1(g: LieAlgebra, f: Cochain) -> Cochain:
         raise ValueError("expected an arity-1 cochain")
     if f.dim != g.dim:
         raise ValueError("dimension mismatch")
-    mu = mu_map(g)
-    a = comp1(mu, f)
+    mu, f = g.integer_table(), _cleared(f)
+    a = _compose(mu, f, 0)
     return _combine(2, g.dim, True, [(1, (0, 1), a), (-1, (1, 0), a),
-                                     (-1, (0, 1), comp1(f, mu))])
+                                     (-1, (0, 1), _compose(f, mu, 0))])
 
 
-def _along(g: LieAlgebra, phi: Cochain) -> dict[tuple[int, ...], object]:
-    """The leaves of nu = mu + t*phi: mu in degree 0, phi in degree 1."""
+def _along(g: LieAlgebra, phi: Cochain) -> dict[tuple[int, ...], tuple]:
+    """The cleared leaves of nu = mu + t*phi: mu in degree 0, phi in degree 1."""
     if phi.arity != 2 or phi.dim != g.dim:
         raise ValueError("expected an arity-2 cochain of matching dimension")
-    return {(0,): mu_map(g), (1,): phi}
+    return {(0,): g.integer_table(), (1,): _cleared(phi)}
 
 
 def chevalley_delta2(g: LieAlgebra, phi: Cochain) -> Cochain:
@@ -317,7 +342,7 @@ def chevalley_delta2(g: LieAlgebra, phi: Cochain) -> Cochain:
     i.e. minus the cyclic sum of (mu o1 phi + phi o1 mu)(x,y,z): minus
     the part of the Jacobiator of mu + t*phi linear in t.
     """
-    return _graded_pieces(_along(g, phi), [(_JACOBI, (1,))], -1)[0]
+    return _graded_pieces(g.dim, _along(g, phi), [(_JACOBI, (1,))], -1)[0]
 
 
 def _format_tuple(idx: Sequence[int]) -> str:
@@ -347,7 +372,7 @@ def ch_delta2(g: LieAlgebra, phi: Cochain) -> MultiMap:
     """
     leaves = _along(g, phi)
     _require_two_step(g)
-    return _graded_pieces(leaves, [(_TWO_STEP, (1,))])[0]
+    return _graded_pieces(g.dim, leaves, [(_TWO_STEP, (1,))])[0]
 
 
 def r_delta2(g: LieAlgebra, phi: Cochain) -> MultiMap:
@@ -359,7 +384,7 @@ def r_delta2(g: LieAlgebra, phi: Cochain) -> MultiMap:
     """
     leaves = _along(g, phi)
     _require_three_step(g)
-    return _graded_pieces(leaves, [(_THREE_STEP, (1,))])[0]
+    return _graded_pieces(g.dim, leaves, [(_THREE_STEP, (1,))])[0]
 
 
 def deformed_bracket(g: LieAlgebra, phi: Cochain, t: Q = QONE) -> LieAlgebra:
@@ -766,7 +791,8 @@ def check_linear_deformation(g: LieAlgebra, phi: Cochain, steps: int) -> Deforma
         raise ValueError(f"steps must be 2 or 3, got {steps!r}")
     _validate_kind(g, ComplexKind.CH if steps == 2 else ComplexKind.CR)
     conditions = _DEFORMATION_CONDITIONS[steps]
-    pieces = _graded_pieces(_along(g, phi), [(identity, (k,)) for _, identity, k in conditions])
+    pieces = _graded_pieces(g.dim, _along(g, phi),
+                            [(identity, (k,)) for _, identity, k in conditions])
     return DeformationCheck(tuple(_zero_condition(name, piece)
                                   for (name, _, _), piece in zip(conditions, pieces)))
 
@@ -787,7 +813,7 @@ def jordan_linearized_defect(a: MultiMap) -> MultiMap:
     identically zero iff the commutative multiplication satisfies the
     degree-4 Jordan identity."""
     _require_symmetric(a, "multiplication")
-    return _graded_pieces({(0,): a}, [(_JORDAN, (0,))])[0]
+    return _graded_pieces(a.dim, {(0,): _cleared(a)}, [(_JORDAN, (0,))])[0]
 
 
 def jordan_cocycle_defect(a: MultiMap, phi: MultiMap) -> MultiMap:
@@ -799,4 +825,5 @@ def jordan_cocycle_defect(a: MultiMap, phi: MultiMap) -> MultiMap:
     """
     _require_symmetric(a, "multiplication")
     _require_symmetric(phi, "cochain")
-    return _graded_pieces({(0,): a, (1,): phi}, [(_JORDAN, (1,))])[0]
+    return _graded_pieces(a.dim, {(0,): _cleared(a), (1,): _cleared(phi)},
+                          [(_JORDAN, (1,))])[0]

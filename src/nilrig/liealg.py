@@ -34,7 +34,7 @@ _COMBINATIONS = 50
 class LieAlgebra:
     """Finite-dimensional algebra given by rational structure constants."""
 
-    __slots__ = ("dim", "constants", "_table", "_double")
+    __slots__ = ("dim", "constants", "_table", "_double", "_three_step")
 
     def __init__(self, dim: int,
                  constants: Mapping[tuple[int, int], Mapping[int, object]] | None = None):
@@ -51,6 +51,7 @@ class LieAlgebra:
         self.constants = clean
         self._table: dict[tuple[int, int], dict[int, Q]] | None = None
         self._double: dict[tuple[int, int, int], dict[int, Q]] | None = None
+        self._three_step: tuple[tuple[int, int, int, int], ...] | None = None
 
     def bracket_table(self) -> dict[tuple[int, int], dict[int, Q]]:
         """Sparse [X_i, X_j] for all ordered pairs with nonzero bracket."""
@@ -66,7 +67,10 @@ class LieAlgebra:
         """(table, L): L is the lcm of the denominators of the structure
         constants and table is L * bracket_table() as int dicts, in the
         same key order.  Built on each call and not kept on the algebra;
-        each caller reads it once per computation."""
+        each caller reads it once per computation: the lower central
+        series, the basis step, the Z-row generators, and the concrete
+        operators of `cohom`, where it is the cleared bracket of each
+        call."""
         scale = lcm(*(x.denominator for vec in self.constants.values()
                       for x in vec.values()))
         return {key: {m: x.numerator * (scale // x.denominator) for m, x in sp.items()}
@@ -186,12 +190,15 @@ def three_step_defect(g: LieAlgebra) -> list[tuple[int, int, int, int]]:
     """Basis tuples (i, j, k, l) with [[[X_i, X_j], X_k], X_l] != 0.
 
     Only a double bracket w outside the centre is bracketed with each X_l.
+    Computed once per algebra and kept on it; each call returns a new list.
     """
-    table = g.bracket_table()
-    center = _center_reducer(g)
-    return [key + (l,) for key, w in g.double_brackets().items()
-            if not center.in_kernel(w)
-            for l in range(g.dim) if _bracket_sparse(table, w, l)]
+    if g._three_step is None:
+        table = g.bracket_table()
+        center = _center_reducer(g)
+        g._three_step = tuple(key + (l,) for key, w in g.double_brackets().items()
+                              if not center.in_kernel(w)
+                              for l in range(g.dim) if _bracket_sparse(table, w, l))
+    return list(g._three_step)
 
 
 # ---------------------------------------------------------------------------

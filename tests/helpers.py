@@ -208,6 +208,12 @@ def basis_cochains(n: int):
     return out
 
 
+def bracket_map(g) -> MultiMap:
+    """The bracket of `g` as an arity-2 MultiMap: its values are
+    `g.bracket_table()`, every ordered pair with a nonzero bracket."""
+    return MultiMap(2, g.dim, g.bracket_table())
+
+
 def brute_comp1(f, h, slot: int = 0) -> MultiMap:
     """(f o h)(x_1..) = f(x_1, .., x_slot, h(x_{slot+1}, .., x_{slot+b}), ..),
     evaluated on every one of the n^arity basis tuples."""

@@ -23,7 +23,6 @@ from nilrig.cohom import (
     deformed_bracket,
     jordan_cocycle_defect,
     jordan_linearized_defect,
-    mu_map,
     r_delta2,
     r2_rows,
     space_dims,
@@ -32,6 +31,7 @@ from nilrig.cohom import (
     _DEFORMATION_CONDITIONS,
     _JACOBI,
     _THREE_STEP,
+    _cleared,
     _combine,
     _graded_pieces,
     _z_rows,
@@ -58,6 +58,7 @@ from nilrig.sampling import (
 from helpers import (
     basis_cochains,
     bracket_basis,
+    bracket_map,
     bracket_vec_basis,
     brute_b2,
     brute_comp1,
@@ -94,10 +95,17 @@ def single(n, pair, vec_idx, c=1):
     return Cochain(2, n, {pair: {vec_idx: Q(c)}})
 
 
+def graded(leaves, pieces):
+    """`_graded_pieces` with leaves {multidegree: Cochain or MultiMap},
+    each cleared as the operators clear theirs."""
+    dim = next(iter(leaves.values())).dim
+    return _graded_pieces(dim, {d: _cleared(m) for d, m in leaves.items()}, pieces)
+
+
 def jacobiator_square(phi):
     """(phi . phi)(x,y,z) = phi(phi(x,y),z) + cyclic: the Jacobiator of phi,
     the t^2 piece of the Jacobiator of mu + t*phi."""
-    return _graded_pieces({(1,): phi}, [(_JACOBI, (2,))])[0]
+    return graded({(1,): phi}, [(_JACOBI, (2,))])[0]
 
 
 def conditions(check):
@@ -240,7 +248,7 @@ def test_t_operator_requires_two_step():
 
 def test_comp1_definition():
     g = families.rigid_3step_7()
-    mu = mu_map(g)
+    mu = bracket_map(g)
     mm = comp1(mu, mu)
     # (mu o1 mu)(x,y,z) = [[x,y],z]
     for (i, j) in sorted(g.constants):
@@ -367,8 +375,8 @@ def test_deformation_pieces_match_dense_compositions_on_basis(g):
         }
         for steps in (2, 3):
             conditions = _DEFORMATION_CONDITIONS[steps]
-            pieces = _graded_pieces({(0,): mu_map(g), (1,): phi},
-                                    [(identity, (k,)) for _, identity, k in conditions])
+            pieces = graded({(0,): bracket_map(g), (1,): phi},
+                            [(identity, (k,)) for _, identity, k in conditions])
             for (name, _, _), piece in zip(conditions, pieces):
                 assert piece == expected[name], name
 
@@ -381,13 +389,13 @@ def test_polarised_piece_is_one_call(g):
     the six placements of (mu, a, b) in nu o1 (nu o1 nu), and the cyclic
     sum of a o1 b + b o1 a for the Jacobiator."""
     n = g.dim
-    mu, dmu = mu_map(g), _dense_mu(g)
+    mu, dmu = bracket_map(g), _dense_mu(g)
     basis = basis_cochains(n)
     rng = rng_for(43)
     pairs = [(basis[i], basis[j]) for i, j in (rng.sample(range(len(basis)), 2) for _ in range(12))]
     pairs += [(basis[i], basis[i + 1]) for i in range(0, len(basis) - 1, 7)]
     def square(identity, phi):
-        return _graded_pieces({(0,): mu, (1,): phi}, [(identity, (2,))])[0]
+        return graded({(0,): mu, (1,): phi}, [(identity, (2,))])[0]
 
     for a, b in pairs:
         both = _dense_combination(a, (1, a), (1, b))
@@ -395,7 +403,7 @@ def test_polarised_piece_is_one_call(g):
                 (_THREE_STEP, _dense_sum(4, n, *(brute_comp1(x, brute_comp1(y, z))
                                                  for x, y, z in permutations((dmu, a, b))))),
                 (_JACOBI, _dense_cyclic_sum(n, 1, brute_comp1(a, b), brute_comp1(b, a)))):
-            [polar] = _graded_pieces({(0, 0): mu, (1, 0): a, (0, 1): b}, [(identity, (1, 1))])
+            [polar] = graded({(0, 0): mu, (1, 0): a, (0, 1): b}, [(identity, (1, 1))])
             assert polar == _dense_combination(polar, (1, square(identity, both)),
                                                (-1, square(identity, a)), (-1, square(identity, b)))
             assert polar == composed
@@ -451,6 +459,62 @@ def test_jordan_defects_match_dense_compositions():
                 (-1, _dense_outer(phi, a, a)))
 
 
+def _scaled(c, m):
+    """c * m, of the type and shape of m."""
+    return type(m)(m.arity, m.dim, {k: {i: c * x for i, x in v.items()} for k, v in m.coeffs.items()})
+
+
+def test_operators_keep_the_scales_of_rational_leaves():
+    """The operators clear each input map by the lcm of its denominators
+    and carry that scale through every composed node.  Here mu has
+    denominators and phi, phi_a and phi_b are cochains times 2/3, 1/2 and
+    3/5, so a scale dropped from any leaf or node would show.  Each
+    operator is compared with its definition composed with brute_comp1:
+    ch_delta2 on the 2-step DENSE_P12, the others on the 3-step
+    DENSE_K3K2K1, and the Jordan defect on a rational commutative
+    associative multiplication."""
+    g, n = DENSE_K3K2K1, DENSE_K3K2K1.dim
+    assert g.integer_table()[1] > 1 and DENSE_P12.integer_table()[1] > 1
+    mu = _dense_mu(g)
+    rng = rng_for(53)
+    f = _scaled(Q(2, 3), random_endomorphism(n, rng, -1, 1))
+    a, b = brute_comp1(mu, f), brute_comp1(f, mu)
+    assert chevalley_delta1(g, f) == Cochain(2, n, {
+        (x, y): sparse(vadd(dense(value(a, (x, y)), n), vscale(-1, vadd(
+            dense(value(a, (y, x)), n), dense(value(b, (x, y)), n)))))
+        for x, y in combinations(range(n), 2)})
+    basis = basis_cochains(n)
+    phis = [_scaled(Q(2, 3), phi) for phi in basis[::7]]
+    phis.append(_scaled(Q(2, 3), random_skew_cochain(n, rng)))
+    for phi in phis:
+        assert chevalley_delta2(g, phi) == _dense_cyclic_sum(
+            n, -1, brute_comp1(mu, phi), brute_comp1(phi, mu))
+        assert r_delta2(g, phi) == _dense_sum(
+            4, n, brute_comp1(mu, brute_comp1(mu, phi)),
+            brute_comp1(mu, brute_comp1(phi, mu)), brute_comp1(phi, brute_comp1(mu, mu)))
+    for phi in basis[::5]:
+        pa, pb = _scaled(Q(1, 2), phi), _scaled(Q(3, 5), random_skew_cochain(n, rng))
+        [polar] = graded({(0, 0): bracket_map(g), (1, 0): pa, (0, 1): pb},
+                         [(_THREE_STEP, (1, 1))])
+        assert polar == _dense_sum(4, n, *(brute_comp1(x, brute_comp1(y, z))
+                                           for x, y, z in permutations((mu, pa, pb))))
+    p12, m = DENSE_P12.dim, _dense_mu(DENSE_P12)
+    for phi in basis_cochains(p12)[::3]:
+        phi = _scaled(Q(2, 3), phi)
+        assert ch_delta2(DENSE_P12, phi) == _dense_sum(
+            3, p12, brute_comp1(m, phi), brute_comp1(phi, m))
+    alg = random_commutative_associative(rng, 3)
+    assert any(x.denominator > 1 for v in alg.coeffs.values() for x in v.values())
+    for phi in _symmetric_basis(3)[::3]:
+        phi = _scaled(Q(2, 3), phi)
+        assert jordan_cocycle_defect(alg, phi) == _dense_jordan(
+            3, (1, brute_comp1(phi, brute_comp1(alg, alg))),
+            (1, brute_comp1(alg, brute_comp1(phi, alg))),
+            (1, brute_comp1(alg, brute_comp1(alg, phi))),
+            (-1, _dense_outer(alg, alg, phi)), (-1, _dense_outer(alg, phi, alg)),
+            (-1, _dense_outer(phi, alg, alg)))
+
+
 def test_comp1_rejects_slot_out_of_range():
     f = Cochain(2, 3, {(0, 1): e(3, 2)})
     with pytest.raises(ValueError, match="slot"):
@@ -469,7 +533,7 @@ def test_comp1_identity_left():
 
 def test_comp1_triple_bracket_shape():
     g = families.rigid_3step_7()
-    mu = mu_map(g)
+    mu = bracket_map(g)
     left = comp1(comp1(mu, mu), mu)
     right = comp1(mu, comp1(mu, mu))
     assert left == right  # substitution into the first slot is associative
@@ -1105,7 +1169,7 @@ def test_perm_combination_action():
     n = 2
     coeffs = {t: e(n, 0) for t in [(0, 1, 0, 1)]}
     f = MultiMap(4, n, coeffs)
-    out = _combine(4, n, False, [(1, perm, f) for perm in JORDAN_V])
+    out = _combine(4, n, False, [(1, perm, _cleared(f)) for perm in JORDAN_V])
     # (2341): F(x2,x3,x4,x1) hits (0,1,0,1) when (x2,x3,x4,x1) = (0,1,0,1),
     # i.e. the output tuple (1,0,1,0) receives a contribution
     assert value(out, (1, 0, 1, 0)) == e(n, 0)

@@ -148,6 +148,19 @@ def test_three_step_defect_with_central_and_noncentral_double_brackets():
         (0, 1, 0, 0)]
 
 
+def test_three_step_defect_is_kept_and_returned_as_a_new_list():
+    """The defect is computed once per algebra; a caller that changes the
+    list it got does not change what the next call returns."""
+    g = LieAlgebra(5, dict(FILIFORM5.constants))
+    first = three_step_defect(g)
+    first.append((9, 9, 9, 9))
+    first[0] = (1, 1, 1, 1)
+    second = three_step_defect(g)
+    assert second == [(0, 1, 0, 0)] and second is not first
+    second.clear()
+    assert three_step_defect(g) == [(0, 1, 0, 0)]
+
+
 def test_jacobi_violation_detected():
     g = LieAlgebra(3, {
         (0, 1): {2: Q(1)},   # [e1,e2] = e3
