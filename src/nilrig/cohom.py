@@ -17,9 +17,12 @@ containment B^2 in Z^2.
 
 A cochain's value on a basis tuple is a sparse dict {coordinate:
 Fraction} of its nonzero entries, the layout of `LieAlgebra.constants`.
-The concrete operators run on integers: each input map is cleared once
-per call (`_cleared`), the bracket enters as its integer table
-(`LieAlgebra.integer_table`), and one `Fraction` is made per nonzero
+The bracket is read only in its cleared form, kept on the algebra:
+`LieAlgebra.integer_table` (L times mu) and `LieAlgebra.double_brackets`
+(L^2 times mu o1 mu), with `int` entries.  The Z rows and the delta^1
+images are integer rows built from them.  The concrete operators run on
+integers too: each input map is cleared once per call (`_cleared`), mu
+enters as the integer table, and one `Fraction` is made per nonzero
 output entry.
 """
 
@@ -34,8 +37,8 @@ from operator import itemgetter, lt
 from typing import Callable, Iterator, Mapping, Sequence
 
 from . import liealg
-from .exactlin import (Q, QZERO, QONE, RationalMatrix, RowReducer, _integer_row,
-                       as_rational, as_sparse_vector, invert)
+from .exactlin import (Q, QONE, RationalMatrix, RowReducer, _integer_row,
+                       _integer_rows, as_rational, as_sparse_vector, invert)
 from .liealg import LieAlgebra, jacobi_defect, three_step_defect, two_step_defect
 
 
@@ -154,13 +157,11 @@ def _accumulate(acc: dict, key: tuple[int, ...], coef, vec: Mapping[int, Q]) -> 
 def _cleared(m) -> tuple[dict[tuple[int, ...], dict[int, int]], int]:
     """m as a cleared map, L the lcm of the denominators of its values;
     a Cochain gives each ordering of a stored key, with its sign."""
-    scale = lcm(*(x.denominator for vec in m.coeffs.values() for x in vec.values()))
+    stored, scale = _integer_rows(m.coeffs)
+    if isinstance(m, MultiMap):
+        return stored, scale
     values: dict[tuple[int, ...], dict[int, int]] = {}
-    for key, vec in m.coeffs.items():
-        ints = {c: x.numerator * (scale // x.denominator) for c, x in vec.items()}
-        if isinstance(m, MultiMap):
-            values[key] = ints
-            continue
+    for key, ints in stored.items():
         neg = {c: -x for c, x in ints.items()}
         for idx in permutations(key):
             values[idx] = ints if _perm_sign(idx) == 1 else neg
@@ -428,43 +429,31 @@ class CochainIndex:
         return Cochain(2, self.dim, coeffs)
 
 
-class _IntegerMu:
-    """The bracket over the integers, read by the Z-row generators.
-
-    With L the lcm of the denominators of the structure constants, `table`
-    is the shared L * bracket_table() of `LieAlgebra.integer_table` and
-    `double` is L^2 * double_brackets(), bracketed on that table, as int
-    dicts.  `images[chain]` lists (t, R(X_t)) for every t with R(X_t) != 0,
-    where R is a chain of right brackets: () is the identity, (k,) is
-    x |-> [x, X_k] (scaled like `table`) and (k, l) is x |-> [[x, X_k], X_l]
-    (scaled like `double`).
-    """
-
-    __slots__ = ("table", "double", "images")
-
-    def __init__(self, g: LieAlgebra):
-        n = g.dim
-        self.table = table = g.integer_table()[0]
-        self.double = {(i, j, k): liealg._bracket_sparse(table, table[(i, j)], k)
-                       for i, j, k in g.double_brackets()}
-        images: dict[tuple[int, ...], list[tuple[int, dict[int, int]]]] = {
-            (): [(t, {t: 1}) for t in range(n)]}
-        for k in range(n):
-            images[(k,)] = []
-            for l in range(n):
-                images[(k, l)] = []
-        for (t, k), sp in sorted(self.table.items()):
-            images[(k,)].append((t, sp))
-        # double holds i < j only; [[X_j, X_i], X_l] = -[[X_i, X_j], X_l]
-        for (i, j, l), w in self.double.items():
-            images[(j, l)].append((i, w))
-            images[(i, l)].append((j, {m: -x for m, x in w.items()}))
-        self.images = images
+def _chain_images(g: LieAlgebra) -> dict[tuple[int, ...], list[tuple[int, dict[int, int]]]]:
+    """images[chain] lists (t, R(X_t)) for every t with R(X_t) != 0, where
+    R is a chain of right brackets: () is the identity, (k,) is
+    x |-> [x, X_k] and (k, l) is x |-> [[x, X_k], X_l], scaled by L and
+    L^2 like `LieAlgebra.integer_table` and `LieAlgebra.double_brackets`,
+    whose rows the lists share."""
+    n = g.dim
+    images: dict[tuple[int, ...], list[tuple[int, dict[int, int]]]] = {
+        (): [(t, {t: 1}) for t in range(n)]}
+    for k in range(n):
+        images[(k,)] = []
+        for l in range(n):
+            images[(k, l)] = []
+    for (t, k), sp in sorted(g.integer_table()[0].items()):
+        images[(k,)].append((t, sp))
+    # the double brackets hold i < j only; [[X_j, X_i], X_l] = -[[X_i, X_j], X_l]
+    for (i, j, l), w in g.double_brackets().items():
+        images[(j, l)].append((i, w))
+        images[(i, l)].append((j, {m: -x for m, x in w.items()}))
+    return images
 
 
 def _term_rows(idx: CochainIndex, terms) -> Iterator[dict[int, int]]:
     """Rows of sum coef * R(phi(u, X_c)) over the terms (coef, u, c, images),
-    u a sparse vector and images the list of a chain R (see `_IntegerMu`),
+    u a sparse vector and images the list of a chain R (`_chain_images`),
     as linear functionals of the flat unknowns: one row per output
     coordinate, in sorted order, with zero entries dropped.  The rows of
     pairs with a nonzero bracket come from here directly; those of the
@@ -489,7 +478,7 @@ def _term_rows(idx: CochainIndex, terms) -> Iterator[dict[int, int]]:
 
 def _zero_pair_block(idx: CochainIndex, chains) -> list[dict[int, int]]:
     """A basis of the rows R(phi(X_0, X_1)) over the chains R (image
-    lists, see `_IntegerMu`), on the n columns of pair (0, 1): the RREF
+    lists, see `_chain_images`), on the n columns of pair (0, 1): the RREF
     rows, each times the lcm of its denominators.
 
     For a pair with [X_i, X_j] = 0 the T and delta_R terms reduce to
@@ -511,33 +500,32 @@ def _shifted(block: list[dict[int, int]], base: int) -> Iterator[dict[int, int]]
 
 def t_operator_rows(g: LieAlgebra) -> Iterator[dict[int, int]]:
     """Integer rows spanning L times the constraint rows of T(phi) = 0
-    over the flat 2-cochain coordinates (L as in `_IntegerMu`).
+    over the flat 2-cochain coordinates (L as in `LieAlgebra.integer_table`).
 
     A pair with [X_i, X_j] = 0 gives the shared block of
     `_zero_pair_block` over the chains x |-> [x, X_k]; any other pair
     gives the rows of each k.
     """
     idx = CochainIndex(g.dim)
-    mu = _IntegerMu(g)
+    table, images = g.integer_table()[0], _chain_images(g)
     n = g.dim
-    block = _zero_pair_block(idx, (mu.images[(k,)] for k in range(n)))
+    block = _zero_pair_block(idx, (images[(k,)] for k in range(n)))
     for (i, j) in idx.pairs:
-        cij = mu.table.get((i, j))
+        cij = table.get((i, j))
         if not cij:
             yield from _shifted(block, idx.pidx[(i, j)] * n)
             continue
         for k in range(n):
             # [phi(X_i, X_j), X_k] + phi([X_i, X_j], X_k)
-            yield from _term_rows(idx, ((1, {i: 1}, j, mu.images[(k,)]),
-                                        (1, cij, k, mu.images[()])))
+            yield from _term_rows(idx, ((1, {i: 1}, j, images[(k,)]),
+                                        (1, cij, k, images[()])))
 
 
 def chevalley2_rows(g: LieAlgebra) -> Iterator[dict[int, int]]:
     """Constraint rows of the classical degree-2 coboundary, each L times
-    a row of delta^2 (L as in `_IntegerMu`)."""
+    a row of delta^2 (L as in `LieAlgebra.integer_table`)."""
     idx = CochainIndex(g.dim)
-    mu = _IntegerMu(g)
-    table, images = mu.table, mu.images
+    table, images = g.integer_table()[0], _chain_images(g)
     n = g.dim
     for i in range(n):
         for j in range(i + 1, n):
@@ -554,7 +542,8 @@ def chevalley2_rows(g: LieAlgebra) -> Iterator[dict[int, int]]:
 
 def r2_rows(g: LieAlgebra) -> Iterator[dict[int, int]]:
     """Integer rows spanning L^2 times the constraint rows of
-    delta_R^2(phi) = 0 (L as in `_IntegerMu`; streamed, can be ~1e5 rows).
+    delta_R^2(phi) = 0 (L as in `LieAlgebra.integer_table`; streamed, can
+    be ~1e5 rows).
 
     A pair with [X_i, X_j] = 0 gives the shared block of
     `_zero_pair_block` over the chains x |-> [[x, X_k], X_l]; any other
@@ -563,19 +552,18 @@ def r2_rows(g: LieAlgebra) -> Iterator[dict[int, int]]:
     or [x, X_l] != 0 for some x.
     """
     idx = CochainIndex(g.dim)
-    mu = _IntegerMu(g)
-    images = mu.images
+    table, double, images = g.integer_table()[0], g.double_brackets(), _chain_images(g)
     n = g.dim
     block = _zero_pair_block(idx, (images[(k, l)] for k in range(n) for l in range(n)))
     chain_or_right = [[l for l in range(n) if images[(k, l)] or images[(l,)]]
                       for k in range(n)]
     for (i, j) in idx.pairs:
-        cij = mu.table.get((i, j))
+        cij = table.get((i, j))
         if not cij:
             yield from _shifted(block, idx.pidx[(i, j)] * n)
             continue
         for k in range(n):
-            w = mu.double.get((i, j, k), {})
+            w = double.get((i, j, k), {})
             for l in range(n) if w else chain_or_right[k]:
                 # [[phi(X_i,X_j),X_k],X_l] + [phi([X_i,X_j],X_k),X_l]
                 #   + phi([[X_i,X_j],X_k],X_l)
@@ -611,20 +599,21 @@ class CohomologyReport:
     representatives: tuple[Cochain, ...] | None = None
 
 
-def coboundary_image_vectors(g: LieAlgebra) -> list[dict[int, Q]]:
-    """Flat images delta^1(E_ab) spanning B^2, one per matrix unit, in
-    (a, b) order; E_ab maps X_b to X_a and every other X_k to 0.
+def coboundary_image_vectors(g: LieAlgebra) -> list[dict[int, int]]:
+    """Flat images L * delta^1(E_ab), as int dicts, spanning B^2, one per
+    matrix unit, in (a, b) order; E_ab maps X_b to X_a and every other
+    X_k to 0, and L is that of `LieAlgebra.integer_table`.
 
-    Read off the bracket table: delta E_ab (X_i, X_j) gets [X_a, X_j] when
+    Read off that table: delta E_ab (X_i, X_j) gets [X_a, X_j] when
     i = b (and, by skew symmetry, -[X_a, X_i] when j = b), plus
     -c_ij^b X_a from the term -E_ab [X_i, X_j].
     """
     n = g.dim
     idx = CochainIndex(n)
-    table = g.bracket_table()
-    # left[a] = [(j, sparse [X_a, X_j])]; down[b] = [(flat base of (i, j), c_ij^b)]
-    left: list[list[tuple[int, dict[int, Q]]]] = [[] for _ in range(n)]
-    down: list[list[tuple[int, Q]]] = [[] for _ in range(n)]
+    table, _ = g.integer_table()
+    # left[a] = [(j, L [X_a, X_j])]; down[b] = [(flat base of (i, j), L c_ij^b)]
+    left: list[list[tuple[int, dict[int, int]]]] = [[] for _ in range(n)]
+    down: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for (i, j), sp in table.items():
         left[i].append((j, sp))
         if i < j:
@@ -633,7 +622,7 @@ def coboundary_image_vectors(g: LieAlgebra) -> list[dict[int, Q]]:
     out = []
     for a in range(n):
         for b in range(n):
-            vec: dict[int, Q] = {}
+            vec: dict[int, int] = {}
             for j, sp in left[a]:
                 if j != b:
                     for m, c in sp.items():
@@ -641,7 +630,7 @@ def coboundary_image_vectors(g: LieAlgebra) -> list[dict[int, Q]]:
                         vec[u] = c if sg > 0 else -c
             for base, c in down[b]:
                 u = base + a
-                s = vec.get(u, QZERO) - c
+                s = vec.get(u, 0) - c
                 if s:
                     vec[u] = s
                 else:

@@ -20,7 +20,7 @@ import re
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from time import perf_counter
 
 Q = Fraction
@@ -126,6 +126,14 @@ def _integer_row(row: Mapping[int, Q]) -> tuple[dict[int, int], int]:
             scale = scale * d // gcd(scale, d)
     return {c: v.numerator * (scale // v.denominator)
             for c, v in row.items() if v}, scale
+
+
+def _integer_rows(rows: Mapping) -> tuple[dict, int]:
+    """(ints, L) with ints[key] == L * rows[key] for every key: sparse
+    rational rows cleared of denominators by one lcm L, in key order."""
+    scale = lcm(*(x.denominator for row in rows.values() for x in row.values()))
+    return {key: {c: x.numerator * (scale // x.denominator) for c, x in row.items()}
+            for key, row in rows.items()}, scale
 
 
 class RowReducer:

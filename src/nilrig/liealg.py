@@ -3,8 +3,10 @@
 A `LieAlgebra` stores only the brackets [X_i, X_j] with i < j (0-based);
 skew-symmetry and [X_i, X_i] = 0 are structural.  A vector, such as a
 bracket value, is a sparse dict {coordinate: Fraction} holding its nonzero
-entries only.  All operations are pure and values are treated as
-immutable, so concurrent use is safe.
+entries only; the cleared bracket tables that the algorithms read
+(`LieAlgebra.integer_table`, `LieAlgebra.double_brackets`) hold ints.
+All operations are pure and values are treated as immutable, so
+concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ from typing import Callable, Mapping, Sequence
 from .exactlin import (
     Q,
     QONE,
-    QZERO,
     RationalMatrix,
     RowReducer,
     _integer_row,
+    _integer_rows,
     as_sparse_vector,
     invert,
     iterated_images,
@@ -49,38 +51,31 @@ class LieAlgebra:
             if v:
                 clean[(i, j)] = v
         self.constants = clean
-        self._table: dict[tuple[int, int], dict[int, Q]] | None = None
-        self._double: dict[tuple[int, int, int], dict[int, Q]] | None = None
+        self._table: tuple[dict[tuple[int, int], dict[int, int]], int] | None = None
+        self._double: dict[tuple[int, int, int], dict[int, int]] | None = None
         self._three_step: tuple[tuple[int, int, int, int], ...] | None = None
-
-    def bracket_table(self) -> dict[tuple[int, int], dict[int, Q]]:
-        """Sparse [X_i, X_j] for all ordered pairs with nonzero bracket."""
-        if self._table is None:
-            table: dict[tuple[int, int], dict[int, Q]] = {}
-            for (i, j), vec in self.constants.items():
-                table[(i, j)] = dict(vec)
-                table[(j, i)] = {k: -x for k, x in vec.items()}
-            self._table = table
-        return self._table
 
     def integer_table(self) -> tuple[dict[tuple[int, int], dict[int, int]], int]:
         """(table, L): L is the lcm of the denominators of the structure
-        constants and table is L * bracket_table() as int dicts, in the
-        same key order.  Built on each call and not kept on the algebra;
-        each caller reads it once per computation: the lower central
-        series, the basis step, the Z-row generators, and the concrete
-        operators of `cohom`, where it is the cleared bracket of each
-        call."""
-        scale = lcm(*(x.denominator for vec in self.constants.values()
-                      for x in vec.values()))
-        return {key: {m: x.numerator * (scale // x.denominator) for m, x in sp.items()}
-                for key, sp in self.bracket_table().items()}, scale
+        constants and table holds L * [X_i, X_j], as int dicts, for every
+        ordered pair with a nonzero bracket.  Every reader of the bracket
+        takes this form or `double_brackets`, bracketed on it; built once,
+        kept on the algebra and shared, so callers never mutate it."""
+        if self._table is None:
+            ints, scale = _integer_rows(self.constants)
+            table: dict[tuple[int, int], dict[int, int]] = {}
+            for (i, j), vec in ints.items():
+                table[(i, j)] = vec
+                table[(j, i)] = {k: -x for k, x in vec.items()}
+            self._table = table, scale
+        return self._table
 
-    def double_brackets(self) -> dict[tuple[int, int, int], dict[int, Q]]:
-        """Sparse [[X_i, X_j], X_k] for i < j and every k, nonzero only,
-        in sorted key order; cached and shared, so callers never mutate it."""
+    def double_brackets(self) -> dict[tuple[int, int, int], dict[int, int]]:
+        """L^2 * [[X_i, X_j], X_k] for i < j and every k, L as in
+        `integer_table`, as int dicts, nonzero only and in sorted key
+        order: bracketed on that table, kept and shared like it."""
         if self._double is None:
-            table = self.bracket_table()
+            table, _ = self.integer_table()
             double = {}
             for pair in sorted(self.constants):
                 for k in range(self.dim):
@@ -132,8 +127,8 @@ class SubspaceChain:
 def _bracket_sparse(table, vec: Mapping[int, Q], k: int) -> dict[int, Q]:
     """[v, X_k] for a sparse coordinate vector v, nonzero entries only.
 
-    The sums start at the int 0, so an int table (`integer_table`) and
-    an int v give int values, and a `Fraction` table gives `Fraction`s."""
+    The sums start at the int 0, so on the int table of `integer_table`
+    an int v gives int values and a `Fraction` v gives `Fraction`s."""
     acc: dict[int, Q] = {}
     for s, c in vec.items():
         row = table.get((s, k))
@@ -162,10 +157,10 @@ def jacobi_defect(g: LieAlgebra) -> list[tuple[int, int, int]]:
 
     The Jacobiator of (i, j, k) is the sum of [[X_a, X_b], X_c] over the
     cyclic orders (a, b, c) of the triple.  Each [[X_a, X_b], X_c] with
-    a < b is read off the double-bracket table and added to its sorted
-    triple, negated when (a, b, c) is not cyclic.
+    a < b is read off the (L^2-scaled) double-bracket table and added to
+    its sorted triple, negated when (a, b, c) is not cyclic.
     """
-    jac: dict[tuple[int, int, int], dict[int, Q]] = {}
+    jac: dict[tuple[int, int, int], dict[int, int]] = {}
     for (a, b, c), vec in g.double_brackets().items():
         if c == a or c == b:
             continue
@@ -177,7 +172,7 @@ def jacobi_defect(g: LieAlgebra) -> list[tuple[int, int, int]]:
             key, sign = (a, b, c), 1
         acc = jac.setdefault(key, {})
         for m, w in vec.items():
-            acc[m] = acc.get(m, QZERO) + sign * w
+            acc[m] = acc.get(m, 0) + sign * w
     return sorted(key for key, acc in jac.items() if any(acc.values()))
 
 
@@ -193,7 +188,7 @@ def three_step_defect(g: LieAlgebra) -> list[tuple[int, int, int, int]]:
     Computed once per algebra and kept on it; each call returns a new list.
     """
     if g._three_step is None:
-        table = g.bracket_table()
+        table, _ = g.integer_table()
         center = _center_reducer(g)
         g._three_step = tuple(key + (l,) for key, w in g.double_brackets().items()
                               if not center.in_kernel(w)
@@ -230,7 +225,9 @@ def nilindex(g: LieAlgebra) -> int:
 
 
 def _ad_ranks(table, x: Mapping[int, Q], n: int) -> list[int]:
-    """[rank (ad x)^1, rank (ad x)^2, ..., 0]; g must be nilpotent.
+    """[rank (ad x)^1, rank (ad x)^2, ..., 0], read on `table`, the
+    table of `integer_table` (L ad x has the ranks of ad x); g must be
+    nilpotent.
 
     The image of (ad x)^k is ad x applied to the image of (ad x)^(k-1),
     so each power pushes only the previous basis rows through ad x.
@@ -275,7 +272,7 @@ def characteristic_sequence(g: LieAlgebra) -> CharSeq:
     derived = RowReducer(n)
     for v in chain.bases[1]:
         derived.add(v)
-    table = g.bracket_table()
+    table, _ = g.integer_table()
     best: tuple[int, ...] = ()
     for x in _charseq_candidates(n, derived):
         ranks = _ad_ranks(table, x, n)
@@ -290,24 +287,24 @@ def _charseq_candidates(n: int, derived: RowReducer):
     """Sparse basis vectors outside the row space of `derived`, then
     `_COMBINATIONS` seeded combinations with entries in [-5, 5] outside it."""
     for i in range(n):
-        if derived.residual({i: QONE}):
-            yield {i: QONE}
+        if derived.residual({i: 1}):
+            yield {i: 1}
     rng = random.Random(DEFAULT_SEED)
     found = attempts = 0
     while found < _COMBINATIONS and attempts < 20 * _COMBINATIONS + 20:
         attempts += 1
         coeffs = [rng.randint(-5, 5) for _ in range(n)]
-        vec = {i: Q(c) for i, c in enumerate(coeffs) if c}
+        vec = {i: c for i, c in enumerate(coeffs) if c}
         if vec and derived.residual(vec):
             found += 1
             yield vec
 
 
 def _center_reducer(g: LieAlgebra) -> RowReducer:
-    """The rows (j, m) -> c_ij^m fed to a RowReducer, whose kernel is the
-    centre {x : [x, X_j] = 0 for all j}."""
-    rows: dict[tuple[int, int], dict[int, Q]] = {}
-    for (i, j), sp in g.bracket_table().items():
+    """The rows (j, m) -> L c_ij^m of `integer_table` fed to a RowReducer,
+    whose kernel is the centre {x : [x, X_j] = 0 for all j}."""
+    rows: dict[tuple[int, int], dict[int, int]] = {}
+    for (i, j), sp in g.integer_table()[0].items():
         for m, v in sp.items():
             rows.setdefault((j, m), {})[i] = v
     red = RowReducer(g.dim)
@@ -393,7 +390,7 @@ def adapted_basis(g: LieAlgebra) -> RationalMatrix | None:
     vectors, and the series is not computed.  A series that stops at a
     nonzero ideal gives a shorter flag.
     """
-    if all(len(sp) == 1 for sp in g.bracket_table().values()):
+    if all(len(sp) == 1 for sp in g.constants.values()):
         return None
     bases = lower_central_series(g).bases
     if all(len(v) == 1 for basis in bases for v in basis):

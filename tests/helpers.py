@@ -209,9 +209,11 @@ def basis_cochains(n: int):
 
 
 def bracket_map(g) -> MultiMap:
-    """The bracket of `g` as an arity-2 MultiMap: its values are
-    `g.bracket_table()`, every ordered pair with a nonzero bracket."""
-    return MultiMap(2, g.dim, g.bracket_table())
+    """The bracket of `g` as an arity-2 MultiMap on every ordered pair,
+    read by `bracket_basis` from the stored i < j constants, not from the
+    package's cached tables."""
+    n = g.dim
+    return MultiMap(2, n, {(i, j): sparse(bracket_basis(g, i, j)) for i in range(n) for j in range(n)})
 
 
 def brute_comp1(f, h, slot: int = 0) -> MultiMap:

@@ -1,4 +1,5 @@
 import re
+from copy import deepcopy
 from fractions import Fraction as Q
 from itertools import combinations, permutations, product
 
@@ -43,7 +44,10 @@ from nilrig.liealg import (
     abelian,
     basis_change,
     adapted_basis,
+    center_dim,
+    characteristic_sequence,
     derivation_algebra_dim,
+    lower_central_series,
     three_step_defect,
     two_step_defect,
 )
@@ -89,6 +93,13 @@ def rescaled(g, *diag):
 def moved(g, seed):
     """`g` after a random dense basis change: most constants nonzero."""
     return basis_change(g, random_invertible(g.dim, rng_for(seed), -2, 2))
+
+
+def scaled(g):
+    """`g`, checked to have constants with denominators (L > 1), so that
+    a test on it exercises the L scale of the cleared tables."""
+    assert g.integer_table()[1] > 1
+    return g
 
 
 def single(n, pair, vec_idx, c=1):
@@ -303,12 +314,6 @@ def _dense_sum(arity, n, *maps):
                                for k in keys})
 
 
-def _dense_mu(g):
-    """The bracket as a MultiMap on every ordered pair, read by `bracket_basis`."""
-    n = g.dim
-    return MultiMap(2, n, {(i, j): sparse(bracket_basis(g, i, j)) for i in range(n) for j in range(n)})
-
-
 DENSE_K3K2K1 = moved(families.g_k3k2k1(1, 0, 2), 3)
 DENSE_P12 = moved(families.g_p12(2), 37)
 
@@ -322,7 +327,7 @@ def test_degree2_operators_match_dense_compositions_on_basis(g):
     reference composes with brute_comp1 and a bracket map built from
     `bracket_basis`, and sums values densely."""
     n = g.dim
-    mu = _dense_mu(g)
+    mu = bracket_map(g)
     mumu = brute_comp1(mu, mu)
     for phi in basis_cochains(n):
         assert chevalley_delta2(g, phi) == _dense_cyclic_sum(
@@ -356,7 +361,7 @@ def test_deformation_pieces_match_dense_compositions_on_basis(g):
     algebra in mu and phi, so 2-step and 3-step pieces are compared on
     each g."""
     n = g.dim
-    mu = _dense_mu(g)
+    mu = bracket_map(g)
     for phi in basis_cochains(n)[::5]:
         sq = brute_comp1(phi, phi)
         expected = {
@@ -389,7 +394,7 @@ def test_polarised_piece_is_one_call(g):
     the six placements of (mu, a, b) in nu o1 (nu o1 nu), and the cyclic
     sum of a o1 b + b o1 a for the Jacobiator."""
     n = g.dim
-    mu, dmu = bracket_map(g), _dense_mu(g)
+    mu = bracket_map(g)
     basis = basis_cochains(n)
     rng = rng_for(43)
     pairs = [(basis[i], basis[j]) for i, j in (rng.sample(range(len(basis)), 2) for _ in range(12))]
@@ -401,7 +406,7 @@ def test_polarised_piece_is_one_call(g):
         both = _dense_combination(a, (1, a), (1, b))
         for identity, composed in (
                 (_THREE_STEP, _dense_sum(4, n, *(brute_comp1(x, brute_comp1(y, z))
-                                                 for x, y, z in permutations((dmu, a, b))))),
+                                                 for x, y, z in permutations((mu, a, b))))),
                 (_JACOBI, _dense_cyclic_sum(n, 1, brute_comp1(a, b), brute_comp1(b, a)))):
             [polar] = graded({(0, 0): mu, (1, 0): a, (0, 1): b}, [(identity, (1, 1))])
             assert polar == _dense_combination(polar, (1, square(identity, both)),
@@ -475,7 +480,7 @@ def test_operators_keep_the_scales_of_rational_leaves():
     associative multiplication."""
     g, n = DENSE_K3K2K1, DENSE_K3K2K1.dim
     assert g.integer_table()[1] > 1 and DENSE_P12.integer_table()[1] > 1
-    mu = _dense_mu(g)
+    mu = bracket_map(g)
     rng = rng_for(53)
     f = _scaled(Q(2, 3), random_endomorphism(n, rng, -1, 1))
     a, b = brute_comp1(mu, f), brute_comp1(f, mu)
@@ -498,7 +503,7 @@ def test_operators_keep_the_scales_of_rational_leaves():
                          [(_THREE_STEP, (1, 1))])
         assert polar == _dense_sum(4, n, *(brute_comp1(x, brute_comp1(y, z))
                                            for x, y, z in permutations((mu, pa, pb))))
-    p12, m = DENSE_P12.dim, _dense_mu(DENSE_P12)
+    p12, m = DENSE_P12.dim, bracket_map(DENSE_P12)
     for phi in basis_cochains(p12)[::3]:
         phi = _scaled(Q(2, 3), phi)
         assert ch_delta2(DENSE_P12, phi) == _dense_sum(
@@ -513,6 +518,26 @@ def test_operators_keep_the_scales_of_rational_leaves():
             (1, brute_comp1(alg, brute_comp1(alg, phi))),
             (-1, _dense_outer(alg, alg, phi)), (-1, _dense_outer(alg, phi, alg)),
             (-1, _dense_outer(phi, alg, alg)))
+
+
+@pytest.mark.parametrize("g", [DENSE_K3K2K1, families.rigid_3step_7()],
+                         ids=["dense-k3k2k1", "rigid7"])
+def test_cached_tables_are_unchanged_by_their_readers(g):
+    """Every reader shares the rows of the integer table and of the
+    double brackets kept on the algebra (the chain images of the Z rows
+    hold them too); none of them may change those rows."""
+    table, double = deepcopy(g.integer_table()), deepcopy(g.double_brackets())
+    rng = rng_for(61)
+    space_dims(g, "cr", with_representatives=True)
+    chevalley_delta1(g, random_endomorphism(g.dim, rng, -1, 1))
+    phi = random_skew_cochain(g.dim, rng)
+    chevalley_delta2(g, phi)
+    r_delta2(g, phi)
+    characteristic_sequence(g)
+    center_dim(g)
+    lower_central_series(g)
+    basis_change(g, random_invertible(g.dim, rng, -2, 2))
+    assert g.integer_table() == table and g.double_brackets() == double
 
 
 def test_comp1_rejects_slot_out_of_range():
@@ -653,14 +678,14 @@ def test_zero_pair_block(gen, g, block):
     rows = list(gen(g))
     assert sorted(rows[:len(block)], key=sorted) == block
     for pair in idx.pairs:
-        if not g.bracket_table().get(pair):
+        if not g.constants.get(pair):
             base = idx.pidx[pair] * n
             assert all({base + c: v for c, v in row.items()} in rows for row in block)
 
 
 def test_z_rows_are_nonzero_int_dicts():
     # the model corpus of the benchmark and one algebra with rational
-    # structure constants
+    # structure constants; the delta^1 images are integer rows too
     for g in (families.g_p1(5), families.g_p1(9), families.heisenberg(8),
               families.rigid_2step("h10"), families.g_p01(3), families.g_p01(5),
               families.rigid_3step_7(), HALF5):
@@ -668,6 +693,8 @@ def test_z_rows_are_nonzero_int_dicts():
             for row in gen(g):
                 assert isinstance(row, dict) and row, gen.__name__
                 assert all(type(v) is int and v for v in row.values()), (gen.__name__, row)
+        for vec in coboundary_image_vectors(g):
+            assert all(type(v) is int and v for v in vec.values()), vec
 
 
 # --- dimension reports vs dense brute force --------------------------------------------
@@ -823,8 +850,8 @@ def _matrix_unit(n, a, b):
     lambda: families.rigid_2step("h10"),
     lambda: families.g_p01(3),
     lambda: families.rigid_3step_7(),
-    pytest.param(lambda: basis_change(families.g_k3k2k1(1, 0, 2),
-                                      random_invertible(5, rng_for(29), -2, 2)),
+    pytest.param(lambda: scaled(basis_change(families.g_k3k2k1(1, 0, 2),
+                                             random_invertible(5, rng_for(29), -2, 2))),
                  id="g_k3k2k1(1,0,2)-basis-change"),
     # [X1, X2] = X2 is not nilpotent: for E_22, the [X_a, X_j] term and the
     # -c_ij^b term both land on coordinate X2 of the pair (X1, X2) and cancel
@@ -832,11 +859,12 @@ def _matrix_unit(n, a, b):
 ])
 def test_coboundary_images_match_delta1(maker):
     # delta^1 is linear, so agreeing on every matrix unit proves the sparse
-    # images equal the concrete operator everywhere
+    # images equal L times the concrete operator everywhere
     g = maker()
     idx = CochainIndex(g.dim)
+    scale = g.integer_table()[1]
     assert coboundary_image_vectors(g) == [
-        idx.to_flat(chevalley_delta1(g, _matrix_unit(g.dim, a, b)))
+        {u: scale * x for u, x in idx.to_flat(chevalley_delta1(g, _matrix_unit(g.dim, a, b))).items()}
         for a in range(g.dim) for b in range(g.dim)]
 
 

@@ -55,13 +55,13 @@ def e(n, i):
 # --- bracket -----------------------------------------------------------------
 
 def test_heisenberg_bracket():
-    table = families.heisenberg(1).bracket_table()
+    table, _ = families.heisenberg(1).integer_table()  # L = 1
     assert _bracket_sparse(table, {0: Q(1)}, 1) == {2: Q(1)}
     assert _bracket_sparse(table, {1: Q(1)}, 0) == {2: Q(-1)}
 
 
 def test_bracket_skew_on_diagonal():
-    table = families.g_p1(2).bracket_table()
+    table, _ = families.g_p1(2).integer_table()
     assert all(table[(j, i)] == {m: -w for m, w in sp.items()} and i != j
                for (i, j), sp in table.items())
     x = {0: Q(1), 1: Q(2), 2: Q(-1), 4: Q(3)}
@@ -74,7 +74,7 @@ def test_bracket_skew_on_diagonal():
 
 
 def test_g21_bracket():
-    table = families.g_p1(2).bracket_table()
+    table, _ = families.g_p1(2).integer_table()  # L = 1
     assert _bracket_sparse(table, {0: Q(1)}, 3) == {4: Q(1)}  # [X1, X4] = X5
 
 
@@ -118,13 +118,14 @@ def test_jacobi_defect_matches_dense_triples(g):
 
 
 def check_double_bracket_defects(g):
-    """The step defects and every double-bracket entry agree with the
-    dense walks."""
+    """The step defects agree with the dense walks, and every
+    double-bracket entry with L^2 times the dense walk."""
     assert two_step_defect(g) == brute_two_step_defect(g)
     assert three_step_defect(g) == brute_three_step_defect(g)
+    square = g.integer_table()[1] ** 2
     for (i, j, k), w in g.double_brackets().items():
         dense = bracket_vec_basis(g, bracket_basis(g, i, j), k)
-        assert w == {m: x for m, x in enumerate(dense) if x != 0}
+        assert w == {m: square * x for m, x in enumerate(dense) if x != 0}
 
 
 def test_jacobi_defect_matches_dense_triples_on_families():
@@ -142,8 +143,8 @@ FILIFORM5 = LieAlgebra(5, {(0, 1): {2: 1}, (0, 2): {3: 1}, (0, 3): {4: 1}})
 
 
 def test_three_step_defect_with_central_and_noncentral_double_brackets():
-    double = FILIFORM5.double_brackets()
-    assert double[(0, 1, 0)] == {3: Q(-1)} and double[(0, 2, 0)] == {4: Q(-1)}
+    double = FILIFORM5.double_brackets()  # L = 1
+    assert double[(0, 1, 0)] == {3: -1} and double[(0, 2, 0)] == {4: -1}
     assert three_step_defect(FILIFORM5) == brute_three_step_defect(FILIFORM5) == [
         (0, 1, 0, 0)]
 
@@ -379,7 +380,7 @@ def test_charseq_uncertified_on_free_3step():
 def test_charseq_certified_by_combination_on_h3_plus_h3():
     g = direct_sum(families.heisenberg(1), families.heisenberg(1))
     # every basis vector has ad-rank 1, below the bound n - dim z - 1 = 2
-    assert all(_ad_ranks(g.bracket_table(), {i: Q(1)}, 6)[0] <= 1 for i in range(6))
+    assert all(_ad_ranks(g.integer_table()[0], {i: Q(1)}, 6)[0] <= 1 for i in range(6))
     cs = characteristic_sequence(g)
     assert cs.parts == (2, 2, 1, 1) and cs.certified
 
@@ -394,7 +395,7 @@ def test_charseq_certified_and_ranks_match_dense_oracle_on_corpus():
         xs += [tuple(Q(rng.randint(-3, 3)) for _ in range(n)) for _ in range(2)]
         for x in xs:
             m = ad_matrix(g, x)
-            assert _ad_ranks(g.bracket_table(), {i: c for i, c in enumerate(x) if c}, n) \
+            assert _ad_ranks(g.integer_table()[0], {i: c for i, c in enumerate(x) if c}, n) \
                 == power_ranks(m)
             assert jordan_partition(m).parts <= cs.parts
 
