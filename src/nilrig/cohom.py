@@ -453,11 +453,11 @@ def _chain_images(g: LieAlgebra) -> dict[tuple[int, ...], list[tuple[int, dict[i
 
 def _term_rows(idx: CochainIndex, terms) -> Iterator[dict[int, int]]:
     """Rows of sum coef * R(phi(u, X_c)) over the terms (coef, u, c, images),
-    u a sparse vector and images the list of a chain R (`_chain_images`),
+    u a sparse vector and images the list of a chain R (`_chain_images`,
+    possibly cut by `_support_split` or followed by functionals, `_through`),
     as linear functionals of the flat unknowns: one row per output
-    coordinate, in sorted order, with zero entries dropped.  The rows of
-    pairs with a nonzero bracket come from here directly; those of the
-    zero pairs come from it once, at pair (0, 1) (`_zero_pair_block`)."""
+    coordinate of R, in sorted order, with zero entries dropped.  Every
+    generator builds its rows here."""
     rows: dict[int, dict[int, int]] = {}
     for coef, u, c, images in terms:
         for s, us in u.items():
@@ -476,10 +476,15 @@ def _term_rows(idx: CochainIndex, terms) -> Iterator[dict[int, int]]:
             yield row
 
 
+def _integer_basis(red: RowReducer) -> list[dict[int, int]]:
+    """The RREF rows of `red`, each times the lcm of its denominators."""
+    return [_integer_row(row)[0] for row in red.pivots.values()]
+
+
 def _zero_pair_block(idx: CochainIndex, chains) -> list[dict[int, int]]:
     """A basis of the rows R(phi(X_0, X_1)) over the chains R (image
-    lists, see `_chain_images`), on the n columns of pair (0, 1): the RREF
-    rows, each times the lcm of its denominators.
+    lists, see `_chain_images`), on the n columns of pair (0, 1), as
+    integer rows.
 
     For a pair with [X_i, X_j] = 0 the T and delta_R terms reduce to
     R(phi(X_i, X_j)), which depend on (i, j) only through the flat base of
@@ -490,7 +495,7 @@ def _zero_pair_block(idx: CochainIndex, chains) -> list[dict[int, int]]:
     red = RowReducer(idx.dim)
     red.add_rows(row for images in chains
                  for row in _term_rows(idx, ((1, {0: 1}, 1, images),)))
-    return [_integer_row(row)[0] for row in red.pivots.values()]
+    return _integer_basis(red)
 
 
 def _shifted(block: list[dict[int, int]], base: int) -> Iterator[dict[int, int]]:
@@ -498,27 +503,73 @@ def _shifted(block: list[dict[int, int]], base: int) -> Iterator[dict[int, int]]
         yield {base + c: v for c, v in row.items()}
 
 
+def _support_split(images, n: int) -> tuple[list, list]:
+    """The identity chain cut at the support M_c of x |-> [x, X_c], for
+    each c: (inside, outside), inside[c] the (m, e_m) for m in M_c and
+    outside[c] the rest.  A term R(v) whose chain ends in [., X_c] is
+    zero at every coordinate outside M_c."""
+    inside, outside = [], []
+    for c in range(n):
+        support = {m for _, img in images[(c,)] for m in img}
+        inside.append([ident for ident in images[()] if ident[0] in support])
+        outside.append([ident for ident in images[()] if ident[0] not in support])
+    return inside, outside
+
+
+def _span_rows(idx: CochainIndex, vectors, outside) -> Iterator[dict[int, int]]:
+    """The rows phi(b, X_c)_m for b in a basis of the span of `vectors`,
+    every c and every m outside M_c (`_support_split`): they span the
+    rows phi(v, X_c)_m of every v in `vectors`."""
+    red = RowReducer(idx.dim)
+    red.add_rows(vectors)
+    for b in _integer_basis(red):
+        for c, chain in enumerate(outside):
+            yield from _term_rows(idx, ((1, b, c, chain),))
+
+
+def _through(images, functionals) -> list[tuple[int, dict[int, int]]]:
+    """The chain of `images` followed by the functionals b_r: the
+    (t, {r: b_r . R(X_t)}) with a nonzero entry."""
+    out = []
+    for t, img in images:
+        row = {}
+        for r, b in enumerate(functionals):
+            v = sum(x * img[m] for m, x in b.items() if m in img)
+            if v:
+                row[r] = v
+        if row:
+            out.append((t, row))
+    return out
+
+
 def t_operator_rows(g: LieAlgebra) -> Iterator[dict[int, int]]:
     """Integer rows spanning L times the constraint rows of T(phi) = 0
     over the flat 2-cochain coordinates (L as in `LieAlgebra.integer_table`).
 
+    T(phi)(X_i, X_j, X_k)_m = [phi(X_i, X_j), X_k]_m + phi([X_i, X_j], X_k)_m.
     A pair with [X_i, X_j] = 0 gives the shared block of
     `_zero_pair_block` over the chains x |-> [x, X_k]; any other pair
-    gives the rows of each k.
+    gives the rows of each k at the m in M_k (`_support_split`).  At
+    m outside M_k the row is phi([X_i, X_j], X_k)_m, and over all pairs
+    these span phi(b, X_k)_m for b in a basis of g^1 = [g, g]: they come
+    once, after the pairs (`_span_rows`).
     """
     idx = CochainIndex(g.dim)
     table, images = g.integer_table()[0], _chain_images(g)
     n = g.dim
     block = _zero_pair_block(idx, (images[(k,)] for k in range(n)))
+    inside, outside = _support_split(images, n)
     for (i, j) in idx.pairs:
         cij = table.get((i, j))
         if not cij:
             yield from _shifted(block, idx.pidx[(i, j)] * n)
             continue
         for k in range(n):
-            # [phi(X_i, X_j), X_k] + phi([X_i, X_j], X_k)
-            yield from _term_rows(idx, ((1, {i: 1}, j, images[(k,)]),
-                                        (1, cij, k, images[()])))
+            if inside[k]:
+                # [phi(X_i, X_j), X_k] + phi([X_i, X_j], X_k)
+                yield from _term_rows(idx, ((1, {i: 1}, j, images[(k,)]),
+                                            (1, cij, k, inside[k])))
+    yield from _span_rows(idx, table.values(), outside)
 
 
 def chevalley2_rows(g: LieAlgebra) -> Iterator[dict[int, int]]:
@@ -542,34 +593,48 @@ def chevalley2_rows(g: LieAlgebra) -> Iterator[dict[int, int]]:
 
 def r2_rows(g: LieAlgebra) -> Iterator[dict[int, int]]:
     """Integer rows spanning L^2 times the constraint rows of
-    delta_R^2(phi) = 0 (L as in `LieAlgebra.integer_table`; streamed, can
-    be ~1e5 rows).
+    delta_R^2(phi) = 0 (L as in `LieAlgebra.integer_table`; streamed).
 
-    A pair with [X_i, X_j] = 0 gives the shared block of
-    `_zero_pair_block` over the chains x |-> [[x, X_k], X_l]; any other
-    pair gives the rows of each (k, l) where a term can be nonzero: every
-    l when w = [[X_i, X_j], X_k] != 0, else the l with [[x, X_k], X_l] != 0
-    or [x, X_l] != 0 for some x.
+    delta_R phi(X_i, X_j, X_k, X_l) = [T phi(X_i, X_j, X_k), X_l]
+    + phi(w, X_l) with w = [[X_i, X_j], X_k].  A pair with [X_i, X_j] = 0
+    gives the shared block of `_zero_pair_block` over the chains
+    x |-> [[x, X_k], X_l].  Any other pair gives, for each k:
+    when w != 0, the rows of each l at the m in M_l (`_support_split`);
+    when w = 0, the rows b . T phi(X_i, X_j, X_k) for b in a basis of the
+    annihilator of the centre (the rows of `liealg._center_reducer`),
+    which span the rows [T phi(X_i, X_j, X_k), X_l]_m over all (l, m).
+    At m outside M_l the row is phi(w, X_l)_m, and over all (i, j, k)
+    these span phi(b, X_l)_m for b in a basis of g^2 = [[g, g], g]: they
+    come once, after the pairs (`_span_rows`).
     """
     idx = CochainIndex(g.dim)
     table, double, images = g.integer_table()[0], g.double_brackets(), _chain_images(g)
     n = g.dim
     block = _zero_pair_block(idx, (images[(k, l)] for k in range(n) for l in range(n)))
-    chain_or_right = [[l for l in range(n) if images[(k, l)] or images[(l,)]]
-                      for k in range(n)]
+    inside, outside = _support_split(images, n)
+    ann = _integer_basis(liealg._center_reducer(g))
+    ann_right = [_through(images[(k,)], ann) for k in range(n)]
+    ann_ident = _through(images[()], ann)
     for (i, j) in idx.pairs:
         cij = table.get((i, j))
         if not cij:
             yield from _shifted(block, idx.pidx[(i, j)] * n)
             continue
         for k in range(n):
-            w = double.get((i, j, k), {})
-            for l in range(n) if w else chain_or_right[k]:
-                # [[phi(X_i,X_j),X_k],X_l] + [phi([X_i,X_j],X_k),X_l]
-                #   + phi([[X_i,X_j],X_k],X_l)
-                yield from _term_rows(idx, ((1, {i: 1}, j, images[(k, l)]),
-                                            (1, cij, k, images[(l,)]),
-                                            (1, w, l, images[()])))
+            w = double.get((i, j, k))
+            if not w:
+                # b . ([phi(X_i, X_j), X_k] + phi([X_i, X_j], X_k))
+                yield from _term_rows(idx, ((1, {i: 1}, j, ann_right[k]),
+                                            (1, cij, k, ann_ident)))
+                continue
+            for l in range(n):
+                if inside[l]:
+                    # [[phi(X_i,X_j),X_k],X_l] + [phi([X_i,X_j],X_k),X_l]
+                    #   + phi([[X_i,X_j],X_k],X_l)
+                    yield from _term_rows(idx, ((1, {i: 1}, j, images[(k, l)]),
+                                                (1, cij, k, images[(l,)]),
+                                                (1, w, l, inside[l])))
+    yield from _span_rows(idx, double.values(), outside)
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,8 @@ from helpers import (
     brute_comp1,
     brute_z2,
     dense,
+    dense_rank,
+    dense_rref,
     operator_rows,
     random_coeffs,
     sparse,
@@ -681,6 +683,91 @@ def test_zero_pair_block(gen, g, block):
         if not g.constants.get(pair):
             base = idx.pidx[pair] * n
             assert all({base + c: v for c, v in row.items()} in rows for row in block)
+
+
+def _tuple_rows(g, steps: int) -> list[tuple[Q, ...]]:
+    """The constraint rows of T (steps 2) or delta_R (steps 3) at every
+    index tuple (i<j, k[, l]) and output coordinate m, read from
+    g.constants, as dense rows over the flat unknowns (pair p, coordinate
+    t) at p * n + t; zero rows and repeats up to a scalar dropped."""
+    n = g.dim
+    pairs = list(combinations(range(n), 2))
+    size = len(pairs) * n
+
+    def phi(v, c):
+        # phi(v, X_c): one sparse row per output coordinate
+        out = [{} for _ in range(n)]
+        for s, x in enumerate(v):
+            if x and s != c:
+                p, sign = pairs.index((min(s, c), max(s, c))), 1 if s < c else -1
+                for m in range(n):
+                    out[m][p * n + m] = out[m].get(p * n + m, 0) + sign * x
+        return out
+
+    brackets = {(t, k): bracket_basis(g, t, k) for t in range(n) for k in range(n)}
+
+    def right(rows, k):
+        # [R, X_k]: output m is sum_t [X_t, X_k]_m R_t
+        out = [{} for _ in range(n)]
+        for t in range(n):
+            for m, c in enumerate(brackets[(t, k)]):
+                for u, x in rows[t].items():
+                    if c:
+                        out[m][u] = out[m].get(u, 0) + c * x
+        return out
+
+    def plus(*terms):
+        out = [{} for _ in range(n)]
+        for rows in terms:
+            for m, row in enumerate(rows):
+                for u, x in row.items():
+                    out[m][u] = out[m].get(u, 0) + x
+        return out
+
+    found = set()
+    for i, j in pairs:
+        cij, unit = brackets[(i, j)], dense(e(n, i), n)
+        for k in range(n):
+            # T: [phi(X_i, X_j), X_k] + phi([X_i, X_j], X_k)
+            tuples = [plus(right(phi(unit, j), k), phi(cij, k))] if steps == 2 else [
+                # delta_R: [[phi(X_i, X_j), X_k], X_l] + [phi([X_i, X_j], X_k), X_l]
+                #   + phi([[X_i, X_j], X_k], X_l)
+                plus(right(right(phi(unit, j), k), l), right(phi(cij, k), l),
+                     phi(bracket_vec_basis(g, cij, k), l)) for l in range(n)]
+            for rows in tuples:
+                for row in rows:
+                    row = {u: x for u, x in row.items() if x}
+                    if row:
+                        lead = row[min(row)]
+                        found.add(tuple(sorted((u, Q(x) / lead) for u, x in row.items())))
+    return [dense(dict(row), size) for row in sorted(found)]
+
+
+@pytest.mark.parametrize("gen,steps", [(t_operator_rows, 2), (r2_rows, 3)], ids=["t", "r2"])
+@pytest.mark.parametrize("g", [
+    pytest.param(families.g_p1(3), id="g_p1(3)"),
+    pytest.param(families.heisenberg(3), id="heisenberg(3)"),
+    pytest.param(families.rigid_3step_7(), id="rigid7"),
+    pytest.param(families.g_p01(2), id="g_p01(2)"),
+    pytest.param(families.classification_F731()[6], id="F731[6]"),
+    pytest.param(HALF5, id="half5"),
+    pytest.param(DENSE_K3K2K1, id="g_k3k2k1(1,0,2)-dense"),
+    pytest.param(abelian(3), id="abelian(3)"),
+    # 2-step, so in delta_R every [[X_i, X_j], X_k] = 0 and no row is a
+    # pure phi([[X_i, X_j], X_k], X_l) row
+    pytest.param(families.g_p12(2), id="g_p12(2)"),
+    # [X1, X2] = X2: zero centre, g^1 = g^2 = span X2
+    pytest.param(LieAlgebra(2, {(0, 1): e(2, 1)}), id="dim2"),
+])
+def test_z_rows_span_the_per_tuple_rows(g, gen, steps):
+    # the generators emit spanning sets, not one row per index tuple; the
+    # rows of every tuple, enumerated here, span the same space
+    size = len(list(combinations(range(g.dim), 2))) * g.dim
+    produced = dense_rref([dense(row, size) for row in gen(g)])
+    enumerated = dense_rref(_tuple_rows(g, steps))
+    # the stacked rows span what the two RREF bases span
+    stacked = [dense(row, size) for row in [*produced.values(), *enumerated.values()]]
+    assert len(produced) == len(enumerated) == dense_rank(stacked)
 
 
 def test_z_rows_are_nonzero_int_dicts():
