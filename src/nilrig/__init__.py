@@ -32,6 +32,7 @@ from .cohom import (
     MultiMap,
     ch_delta2,
     check_linear_deformation,
+    chevalley_and_cr_dims,
     chevalley_delta1,
     chevalley_delta2,
     deformed_bracket,

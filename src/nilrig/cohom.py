@@ -13,7 +13,10 @@ Three complexes are supported on a structure-constant algebra:
 In every case the degree-2 coboundary space is the image of the common
 degree-1 operator  f |-> [f x, y] + [x, f y] - f [x, y].  Dimensions are
 exact; H^2 is reported as dim Z^2 - dim B^2 after verifying the
-containment B^2 in Z^2.
+containment B^2 in Z^2.  `space_dims` reports one complex.  The ``cr``
+Z rows contain every Chevalley row, so `chevalley_and_cr_dims` reports
+both complexes of one algebra from one elimination, B^2 and containment
+check; a caller that needs only dim B^2 takes `coboundary_rank`.
 
 A cochain's value on a basis tuple is a sparse dict {coordinate:
 Fraction} of its nonzero entries, the layout of `LieAlgebra.constants`.
@@ -28,7 +31,7 @@ output entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 from itertools import permutations, product
@@ -516,15 +519,31 @@ def _support_split(images, n: int) -> tuple[list, list]:
     return inside, outside
 
 
-def _span_rows(idx: CochainIndex, vectors, outside) -> Iterator[dict[int, int]]:
+def _span_rows(idx: CochainIndex, vectors, outside, table,
+               block: list[dict[int, int]]) -> Iterator[dict[int, int]]:
     """The rows phi(b, X_c)_m for b in a basis of the span of `vectors`,
     every c and every m outside M_c (`_support_split`): they span the
-    rows phi(v, X_c)_m of every v in `vectors`."""
+    rows phi(v, X_c)_m of every v in `vectors`.
+
+    A basis vector e_s gives the unit rows phi(X_s, X_c)_m, and two kinds
+    of them are in the stream already, so they are skipped: at a c with
+    [X_s, X_c] = 0 (no key (s, c) in `table`), the m whose e_m is a row
+    of the zero-pair `block`; at a c whose e_c came earlier in the basis,
+    the m outside M_s, which that pass gave as phi(X_c, X_s)_m."""
     red = RowReducer(idx.dim)
     red.add_rows(vectors)
+    units = {m for row in block if len(row) == 1 for m in row}
+    passed: set[int] = set()   # the s of the basis vectors e_s done so far
     for b in _integer_basis(red):
+        s = next(iter(b)) if len(b) == 1 else None
         for c, chain in enumerate(outside):
+            if s is not None:
+                skip = units if (s, c) not in table else set()
+                if c in passed:
+                    skip = skip | {m for m, _ in outside[s]}
+                chain = [ident for ident in chain if ident[0] not in skip]
             yield from _term_rows(idx, ((1, b, c, chain),))
+        passed.add(s)
 
 
 def _through(images, functionals) -> list[tuple[int, dict[int, int]]]:
@@ -569,7 +588,7 @@ def t_operator_rows(g: LieAlgebra) -> Iterator[dict[int, int]]:
                 # [phi(X_i, X_j), X_k] + phi([X_i, X_j], X_k)
                 yield from _term_rows(idx, ((1, {i: 1}, j, images[(k,)]),
                                             (1, cij, k, inside[k])))
-    yield from _span_rows(idx, table.values(), outside)
+    yield from _span_rows(idx, table.values(), outside, table, block)
 
 
 def chevalley2_rows(g: LieAlgebra) -> Iterator[dict[int, int]]:
@@ -634,7 +653,7 @@ def r2_rows(g: LieAlgebra) -> Iterator[dict[int, int]]:
                     yield from _term_rows(idx, ((1, {i: 1}, j, images[(k, l)]),
                                                 (1, cij, k, images[(l,)]),
                                                 (1, w, l, inside[l])))
-    yield from _span_rows(idx, double.values(), outside)
+    yield from _span_rows(idx, double.values(), outside, table, block)
 
 
 # ---------------------------------------------------------------------------
@@ -705,6 +724,8 @@ def coboundary_image_vectors(g: LieAlgebra) -> list[dict[int, int]]:
 
 
 def coboundary_rank(g: LieAlgebra) -> int:
+    """dim B^2, the rank of the delta^1 images, in the basis of g; the
+    same in every complex, and g is not validated."""
     red = RowReducer(CochainIndex(g.dim).size)
     for vec in coboundary_image_vectors(g):
         red.add(vec)
@@ -744,11 +765,35 @@ def space_dims(g: LieAlgebra, kind, *, with_representatives: bool = False,
 
     The Z rows go through `RowReducer.add_rows`, which sets rows with a
     single nonzero entry (most rows in a model basis) aside as unit
-    pivots and eliminates the rest once the stream ends.  `progress`
+    pivots and eliminates the rest once the stream ends.  For `cr` the
+    Chevalley and delta_R rows are one stream, so the delta_R unit rows
+    strip the Chevalley rows before those are inserted.  `progress`
     gets (Z rows read, rank so far, rows per second) every
     `exactlin._PROGRESS_ROWS` rows; every row read counts, repeats too.
     """
     kind = ComplexKind.coerce(kind)
+    return _dims(g, kind, (lambda h: _z_rows(h, kind),),
+                 with_representatives=with_representatives, progress=progress)[0]
+
+
+def chevalley_and_cr_dims(g: LieAlgebra) -> tuple[CohomologyReport, CohomologyReport]:
+    """The reports of `space_dims(g, "chevalley")` and `space_dims(g, "cr")`
+    from one run, with the errors of the second on an input that is not
+    a 3-step Lie algebra.  One Z reducer takes the Chevalley rows, whose
+    rank gives the Chevalley Z^2, and then the delta_R rows; Z^2_cr lies
+    in Z^2_chevalley, so one B^2 and one containment pass serve both."""
+    chevalley, cr = _dims(g, ComplexKind.CR, (chevalley2_rows, r2_rows))
+    return chevalley, cr
+
+
+def _dims(g: LieAlgebra, kind: ComplexKind, streams, *, with_representatives: bool = False,
+          progress: Callable[[int, int, float], None] | None = None) -> list[CohomologyReport]:
+    """The one body of `space_dims` and `chevalley_and_cr_dims`: the basis
+    step, the validation of `kind`, one Z reducer that takes the rows of
+    each stream (a function of h) in turn, one B^2 reducer and one
+    containment pass against the final Z reducer.  Z^2 only shrinks as
+    streams are added, so that pass certifies a report for the rank
+    after each stream; representatives go with the last."""
     f = liealg.adapted_basis(g)
     h = g if f is None else liealg.basis_change(g, f)
     try:
@@ -758,22 +803,23 @@ def space_dims(g: LieAlgebra, kind, *, with_representatives: bool = False,
         raise
     idx = CochainIndex(h.dim)
     red = RowReducer(idx.size, progress=progress)
-    red.add_rows(_z_rows(h, kind))
-    z2 = idx.size - red.rank
+    z2s = []
+    for rows in streams:
+        red.add_rows(rows(h))
+        z2s.append(idx.size - red.rank)
     bred = RowReducer(idx.size)
-    images = coboundary_image_vectors(h)
-    for vec in images:
+    for vec in coboundary_image_vectors(h):
         bred.add(vec)
         if not red.in_kernel(vec):
             raise RuntimeError("coboundary fell outside the cocycle space")
     b2 = bred.rank
-    h2 = z2 - b2
-    reps = None
+    reports = [CohomologyReport(z2, b2, z2 - b2, z2 == b2) for z2 in z2s]
     if with_representatives:
         kernel = red.kernel_basis_sparse()
-        reps = (tuple(map(idx.to_cochain, kernel)) if f is None
-                else _transport_back(idx, kernel, f))
-    return CohomologyReport(z2, b2, h2, h2 == 0, reps)
+        reports[-1] = replace(reports[-1], representatives=(
+            tuple(map(idx.to_cochain, kernel)) if f is None
+            else _transport_back(idx, kernel, f)))
+    return reports
 
 
 def _transport_back(idx: CochainIndex, kernel, f: RationalMatrix) -> tuple[Cochain, ...]:

@@ -24,8 +24,10 @@ from .cohom import (
     ch_delta2,
     ch_kernel_contained_in_chevalley,
     check_linear_deformation,
+    chevalley_and_cr_dims,
     chevalley_delta1,
     chevalley_delta2,
+    coboundary_rank,
     deformed_bracket,
     jordan_cocycle_defect,
     jordan_linearized_defect,
@@ -173,7 +175,12 @@ def _c07(seed: int):
     fixtures = [("base", families.g_p01(2)), ("rigid7", families.rigid_3step_7())]
     fixtures += [(f"F731[{k}]", a) for k, a in enumerate(families.classification_F731())]
     bound = 21
-    values = {name: space_dims(a, "cr").b2_dim for name, a in fixtures}
+    for name, a in fixtures:
+        if jacobi_defect(a) or three_step_defect(a):
+            raise ValueError(f"C07 fixture {name} is not a 3-step Lie algebra")
+    # B^2 is the image of delta^1 in every complex; B^2 in Z^2_cr is
+    # certified for these fixtures by C06.p2 (base), C08 (rigid7) and C09
+    values = {name: coboundary_rank(a) for name, a in fixtures}
     worst = max(values.values())
     computed = "all<=21" if worst <= bound else f"max b2={worst}"
     return "all<=21", computed, {"b2": values}
@@ -189,7 +196,7 @@ def _c08(seed: int):
     steps = nilindex(g)
     charseq = characteristic_sequence(g)
     cs = "(" + ",".join(map(str, charseq.parts)) + ")"
-    rcr = space_dims(g, "cr")
+    rch, rcr = chevalley_and_cr_dims(g)
     expected = "jacobi;3-step;(3,3,1);h2_cr=0"
     computed = (f"{'jacobi' if jac else 'jacobi-fails'};{steps}-step;"
                 f"{cs};h2_cr={rcr.h2_dim}")
@@ -197,7 +204,6 @@ def _c08(seed: int):
               "charseq_certified": charseq.certified}
     if rcr.h2_dim != 0:
         # divergent value: report both complexes, as required
-        rch = space_dims(g, "chevalley")
         computed += f" (chevalley h2={rch.h2_dim})"
         detail["chevalley"] = {"z2": rch.z2_dim, "b2": rch.b2_dim, "h2": rch.h2_dim}
     return expected, computed, detail
@@ -206,12 +212,13 @@ def _c08(seed: int):
 # --- criterion 9: the 16-member classification ----------------------------
 
 def _invariant_vector(g: LieAlgebra) -> tuple:
+    chevalley, cr = chevalley_and_cr_dims(g)
     return (
         lower_central_series(g).dims,
         center_dim(g),
         derivation_algebra_dim(g),
-        space_dims(g, "cr").h2_dim,
-        space_dims(g, "chevalley").h2_dim,
+        cr.h2_dim,
+        chevalley.h2_dim,
     )
 
 

@@ -241,14 +241,14 @@ def test_cohomology_progress_lines(tmp_path, capsys, monkeypatch):
 
 
 def test_cohomology_progress_lines_ch(tmp_path, capsys, monkeypatch):
-    # the 2-step complex reports progress too: g_p1(5) streams 850 Z rows
+    # the 2-step complex reports progress too: g_p1(5) streams 500 Z rows
     path = tmp_path / "g.json"
     write_algebra(families.g_p1(5), str(path))
-    monkeypatch.setattr("nilrig.exactlin._PROGRESS_ROWS", 400)
+    monkeypatch.setattr("nilrig.exactlin._PROGRESS_ROWS", 200)
     code, _, err = run(capsys, "cohomology", str(path), "--complex", "ch")
     assert code == 0
     assert [line.split(",")[0] for line in err.splitlines()] == [
-        "  rows processed: 400", "  rows processed: 800"]
+        "  rows processed: 200", "  rows processed: 400"]
 
 
 def test_cohomology_wrong_kind(tmp_path, capsys):

@@ -2,12 +2,13 @@ import re
 from copy import deepcopy
 from fractions import Fraction as Q
 from itertools import combinations, permutations, product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilrig import families
+from nilrig import families, report
 from nilrig.cohom import (
     Cochain,
     CochainIndex,
@@ -16,6 +17,7 @@ from nilrig.cohom import (
     ch_delta2,
     ch_kernel_contained_in_chevalley,
     check_linear_deformation,
+    chevalley_and_cr_dims,
     chevalley_delta1,
     chevalley_delta2,
     chevalley2_rows,
@@ -318,6 +320,7 @@ def _dense_sum(arity, n, *maps):
 
 DENSE_K3K2K1 = moved(families.g_k3k2k1(1, 0, 2), 3)
 DENSE_P12 = moved(families.g_p12(2), 37)
+FILIFORM5 = LieAlgebra(5, {(0, 1): e(5, 2), (0, 2): e(5, 3), (0, 3): e(5, 4)})
 
 
 @pytest.mark.parametrize("g", [families.g_p01(2), families.rigid_3step_7(), DENSE_K3K2K1],
@@ -770,6 +773,24 @@ def test_z_rows_span_the_per_tuple_rows(g, gen, steps):
     assert len(produced) == len(enumerated) == dense_rank(stacked)
 
 
+@pytest.mark.parametrize("g", [
+    pytest.param(families.g_p1(5), id="g_p1(5)"),
+    pytest.param(families.g_p1(9), id="g_p1(9)"),
+    pytest.param(families.heisenberg(8), id="heisenberg(8)"),
+    pytest.param(families.g_p12(3), id="g_p12(3)"),
+])
+def test_t_rows_have_no_repeats(g):
+    # a span row phi(X_s, X_c)_m that a zero pair's block or the pass of
+    # an earlier e_c already gave is not emitted again
+    seen = set()
+    for row in t_operator_rows(g):
+        content = gcd(*row.values())
+        lead = row[min(row)]
+        key = tuple(sorted((c, v // content * (1 if lead > 0 else -1)) for c, v in row.items()))
+        assert key not in seen, row
+        seen.add(key)
+
+
 def test_z_rows_are_nonzero_int_dicts():
     # the model corpus of the benchmark and one algebra with rational
     # structure constants; the delta^1 images are integer rows too
@@ -852,6 +873,58 @@ def test_space_dims_kind_errors():
         space_dims(bad, "chevalley")
 
 
+def _dims(r):
+    return (r.z2_dim, r.b2_dim, r.h2_dim, r.rigid_candidate, r.representatives)
+
+
+@pytest.mark.parametrize("g", [
+    *(pytest.param(a, id=f"F731[{k}]") for k, a in enumerate(families.classification_F731())),
+    pytest.param(families.g_p01(2), id="g_p01(2)"),
+    pytest.param(families.rigid_3step_7(), id="rigid7"),
+    pytest.param(DENSE_K3K2K1, id="g_k3k2k1(1,0,2)-dense"),
+    pytest.param(moved(families.g_k3k2k1(1, 0, 2), 5), id="g_k3k2k1(1,0,2)-dense5"),
+    pytest.param(moved(families.g_k3k2k1(1, 0, 2), 17), id="g_k3k2k1(1,0,2)-dense17"),
+])
+def test_chevalley_and_cr_dims_match_space_dims(g):
+    # one Z reducer takes the Chevalley rows and then the delta_R rows;
+    # the rank in between is the Chevalley one
+    chevalley, cr = chevalley_and_cr_dims(g)
+    assert _dims(chevalley) == _dims(space_dims(g, "chevalley"))
+    assert _dims(cr) == _dims(space_dims(g, "cr"))
+
+
+@pytest.mark.parametrize("g", [
+    pytest.param(FILIFORM5, id="filiform5"),
+    pytest.param(moved(FILIFORM5, 3), id="filiform5-dense"),
+    pytest.param(LieAlgebra(3, {(0, 1): {2: Q(1)}, (0, 2): {0: Q(1)}}), id="not-lie"),
+])
+def test_chevalley_and_cr_dims_errors_match_space_dims(g):
+    with pytest.raises(ValueError) as want:
+        space_dims(g, "cr")
+    with pytest.raises(ValueError) as got:
+        chevalley_and_cr_dims(g)
+    assert str(got.value) == str(want.value)
+
+
+def test_c07_b2_values_match_space_dims():
+    # C07 reads dim B^2 as the rank of delta^1; the old route read it off
+    # space_dims(a, "cr")
+    fixtures = {"base": families.g_p01(2), "rigid7": families.rigid_3step_7()}
+    fixtures.update((f"F731[{k}]", a) for k, a in enumerate(families.classification_F731()))
+    row, = report.run_claims(only="C07")["claims"]
+    assert row["detail"]["b2"] == {name: space_dims(a, "cr").b2_dim
+                                   for name, a in fixtures.items()}
+    assert len(row["detail"]["b2"]) == 18
+
+
+def test_c07_rejects_an_invalid_fixture(monkeypatch):
+    members = families.classification_F731()
+    members[3] = FILIFORM5
+    monkeypatch.setattr(families, "classification_F731", lambda: members)
+    with pytest.raises(ValueError, match=re.escape("C07 fixture F731[3]")):
+        report.run_claims(only="C07")
+
+
 def test_representatives_are_cocycles_spanning_z2():
     g = families.g_p12(2)
     r = space_dims(g, "ch", with_representatives=True)
@@ -904,9 +977,6 @@ def test_representatives_after_rational_basis_change_are_recorded():
     assert [c.coeffs for c in r.representatives] == [
         {pair: {m: Q(x) for m, x in vec.items()} for pair, vec in rep.items()}
         for rep in expected]
-
-
-FILIFORM5 = LieAlgebra(5, {(0, 1): e(5, 2), (0, 2): e(5, 3), (0, 3): e(5, 4)})
 
 
 @pytest.mark.parametrize("kind", ["cr", "ch"])
