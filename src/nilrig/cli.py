@@ -361,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cohomology", help="Z^2/B^2/H^2 of a chosen complex")
     p.add_argument("file")
-    p.add_argument("--complex", required=True, choices=["chevalley", "ch", "cr"])
+    p.add_argument("--complex", required=True, choices=[k.value for k in ComplexKind])
     p.add_argument("--representatives", action="store_true",
                    help="emit a kernel basis of 2-cocycles")
     p.set_defaults(fn=cmd_cohomology)

@@ -10,6 +10,10 @@ Three complexes are supported on a structure-constant algebra:
   branch with the associativity chain
   delta_R(phi) = mu o1 mu o1 phi + mu o1 phi o1 mu + phi o1 mu o1 mu.
 
+T and delta_R are the parts linear in phi of the 3-fold and 4-fold
+combs [[x1,x2],x3] and [[[x1,x2],x3],x4] of mu + phi, so one comb
+generator, `_comb_rows`, gives the ``ch`` and ``cr`` Z rows.
+
 In every case the degree-2 coboundary space is the image of the common
 degree-1 operator  f |-> [f x, y] + [x, f y] - f [x, y].  Dimensions are
 exact; H^2 is reported as dim Z^2 - dim B^2 after verifying the
@@ -33,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import permutations, product
 from math import lcm
 from operator import itemgetter, lt
@@ -353,18 +357,13 @@ def _format_tuple(idx: Sequence[int]) -> str:
     return "(" + ",".join(f"X{i + 1}" for i in idx) + ")"
 
 
-def _require_two_step(g: LieAlgebra) -> None:
-    bad = two_step_defect(g)
+def _require_steps(g: LieAlgebra, p: int) -> None:
+    """Raise unless g is p-step (p = 2 or 3), naming the first nonzero
+    (p+1)-fold bracket [[X_i, X_j], ..] in the error."""
+    bad = (two_step_defect if p == 2 else three_step_defect)(g)
     if bad:
-        i, j, k = bad[0]
-        raise ValueError(f"not 2-step: [[X{i + 1},X{j + 1}],X{k + 1}] != 0")
-
-
-def _require_three_step(g: LieAlgebra) -> None:
-    bad = three_step_defect(g)
-    if bad:
-        i, j, k, l = bad[0]
-        raise ValueError(f"not 3-step: [[[X{i + 1},X{j + 1}],X{k + 1}],X{l + 1}] != 0")
+        comb = reduce(lambda a, x: f"[{a},{x}]", (f"X{i + 1}" for i in bad[0]))
+        raise ValueError(f"not {p}-step: {comb} != 0")
 
 
 def ch_delta2(g: LieAlgebra, phi: Cochain) -> MultiMap:
@@ -375,7 +374,7 @@ def ch_delta2(g: LieAlgebra, phi: Cochain) -> MultiMap:
     cocycle condition of the 2-step deformation complex.
     """
     leaves = _along(g, phi)
-    _require_two_step(g)
+    _require_steps(g, 2)
     return _graded_pieces(g.dim, leaves, [(_TWO_STEP, (1,))])[0]
 
 
@@ -387,7 +386,7 @@ def r_delta2(g: LieAlgebra, phi: Cochain) -> MultiMap:
     the part of nu o1 (nu o1 nu) at nu = mu + t*phi linear in t.
     """
     leaves = _along(g, phi)
-    _require_three_step(g)
+    _require_steps(g, 3)
     return _graded_pieces(g.dim, leaves, [(_THREE_STEP, (1,))])[0]
 
 
@@ -561,34 +560,74 @@ def _through(images, functionals) -> list[tuple[int, dict[int, int]]]:
     return out
 
 
-def t_operator_rows(g: LieAlgebra) -> Iterator[dict[int, int]]:
-    """Integer rows spanning L times the constraint rows of T(phi) = 0
-    over the flat 2-cochain coordinates (L as in `LieAlgebra.integer_table`).
+def _comb_rows(g: LieAlgebra, p: int) -> Iterator[dict[int, int]]:
+    """Integer rows spanning L^(p-1) times the constraint rows of
+    D_(p+1)(phi) = 0 over the flat 2-cochain coordinates, for p = 2 (T)
+    and p = 3 (delta_R); L as in `LieAlgebra.integer_table`.
 
-    T(phi)(X_i, X_j, X_k)_m = [phi(X_i, X_j), X_k]_m + phi([X_i, X_j], X_k)_m.
-    A pair with [X_i, X_j] = 0 gives the shared block of
-    `_zero_pair_block` over the chains x |-> [x, X_k]; any other pair
-    gives the rows of each k at the m in M_k (`_support_split`).  At
-    m outside M_k the row is phi([X_i, X_j], X_k)_m, and over all pairs
-    these span phi(b, X_k)_m for b in a basis of g^1 = [g, g]: they come
-    once, after the pairs (`_span_rows`).
+    D_(p+1) is the part linear in phi of the (p+1)-fold comb A_(p+1) of
+    mu + phi, where A_1 = x_1 and A_(d+1) = [A_d, x_(d+1)]:
+    D_2 = phi(x_1, x_2) and D_(d+1) = phi(A_d, x_(d+1)) + [D_d, x_(d+1)].
+    The walk over (X_i, X_j, x_3, .., x_(p+1)) carries L^(d-1) A_d (the
+    values of `integer_table` for d = 2 and of `double_brackets` for
+    d = 3) and the terms (u, c, R) of D_d, each R(phi(u, X_c)) with R a
+    chain of right brackets (`_chain_images`).
+    * A pair with A_2 = [X_i, X_j] = 0 gives the shared block of
+      `_zero_pair_block` over the chains of length p - 1.
+    * At the last argument X_c, the rows at the m in M_c
+      (`_support_split`).
+    * When A_p = 0 with p > 2, D_(p+1) = [D_p, x_(p+1)], and over all
+      (x_(p+1), m) its rows span b . D_p for b in a basis of the
+      annihilator of the centre (the rows of `liealg._center_reducer`).
+    * At m outside M_c the row is phi(A_p, X_c)_m, and over the whole
+      walk these span phi(b, X_c)_m for b in a basis of g^(p-1): they
+      come once, after the pairs (`_span_rows`).
     """
-    idx = CochainIndex(g.dim)
+    idx, n = CochainIndex(g.dim), g.dim
     table, images = g.integer_table()[0], _chain_images(g)
-    n = g.dim
-    block = _zero_pair_block(idx, (images[(k,)] for k in range(n)))
+    combs = {2: table, 3: g.double_brackets()}   # d -> {(x_1, .., x_d): L^(d-1) A_d}
+    block = _zero_pair_block(idx, (images[chain] for chain in product(range(n), repeat=p - 1)))
     inside, outside = _support_split(images, n)
+    # a zero A_p past the pair needs p > 2
+    ann = _integer_basis(liealg._center_reducer(g)) if p > 2 else []
+
+    @lru_cache(maxsize=None)
+    def through(chain):
+        return _through(images[chain], ann)
+
     for (i, j) in idx.pairs:
-        cij = table.get((i, j))
-        if not cij:
+        if (i, j) not in table:
             yield from _shifted(block, idx.pidx[(i, j)] * n)
             continue
-        for k in range(n):
-            if inside[k]:
-                # [phi(X_i, X_j), X_k] + phi([X_i, X_j], X_k)
-                yield from _term_rows(idx, ((1, {i: 1}, j, images[(k,)]),
-                                            (1, cij, k, inside[k])))
-    yield from _span_rows(idx, table.values(), outside, table, block)
+        # (x_1, .., x_d) with the terms of D_d, from d = 2 up to p
+        states = [((i, j), [({i: 1}, j, ())])]
+        for d in range(2, p):
+            states = [(args + (x,), [(u, c, chain + (x,)) for u, c, chain in terms]
+                       + [(combs[d][args], x, ())]) for args, terms in states for x in range(n)]
+        for args, terms in states:
+            a = combs[p].get(args)
+            if not a:
+                yield from _term_rows(idx, [(1, u, c, through(chain)) for u, c, chain in terms])
+                continue
+            for x in range(n):
+                if inside[x]:
+                    yield from _term_rows(idx, [(1, u, c, images[chain + (x,)])
+                                                for u, c, chain in terms]
+                                          + [(1, a, x, inside[x])])
+    yield from _span_rows(idx, combs[p].values(), outside, table, block)
+
+
+def t_operator_rows(g: LieAlgebra) -> Iterator[dict[int, int]]:
+    """`_comb_rows` at p = 2: rows spanning L times the constraint rows of
+    T(phi)(X_i, X_j, X_k) = [phi(X_i, X_j), X_k] + phi([X_i, X_j], X_k) = 0."""
+    return _comb_rows(g, 2)
+
+
+def r2_rows(g: LieAlgebra) -> Iterator[dict[int, int]]:
+    """`_comb_rows` at p = 3: rows spanning L^2 times the constraint rows
+    of delta_R^2(phi)(X_i, X_j, X_k, X_l) = [T phi(X_i, X_j, X_k), X_l]
+    + phi([[X_i, X_j], X_k], X_l) = 0."""
+    return _comb_rows(g, 3)
 
 
 def chevalley2_rows(g: LieAlgebra) -> Iterator[dict[int, int]]:
@@ -608,52 +647,6 @@ def chevalley2_rows(g: LieAlgebra) -> Iterator[dict[int, int]]:
                     (-1, table.get((i, j), {}), k, images[()]),
                     (1, table.get((i, k), {}), j, images[()]),
                     (-1, table.get((j, k), {}), i, images[()])))
-
-
-def r2_rows(g: LieAlgebra) -> Iterator[dict[int, int]]:
-    """Integer rows spanning L^2 times the constraint rows of
-    delta_R^2(phi) = 0 (L as in `LieAlgebra.integer_table`; streamed).
-
-    delta_R phi(X_i, X_j, X_k, X_l) = [T phi(X_i, X_j, X_k), X_l]
-    + phi(w, X_l) with w = [[X_i, X_j], X_k].  A pair with [X_i, X_j] = 0
-    gives the shared block of `_zero_pair_block` over the chains
-    x |-> [[x, X_k], X_l].  Any other pair gives, for each k:
-    when w != 0, the rows of each l at the m in M_l (`_support_split`);
-    when w = 0, the rows b . T phi(X_i, X_j, X_k) for b in a basis of the
-    annihilator of the centre (the rows of `liealg._center_reducer`),
-    which span the rows [T phi(X_i, X_j, X_k), X_l]_m over all (l, m).
-    At m outside M_l the row is phi(w, X_l)_m, and over all (i, j, k)
-    these span phi(b, X_l)_m for b in a basis of g^2 = [[g, g], g]: they
-    come once, after the pairs (`_span_rows`).
-    """
-    idx = CochainIndex(g.dim)
-    table, double, images = g.integer_table()[0], g.double_brackets(), _chain_images(g)
-    n = g.dim
-    block = _zero_pair_block(idx, (images[(k, l)] for k in range(n) for l in range(n)))
-    inside, outside = _support_split(images, n)
-    ann = _integer_basis(liealg._center_reducer(g))
-    ann_right = [_through(images[(k,)], ann) for k in range(n)]
-    ann_ident = _through(images[()], ann)
-    for (i, j) in idx.pairs:
-        cij = table.get((i, j))
-        if not cij:
-            yield from _shifted(block, idx.pidx[(i, j)] * n)
-            continue
-        for k in range(n):
-            w = double.get((i, j, k))
-            if not w:
-                # b . ([phi(X_i, X_j), X_k] + phi([X_i, X_j], X_k))
-                yield from _term_rows(idx, ((1, {i: 1}, j, ann_right[k]),
-                                            (1, cij, k, ann_ident)))
-                continue
-            for l in range(n):
-                if inside[l]:
-                    # [[phi(X_i,X_j),X_k],X_l] + [phi([X_i,X_j],X_k),X_l]
-                    #   + phi([[X_i,X_j],X_k],X_l)
-                    yield from _term_rows(idx, ((1, {i: 1}, j, images[(k, l)]),
-                                                (1, cij, k, images[(l,)]),
-                                                (1, w, l, inside[l])))
-    yield from _span_rows(idx, double.values(), outside, table, block)
 
 
 # ---------------------------------------------------------------------------
@@ -737,9 +730,9 @@ def _validate_kind(g: LieAlgebra, kind: ComplexKind) -> None:
     if bad:
         raise ValueError(f"not a Lie algebra: Jacobi fails at {_format_tuple(bad[0])}")
     if kind is ComplexKind.CH:
-        _require_two_step(g)
+        _require_steps(g, 2)
     elif kind is ComplexKind.CR:
-        _require_three_step(g)
+        _require_steps(g, 3)
 
 
 def _z_rows(g: LieAlgebra, kind: ComplexKind) -> Iterator[dict[int, int]]:
@@ -788,9 +781,10 @@ def chevalley_and_cr_dims(g: LieAlgebra) -> tuple[CohomologyReport, CohomologyRe
 
 def _dims(g: LieAlgebra, kind: ComplexKind, streams, *, with_representatives: bool = False,
           progress: Callable[[int, int, float], None] | None = None) -> list[CohomologyReport]:
-    """The one body of `space_dims` and `chevalley_and_cr_dims`: the basis
-    step, the validation of `kind`, one Z reducer that takes the rows of
-    each stream (a function of h) in turn, one B^2 reducer and one
+    """The one body of `space_dims`, `chevalley_and_cr_dims` and
+    `ch_kernel_contained_in_chevalley`, so of every Z elimination: the
+    basis step, the validation of `kind`, one Z reducer that takes the
+    rows of each stream (a function of h) in turn, one B^2 reducer and one
     containment pass against the final Z reducer.  Z^2 only shrinks as
     streams are added, so that pass certifies a report for the rank
     after each stream; representatives go with the last."""
@@ -842,14 +836,10 @@ def _transport_back(idx: CochainIndex, kernel, f: RationalMatrix) -> tuple[Cocha
 
 
 def ch_kernel_contained_in_chevalley(g: LieAlgebra) -> bool:
-    """Rank test: ker T contained in ker(delta^2) on a 2-step algebra."""
-    _require_two_step(g)
-    idx = CochainIndex(g.dim)
-    red = RowReducer(idx.size)
-    red.add_rows(t_operator_rows(g))
-    t_rank = red.rank
-    red.add_rows(chevalley2_rows(g))
-    return red.rank == t_rank
+    """Rank test: ker T contained in ker(delta^2) on a 2-step algebra, that
+    is, the Chevalley rows added to the T rows leave Z^2 as it was."""
+    ch, both = _dims(g, ComplexKind.CH, (t_operator_rows, chevalley2_rows))
+    return ch.z2_dim == both.z2_dim
 
 
 # ---------------------------------------------------------------------------

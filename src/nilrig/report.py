@@ -40,7 +40,7 @@ from .liealg import (
     basis_change,
     center_dim,
     characteristic_sequence,
-    derivation_algebra_dim,
+    derivation_algebra_dim,  # noqa: F401 -- a name that perfbench/tracer.py wraps
     jacobi_defect,
     lower_central_series,
     nilindex,
@@ -216,7 +216,7 @@ def _invariant_vector(g: LieAlgebra) -> tuple:
     return (
         lower_central_series(g).dims,
         center_dim(g),
-        derivation_algebra_dim(g),
+        g.dim ** 2 - cr.b2_dim,   # dim Der = n^2 - rank delta^1
         cr.h2_dim,
         chevalley.h2_dim,
     )

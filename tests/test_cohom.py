@@ -925,6 +925,14 @@ def test_c07_rejects_an_invalid_fixture(monkeypatch):
         report.run_claims(only="C07")
 
 
+def test_c09_derivation_dims_match_derivation_algebra_dim():
+    # C09 reads dim Der as n^2 - dim B^2 of its cr report, whose B^2 is
+    # ranked in the adapted basis; derivation_algebra_dim ranks delta^1
+    # in the basis the member is given in
+    for a in families.classification_F731():
+        assert report._invariant_vector(a)[2] == derivation_algebra_dim(a)
+
+
 def test_representatives_are_cocycles_spanning_z2():
     g = families.g_p12(2)
     r = space_dims(g, "ch", with_representatives=True)
