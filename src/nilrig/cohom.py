@@ -260,8 +260,8 @@ class _Identity:
     words: tuple[tuple[int, tuple[int, ...], object], ...]
 
 
-_TWO_STEP = _Identity(3, False, ((1, (0, 1, 2), _SQUARE),))
-_THREE_STEP = _Identity(4, False, ((1, (0, 1, 2, 3), _CUBE),))
+_COMB = {2: _Identity(3, False, ((1, (0, 1, 2), _SQUARE),)),   # keyed by step
+         3: _Identity(4, False, ((1, (0, 1, 2, 3), _CUBE),))}
 #: the Jacobiator: the cyclic sum of nu o1 nu
 _JACOBI = _Identity(3, True, tuple((1, p, _SQUARE) for p in _CYCLIC))
 #: (nu o1 (nu o1 nu) - nu(nu(x1,x2),nu(x3,x4))) o Phi_v, the linearised
@@ -366,6 +366,12 @@ def _require_steps(g: LieAlgebra, p: int) -> None:
         raise ValueError(f"not {p}-step: {comb} != 0")
 
 
+def _comb_delta2(g: LieAlgebra, phi: Cochain, p: int) -> MultiMap:
+    leaves = _along(g, phi)
+    _require_steps(g, p)
+    return _graded_pieces(g.dim, leaves, [(_COMB[p], (1,))])[0]
+
+
 def ch_delta2(g: LieAlgebra, phi: Cochain) -> MultiMap:
     """T(phi)(x,y,z) = mu(phi(x,y),z) + phi(mu(x,y),z) on a 2-step algebra,
     the part of (mu + t*phi) o1 (mu + t*phi) linear in t.
@@ -373,9 +379,7 @@ def ch_delta2(g: LieAlgebra, phi: Cochain) -> MultiMap:
     The output is skew in (x, y) only; its full vanishing is the degree-2
     cocycle condition of the 2-step deformation complex.
     """
-    leaves = _along(g, phi)
-    _require_steps(g, 2)
-    return _graded_pieces(g.dim, leaves, [(_TWO_STEP, (1,))])[0]
+    return _comb_delta2(g, phi, 2)
 
 
 def r_delta2(g: LieAlgebra, phi: Cochain) -> MultiMap:
@@ -385,9 +389,7 @@ def r_delta2(g: LieAlgebra, phi: Cochain) -> MultiMap:
     map [[phi(x1,x2),x3],x4] + [phi([x1,x2],x3),x4] + phi([[x1,x2],x3],x4),
     the part of nu o1 (nu o1 nu) at nu = mu + t*phi linear in t.
     """
-    leaves = _along(g, phi)
-    _require_steps(g, 3)
-    return _graded_pieces(g.dim, leaves, [(_THREE_STEP, (1,))])[0]
+    return _comb_delta2(g, phi, 3)
 
 
 def deformed_bracket(g: LieAlgebra, phi: Cochain, t: Q = QONE) -> LieAlgebra:
@@ -729,10 +731,8 @@ def _validate_kind(g: LieAlgebra, kind: ComplexKind) -> None:
     bad = jacobi_defect(g)
     if bad:
         raise ValueError(f"not a Lie algebra: Jacobi fails at {_format_tuple(bad[0])}")
-    if kind is ComplexKind.CH:
-        _require_steps(g, 2)
-    elif kind is ComplexKind.CR:
-        _require_steps(g, 3)
+    if kind is not ComplexKind.CHEVALLEY:
+        _require_steps(g, 2 if kind is ComplexKind.CH else 3)
 
 
 def _z_rows(g: LieAlgebra, kind: ComplexKind) -> Iterator[dict[int, int]]:
@@ -863,10 +863,10 @@ def _zero_condition(name: str, defect) -> tuple[str, bool, tuple[int, ...] | Non
 
 #: (name, identity, power of t) of each condition, by number of steps
 _DEFORMATION_CONDITIONS = {
-    2: (("ch_cocycle", _TWO_STEP, 1), ("quadratic", _TWO_STEP, 2)),
+    2: (("ch_cocycle", _COMB[2], 1), ("quadratic", _COMB[2], 2)),
     3: (("chevalley_cocycle", _JACOBI, 1), ("jacobiator_square", _JACOBI, 2),
-        ("r_cocycle", _THREE_STEP, 1), ("mixed_quadratic", _THREE_STEP, 2),
-        ("cubic", _THREE_STEP, 3)),
+        ("r_cocycle", _COMB[3], 1), ("mixed_quadratic", _COMB[3], 2),
+        ("cubic", _COMB[3], 3)),
 }
 
 
@@ -877,7 +877,7 @@ def check_linear_deformation(g: LieAlgebra, phi: Cochain, steps: int) -> Deforma
     Jacobiator and of nu o1 (nu o1 nu) for 3.  mu itself is checked
     first, so the t^0 pieces vanish.  A condition's witness is its first
     argument tuple with a nonzero value."""
-    if steps not in _DEFORMATION_CONDITIONS:
+    if type(steps) is not int or steps not in _DEFORMATION_CONDITIONS:
         raise ValueError(f"steps must be 2 or 3, got {steps!r}")
     _validate_kind(g, ComplexKind.CH if steps == 2 else ComplexKind.CR)
     conditions = _DEFORMATION_CONDITIONS[steps]

@@ -11,7 +11,7 @@ from functools import partial
 from typing import Mapping, NamedTuple, Sequence
 
 from .cohom import Cochain, CochainIndex, ch_delta2, deformed_bracket
-from .exactlin import Q, QZERO, QONE, RowReducer, as_rational
+from .exactlin import Q, QZERO, RowReducer, as_rational
 from .liealg import LieAlgebra
 
 
@@ -125,23 +125,31 @@ def _coeff_name(i: int, j: int, k: int) -> str:
     return f"a_{{{i},{j}}}^{k}"
 
 
+#: a 1-based pair (i, j) and its terms (name, k)
+_Entry = tuple[tuple[int, int], tuple[tuple[str, int], ...]]
+
+
 @dataclass(frozen=True)
 class CocycleTemplate:
-    """Normal form of a cocycle space: free coefficient names plus the
-    linear pattern tying them to cochain entries.
+    """Normal form of a cocycle space: the linear pattern tying free
+    coefficient names to cochain entries.
 
-    `entries` maps a 1-based pair (i, j) to terms (name, k, multiplier)
-    meaning: the coefficient of X_k in phi(X_i, X_j) picks up
-    multiplier * value(name).  A name may appear under several pairs,
-    which encodes the fixed linear couplings of the family.
+    `entries` maps a 1-based pair (i, j) to terms (name, k) meaning: the
+    coefficient of X_k in phi(X_i, X_j) picks up value(name).  A name may
+    appear under several pairs, which encodes the fixed linear couplings
+    of the family.  `free` lists the names in order of first appearance.
     """
 
     family: str
     p: int
     dim: int
-    free: tuple[str, ...]
-    entries: tuple[tuple[tuple[int, int], tuple[tuple[str, int, Q], ...]], ...]
+    free: tuple[str, ...] = field(init=False)
+    entries: tuple[_Entry, ...]
     relations: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        names = dict.fromkeys(name for _, terms in self.entries for name, _ in terms)
+        object.__setattr__(self, "free", tuple(names))
 
     def instantiate(self, coeffs: Mapping[str, object]) -> Cochain:
         unknown = set(coeffs) - set(self.free)
@@ -151,35 +159,30 @@ class CocycleTemplate:
         data: dict[tuple[int, int], dict[int, Q]] = {}
         for (i, j), terms in self.entries:
             vec = data.setdefault((i - 1, j - 1), {})
-            for name, k, mult in terms:
+            for name, k in terms:
                 c = values.get(name, QZERO)
                 if c != 0:
-                    vec[k - 1] = vec.get(k - 1, QZERO) + mult * c
+                    vec[k - 1] = vec.get(k - 1, QZERO) + c
         return Cochain(2, self.dim, data)
+
+
+def _free(i: int, j: int, images: Sequence[int],
+          labels: Sequence[int] | None = None) -> _Entry:
+    """Entry (i, j) with its own coefficient a_{i,j}^label on each X_k in
+    `images`; the labels default to the images."""
+    labels = images if labels is None else labels
+    return ((i, j), tuple((_coeff_name(i, j, label), k) for label, k in zip(labels, images)))
 
 
 def _template_221(p: int) -> CocycleTemplate:
     if p < 2:
         raise ValueError("p must be at least 2")
-    dim = 2 * p + 1
-    entries = []
-    names: list[str] = []
-
-    def term(i, j, k):
-        name = _coeff_name(i, j, k)
-        names.append(name)
-        return (name, k, QONE)
-
-    entries.append(((2, 4), tuple(term(2, 4, 2 * k + 1) for k in range(3, p + 1))))
-    for i in range(3, p + 1):
-        entries.append(((2, 2 * i),
-                        tuple(term(2, 2 * i, 2 * k + 1) for k in range(2, p + 1))))
+    odd = [2 * k + 1 for k in range(1, p + 1)]   # X_3, X_5, .., X_{2p+1}
+    entries = [_free(2, 4, odd[2:])]
+    entries += [_free(2, 2 * i, odd[1:]) for i in range(3, p + 1)]
     for i in range(2, p + 1):
-        for j in range(i + 1, p + 1):
-            entries.append(((2 * i, 2 * j),
-                            tuple(term(2 * i, 2 * j, 2 * k + 1) for k in range(1, p + 1))))
-    return CocycleTemplate("221", p, dim, tuple(names),
-                           tuple((pair, terms) for pair, terms in entries if terms))
+        entries += [_free(2 * i, 2 * j, odd) for j in range(i + 1, p + 1)]
+    return CocycleTemplate("221", p, 2 * p + 1, tuple(e for e in entries if e[1]))
 
 
 def _template_p12(family: str, p: int) -> CocycleTemplate:
@@ -191,53 +194,37 @@ def _template_p12(family: str, p: int) -> CocycleTemplate:
         raise ValueError("p must be at least 2")
     last = p - 1 if family == "C2" else p
     images = [2 * k + 1 for k in range(1, p)] + ([] if family == "C1" else [2 * p])
-    names = ["a"] if family == "Z2kk" else []
-    entries = [((1, 2 * p), (("a", 2 * p, QONE),))] if family == "Z2kk" else []
+    entries = [((1, 2 * p), (("a", 2 * p),))] if family == "Z2kk" else []
     for i in range(2, last + 1):
-        for j in range(i + 1, last + 1):
-            terms = tuple((_coeff_name(2 * i, 2 * j, k), k, QONE) for k in images)
-            names += [name for name, _, _ in terms]
-            entries.append(((2 * i, 2 * j), terms))
-    return CocycleTemplate(family, p, 2 * p, tuple(names), tuple(entries))
+        entries += [_free(2 * i, 2 * j, images) for j in range(i + 1, last + 1)]
+    return CocycleTemplate(family, p, 2 * p, tuple(entries))
 
 
 def _template_p01(p: int) -> CocycleTemplate:
+    """The free coefficient a_{i,j}^k of block k sits on X_{3k+1}."""
     if p < 1:
         raise ValueError("p must be at least 1")
-    dim = 3 * p + 1
-    names: list[str] = []
+    blocks = range(1, p + 1)
+    tops = [3 * k + 1 for k in blocks]
     entries = []
     relations = []
-
-    def fresh(i, j, k):
-        name = _coeff_name(i, j, k)
-        names.append(name)
-        return name
-
-    for i in range(1, p + 1):
-        for j in range(i, p + 1):
-            entries.append(((3 * i - 1, 3 * j),
-                            tuple((fresh(3 * i - 1, 3 * j, k), 3 * k + 1, QONE)
-                                  for k in range(1, p + 1))))
-    for i in range(1, p + 1):
-        for j in range(i + 1, p + 1):
-            entries.append(((3 * i, 3 * j - 1),
-                            tuple((fresh(3 * i, 3 * j - 1, k), 3 * k + 1, QONE)
-                                  for k in range(1, p + 1))))
-    for i in range(1, p + 1):
+    for i in blocks:
+        entries += [_free(3 * i - 1, 3 * j, tops, blocks) for j in range(i, p + 1)]
+    for i in blocks:
+        entries += [_free(3 * i, 3 * j - 1, tops, blocks) for j in range(i + 1, p + 1)]
+    for i in blocks:
         for j in range(i + 1, p + 1):
             terms = []
-            for k in range(1, p + 1):
+            for k in blocks:
                 # coupled part: coefficient of X_{3k} is a_{3i,3j-1}^k + a_{3i-1,3j}^k
-                terms.append((_coeff_name(3 * i, 3 * j - 1, k), 3 * k, QONE))
-                terms.append((_coeff_name(3 * i - 1, 3 * j, k), 3 * k, QONE))
-                terms.append((fresh(3 * i - 1, 3 * j - 1, k), 3 * k + 1, QONE))
+                terms.append((_coeff_name(3 * i, 3 * j - 1, k), 3 * k))
+                terms.append((_coeff_name(3 * i - 1, 3 * j, k), 3 * k))
+                terms.append((_coeff_name(3 * i - 1, 3 * j - 1, k), 3 * k + 1))
                 relations.append(
                     f"phi(X{3 * i - 1},X{3 * j - 1})|X{3 * k} = "
                     f"{_coeff_name(3 * i, 3 * j - 1, k)} + {_coeff_name(3 * i - 1, 3 * j, k)}")
             entries.append(((3 * i - 1, 3 * j - 1), tuple(terms)))
-    return CocycleTemplate("p01", p, dim, tuple(names), tuple(entries),
-                           tuple(relations))
+    return CocycleTemplate("p01", p, 3 * p + 1, tuple(entries), tuple(relations))
 
 
 def _template_clas3111(p: int) -> CocycleTemplate:
@@ -245,21 +232,11 @@ def _template_clas3111(p: int) -> CocycleTemplate:
     if p < 2:
         raise ValueError("p must be at least 2")
     n = 3 + p
-    names: list[str] = []
-    entries = []
-
-    def fresh(i, j, k):
-        name = _coeff_name(i, j, k)
-        names.append(name)
-        return name
-
-    entries.append(((2, 3), tuple((fresh(2, 3, i), i, QONE) for i in range(5, n + 1))))
-    for k in range(5, n + 1):
-        entries.append(((2, k), tuple((fresh(2, k, i), i, QONE) for i in range(4, n + 1))))
+    entries = [_free(2, 3, range(5, n + 1))]
+    entries += [_free(2, k, range(4, n + 1)) for k in range(5, n + 1)]
     for l in range(5, n + 1):
-        for k in range(l + 1, n + 1):
-            entries.append(((l, k), tuple((fresh(l, k, i), i, QONE) for i in range(4, n + 1))))
-    return CocycleTemplate("clas3111", p, n, tuple(names), tuple(entries))
+        entries += [_free(l, k, range(4, n + 1)) for k in range(l + 1, n + 1)]
+    return CocycleTemplate("clas3111", p, n, tuple(entries))
 
 
 _TEMPLATES = {

@@ -33,7 +33,7 @@ from nilrig.cohom import (
     JORDAN_V,
     _DEFORMATION_CONDITIONS,
     _JACOBI,
-    _THREE_STEP,
+    _COMB,
     _cleared,
     _combine,
     _graded_pieces,
@@ -410,7 +410,7 @@ def test_polarised_piece_is_one_call(g):
     for a, b in pairs:
         both = _dense_combination(a, (1, a), (1, b))
         for identity, composed in (
-                (_THREE_STEP, _dense_sum(4, n, *(brute_comp1(x, brute_comp1(y, z))
+                (_COMB[3], _dense_sum(4, n, *(brute_comp1(x, brute_comp1(y, z))
                                                  for x, y, z in permutations((mu, a, b))))),
                 (_JACOBI, _dense_cyclic_sum(n, 1, brute_comp1(a, b), brute_comp1(b, a)))):
             [polar] = graded({(0, 0): mu, (1, 0): a, (0, 1): b}, [(identity, (1, 1))])
@@ -505,7 +505,7 @@ def test_operators_keep_the_scales_of_rational_leaves():
     for phi in basis[::5]:
         pa, pb = _scaled(Q(1, 2), phi), _scaled(Q(3, 5), random_skew_cochain(n, rng))
         [polar] = graded({(0, 0): bracket_map(g), (1, 0): pa, (0, 1): pb},
-                         [(_THREE_STEP, (1, 1))])
+                         [(_COMB[3], (1, 1))])
         assert polar == _dense_sum(4, n, *(brute_comp1(x, brute_comp1(y, z))
                                            for x, y, z in permutations((mu, pa, pb))))
     p12, m = DENSE_P12.dim, bracket_map(DENSE_P12)
@@ -1274,7 +1274,7 @@ def test_deformation_3step_zero_passes():
     assert chk.passes_all and [name for name, ok, _ in chk.conditions if not ok] == []
 
 
-@pytest.mark.parametrize("steps", [1, 4, "3", None])
+@pytest.mark.parametrize("steps", [1, 4, "3", None, 2.0, 3.0, True])
 def test_deformation_check_rejects_bad_steps(steps):
     g = families.g_k3k2k1(1, 0, 2)
     with pytest.raises(ValueError, match=r"^steps must be 2 or 3, got [^\n]*$"):

@@ -149,6 +149,20 @@ def test_template_clas3111_counts():
         assert len(t.free) == q * (q * q + 2 * q + 3) // 2
 
 
+def test_template_free_order_and_relations_are_pinned():
+    # the order of `free` decides which name a seeded rng.choice draws
+    template = families.normalized_cocycle_template
+    assert template("p01", 2).free == (
+        "a_{2,3}^1", "a_{2,3}^2", "a_{2,6}^1", "a_{2,6}^2", "a_{5,6}^1",
+        "a_{5,6}^2", "a_{3,5}^1", "a_{3,5}^2", "a_{2,5}^1", "a_{2,5}^2")
+    assert template("221", 3).free == (
+        "a_{2,4}^7", "a_{2,6}^5", "a_{2,6}^7", "a_{4,6}^3", "a_{4,6}^5", "a_{4,6}^7")
+    assert template("clas3111", 2).free == ("a_{2,3}^5", "a_{2,5}^4", "a_{2,5}^5")
+    assert template("p01", 2).relations == (
+        "phi(X2,X5)|X3 = a_{3,5}^1 + a_{2,6}^1",
+        "phi(X2,X5)|X6 = a_{3,5}^2 + a_{2,6}^2")
+
+
 def test_template_unknown_names_rejected():
     t = families.normalized_cocycle_template("221", 3)
     with pytest.raises(ValueError, match="unknown coefficient"):
