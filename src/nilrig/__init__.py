@@ -5,7 +5,6 @@ from .exactlin import (
     Q,
     RationalMatrix,
     RowReducer,
-    TruncatedSeries,
     parse_rational,
 )
 from .liealg import (
@@ -16,7 +15,6 @@ from .liealg import (
     basis_change,
     center_dim,
     characteristic_sequence,
-    derivation_algebra_dim,
     derived_dim,
     jacobi_defect,
     lower_central_series,
@@ -36,6 +34,7 @@ from .cohom import (
     chevalley_delta1,
     chevalley_delta2,
     deformed_bracket,
+    derivation_algebra_dim,
     jordan_cocycle_defect,
     jordan_linearized_defect,
     r_delta2,
@@ -57,7 +56,6 @@ from .families import (
     rigid_3step_7,
 )
 from .operads import (
-    DimSequence,
     count_commutative_binary_trees,
     dual_dims_2nilp,
     gen_function,

@@ -29,6 +29,7 @@ from .cohom import (
     Cochain,
     ComplexKind,
     check_linear_deformation,
+    derivation_algebra_dim,
     space_dims,
 )
 from .exactlin import as_rational
@@ -37,7 +38,6 @@ from .liealg import (
     LieAlgebra,
     center_dim,
     characteristic_sequence,
-    derivation_algebra_dim,
     derived_dim,
     jacobi_defect,
     lower_central_series,
@@ -331,9 +331,9 @@ def cmd_operad_check(args) -> int:
     residual = operads.koszul_check(primal, dual)
     doc = {
         "order": order,
-        "dual_dims": list(dual_dims.dims),
-        "residual_coeffs": [str(c) for c in residual.coeffs],
-        "residual_zero": residual.is_zero(),
+        "dual_dims": list(dual_dims),
+        "residual_coeffs": [str(c) for c in residual],
+        "residual_zero": not any(residual),
         "table": [
             {"operad": row.operad, "arity": row.arity, "dim": row.dim,
              "note": row.note}

@@ -727,6 +727,12 @@ def coboundary_rank(g: LieAlgebra) -> int:
     return red.rank
 
 
+def derivation_algebra_dim(g: LieAlgebra) -> int:
+    """Dimension of the derivation algebra, the kernel of delta^1 on the
+    n^2-dimensional space of linear maps."""
+    return g.dim * g.dim - coboundary_rank(g)
+
+
 def _validate_kind(g: LieAlgebra, kind: ComplexKind) -> None:
     bad = jacobi_defect(g)
     if bad:

@@ -1,4 +1,4 @@
-"""Exact linear algebra over the rationals, plus truncated power series.
+"""Exact linear algebra over the rationals.
 
 Every value that enters or leaves is a `fractions.Fraction` (or an int);
 there is no floating point and no tolerance anywhere.  Rank, kernel
@@ -17,8 +17,7 @@ converts back to `Fraction`s only in what it returns.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from math import gcd, lcm
 from time import perf_counter
@@ -382,104 +381,3 @@ def iterated_images(n: int, push) -> list[list[dict[int, Q]]]:
             break
         rows = [red._rows[c] for c in red.pivot_cols()]
     return images
-
-
-# ---------------------------------------------------------------------------
-# truncated power series
-
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """Rational power series modulo x^(order+1); coeffs[k] multiplies x^k."""
-
-    order: int
-    coeffs: tuple[Q, ...]
-
-    def __post_init__(self):
-        if self.order < 0:
-            raise ValueError("order must be nonnegative")
-        if len(self.coeffs) != self.order + 1:
-            raise ValueError("need exactly order + 1 coefficients")
-        object.__setattr__(self, "coeffs", tuple(as_rational(c) for c in self.coeffs))
-
-    @classmethod
-    def from_coeffs(cls, coeffs: Sequence, order: int | None = None) -> "TruncatedSeries":
-        cs = [as_rational(c) for c in coeffs]
-        if order is None:
-            order = len(cs) - 1
-        if order >= len(cs):
-            cs += [QZERO] * (order + 1 - len(cs))
-        return cls(order, tuple(cs[: order + 1]))
-
-    @classmethod
-    def x(cls, order: int) -> "TruncatedSeries":
-        return cls.from_coeffs([0, 1], order)
-
-    @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls.from_coeffs([], order)
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order >= self.order:
-            return TruncatedSeries.from_coeffs(self.coeffs, order)
-        return TruncatedSeries(order, self.coeffs[: order + 1])
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def __add__(self, other):
-        if isinstance(other, TruncatedSeries):
-            n = min(self.order, other.order)
-            return TruncatedSeries(
-                n, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-        return self._shift_const(as_rational(other))
-
-    __radd__ = __add__
-
-    def _shift_const(self, c: Q) -> "TruncatedSeries":
-        return TruncatedSeries(
-            self.order, (self.coeffs[0] + c,) + self.coeffs[1:])
-
-    def __neg__(self):
-        return TruncatedSeries(self.order, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, TruncatedSeries) else -as_rational(other))
-
-    def __mul__(self, other):
-        if isinstance(other, TruncatedSeries):
-            n = min(self.order, other.order)
-            out = [QZERO] * (n + 1)
-            for i, a in enumerate(self.coeffs[: n + 1]):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs[: n + 1 - i]):
-                    if b != 0:
-                        out[i + j] += a * b
-            return TruncatedSeries(n, tuple(out))
-        c = as_rational(other)
-        return TruncatedSeries(self.order, tuple(c * a for a in self.coeffs))
-
-    __rmul__ = __mul__
-
-    def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
-        """self(inner); `inner` must have zero constant term."""
-        if inner.coeffs[0] != 0:
-            raise ValueError("composition requires zero constant term")
-        n = min(self.order, inner.order)
-        inner = inner.truncate(n)
-        acc = TruncatedSeries.zero(n)
-        for c in reversed(self.coeffs[: n + 1]):
-            acc = acc * inner + c
-        return acc
-
-    def scale_argument(self, c) -> "TruncatedSeries":
-        """Series of x ↦ self(c·x)."""
-        c = as_rational(c)
-        return TruncatedSeries(
-            self.order, tuple(a * c ** k for k, a in enumerate(self.coeffs)))
-
-    def __repr__(self) -> str:
-        terms = [f"{c}*x^{k}" for k, c in enumerate(self.coeffs) if c != 0]
-        body = " + ".join(terms) if terms else "0"
-        return f"<{body} + O(x^{self.order + 1})>"
-

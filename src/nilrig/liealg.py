@@ -323,14 +323,6 @@ def derived_dim(g: LieAlgebra) -> int:
     return dims[1] if len(dims) > 1 else 0  # the zero algebra's series is (0,)
 
 
-def derivation_algebra_dim(g: LieAlgebra) -> int:
-    """Dimension of the derivation algebra (= kernel of the degree-1
-    Chevalley coboundary), computed exactly."""
-    from . import cohom  # local import: cohom depends on this module
-
-    return g.dim * g.dim - cohom.coboundary_rank(g)
-
-
 def basis_change(g: LieAlgebra, f: RationalMatrix) -> LieAlgebra:
     """Transport of structure: (f·μ)(x, y) = f^(-1) μ(f x, f y)."""
     n = g.dim

@@ -12,42 +12,30 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, factorial
 
-from .exactlin import Q, TruncatedSeries
+from .exactlin import Q, as_rational
 
 
-@dataclass(frozen=True)
-class DimSequence:
-    """Arity-indexed dimensions d_1, d_2, ...; entries are >= 0."""
-
-    dims: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(d < 0 for d in self.dims):
-            raise ValueError("dimensions must be nonnegative")
-
-    def __len__(self) -> int:
-        return len(self.dims)
-
-    def __getitem__(self, k: int) -> int:
-        return self.dims[k]
-
-
-def two_nilp_dims(order: int) -> DimSequence:
+def two_nilp_dims(order: int) -> tuple[int, ...]:
     """Dimensions 1, 1, 0, 0, ... of the quadratic nilpotency operad."""
     if order < 1:
         raise ValueError("order must be at least 1")
-    return DimSequence((1, 1)[:order] + (0,) * max(0, order - 2))
+    return (1, 1)[:order] + (0,) * max(0, order - 2)
 
 
-def gen_function(dims: DimSequence, order: int) -> TruncatedSeries:
-    """Exponential generating function sum_a dims[a]/a! x^a, truncated."""
+def gen_function(dims, order: int) -> tuple[Q, ...]:
+    """Coefficients of the exponential generating function
+    sum_a dims[a - 1]/a! x^a up to x^order; entry k multiplies x^k."""
+    for d in dims:
+        if not isinstance(d, int) or isinstance(d, bool):
+            raise TypeError(f"not an integer dimension: {d!r}")
+        if d < 0:
+            raise ValueError("dimensions must be nonnegative")
     if order > len(dims):
         raise ValueError("order exceeds the available dimension sequence")
-    coeffs = [Q(0)] + [Q(dims[a - 1], factorial(a)) for a in range(1, order + 1)]
-    return TruncatedSeries.from_coeffs(coeffs, order)
+    return (Q(0),) + tuple(Q(dims[a - 1], factorial(a)) for a in range(1, order + 1))
 
 
-def dual_dims_2nilp(order: int) -> DimSequence:
+def dual_dims_2nilp(order: int) -> tuple[int, ...]:
     """Dual dimension sequence from the binomial recurrence
 
     d_1 = d_2 = 1,
@@ -69,7 +57,7 @@ def dual_dims_2nilp(order: int) -> DimSequence:
                 raise ArithmeticError("recurrence produced a non-integer dimension")
             total += int(half)
         d.append(total)
-    return DimSequence(tuple(d[1:]))
+    return tuple(d[1:])
 
 
 def count_commutative_binary_trees(n: int) -> int:
@@ -108,14 +96,25 @@ def count_commutative_binary_trees(n: int) -> int:
     return len(trees(frozenset(range(n))))
 
 
-def koszul_check(g_primal: TruncatedSeries, g_dual: TruncatedSeries) -> TruncatedSeries:
-    """Residual g_primal(-g_dual(-x)) - x; identically zero up to the
-    truncation order certifies the duality functional equation."""
-    if g_primal.coeffs[0] != 0 or g_dual.coeffs[0] != 0:
+def koszul_check(g_primal, g_dual) -> tuple[Q, ...]:
+    """Residual g_primal(-g_dual(-x)) - x of two coefficient sequences, to
+    the shorter one's order; all zero certifies the duality equation."""
+    a = [as_rational(c) for c in g_primal]
+    b = [as_rational(c) for c in g_dual]
+    if not (a and b) or a[0] or b[0]:
         raise ValueError("composition requires zero constant term")
-    inner = -g_dual.scale_argument(-1)
-    order = min(g_primal.order, g_dual.order)
-    return g_primal.compose(inner) - TruncatedSeries.x(order)
+    n = min(len(a), len(b))
+    inner = [c if k % 2 else -c for k, c in enumerate(b[:n])]  # -g_dual(-x)
+    acc = [Q(0)] * n
+    for c in reversed(a[:n]):  # Horner: acc <- acc * inner + c mod x^n
+        prod = [c] + [Q(0)] * (n - 1)
+        for i, p in enumerate(acc):
+            for j, q in enumerate(inner[: n - i]):
+                prod[i + j] += p * q
+        acc = prod
+    if n > 1:
+        acc[1] -= 1
+    return tuple(acc)
 
 
 @dataclass(frozen=True)

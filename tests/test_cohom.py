@@ -24,6 +24,7 @@ from nilrig.cohom import (
     coboundary_image_vectors,
     comp1,
     deformed_bracket,
+    derivation_algebra_dim,
     jordan_cocycle_defect,
     jordan_linearized_defect,
     r_delta2,
@@ -48,7 +49,6 @@ from nilrig.liealg import (
     adapted_basis,
     center_dim,
     characteristic_sequence,
-    derivation_algebra_dim,
     lower_central_series,
     three_step_defect,
     two_step_defect,

@@ -11,7 +11,6 @@ from nilrig.exactlin import (
     _PROGRESS_ROWS,
     RationalMatrix,
     RowReducer,
-    TruncatedSeries,
     as_rational,
     invert,
     parse_rational,
@@ -292,85 +291,3 @@ def test_invert_and_singular():
     assert matmul(m, inv).entries == {(0, 0): Q(1), (1, 1): Q(1)}
     with pytest.raises(ValueError):
         invert(M([[1, 2], [2, 4]]))
-
-
-# --- truncated series --------------------------------------------------------
-
-def S(coeffs, order=None):
-    return TruncatedSeries.from_coeffs(coeffs, order)
-
-
-@pytest.mark.parametrize("bad", [0.1, True])
-def test_series_rejects_float_and_bool(bad):
-    for build in (lambda: TruncatedSeries(1, (0, bad)), lambda: S([bad]),
-                  lambda: S([1, 1]) + bad, lambda: S([1, 1]) - bad,
-                  lambda: S([1, 1]) * bad, lambda: S([1, 1]).scale_argument(bad)):
-        with pytest.raises(TypeError, match=re.escape(repr(bad))):
-            build()
-
-
-def test_series_converts_ints_and_strings():
-    a = TruncatedSeries(1, (2, "1/2"))
-    assert a.coeffs == (Q(2), Q(1, 2)) and all(type(c) is Q for c in a.coeffs)
-    assert S(["1/3", 1]) * "3" + 1 == S([2, 3])
-
-
-def test_compose_identity():
-    x = TruncatedSeries.x(5)
-    assert x.compose(x) == x
-
-
-def test_mul_example():
-    a = S([0, 1, Q(1, 2)], 3)  # x + x^2/2
-    x = TruncatedSeries.x(3)
-    assert a * x == S([0, 0, 1, Q(1, 2)], 3)
-
-
-def test_compose_requires_zero_constant():
-    a = S([0, 1], 3)
-    b = S([1, 1], 3)
-    with pytest.raises(ValueError, match="zero constant term"):
-        a.compose(b)
-
-
-def naive_compose(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    # independent oracle: accumulate a_k * b^k by repeated multiplication
-    order = min(a.order, b.order)
-    total = TruncatedSeries.from_coeffs([a.coeffs[0]], order)
-    power = TruncatedSeries.from_coeffs([1], order)
-    for k in range(1, order + 1):
-        power = power * b.truncate(order)
-        total = total + a.coeffs[k] * power
-    return total
-
-
-def test_compose_against_naive_expansion():
-    a = S([0, 1, Q(1, 2)], 5)
-    b = S([0, 1, 1, Q(1, 2), Q(5, 8), 0], 5)
-    assert a.compose(b) == naive_compose(a, b)
-
-
-short_series = st.lists(st.integers(-3, 3), min_size=2, max_size=6)
-
-
-@given(short_series, short_series, short_series)
-@settings(max_examples=40, deadline=None)
-def test_compose_associative(al, bl, cl):
-    order = 5
-    a = S([0] + al, order)
-    b = S([0] + bl, order)
-    c = S([0] + cl, order)
-    left = a.compose(b).compose(c)
-    right = a.compose(b.compose(c))
-    assert left == right
-
-
-@given(short_series, short_series)
-@settings(max_examples=40, deadline=None)
-def test_series_ring_identities(al, bl):
-    order = 4
-    a = S(al, order)
-    b = S(bl, order)
-    assert a + b == b + a
-    assert a * b == b * a
-    assert (a * b).compose(TruncatedSeries.x(order)) == a * b

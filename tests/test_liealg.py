@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilrig import families
+from nilrig.cohom import derivation_algebra_dim
 from nilrig.exactlin import RationalMatrix, RowReducer
 from nilrig.liealg import (
     DEFAULT_SEED,
@@ -18,7 +19,6 @@ from nilrig.liealg import (
     basis_change,
     center_dim,
     characteristic_sequence,
-    derivation_algebra_dim,
     derived_dim,
     jacobi_defect,
     lower_central_series,
