@@ -14,13 +14,31 @@ T and delta_R are the parts linear in phi of the 3-fold and 4-fold
 combs [[x1,x2],x3] and [[[x1,x2],x3],x4] of mu + phi, so one comb
 generator, `_comb_rows`, gives the ``ch`` and ``cr`` Z rows.
 
+On every Lie algebra and for every 2-cochain phi, with T as above,
+delta^2 phi = -sum_cyc T and delta_R phi(x,y,z,w) = [T(x,y,z), w] +
+phi([[x,y],z], w); summed over the cyclic orders of (x,y,z), Jacobi
+kills the phi term:
+
+    sum_cyc delta_R phi(x,y,z,w) = -[delta^2 phi(x,y,z), w].
+
+So delta_R phi = 0 puts every value of delta^2 phi in the centre z(g).
+With P the columns that are not pivots of `liealg._center_reducer(g)`
+(|P| = dim z(g)), a central vector that is zero at P is zero, so
+
+    ker delta_R & ker delta^2 = ker delta_R & {phi : (delta^2 phi)_m = 0, m in P}.
+
+The ``cr`` Z rows therefore hold the Chevalley rows at the output
+coordinates in P only, then the delta_R rows (`_z_rows`); both systems
+have one row space, so the reduced Z table is the same.
+
 In every case the degree-2 coboundary space is the image of the common
 degree-1 operator  f |-> [f x, y] + [x, f y] - f [x, y].  Dimensions are
 exact; H^2 is reported as dim Z^2 - dim B^2 after verifying the
-containment B^2 in Z^2.  `space_dims` reports one complex.  The ``cr``
-Z rows contain every Chevalley row, so `chevalley_and_cr_dims` reports
-both complexes of one algebra from one elimination, B^2 and containment
-check; a caller that needs only dim B^2 takes `coboundary_rank`.
+containment B^2 in Z^2.  `space_dims` reports one complex.
+`chevalley_and_cr_dims` reports the Chevalley and ``cr`` complexes of
+one algebra from one elimination of every Chevalley row and then the
+delta_R rows, with one B^2 and containment check; a caller that needs
+only dim B^2 takes `coboundary_rank`.
 
 A cochain's value on a basis tuple is a sparse dict {coordinate:
 Fraction} of its nonzero entries, the layout of `LieAlgebra.constants`.
@@ -460,8 +478,8 @@ def _term_rows(idx: CochainIndex, terms) -> Iterator[dict[int, int]]:
     u a sparse vector and images the list of a chain R (`_chain_images`,
     possibly cut by `_support_split` or followed by functionals, `_through`),
     as linear functionals of the flat unknowns: one row per output
-    coordinate of R, in sorted order, with zero entries dropped.  Every
-    generator builds its rows here."""
+    coordinate of R, in sorted order, with zero entries dropped.  The T
+    and delta_R generators build their rows here."""
     rows: dict[int, dict[int, int]] = {}
     for coef, u, c, images in terms:
         for s, us in u.items():
@@ -632,23 +650,65 @@ def r2_rows(g: LieAlgebra) -> Iterator[dict[int, int]]:
     return _comb_rows(g, 3)
 
 
-def chevalley2_rows(g: LieAlgebra) -> Iterator[dict[int, int]]:
+def chevalley2_rows(g: LieAlgebra, _outputs: Sequence[int] | None = None
+                    ) -> Iterator[dict[int, int]]:
     """Constraint rows of the classical degree-2 coboundary, each L times
-    a row of delta^2 (L as in `LieAlgebra.integer_table`)."""
-    idx = CochainIndex(g.dim)
-    table, images = g.integer_table()[0], _chain_images(g)
+    a row of delta^2 (L as in `LieAlgebra.integer_table`): the row of
+    (i < j < k, m) is phi |-> L delta^2 phi(X_i, X_j, X_k)_m, in the order
+    of (i, j, k, m), zero rows left out, and only the m in `_outputs`
+    (every m by default).
+
+    The rows are built term by term, for each pair (a, b) and each x
+    outside it, the triple {a, b, x}, with sign + iff a < x < b: each
+    entry L [X_t, X_x]_m goes, signed, to the unknown
+    phi(X_a, X_b)_t of the row at m, and each entry L [X_a, X_b]_s goes,
+    signed and oriented, to the unknown phi(X_s, X_x)_m of the row at
+    every m.
+
+    The ``cr`` stream of `_z_rows` keeps only the m in P, the columns
+    that are not pivots of `liealg._center_reducer`: sum_cyc delta_R
+    phi(x,y,z,w) = -[delta^2 phi(x,y,z), w] makes delta^2 phi central on
+    ker delta_R, and a central vector that is zero at P is zero (module
+    docstring)."""
     n = g.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                # [x, phi(y,z)] terms written as -[phi(y,z), x]
-                yield from _term_rows(idx, (
-                    (-1, {j: 1}, k, images[(i,)]),
-                    (1, {i: 1}, k, images[(j,)]),
-                    (-1, {i: 1}, j, images[(k,)]),
-                    (-1, table.get((i, j), {}), k, images[()]),
-                    (1, table.get((i, k), {}), j, images[()]),
-                    (-1, table.get((j, k), {}), i, images[()])))
+    idx = CochainIndex(n)
+    table = g.integer_table()[0]
+    outputs = range(n) if _outputs is None else sorted(_outputs)
+    keep = set(outputs)
+    # right[x] lists (t, the entries at kept m of L [X_t, X_x])
+    right: list[list[tuple[int, list[tuple[int, int]]]]] = [[] for _ in range(n)]
+    for (t, x), sp in table.items():
+        hits = [(m, v) for m, v in sp.items() if m in keep]
+        if hits:
+            right[x].append((t, hits))
+    rows: dict[int, dict[int, int]] = {}   # (i, j, k, m) as ((i n + j) n + k) n + m
+
+    def put(key: int, col: int, v: int) -> None:
+        row = rows.get(key)
+        if row is None:
+            rows[key] = {col: v}
+        else:
+            row[col] = row.get(col, 0) + v
+
+    for (a, b) in idx.pairs:
+        base, w = idx.pidx[(a, b)] * n, table.get((a, b), {})
+        for x in range(n):
+            if x == a or x == b or not (right[x] or w):
+                continue
+            i, j, k = sorted((a, b, x))
+            key, sign = ((i * n + j) * n + k) * n, 1 if a < x < b else -1
+            for t, hits in right[x]:
+                for m, v in hits:
+                    put(key + m, base + t, sign * v)
+            for s, ws in w.items():
+                if s != x:
+                    col, sg = idx.flat(s, x, 0)
+                    for m in outputs:
+                        put(key + m, col + m, sign * sg * ws)
+    for key in sorted(rows):
+        row = {col: v for col, v in rows[key].items() if v}
+        if row:
+            yield row
 
 
 # ---------------------------------------------------------------------------
@@ -747,7 +807,8 @@ def _z_rows(g: LieAlgebra, kind: ComplexKind) -> Iterator[dict[int, int]]:
     elif kind is ComplexKind.CH:
         yield from t_operator_rows(g)
     else:
-        yield from chevalley2_rows(g)
+        pivots = set(liealg._center_reducer(g).pivot_cols())
+        yield from chevalley2_rows(g, [m for m in range(g.dim) if m not in pivots])
         yield from r2_rows(g)
 
 
@@ -765,9 +826,12 @@ def space_dims(g: LieAlgebra, kind, *, with_representatives: bool = False,
     The Z rows go through `RowReducer.add_rows`, which sets rows with a
     single nonzero entry (most rows in a model basis) aside as unit
     pivots and eliminates the rest once the stream ends.  For `cr` the
-    Chevalley and delta_R rows are one stream, so the delta_R unit rows
-    strip the Chevalley rows before those are inserted.  `progress`
-    gets (Z rows read, rank so far, rows per second) every
+    stream is the Chevalley rows at the centre's coordinates P only,
+    then the delta_R rows: sum_cyc delta_R phi(x,y,z,w) = -[delta^2
+    phi(x,y,z), w] makes delta^2 phi central on ker delta_R, and a
+    central vector that is zero at P is zero (module docstring), so the
+    rows span what every Chevalley row and the delta_R rows span.
+    `progress` gets (Z rows read, rank so far, rows per second) every
     `exactlin._PROGRESS_ROWS` rows; every row read counts, repeats too.
     """
     kind = ComplexKind.coerce(kind)
@@ -778,7 +842,7 @@ def space_dims(g: LieAlgebra, kind, *, with_representatives: bool = False,
 def chevalley_and_cr_dims(g: LieAlgebra) -> tuple[CohomologyReport, CohomologyReport]:
     """The reports of `space_dims(g, "chevalley")` and `space_dims(g, "cr")`
     from one run, with the errors of the second on an input that is not
-    a 3-step Lie algebra.  One Z reducer takes the Chevalley rows, whose
+    a 3-step Lie algebra.  One Z reducer takes every Chevalley row, whose
     rank gives the Chevalley Z^2, and then the delta_R rows; Z^2_cr lies
     in Z^2_chevalley, so one B^2 and one containment pass serve both."""
     chevalley, cr = _dims(g, ComplexKind.CR, (chevalley2_rows, r2_rows))

@@ -234,7 +234,8 @@ class RowReducer:
         a repeat is only counted.  Every other row is held back and
         inserted after the stream ends with those unit columns dropped,
         so no row is reduced against a unit pivot and no unit pivot
-        back-substitutes.
+        back-substitutes; a held row that only touched unit columns is
+        not inserted at all.
         """
         units: set[int] = set()
         held = []
@@ -254,7 +255,9 @@ class RowReducer:
                 continue
             held.append(row)
         for row in held:
-            self._insert({c: v for c, v in row.items() if c not in units})
+            row = {c: v for c, v in row.items() if c not in units}
+            if row:
+                self._insert(row)
 
     def _insert(self, row: Mapping[int, Q]) -> bool:
         work, _ = self._reduce(row)

@@ -36,7 +36,7 @@ _COMBINATIONS = 50
 class LieAlgebra:
     """Finite-dimensional algebra given by rational structure constants."""
 
-    __slots__ = ("dim", "constants", "_table", "_double", "_three_step")
+    __slots__ = ("dim", "constants", "_table", "_double", "_three_step", "_center")
 
     def __init__(self, dim: int,
                  constants: Mapping[tuple[int, int], Mapping[int, object]] | None = None):
@@ -54,6 +54,7 @@ class LieAlgebra:
         self._table: tuple[dict[tuple[int, int], dict[int, int]], int] | None = None
         self._double: dict[tuple[int, int, int], dict[int, int]] | None = None
         self._three_step: tuple[tuple[int, int, int, int], ...] | None = None
+        self._center: RowReducer | None = None
 
     def integer_table(self) -> tuple[dict[tuple[int, int], dict[int, int]], int]:
         """(table, L): L is the lcm of the denominators of the structure
@@ -302,15 +303,19 @@ def _charseq_candidates(n: int, derived: RowReducer):
 
 def _center_reducer(g: LieAlgebra) -> RowReducer:
     """The rows (j, m) -> L c_ij^m of `integer_table` fed to a RowReducer,
-    whose kernel is the centre {x : [x, X_j] = 0 for all j}."""
-    rows: dict[tuple[int, int], dict[int, int]] = {}
-    for (i, j), sp in g.integer_table()[0].items():
-        for m, v in sp.items():
-            rows.setdefault((j, m), {})[i] = v
-    red = RowReducer(g.dim)
-    for row in rows.values():
-        red.add(row)
-    return red
+    whose kernel is the centre {x : [x, X_j] = 0 for all j}.  Built once,
+    kept on the algebra and shared like `integer_table`, so callers only
+    read it and never add a row."""
+    if g._center is None:
+        rows: dict[tuple[int, int], dict[int, int]] = {}
+        for (i, j), sp in g.integer_table()[0].items():
+            for m, v in sp.items():
+                rows.setdefault((j, m), {})[i] = v
+        red = RowReducer(g.dim)
+        for row in rows.values():
+            red.add(row)
+        g._center = red
+    return g._center
 
 
 def center_dim(g: LieAlgebra) -> int:

@@ -227,15 +227,15 @@ def test_cohomology_cr(tmp_path, capsys):
 
 def test_cohomology_progress_lines(tmp_path, capsys, monkeypatch):
     # every _PROGRESS_ROWS Z rows, rows fed, rank and rate go to stderr;
-    # g_k3k2k1(2,1,1) streams 798 Z rows in cr
+    # g_k3k2k1(2,1,1) streams 558 Z rows in cr
     path = tmp_path / "g.json"
     write_algebra(families.g_k3k2k1(2, 1, 1), str(path))
-    monkeypatch.setattr("nilrig.exactlin._PROGRESS_ROWS", 300)
+    monkeypatch.setattr("nilrig.exactlin._PROGRESS_ROWS", 250)
     code, doc, err = run(capsys, "cohomology", str(path), "--complex", "cr")
     assert code == 0 and doc["z2_dim"] == 84
     lines = err.splitlines()
     assert [line.split(",")[0] for line in lines] == [
-        "  rows processed: 300", "  rows processed: 600"]
+        "  rows processed: 250", "  rows processed: 500"]
     for line in lines:
         assert re.fullmatch(r"  rows processed: \d+, rank \d+, \d+ rows/s", line)
 

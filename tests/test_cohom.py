@@ -2,7 +2,7 @@ import re
 from copy import deepcopy
 from fractions import Fraction as Q
 from itertools import combinations, permutations, product
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -44,6 +44,7 @@ from nilrig.exactlin import RationalMatrix, RowReducer
 from nilrig.liealg import (
     DEFAULT_SEED,
     LieAlgebra,
+    _center_reducer,
     abelian,
     basis_change,
     adapted_basis,
@@ -530,8 +531,11 @@ def test_operators_keep_the_scales_of_rational_leaves():
 def test_cached_tables_are_unchanged_by_their_readers(g):
     """Every reader shares the rows of the integer table and of the
     double brackets kept on the algebra (the chain images of the Z rows
-    hold them too); none of them may change those rows."""
+    hold them too), and the centre's reducer kept on it; none of them
+    may change those rows or add a row to that reducer."""
     table, double = deepcopy(g.integer_table()), deepcopy(g.double_brackets())
+    center = _center_reducer(g)
+    center_rows, seen = center.pivots, center.rows_seen
     rng = rng_for(61)
     space_dims(g, "cr", with_representatives=True)
     chevalley_delta1(g, random_endomorphism(g.dim, rng, -1, 1))
@@ -543,6 +547,8 @@ def test_cached_tables_are_unchanged_by_their_readers(g):
     lower_central_series(g)
     basis_change(g, random_invertible(g.dim, rng, -2, 2))
     assert g.integer_table() == table and g.double_brackets() == double
+    assert _center_reducer(g) is center
+    assert (center.pivots, center.rows_seen) == (center_rows, seen)
 
 
 def test_comp1_rejects_slot_out_of_range():
@@ -669,6 +675,110 @@ def test_r2_and_chevalley_rows_match_operators(maker):
         assert c_zero == chevalley_delta2(g, phi).is_zero()
     assert _pivots(r2_rows(g), g.dim) == _pivots(operator_rows(g, [r_delta2]), g.dim)
     assert _pivots(chevalley2_rows(g), g.dim) == _pivots(operator_rows(g, [chevalley_delta2]), g.dim)
+
+
+def _sides_of_the_cyclic_identity(g, phi, bracket):
+    """For one 2-cochain phi, the two sides of
+    sum_cyc delta_R phi(x,y,z,w) = -[delta^2 phi(x,y,z), w]
+    as {(x, y, z, w): nonzero value}, read through `value` at every tuple
+    where either side can be nonzero: a rotation of (x, y, z) in the
+    support of r_delta2(phi), or an ordering of a stored key of
+    chevalley_delta2(phi) with any w."""
+    r, d = r_delta2(g, phi), chevalley_delta2(g, phi)
+    tuples = {(z, x, y, w) for (x, y, z, w) in r.coeffs} | set(r.coeffs)
+    tuples |= {(y, z, x, w) for (x, y, z, w) in r.coeffs}
+    tuples |= {p + (w,) for key in d.coeffs for p in permutations(key) for w in range(g.dim)}
+    left, right = {}, {}
+    for x, y, z, w in tuples:
+        cyc = {}
+        for args in ((x, y, z, w), (y, z, x, w), (z, x, y, w)):
+            for m, c in value(r, args).items():
+                cyc[m] = cyc.get(m, 0) + c
+        br = {}
+        for s, c in value(d, (x, y, z)).items():
+            for m, b in value(bracket, (s, w)).items():
+                br[m] = br.get(m, 0) - c * b
+        left[(x, y, z, w)] = {m: c for m, c in cyc.items() if c}
+        right[(x, y, z, w)] = {m: c for m, c in br.items() if c}
+    return ({t: v for t, v in left.items() if v}, {t: v for t, v in right.items() if v})
+
+
+@pytest.mark.parametrize("g", [
+    pytest.param(families.rigid_3step_7(), id="rigid7"),
+    pytest.param(families.g_p01(2), id="g_p01(2)"),
+    pytest.param(families.heisenberg(2), id="heisenberg(2)"),
+    pytest.param(moved(families.g_k3k2k1(1, 0, 2), 5), id="g_k3k2k1(1,0,2)-dense5"),
+    pytest.param(moved(families.g_k3k2k1(1, 0, 2), 17), id="g_k3k2k1(1,0,2)-dense17"),
+])
+def test_cyclic_sum_of_r_delta2_is_minus_bracket_of_delta2(g):
+    # the identity behind the cr stream of _z_rows, proved on a basis:
+    # both sides are linear in phi, so every basis 2-cochain settles it
+    bracket = bracket_map(g)
+    for phi in basis_cochains(g.dim):
+        left, right = _sides_of_the_cyclic_identity(g, phi, bracket)
+        assert left == right, phi
+
+
+@pytest.mark.parametrize("g", [
+    *(pytest.param(a, id=f"F731[{k}]") for k, a in enumerate(families.classification_F731())),
+    pytest.param(families.g_p01(2), id="g_p01(2)"),
+    pytest.param(families.g_p01(3), id="g_p01(3)"),
+    pytest.param(families.rigid_3step_7(), id="rigid7"),
+    # 2-step algebras are 3-step too
+    pytest.param(families.g_p1(3), id="g_p1(3)"),
+    pytest.param(families.heisenberg(2), id="heisenberg(2)"),
+    pytest.param(DENSE_K3K2K1, id="g_k3k2k1(1,0,2)-dense"),
+    pytest.param(moved(families.g_k3k2k1(1, 0, 2), 11), id="g_k3k2k1(1,0,2)-dense11"),
+    pytest.param(moved(families.g_k3k2k1(1, 0, 2), 29), id="g_k3k2k1(1,0,2)-dense29"),
+])
+def test_cr_z_rows_keep_the_table_of_every_chevalley_row(g):
+    # _z_rows feeds the Chevalley rows at dim z(g) output coordinates
+    # only; the reducer ends in the table of every Chevalley row plus the
+    # delta_R rows (in the given basis, adapted or not)
+    size = CochainIndex(g.dim).size
+    full = RowReducer(size)
+    full.add_rows([*chevalley2_rows(g), *r2_rows(g)])
+    cr = RowReducer(size)
+    cr.add_rows(_z_rows(g, ComplexKind.CR))
+    assert cr.pivots == full.pivots
+    # the stream is some of the Chevalley rows, fewer of them than there
+    # are, then the delta_R rows
+    stream, r2 = list(_z_rows(g, ComplexKind.CR)), list(r2_rows(g))
+    head, chevalley = stream[:len(stream) - len(r2)], list(chevalley2_rows(g))
+    assert stream[len(head):] == r2
+    assert len(head) < len(chevalley) and all(row in chevalley for row in head)
+
+
+def _delta2_rows_by_operator(g, outputs):
+    """The row of each (i < j < k, m), m in `outputs`, in that order: the
+    functional phi |-> L chevalley_delta2(phi)(X_i, X_j, X_k)_m on the flat
+    unknowns, read off the concrete operator at every basis cochain, with
+    L the lcm of the denominators of g.constants; zero rows left out."""
+    n = g.dim
+    scale = lcm(*(x.denominator for vec in g.constants.values() for x in vec.values()))
+    rows = {}
+    for u, phi in enumerate(basis_cochains(n)):
+        for key, vec in chevalley_delta2(g, phi).coeffs.items():
+            for m, x in vec.items():
+                if m in outputs:
+                    rows.setdefault(key + (m,), {})[u] = scale * x
+    return [rows[key] for key in sorted(rows)]
+
+
+@pytest.mark.parametrize("g,count", [
+    pytest.param(families.rigid_2step("h10"), 727, id="h10"),
+    pytest.param(families.g_p01(3), 504, id="g_p01(3)"),
+    pytest.param(DENSE_K3K2K1, 50, id="g_k3k2k1(1,0,2)-dense"),
+])
+def test_chevalley_rows_are_one_row_per_triple_and_output(g, count):
+    # with every output coordinate the stream is one row per (i<j<k, m)
+    # with a nonzero row, in that order, as the per-triple generator gave
+    # it; with fewer outputs it is that stream at those m only
+    rows = list(chevalley2_rows(g))
+    assert len(rows) == count
+    assert rows == _delta2_rows_by_operator(g, range(g.dim))
+    odd = range(1, g.dim, 2)
+    assert list(chevalley2_rows(g, odd)) == _delta2_rows_by_operator(g, odd)
 
 
 @pytest.mark.parametrize("gen,g,block", [
