@@ -673,12 +673,11 @@ def chevalley2_rows(g: LieAlgebra, _outputs: Sequence[int] | None = None
     n = g.dim
     idx = CochainIndex(n)
     table = g.integer_table()[0]
-    outputs = range(n) if _outputs is None else sorted(_outputs)
-    keep = set(outputs)
+    outputs = range(n) if _outputs is None else set(_outputs)
     # right[x] lists (t, the entries at kept m of L [X_t, X_x])
     right: list[list[tuple[int, list[tuple[int, int]]]]] = [[] for _ in range(n)]
     for (t, x), sp in table.items():
-        hits = [(m, v) for m, v in sp.items() if m in keep]
+        hits = [(m, v) for m, v in sp.items() if m in outputs]
         if hits:
             right[x].append((t, hits))
     rows: dict[int, dict[int, int]] = {}   # (i, j, k, m) as ((i n + j) n + k) n + m
