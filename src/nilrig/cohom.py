@@ -63,7 +63,8 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 from . import liealg
 from .exactlin import (Q, QONE, RationalMatrix, RowReducer, _integer_row,
-                       _integer_rows, as_rational, as_sparse_vector, invert)
+                       _integer_rows, as_rational, as_sparse_vector, insertion_order,
+                       invert)
 from .liealg import LieAlgebra, jacobi_defect, three_step_defect, two_step_defect
 
 
@@ -522,7 +523,11 @@ def _zero_pair_block(idx: CochainIndex, chains) -> list[dict[int, int]]:
 
 def _shifted(block: list[dict[int, int]], base: int) -> Iterator[dict[int, int]]:
     for row in block:
-        yield {base + c: v for c, v in row.items()}
+        if len(row) == 1:
+            (c, v), = row.items()
+            yield {base + c: v}
+        else:
+            yield {base + c: v for c, v in row.items()}
 
 
 def _support_split(images, n: int) -> tuple[list, list]:
@@ -554,14 +559,22 @@ def _span_rows(idx: CochainIndex, vectors, outside, table,
     units = {m for row in block if len(row) == 1 for m in row}
     passed: set[int] = set()   # the s of the basis vectors e_s done so far
     for b in _integer_basis(red):
-        s = next(iter(b)) if len(b) == 1 else None
+        if len(b) != 1:
+            for c, chain in enumerate(outside):
+                yield from _term_rows(idx, ((1, b, c, chain),))
+            continue
+        (s, v), = b.items()
         for c, chain in enumerate(outside):
-            if s is not None:
-                skip = units if (s, c) not in table else set()
-                if c in passed:
-                    skip = skip | {m for m, _ in outside[s]}
-                chain = [ident for ident in chain if ident[0] not in skip]
-            yield from _term_rows(idx, ((1, b, c, chain),))
+            if c == s:
+                continue
+            skip = units if (s, c) not in table else set()
+            if c in passed:
+                skip = skip | {m for m, _ in outside[s]}
+            # the row of phi(v X_s, X_c)_m is v times one flat unknown
+            base, sg = idx.flat(s, c, 0)
+            for m, _ in chain:
+                if m not in skip:
+                    yield {base + m: sg * v}
         passed.add(s)
 
 
@@ -820,16 +833,19 @@ def space_dims(g: LieAlgebra, kind, *, with_representatives: bool = False,
     series (`liealg.adapted_basis`), where the structure constants are
     sparse; representatives are returned in the basis of g.  B^2 is
     contained in Z^2 for every legal input; this is re-verified on each
-    call, so h2 = z2 - b2 is the actual quotient dimension.
+    call, on the delta^1 images that raise the rank of B^2 (they span
+    it, see `_dims`), so h2 = z2 - b2 is the actual quotient dimension.
 
     The Z rows go through `RowReducer.add_rows`, which sets rows with a
     single nonzero entry (most rows in a model basis) aside as unit
-    pivots and eliminates the rest once the stream ends.  For `cr` the
-    stream is the Chevalley rows at the centre's coordinates P only,
-    then the delta_R rows: sum_cyc delta_R phi(x,y,z,w) = -[delta^2
-    phi(x,y,z), w] makes delta^2 phi central on ker delta_R, and a
-    central vector that is zero at P is zero (module docstring), so the
-    rows span what every Chevalley row and the delta_R rows span.
+    pivots and eliminates the rest once the stream ends, by decreasing
+    first column so that back-substitution has almost nothing to do.
+    For `cr` the stream is the Chevalley rows at the centre's
+    coordinates P only, then the delta_R rows: sum_cyc delta_R
+    phi(x,y,z,w) = -[delta^2 phi(x,y,z), w] makes delta^2 phi central on
+    ker delta_R, and a central vector that is zero at P is zero (module
+    docstring), so the rows span what every Chevalley row and the
+    delta_R rows span.
     `progress` gets (Z rows read, rank so far, rows per second) every
     `exactlin._PROGRESS_ROWS` rows; every row read counts, repeats too.
     """
@@ -856,7 +872,13 @@ def _dims(g: LieAlgebra, kind: ComplexKind, streams, *, with_representatives: bo
     rows of each stream (a function of h) in turn, one B^2 reducer and one
     containment pass against the final Z reducer.  Z^2 only shrinks as
     streams are added, so that pass certifies a report for the rank
-    after each stream; representatives go with the last."""
+    after each stream; representatives go with the last.
+
+    The nonzero delta^1 images go to the B^2 reducer one `add` at a time
+    in the order of `RowReducer.add_rows`, and only the images whose
+    `add` made a pivot are tested against the Z reducer: each other
+    image is a combination of those before it, so the tested ones span
+    B^2, and `in_kernel` is linear, so B^2 in Z^2 is still proved."""
     f = liealg.adapted_basis(g)
     h = g if f is None else liealg.basis_change(g, f)
     try:
@@ -871,9 +893,8 @@ def _dims(g: LieAlgebra, kind: ComplexKind, streams, *, with_representatives: bo
         red.add_rows(rows(h))
         z2s.append(idx.size - red.rank)
     bred = RowReducer(idx.size)
-    for vec in coboundary_image_vectors(h):
-        bred.add(vec)
-        if not red.in_kernel(vec):
+    for vec in insertion_order(coboundary_image_vectors(h)):
+        if bred.add(vec) and not red.in_kernel(vec):
             raise RuntimeError("coboundary fell outside the cocycle space")
     b2 = bred.rank
     reports = [CohomologyReport(z2, b2, z2 - b2, z2 == b2) for z2 in z2s]

@@ -10,6 +10,10 @@ Matrices are sparse (only nonzero entries stored).  `RowReducer` accepts
 rows one at a time and maintains a fully back-substituted pivot table;
 the tall, very sparse elimination problems produced by the cohomology
 code stream their rows through it instead of materialising dense arrays.
+`RowReducer.add_rows` takes a whole stream: it sets single-entry rows
+aside as unit pivots and inserts the other rows by decreasing first
+column, so each new pivot lies left of the pivots before it, where every
+pivot row is zero, and back-substitution has almost nothing to do.
 Inside, the reducer clears denominators and eliminates on integers; it
 converts back to `Fraction`s only in what it returns.
 """
@@ -117,7 +121,13 @@ _PROGRESS_ROWS = 10000
 
 def _integer_row(row: Mapping[int, Q]) -> tuple[dict[int, int], int]:
     """(ints, scale) with ints == scale * row: the nonzero entries of a
-    rational row cleared of denominators by their lcm."""
+    rational row cleared of denominators by their lcm.  A row of `int`s
+    (every row the cohomology generators make) is copied as it is."""
+    for v in row.values():
+        if type(v) is not int:
+            break
+    else:
+        return {c: v for c, v in row.items() if v}, 1
     scale = 1
     for v in row.values():
         d = v.denominator
@@ -133,6 +143,14 @@ def _integer_rows(rows: Mapping) -> tuple[dict, int]:
     scale = lcm(*(x.denominator for row in rows.values() for x in row.values()))
     return {key: {c: x.numerator * (scale // x.denominator) for c, x in row.items()}
             for key, row in rows.items()}, scale
+
+
+def insertion_order(rows: Iterable[Mapping[int, Q]]) -> list[Mapping[int, Q]]:
+    """The rows that have an entry, by decreasing first column, ties by
+    decreasing last column: the order in which `RowReducer.add_rows`
+    inserts the rows it holds back (see there)."""
+    return sorted((row for row in rows if row), key=lambda row: (min(row), max(row)),
+                  reverse=True)
 
 
 class RowReducer:
@@ -234,13 +252,24 @@ class RowReducer:
         a repeat is only counted.  Every other row is held back and
         inserted after the stream ends with those unit columns dropped,
         so no row is reduced against a unit pivot and no unit pivot
-        back-substitutes; a held row that only touched unit columns is
-        not inserted at all.
+        back-substitutes; a held row that only touched unit columns (or
+        had no entry at all) is not inserted.
+
+        The held rows go in by decreasing first column, ties by
+        decreasing last column.  A pivot row is zero left of its pivot,
+        so a row whose pivot lies left of every pivot made so far meets
+        no row to back-substitute into; in this order that is the case
+        unless the row's first column is a pivot already.  The table is
+        canonical, so the order changes the work and not the result.
         """
         units: set[int] = set()
         held = []
+        tick = self._tick if self.progress is not None else None
         for row in rows:
-            self._tick()
+            if tick is None:
+                self.rows_seen += 1
+            else:
+                tick()
             if len(row) == 1:
                 (c, v), = row.items()
                 if v and c not in units:
@@ -252,12 +281,12 @@ class RowReducer:
                         # and nothing needs back-substituting
                         self._rows[c] = {c: 1}
                         self._by_col[c] = {c}
-                continue
-            held.append(row)
-        for row in held:
-            row = {c: v for c, v in row.items() if c not in units}
-            if row:
-                self._insert(row)
+            elif row:
+                held.append(row)
+        if units:
+            held = [{c: v for c, v in row.items() if c not in units} for row in held]
+        for row in insertion_order(held):
+            self._insert(row)
 
     def _insert(self, row: Mapping[int, Q]) -> bool:
         work, _ = self._reduce(row)

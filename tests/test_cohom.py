@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilrig import families, report
+from nilrig import cohom, families, report
 from nilrig.cohom import (
     Cochain,
     CochainIndex,
@@ -1190,6 +1190,63 @@ def test_z_add_rows_matches_add(maker, kind):
     assert many.kernel_basis_sparse() == one.kernel_basis_sparse()
     assert (many.rank, many.rows_seen) == (one.rank, one.rows_seen)
     assert one.ncols - one.rank == space_dims(g, kind).z2_dim
+
+
+# The inputs of ROADMAP's table "space_dims on arbitrary bases": one
+# rng_for(5) draws a random_invertible(-2, 2) basis change for each, in
+# this order; the four cheapest are checked, the others only drawn.
+_ARBITRARY_DRAWS = [
+    ("g_p01(2)", lambda: families.g_p01(2), "cr"),
+    ("g_p01(3)", lambda: families.g_p01(3), "cr"),
+    ("g_p01(4)", lambda: families.g_p01(4), "cr"),
+    ("g_p1(4)", lambda: families.g_p1(4), "ch"),
+    ("g_p1(6)", lambda: families.g_p1(6), "ch"),
+    ("rigid7", families.rigid_3step_7, "cr"),
+    ("h10", lambda: families.rigid_2step("h10"), "ch"),
+]
+
+
+def _arbitrary_bases(names):
+    rng = rng_for(5)
+    out = {}
+    for name, make, kind in _ARBITRARY_DRAWS:
+        g = make()
+        f = random_invertible(g.dim, rng, -2, 2)
+        if name in names:
+            out[name] = (g, basis_change(g, f), kind)
+    return [out[name] for name in names]
+
+
+def test_arbitrary_bases_match_model_dims_and_stream_order_tables(monkeypatch):
+    # space_dims inserts its Z and B^2 rows in an order of its own; its two
+    # tables must equal those of the same rows fed one `add` at a time in
+    # the order they are made, and its dims those of the model basis
+    made = []
+
+    class Recording(RowReducer):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(cohom, "RowReducer", Recording)
+    for g, moved_g, kind in _arbitrary_bases(("g_p01(2)", "rigid7", "g_p1(4)", "g_p01(3)")):
+        base = space_dims(g, kind)
+        made.clear()
+        r = space_dims(moved_g, kind)
+        assert (r.z2_dim, r.b2_dim, r.h2_dim) == (base.z2_dim, base.b2_dim, base.h2_dim)
+        f = adapted_basis(moved_g)
+        h = moved_g if f is None else basis_change(moved_g, f)
+        size = CochainIndex(h.dim).size
+        z, b2 = [red for red in made if red.ncols == size]
+        z_stream, b2_stream = RowReducer(size), RowReducer(size)
+        for row in _z_rows(h, ComplexKind.coerce(kind)):
+            z_stream.add(row)
+        for vec in coboundary_image_vectors(h):
+            b2_stream.add(vec)
+        assert z.pivots == z_stream.pivots
+        assert b2.pivots == b2_stream.pivots
 
 
 def test_ch_kernel_contained_in_chevalley_kernel():
