@@ -9,25 +9,17 @@ arbitrary bases": the case, its complex and dimension, the seconds of
 of 3 runs, `perf_counter`, one process), and z2/b2/h2, which the two
 bases must share.  Each changed basis is one `random_invertible(dim,
 rng, -2, 2)` matrix; the seven matrices come from one `rng_for(5)`,
-drawn in the order of CASES, so a run reproduces the table's inputs.
+drawn in the table's order (`sampling.arbitrary_basis_inputs`), so a
+run reproduces the table's inputs.
 The basis change itself is not timed.
 """
 
 import json
 from time import perf_counter
 
-from nilrig import families, liealg, sampling
+from nilrig import liealg, sampling
 from nilrig.cohom import space_dims
 
-CASES = [
-    ("g_p01(2)", lambda: families.g_p01(2), "cr"),
-    ("g_p01(3)", lambda: families.g_p01(3), "cr"),
-    ("g_p01(4)", lambda: families.g_p01(4), "cr"),
-    ("g_p1(4)", lambda: families.g_p1(4), "ch"),
-    ("g_p1(6)", lambda: families.g_p1(6), "ch"),
-    ("rigid7", families.rigid_3step_7, "cr"),
-    ("h10", lambda: families.rigid_2step("h10"), "ch"),
-]
 RUNS = 3
 
 
@@ -43,10 +35,8 @@ def best_time(g, kind):
 
 
 def main() -> None:
-    rng = sampling.rng_for(5)
-    for name, make, kind in CASES:
-        g = make()
-        changed = liealg.basis_change(g, sampling.random_invertible(g.dim, rng, -2, 2))
+    for name, kind, g, f in sampling.arbitrary_basis_inputs():
+        changed = liealg.basis_change(g, f)
         model_s, r = best_time(g, kind)
         changed_s, rc = best_time(changed, kind)
         dims = (r.z2_dim, r.b2_dim, r.h2_dim)

@@ -121,13 +121,7 @@ _PROGRESS_ROWS = 10000
 
 def _integer_row(row: Mapping[int, Q]) -> tuple[dict[int, int], int]:
     """(ints, scale) with ints == scale * row: the nonzero entries of a
-    rational row cleared of denominators by their lcm.  A row of `int`s
-    (every row the cohomology generators make) is copied as it is."""
-    for v in row.values():
-        if type(v) is not int:
-            break
-    else:
-        return {c: v for c, v in row.items() if v}, 1
+    rational row cleared of denominators by their lcm."""
     scale = 1
     for v in row.values():
         d = v.denominator
@@ -264,12 +258,8 @@ class RowReducer:
         """
         units: set[int] = set()
         held = []
-        tick = self._tick if self.progress is not None else None
         for row in rows:
-            if tick is None:
-                self.rows_seen += 1
-            else:
-                tick()
+            self._tick()
             if len(row) == 1:
                 (c, v), = row.items()
                 if v and c not in units:
@@ -281,10 +271,9 @@ class RowReducer:
                         # and nothing needs back-substituting
                         self._rows[c] = {c: 1}
                         self._by_col[c] = {c}
-            elif row:
-                held.append(row)
-        if units:
-            held = [{c: v for c, v in row.items() if c not in units} for row in held]
+                continue
+            held.append(row)
+        held = [{c: v for c, v in row.items() if c not in units} for row in held]
         for row in insertion_order(held):
             self._insert(row)
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction as Q
 
+from . import families
 from .cohom import Cochain, MultiMap
 from .exactlin import RationalMatrix, invert
 from .liealg import LieAlgebra, _columns, _lincomb, abelian
@@ -36,6 +37,22 @@ def random_invertible(n: int, rng: random.Random, lo: int = -3, hi: int = 3) -> 
             return m
         except ValueError:
             continue
+
+
+def arbitrary_basis_inputs() -> list[tuple[str, str, LieAlgebra, RationalMatrix]]:
+    """The inputs of ROADMAP's table "space_dims on arbitrary bases":
+    (name, complex, g in its model basis, a random_invertible(dim, rng,
+    -2, 2) basis change), the seven matrices drawn from one rng_for(5)
+    in this order."""
+    rng = rng_for(5)
+    return [(name, kind, g, random_invertible(g.dim, rng, -2, 2))
+            for name, kind, g in (("g_p01(2)", "cr", families.g_p01(2)),
+                                  ("g_p01(3)", "cr", families.g_p01(3)),
+                                  ("g_p01(4)", "cr", families.g_p01(4)),
+                                  ("g_p1(4)", "ch", families.g_p1(4)),
+                                  ("g_p1(6)", "ch", families.g_p1(6)),
+                                  ("rigid7", "cr", families.rigid_3step_7()),
+                                  ("h10", "ch", families.rigid_2step("h10")))]
 
 
 def random_unipotent(n: int, rng: random.Random, extra: int = 3) -> RationalMatrix:

@@ -2,13 +2,14 @@ import re
 from copy import deepcopy
 from fractions import Fraction as Q
 from itertools import combinations, permutations, product
+from functools import partial
 from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilrig import cohom, families, report
+from nilrig import families, report
 from nilrig.cohom import (
     Cochain,
     CochainIndex,
@@ -40,7 +41,7 @@ from nilrig.cohom import (
     _graded_pieces,
     _z_rows,
 )
-from nilrig.exactlin import RationalMatrix, RowReducer
+from nilrig.exactlin import RationalMatrix, RowReducer, insertion_order
 from nilrig.liealg import (
     DEFAULT_SEED,
     LieAlgebra,
@@ -55,6 +56,7 @@ from nilrig.liealg import (
     two_step_defect,
 )
 from nilrig.sampling import (
+    arbitrary_basis_inputs,
     random_commutative_associative,
     random_endomorphism,
     random_invertible,
@@ -98,6 +100,12 @@ def rescaled(g, *diag):
 def moved(g, seed):
     """`g` after a random dense basis change: most constants nonzero."""
     return basis_change(g, random_invertible(g.dim, rng_for(seed), -2, 2))
+
+
+# the four cheapest inputs of ROADMAP's table "space_dims on arbitrary
+# bases": {name: (complex, g in its model basis, basis change)}
+ARBITRARY = {name: (kind, g, f) for name, kind, g, f in arbitrary_basis_inputs()
+             if name in ("g_p01(2)", "rigid7", "g_p1(4)", "g_p01(3)")}
 
 
 def scaled(g):
@@ -1175,6 +1183,9 @@ def test_coboundaries_inside_every_kernel():
     pytest.param(lambda: moved(families.g_k3k2k1(1, 0, 2), 11), "cr",
                  id="g_k3k2k1(1,0,2)-dense11-cr"),
     pytest.param(lambda: DENSE_P12, "ch", id="g_p12(2)-dense-ch"),
+    # four of ROADMAP's arbitrary-basis inputs, before their adapted basis
+    *(pytest.param(partial(basis_change, g, f), kind, id=f"{name}-arbitrary-{kind}")
+      for name, (kind, g, f) in ARBITRARY.items()),
 ])
 def test_z_add_rows_matches_add(maker, kind):
     g = maker()
@@ -1192,61 +1203,24 @@ def test_z_add_rows_matches_add(maker, kind):
     assert one.ncols - one.rank == space_dims(g, kind).z2_dim
 
 
-# The inputs of ROADMAP's table "space_dims on arbitrary bases": one
-# rng_for(5) draws a random_invertible(-2, 2) basis change for each, in
-# this order; the four cheapest are checked, the others only drawn.
-_ARBITRARY_DRAWS = [
-    ("g_p01(2)", lambda: families.g_p01(2), "cr"),
-    ("g_p01(3)", lambda: families.g_p01(3), "cr"),
-    ("g_p01(4)", lambda: families.g_p01(4), "cr"),
-    ("g_p1(4)", lambda: families.g_p1(4), "ch"),
-    ("g_p1(6)", lambda: families.g_p1(6), "ch"),
-    ("rigid7", families.rigid_3step_7, "cr"),
-    ("h10", lambda: families.rigid_2step("h10"), "ch"),
-]
-
-
-def _arbitrary_bases(names):
-    rng = rng_for(5)
-    out = {}
-    for name, make, kind in _ARBITRARY_DRAWS:
-        g = make()
-        f = random_invertible(g.dim, rng, -2, 2)
-        if name in names:
-            out[name] = (g, basis_change(g, f), kind)
-    return [out[name] for name in names]
-
-
-def test_arbitrary_bases_match_model_dims_and_stream_order_tables(monkeypatch):
-    # space_dims inserts its Z and B^2 rows in an order of its own; its two
-    # tables must equal those of the same rows fed one `add` at a time in
-    # the order they are made, and its dims those of the model basis
-    made = []
-
-    class Recording(RowReducer):
-        __slots__ = ()
-
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            made.append(self)
-
-    monkeypatch.setattr(cohom, "RowReducer", Recording)
-    for g, moved_g, kind in _arbitrary_bases(("g_p01(2)", "rigid7", "g_p1(4)", "g_p01(3)")):
-        base = space_dims(g, kind)
-        made.clear()
-        r = space_dims(moved_g, kind)
+def test_arbitrary_bases_keep_model_dims_and_b2_table():
+    # space_dims feeds the delta^1 images to B^2 in insertion_order; the
+    # table must equal that of the images fed in the order they are made,
+    # and the dims must be those of the model basis
+    for kind, g, f in ARBITRARY.values():
+        moved_g = basis_change(g, f)
+        base, r = space_dims(g, kind), space_dims(moved_g, kind)
         assert (r.z2_dim, r.b2_dim, r.h2_dim) == (base.z2_dim, base.b2_dim, base.h2_dim)
-        f = adapted_basis(moved_g)
-        h = moved_g if f is None else basis_change(moved_g, f)
-        size = CochainIndex(h.dim).size
-        z, b2 = [red for red in made if red.ncols == size]
-        z_stream, b2_stream = RowReducer(size), RowReducer(size)
-        for row in _z_rows(h, ComplexKind.coerce(kind)):
-            z_stream.add(row)
-        for vec in coboundary_image_vectors(h):
-            b2_stream.add(vec)
-        assert z.pivots == z_stream.pivots
-        assert b2.pivots == b2_stream.pivots
+        a = adapted_basis(moved_g)
+        h = moved_g if a is None else basis_change(moved_g, a)
+        vecs = coboundary_image_vectors(h)
+        stream, ordered = RowReducer(CochainIndex(h.dim).size), RowReducer(CochainIndex(h.dim).size)
+        for vec in vecs:
+            stream.add(vec)
+        for vec in insertion_order(vecs):
+            ordered.add(vec)
+        assert ordered.pivots == stream.pivots
+        assert ordered.rank == r.b2_dim
 
 
 def test_ch_kernel_contained_in_chevalley_kernel():
