@@ -555,14 +555,23 @@ def _span_rows(idx: CochainIndex, vectors, outside, table,
     units = {m for row in block if len(row) == 1 for m in row}
     passed: set[int] = set()   # the s of the basis vectors e_s done so far
     for b in _integer_basis(red):
-        s = next(iter(b)) if len(b) == 1 else None
+        if len(b) != 1:
+            for c, chain in enumerate(outside):
+                yield from _term_rows(idx, ((1, b, c, chain),))
+            continue
+        (s, v), = b.items()
         for c, chain in enumerate(outside):
-            if s is not None:
-                skip = units if (s, c) not in table else set()
-                if c in passed:
-                    skip = skip | {m for m, _ in outside[s]}
-                chain = [ident for ident in chain if ident[0] not in skip]
-            yield from _term_rows(idx, ((1, b, c, chain),))
+            if c == s:
+                continue
+            skip = units if (s, c) not in table else set()
+            if c in passed:
+                skip = skip | {m for m, _ in outside[s]}
+            # the rows `_term_rows` makes for v e_s on the identity chain,
+            # built directly: phi(v X_s, X_c)_m is v times one flat unknown
+            base, sg = idx.flat(s, c, 0)
+            for m, _ in chain:
+                if m not in skip:
+                    yield {base + m: sg * v}
         passed.add(s)
 
 
