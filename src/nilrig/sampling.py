@@ -40,10 +40,10 @@ def random_invertible(n: int, rng: random.Random, lo: int = -3, hi: int = 3) -> 
 
 
 def arbitrary_basis_inputs() -> list[tuple[str, str, LieAlgebra, RationalMatrix]]:
-    """The inputs of ROADMAP's table "space_dims on arbitrary bases":
-    (name, complex, g in its model basis, a random_invertible(dim, rng,
-    -2, 2) basis change), the seven matrices drawn from one rng_for(5)
-    in this order."""
+    """Seven model algebras, each with one dense basis change: (name,
+    complex, g in its model basis, a random_invertible(dim, rng, -2, 2)
+    matrix), the matrices drawn from one rng_for(5) in this order.
+    `scripts/basis_change_table.py` times `space_dims` on them."""
     rng = rng_for(5)
     return [(name, kind, g, random_invertible(g.dim, rng, -2, 2))
             for name, kind, g in (("g_p01(2)", "cr", families.g_p01(2)),
