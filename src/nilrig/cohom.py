@@ -40,6 +40,13 @@ one algebra from one elimination of every Chevalley row and then the
 delta_R rows, with one B^2 and containment check; a caller that needs
 only dim B^2 takes `coboundary_rank`.
 
+The dimensions do not depend on the basis, so every Z elimination
+(`_dims`) runs on h = basis_change(g, f) for the generator basis f of
+`liealg.adapted_basis`: generators, central ones first, then their
+brackets layer by layer, each chosen bracket one basis vector of h.  A
+dense basis change of a model algebra then has 2-3 nonzero structure
+constants of at most 2 bits, about as few as the model itself.
+
 A cochain's value on a basis tuple is a sparse dict {coordinate:
 Fraction} of its nonzero entries, the layout of `LieAlgebra.constants`.
 The bracket is read only in its cleared form, kept on the algebra:
@@ -826,9 +833,12 @@ def space_dims(g: LieAlgebra, kind, *, with_representatives: bool = False,
     """Exact Z^2/B^2/H^2 dimensions of the requested complex.
 
     The dimensions do not depend on the basis, so they are computed on
-    h = basis_change(g, f) for the basis f adapted to the lower central
-    series (`liealg.adapted_basis`), where the structure constants are
-    sparse; representatives are returned in the basis of g.  B^2 is
+    h = basis_change(g, f) for the generator basis f of
+    `liealg.adapted_basis`, adapted to the lower central series, where
+    each chosen bracket of generators is one basis vector and the
+    structure constants are sparse (module docstring); f is None, and h
+    is g, when g's basis is already adapted.  Representatives are
+    returned in the basis of g.  B^2 is
     contained in Z^2 for every legal input; this is re-verified on each
     call, on the delta^1 images that raise the rank of B^2 (they span
     it, see `_dims`), so h2 = z2 - b2 is the actual quotient dimension.

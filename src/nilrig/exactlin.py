@@ -378,6 +378,29 @@ def invert(m: RationalMatrix) -> RationalMatrix:
     return RationalMatrix(n, n, entries)
 
 
+def kernel_basis(ncols: int, rows: Iterable[Mapping[int, Q]]) -> list[dict[int, Q]]:
+    """Canonical kernel basis of the matrix with these rows."""
+    red = RowReducer(ncols)
+    red.add_rows(rows)
+    return red.kernel_basis_sparse()
+
+
+def extend_basis(ncols: int, base: Iterable[Mapping[int, Q]], candidates, count: int) -> list:
+    """The first `count` of `candidates` that are each independent modulo
+    the span of `base` and of those taken before; fewer when the
+    candidates run out.  Reading stops at the `count`-th, so a lazy
+    `candidates` computes no row after it."""
+    red = RowReducer(ncols)
+    red.add_rows(base)
+    taken = []
+    for v in candidates:
+        if red.add(v):
+            taken.append(v)
+            if len(taken) == count:
+                break
+    return taken
+
+
 def iterated_images(n: int, push) -> list[list[dict[int, Q]]]:
     """Sparse RREF bases, in pivot-column order, of V_1, V_2, ...: V_0 is
     Q^n and V_k is spanned by push(v) for the basis rows v of V_(k-1).

@@ -24,8 +24,10 @@ from .exactlin import (
     _integer_row,
     _integer_rows,
     as_sparse_vector,
+    extend_basis,
     invert,
     iterated_images,
+    kernel_basis,
 )
 
 DEFAULT_SEED = 0xC0FFEE
@@ -301,18 +303,23 @@ def _charseq_candidates(n: int, derived: RowReducer):
             yield vec
 
 
+def _center_rows(g: LieAlgebra) -> list[dict[int, int]]:
+    """The rows (j, m) -> L c_ij^m of `integer_table`, whose common kernel
+    is the centre {x : [x, X_j] = 0 for all j}."""
+    rows: dict[tuple[int, int], dict[int, int]] = {}
+    for (i, j), sp in g.integer_table()[0].items():
+        for m, v in sp.items():
+            rows.setdefault((j, m), {})[i] = v
+    return list(rows.values())
+
+
 def _center_reducer(g: LieAlgebra) -> RowReducer:
-    """The rows (j, m) -> L c_ij^m of `integer_table` fed to a RowReducer,
-    whose kernel is the centre {x : [x, X_j] = 0 for all j}.  Built once,
-    kept on the algebra and shared like `integer_table`, so callers only
-    read it and never add a row."""
+    """The rows of `_center_rows` fed to a RowReducer, whose kernel is the
+    centre.  Built once, kept on the algebra and shared like
+    `integer_table`, so callers only read it and never add a row."""
     if g._center is None:
-        rows: dict[tuple[int, int], dict[int, int]] = {}
-        for (i, j), sp in g.integer_table()[0].items():
-            for m, v in sp.items():
-                rows.setdefault((j, m), {})[i] = v
         red = RowReducer(g.dim)
-        for row in rows.values():
+        for row in _center_rows(g):
             red.add(row)
         g._center = red
     return g._center
@@ -375,29 +382,52 @@ def transport(f: RationalMatrix, finv: RationalMatrix) -> Callable[..., dict]:
 
 
 def adapted_basis(g: LieAlgebra) -> RationalMatrix | None:
-    """A basis f adapted to the lower central series: for every k, the
-    last dim g^k columns of f span g^k.  None when the given basis is
-    already adapted up to order, i.e. every RREF basis row of every g^k
-    is a unit vector.
+    """A basis f of generators and their brackets, adapted to the lower
+    central series: for every k, the last dim g^k columns of f span g^k.
+    None when the given basis is already adapted up to order, i.e. every
+    RREF basis row of every g^k is a unit vector; when every [X_i, X_j]
+    is a multiple of one X_m, every g^k is spanned by basis vectors, and
+    the series is not computed.
 
-    If U ⊂ W, every RREF pivot column of U is one of W, so the basis rows
-    of g^k whose pivot is no pivot of g^(k+1) span a complement of
-    g^(k+1); these rows, from g down, are the columns of f.  When every
-    [X_i, X_j] is a multiple of one X_m, every g^k is spanned by basis
-    vectors, and the series is not computed.  A series that stops at a
-    nonzero ideal gives a shorter flag.
+    The generators, layer 0, are the vectors independent modulo g^1,
+    taken first from the kernel basis of the centre and then from the
+    unit vectors X_j.  Layer k >= 1 is the brackets [y, x] (y in layer
+    k-1, x a generator) independent modulo g^(k+1).  On a Lie algebra
+    g^(k-1) is layer k-1 plus g^k and [g^(k-1), g^1] lies in g^(k+1),
+    so layer k spans g^k modulo g^(k+1); the columns of f are layer 0,
+    layer 1, ...  Every bracket column is the bracket itself, so in the
+    new basis each chosen [y, x] is one basis vector with coefficient 1,
+    and a central generator brackets to 0 with everything: it splits off
+    an abelian direct factor.  The brackets are taken on `integer_table`,
+    layer k as L^k times itself, and scaled back only in f.  When the
+    series stops at a nonzero ideal, that ideal's RREF basis ends the
+    flag.  When a layer falls short, which only a bracket that breaks
+    Jacobi allows, None is returned: validation then names the defect
+    in the given basis.
     """
     if all(len(sp) == 1 for sp in g.constants.values()):
         return None
-    bases = lower_central_series(g).bases
-    if all(len(v) == 1 for basis in bases for v in basis):
+    chain = lower_central_series(g)
+    if all(len(v) == 1 for basis in chain.bases for v in basis):
         return None
-    cols = []
-    for basis, deeper in zip(bases, bases[1:] + ((),)):
-        pivots = {min(v) for v in deeper}
-        cols += [v for v in basis if min(v) not in pivots]
-    return RationalMatrix(g.dim, g.dim, {(r, c): x for c, v in enumerate(cols)
-                                         for r, x in v.items()})
+    n, dims, bases = g.dim, chain.dims, chain.bases
+    table, scale = g.integer_table()
+    center = [_integer_row(v)[0] for v in kernel_basis(n, _center_rows(g))]
+    gens = layer = extend_basis(n, bases[1], center + [{j: 1} for j in range(n)],
+                                n - dims[1])
+    cols: list[dict[int, Q]] = list(gens)
+    for k in range(1, len(dims) - 1):
+        count = dims[k] - dims[k + 1]
+        if not count:  # the series stopped at a nonzero ideal
+            cols += bases[k]
+            break
+        layer = extend_basis(n, bases[k + 1], (
+            _lincomb((c, _bracket_sparse(table, y, j)) for j, c in x.items())
+            for y in layer for x in gens), count)
+        if len(layer) < count:
+            return None
+        cols += [{m: Q(v, scale ** k) for m, v in col.items()} for col in layer]
+    return RationalMatrix(n, n, {(r, c): x for c, v in enumerate(cols) for r, x in v.items()})
 
 
 def _columns(m: RationalMatrix) -> list[dict[int, Q]]:

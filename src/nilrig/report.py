@@ -83,13 +83,13 @@ def _two_step_fixtures() -> list[tuple[str, LieAlgebra]]:
 
 
 def _three_step_fixtures() -> list[tuple[str, LieAlgebra]]:
-    members = families.classification_F731()
+    base = families.g_p01(2)  # the base of `families.classification_F731`
     return [
         ("g_102", families.g_k3k2k1(1, 0, 2)),
-        ("g_201", families.g_p01(2)),
+        ("g_201", base),
         ("rigid7", families.rigid_3step_7()),
-        ("F731[6]", members[6]),
-        ("F731[11]", members[11]),
+        *((f"F731[{i}]", deformed_bracket(base, families.f731_cochain(families.F731_TUPLES[i])))
+          for i in (6, 11)),
     ]
 
 

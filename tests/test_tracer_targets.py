@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from nilrig import cohom, families, report
+from nilrig import cohom, families, liealg, report
+from nilrig.sampling import random_invertible, rng_for
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -36,12 +37,20 @@ def test_tracer_target_resolves(modname, attr):
 
 
 def test_tracer_measures_every_layer():
+    """The g_p01(2) case keeps its given basis; on the dense basis change
+    the basis step runs inside the space_dims span, so a reducer it made
+    through a traced module would be counted as the Z or B^2 reducer and
+    show as a rank mismatch."""
     tracer = _tracer().Tracer()
     g = families.g_p01(2)
+    dense = liealg.basis_change(families.g_k3k2k1(1, 0, 2),
+                                random_invertible(5, rng_for(41), -2, 2))
     tracer.install()
     try:
         tracer.run_case("g_p01(2) cr", lambda: cohom.space_dims(
             g, "cr", with_representatives=True))
+        tracer.run_case("dense cr", lambda: cohom.space_dims(
+            dense, "cr", with_representatives=True))
         tracer.run_case("C08", lambda: report.run_claims(only="C08"))
     finally:
         tracer.uninstall()
@@ -50,5 +59,5 @@ def test_tracer_measures_every_layer():
     metrics = tracer.metrics()
     for name in ("cohom.z_rows", "exactlin.pivots", "cohom.d1_calls",
                  "exactlin.b2_elim_s", "cohom.containment_s",
-                 "liealg.validate_s", "report.c08_s"):
+                 "liealg.validate_s", "liealg.basis_change_s", "report.c08_s"):
         assert metrics[name][0] > 0, name
