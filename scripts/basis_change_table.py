@@ -7,10 +7,13 @@ Prints one JSON line per input of ROADMAP's table "`space_dims` on
 arbitrary bases": the case, its complex and dimension, the seconds of
 `space_dims` in the model basis and in the changed basis (each the
 median of 7 runs, with the min and max, `perf_counter`, one process),
-and z2/b2/h2, which the two bases must share.  `work_constants` is
-(nonzeros, largest numerator bits, largest denominator bits) of the
-structure constants in the basis `space_dims` works in on the changed
-input, after its basis step (`liealg.adapted_basis`).
+and z2/b2/h2, which the two bases must share.  `derivation_changed_s`
+is the median seconds of `derivation_algebra_dim` (the route of `nilrig
+analyze`) on the changed input, whose value must be n^2 - b2.
+`work_constants` is (nonzeros, largest numerator bits, largest
+denominator bits) of the structure constants in the basis `space_dims`
+works in on the changed input, after its basis step
+(`liealg.adapted_basis`).
 Each changed basis is one `random_invertible(dim, rng, -2, 2)` matrix;
 the seven matrices come from one `rng_for(5)`, drawn in the table's
 order (`sampling.arbitrary_basis_inputs`), so a run reproduces the
@@ -22,20 +25,20 @@ import statistics
 from time import perf_counter
 
 from nilrig import liealg, sampling
-from nilrig.cohom import space_dims
+from nilrig.cohom import derivation_algebra_dim, space_dims
 
 RUNS = 7
 
 
-def timings(g, kind):
-    """({median, min, max} seconds of RUNS calls of space_dims, the last report)."""
+def timings(fn):
+    """({median, min, max} seconds of RUNS calls of fn, its last value)."""
     times = []
     for _ in range(RUNS):
         t0 = perf_counter()
-        r = space_dims(g, kind)
+        out = fn()
         times.append(perf_counter() - t0)
     return {"median": round(statistics.median(times), 4), "min": round(min(times), 4),
-            "max": round(max(times), 4)}, r
+            "max": round(max(times), 4)}, out
 
 
 def work_constants(g):
@@ -51,14 +54,19 @@ def work_constants(g):
 def main() -> None:
     for name, kind, g, f in sampling.arbitrary_basis_inputs():
         changed = liealg.basis_change(g, f)
-        model_s, r = timings(g, kind)
-        changed_s, rc = timings(changed, kind)
+        model_s, r = timings(lambda: space_dims(g, kind))
+        changed_s, rc = timings(lambda: space_dims(changed, kind))
+        der_s, der = timings(lambda: derivation_algebra_dim(changed))
         dims = (r.z2_dim, r.b2_dim, r.h2_dim)
         if (rc.z2_dim, rc.b2_dim, rc.h2_dim) != dims:
             raise SystemExit(f"{name}: dims differ between bases: {dims} and "
                              f"{(rc.z2_dim, rc.b2_dim, rc.h2_dim)}")
+        if der != g.dim ** 2 - dims[1]:
+            raise SystemExit(f"{name}: dim Der {der} of the changed basis is not "
+                             f"n^2 - b2 = {g.dim ** 2 - dims[1]}")
         print(json.dumps({"case": name, "complex": kind, "dim": g.dim,
                           "model_s": model_s, "changed_s": changed_s,
+                          "derivation_changed_s": der_s["median"],
                           "work_constants": work_constants(changed),
                           "z2": dims[0], "b2": dims[1], "h2": dims[2]}), flush=True)
 

@@ -795,17 +795,17 @@ def coboundary_image_vectors(g: LieAlgebra) -> list[dict[int, int]]:
 
 
 def coboundary_rank(g: LieAlgebra) -> int:
-    """dim B^2, the rank of the delta^1 images, in the basis of g; the
-    same in every complex, and g is not validated."""
-    red = RowReducer(CochainIndex(g.dim).size)
-    for vec in coboundary_image_vectors(g):
-        red.add(vec)
-    return red.rank
+    """dim B^2, the rank of the delta^1 images; the same in every complex,
+    so it is the b2 of `_dims` for the Chevalley complex with one empty Z
+    stream, after the same basis step.  g is validated as by `space_dims`:
+    a bracket that fails Jacobi raises its ValueError."""
+    return _dims(g, ComplexKind.CHEVALLEY, (lambda h: (),))[0].b2_dim
 
 
 def derivation_algebra_dim(g: LieAlgebra) -> int:
     """Dimension of the derivation algebra, the kernel of delta^1 on the
-    n^2-dimensional space of linear maps."""
+    n^2-dimensional space of linear maps; g is validated as by
+    `coboundary_rank`."""
     return g.dim * g.dim - coboundary_rank(g)
 
 
@@ -873,8 +873,9 @@ def chevalley_and_cr_dims(g: LieAlgebra) -> tuple[CohomologyReport, CohomologyRe
 
 def _dims(g: LieAlgebra, kind: ComplexKind, streams, *, with_representatives: bool = False,
           progress: Callable[[int, int, float], None] | None = None) -> list[CohomologyReport]:
-    """The one body of `space_dims`, `chevalley_and_cr_dims` and
-    `ch_kernel_contained_in_chevalley`, so of every Z elimination: the
+    """The one body of `space_dims`, `chevalley_and_cr_dims`,
+    `ch_kernel_contained_in_chevalley` and `coboundary_rank`, so of every
+    Z elimination and every ranking of delta^1: the
     basis step, the validation of `kind`, one Z reducer that takes the
     rows of each stream (a function of h) in turn, one B^2 reducer and one
     containment pass against the final Z reducer.  Z^2 only shrinks as

@@ -327,16 +327,10 @@ class RowReducer:
         for pc in {pc for c in ivec for pc in by_col.get(c, ())}:
             prow = rows[pc]
             s = 0
-            if len(prow) <= len(ivec):
-                for c, v in prow.items():
-                    x = ivec.get(c)
-                    if x:
-                        s += v * x
-            else:
-                for c, x in ivec.items():
-                    v = prow.get(c)
-                    if v:
-                        s += v * x
+            for c, x in ivec.items():
+                v = prow.get(c)
+                if v:
+                    s += v * x
             if s:
                 return False
         return True
@@ -356,17 +350,20 @@ class RowReducer:
         return basis
 
 
+def reducer_of(ncols: int, rows: Iterable[Mapping[int, Q]]) -> RowReducer:
+    """A RowReducer that took every row of `rows` through `add_rows`."""
+    red = RowReducer(ncols)
+    red.add_rows(rows)
+    return red
+
+
 def invert(m: RationalMatrix) -> RationalMatrix:
     """Inverse of a square matrix; raises ValueError when singular."""
     if m.nrows != m.ncols:
         raise ValueError("only square matrices can be inverted")
     n = m.nrows
-    red = RowReducer(2 * n)
     rows = m.rows_map()
-    for r in range(n):
-        row = dict(rows.get(r, {}))
-        row[n + r] = QONE
-        red.add(row)
+    red = reducer_of(2 * n, ({**rows.get(r, {}), n + r: QONE} for r in range(n)))
     if red.pivot_cols()[:n] != list(range(n)):
         raise ValueError("matrix is singular")
     pivots = red.pivots
@@ -378,20 +375,12 @@ def invert(m: RationalMatrix) -> RationalMatrix:
     return RationalMatrix(n, n, entries)
 
 
-def kernel_basis(ncols: int, rows: Iterable[Mapping[int, Q]]) -> list[dict[int, Q]]:
-    """Canonical kernel basis of the matrix with these rows."""
-    red = RowReducer(ncols)
-    red.add_rows(rows)
-    return red.kernel_basis_sparse()
-
-
 def extend_basis(ncols: int, base: Iterable[Mapping[int, Q]], candidates, count: int) -> list:
     """The first `count` of `candidates` that are each independent modulo
     the span of `base` and of those taken before; fewer when the
     candidates run out.  Reading stops at the `count`-th, so a lazy
     `candidates` computes no row after it."""
-    red = RowReducer(ncols)
-    red.add_rows(base)
+    red = reducer_of(ncols, base)
     taken = []
     for v in candidates:
         if red.add(v):

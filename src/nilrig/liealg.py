@@ -27,7 +27,7 @@ from .exactlin import (
     extend_basis,
     invert,
     iterated_images,
-    kernel_basis,
+    reducer_of,
 )
 
 DEFAULT_SEED = 0xC0FFEE
@@ -273,8 +273,7 @@ def characteristic_sequence(g: LieAlgebra) -> CharSeq:
     bounds = list(chain.dims[1:-1])
     bounds[0] = min(bounds[0], n - center_dim(g) - 1)
     derived = RowReducer(n)
-    for v in chain.bases[1]:
-        derived.add(v)
+    derived.add_rows(chain.bases[1])
     table, _ = g.integer_table()
     best: tuple[int, ...] = ()
     for x in _charseq_candidates(n, derived):
@@ -303,25 +302,19 @@ def _charseq_candidates(n: int, derived: RowReducer):
             yield vec
 
 
-def _center_rows(g: LieAlgebra) -> list[dict[int, int]]:
-    """The rows (j, m) -> L c_ij^m of `integer_table`, whose common kernel
-    is the centre {x : [x, X_j] = 0 for all j}."""
-    rows: dict[tuple[int, int], dict[int, int]] = {}
-    for (i, j), sp in g.integer_table()[0].items():
-        for m, v in sp.items():
-            rows.setdefault((j, m), {})[i] = v
-    return list(rows.values())
-
-
 def _center_reducer(g: LieAlgebra) -> RowReducer:
-    """The rows of `_center_rows` fed to a RowReducer, whose kernel is the
-    centre.  Built once, kept on the algebra and shared like
-    `integer_table`, so callers only read it and never add a row."""
+    """A RowReducer fed the rows (j, m) -> L c_ij^m of `integer_table`,
+    whose kernel is the centre {x : [x, X_j] = 0 for all j}.  Built once,
+    kept on the algebra and shared like `integer_table`, so callers only
+    read it and never add a row.  It is made in `exactlin.reducer_of`:
+    perfbench/tracer.py takes the reducers that `nilrig.liealg` and
+    `nilrig.cohom` make inside `space_dims` for its Z and B^2 reducers."""
     if g._center is None:
-        red = RowReducer(g.dim)
-        for row in _center_rows(g):
-            red.add(row)
-        g._center = red
+        rows: dict[tuple[int, int], dict[int, int]] = {}
+        for (i, j), sp in g.integer_table()[0].items():
+            for m, v in sp.items():
+                rows.setdefault((j, m), {})[i] = v
+        g._center = reducer_of(g.dim, rows.values())
     return g._center
 
 
@@ -412,7 +405,7 @@ def adapted_basis(g: LieAlgebra) -> RationalMatrix | None:
         return None
     n, dims, bases = g.dim, chain.dims, chain.bases
     table, scale = g.integer_table()
-    center = [_integer_row(v)[0] for v in kernel_basis(n, _center_rows(g))]
+    center = [_integer_row(v)[0] for v in _center_reducer(g).kernel_basis_sparse()]
     gens = layer = extend_basis(n, bases[1], center + [{j: 1} for j in range(n)],
                                 n - dims[1])
     cols: list[dict[int, Q]] = list(gens)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from nilrig import families
+from nilrig import families, liealg, sampling
 from nilrig.cli import algebra_doc, main, parse_algebra, write_algebra
 
 
@@ -199,6 +199,35 @@ def test_analyze_non_lie_nilpotent_bracket_exits_1(tmp_path, capsys):
     assert doc["jacobi_ok"] is False and doc["jacobi_violations"]
     assert not {"characteristic_sequence", "center_dim",
                 "derivation_algebra_dim", "nilindex"} & set(doc)
+
+
+def test_analyze_non_nilpotent_lie_algebra_exits_1(tmp_path, capsys):
+    # sl2: a Lie algebra whose lower central series stops at g itself
+    path = tmp_path / "sl2.json"
+    write_doc(path, {"dim": 3, "brackets": [
+        {"i": 1, "j": 2, "v": {"3": "1"}}, {"i": 1, "j": 3, "v": {"2": "-1"}},
+        {"i": 2, "j": 3, "v": {"1": "1"}}]})
+    code, doc, _ = run(capsys, "analyze", str(path))
+    assert code == 1
+    assert doc["jacobi_ok"] is True
+    assert doc["lower_central_series_dims"] == [3, 3]
+    assert doc["nilindex_error"] == "series stabilized at nonzero ideal"
+    assert "derivation_algebra_dim" not in doc
+
+
+@pytest.mark.parametrize("name,g,f", [pytest.param(name, g, f, id=name) for name, _, g, f
+                                      in sampling.arbitrary_basis_inputs()])
+def test_analyze_changed_basis_matches_model(tmp_path, capsys, name, g, f):
+    # every field of analyze is basis-free; dim Der is read off the B^2
+    # step of space_dims, after its basis step, in both files
+    docs = []
+    for tag, a in (("model", g), ("changed", liealg.basis_change(g, f))):
+        path = tmp_path / f"{tag}.json"
+        write_algebra(a, str(path))
+        code, doc, _ = run(capsys, "analyze", str(path))
+        assert code == 0 and doc.pop("file") == str(path)
+        docs.append(doc)
+    assert docs[1] == docs[0]
 
 
 def test_analyze_has_no_sampling_options(tmp_path, capsys):

@@ -308,6 +308,22 @@ def test_progress_reports_rows_rank_and_rate():
     assert all(rate > 0 for _, _, rate in calls)
 
 
+@pytest.mark.parametrize("nrows,ncols,entries,msg", [
+    (-1, 2, {}, "dimensions must be nonnegative"),
+    (2, -1, {}, "dimensions must be nonnegative"),
+    (2, 2, {(2, 0): 1}, re.escape("entry index (2,0) out of range")),
+    (2, 2, {(0, -1): 1}, re.escape("entry index (0,-1) out of range")),
+])
+def test_rational_matrix_rejects_bad_shape_and_index(nrows, ncols, entries, msg):
+    with pytest.raises(ValueError, match=msg):
+        RationalMatrix(nrows, ncols, entries)
+
+
+def test_invert_rejects_non_square():
+    with pytest.raises(ValueError, match="only square matrices can be inverted"):
+        invert(M([[1, 0, 0], [0, 1, 0]]))
+
+
 def test_invert_and_singular():
     m = M([[1, 2], [3, 5]])
     inv = invert(m)

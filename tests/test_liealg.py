@@ -264,6 +264,22 @@ def test_nilindex_error_for_non_nilpotent():
         nilindex(g)
 
 
+@pytest.mark.parametrize("dim,constants,msg", [
+    (-1, None, "dimension must be nonnegative"),
+    (3, {(1, 1): {2: 1}}, re.escape("bracket pair (1,1) must satisfy")),
+    (3, {(2, 0): {1: 1}}, re.escape("bracket pair (2,0) must satisfy")),
+])
+def test_lie_algebra_rejects_bad_dim_and_pairs(dim, constants, msg):
+    with pytest.raises(ValueError, match=msg):
+        LieAlgebra(dim, constants)
+
+
+def test_characteristic_sequence_rejects_non_nilpotent():
+    sl2 = LieAlgebra(3, {(0, 1): {2: Q(1)}, (0, 2): {1: Q(-1)}, (1, 2): {0: Q(1)}})
+    with pytest.raises(ValueError, match="stabilized at nonzero ideal"):
+        characteristic_sequence(sl2)
+
+
 def test_step_defects():
     assert two_step_defect(families.heisenberg(3)) == []
     g = families.g_p01(2)
