@@ -37,8 +37,9 @@ exact; H^2 is reported as dim Z^2 - dim B^2 after verifying the
 containment B^2 in Z^2.  `space_dims` reports one complex.
 `chevalley_and_cr_dims` reports the Chevalley and ``cr`` complexes of
 one algebra from one elimination of every Chevalley row and then the
-delta_R rows, with one B^2 and containment check; a caller that needs
-only dim B^2 takes `coboundary_rank`.
+delta_R rows, with one B^2 and containment check.  `coboundary_rank`,
+for a caller that needs only dim B^2, runs the same body with no Z rows,
+so delta^1 is ranked in one place, after the basis step below.
 
 The dimensions do not depend on the basis, so every Z elimination
 (`_dims`) runs on h = basis_change(g, f) for the generator basis f of
