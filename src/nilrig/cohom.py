@@ -72,7 +72,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 from . import liealg
 from .exactlin import (Q, QONE, RationalMatrix, RowReducer, _integer_row,
                        _integer_rows, as_rational, as_sparse_vector, insertion_order,
-                       invert)
+                       inverse_columns)
 from .liealg import LieAlgebra, jacobi_defect, three_step_defect, two_step_defect
 
 
@@ -887,7 +887,9 @@ def _dims(g: LieAlgebra, kind: ComplexKind, streams, *, with_representatives: bo
     in the order of `RowReducer.add_rows`, and only the images whose
     `add` made a pivot are tested against the Z reducer: each other
     image is a combination of those before it, so the tested ones span
-    B^2, and `in_kernel` is linear, so B^2 in Z^2 is still proved."""
+    B^2, and `in_kernel` is linear, so B^2 in Z^2 is still proved.  With
+    no Z row fed (`coboundary_rank`) Z^2 is every cochain and the test is
+    skipped."""
     f = liealg.adapted_basis(g)
     h = g if f is None else liealg.basis_change(g, f)
     try:
@@ -903,7 +905,7 @@ def _dims(g: LieAlgebra, kind: ComplexKind, streams, *, with_representatives: bo
         z2s.append(idx.size - red.rank)
     bred = RowReducer(idx.size)
     for vec in insertion_order(coboundary_image_vectors(h)):
-        if bred.add(vec) and not red.in_kernel(vec):
+        if bred.add(vec) and red.rank and not red.in_kernel(vec):
             raise RuntimeError("coboundary fell outside the cocycle space")
     b2 = bred.rank
     reports = [CohomologyReport(z2, b2, z2 - b2, z2 == b2) for z2 in z2s]
@@ -917,21 +919,23 @@ def _dims(g: LieAlgebra, kind: ComplexKind, streams, *, with_representatives: bo
 
 def _transport_back(idx: CochainIndex, kernel, f: RationalMatrix) -> tuple[Cochain, ...]:
     """The cochains phi(x, y) = f phi'(f^-1 x, f^-1 y) of g, for the flat
-    vectors of cochains phi' of basis_change(g, f): each vector is read
-    as an integer table (see `LieAlgebra.integer_table`) and moved by one
-    `liealg.transport`, which clears f and f^-1 once for all of them."""
-    n, move = idx.dim, liealg.transport(invert(f), f)
-    reps = []
-    for vec in kernel:
+    vectors of cochains phi' of basis_change(g, f), all moved by one
+    `liealg._transport`: vector r, cleared of denominators by its own
+    factor, holds the value keys r n + m of one integer table."""
+    n = idx.dim
+    table: dict[tuple[int, int], dict[int, int]] = {}
+    scales = []
+    for r, vec in enumerate(kernel):
         ints, scale = _integer_row(vec)
-        table: dict[tuple[int, int], dict[int, int]] = {}
+        scales.append(scale)
         for u, x in ints.items():
             p, m = divmod(u, n)
             i, j = idx.pairs[p]
-            table.setdefault((i, j), {})[m] = x
-            table.setdefault((j, i), {})[m] = -x
-        reps.append(Cochain(2, n, move(table, scale)))
-    return tuple(reps)
+            table.setdefault((i, j), {})[r * n + m] = x
+            table.setdefault((j, i), {})[r * n + m] = -x
+    cols = _integer_rows(dict(enumerate(liealg._columns(f))))
+    moved = liealg._transport(table, scales, inverse_columns(f), cols)
+    return tuple(Cochain(2, n, coeffs) for coeffs in moved)
 
 
 def ch_kernel_contained_in_chevalley(g: LieAlgebra) -> bool:

@@ -357,30 +357,45 @@ def reducer_of(ncols: int, rows: Iterable[Mapping[int, Q]]) -> RowReducer:
     return red
 
 
-def invert(m: RationalMatrix) -> RationalMatrix:
-    """Inverse of a square matrix; raises ValueError when singular."""
+def inverse_columns(m: RationalMatrix) -> tuple[list[dict[int, int]], int]:
+    """(cols, B): cols[c] is B times column c of m^-1, an int dict of its
+    nonzero entries, and B the lcm of the leads of the primitive rows of
+    the reducer of (m | I), off which the columns are read; raises
+    ValueError when m is singular."""
     if m.nrows != m.ncols:
         raise ValueError("only square matrices can be inverted")
     n = m.nrows
     rows = m.rows_map()
-    red = reducer_of(2 * n, ({**rows.get(r, {}), n + r: QONE} for r in range(n)))
+    red = reducer_of(2 * n, ({**rows.get(r, {}), n + r: 1} for r in range(n)))
     if red.pivot_cols()[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    pivots = red.pivots
-    entries = {}
+    scale = lcm(*(red._rows[r][r] for r in range(n)))
+    cols: list[dict[int, int]] = [{} for _ in range(n)]
     for r in range(n):
-        for c, v in pivots[r].items():
+        prow = red._rows[r]
+        a = scale // prow[r]
+        for c, v in prow.items():
             if c >= n:
-                entries[(r, c - n)] = v
-    return RationalMatrix(n, n, entries)
+                cols[c - n][r] = a * v
+    return cols, scale
 
 
-def extend_basis(ncols: int, base: Iterable[Mapping[int, Q]], candidates, count: int) -> list:
+def invert(m: RationalMatrix) -> RationalMatrix:
+    """Inverse of a square matrix; raises ValueError when singular."""
+    cols, scale = inverse_columns(m)
+    return RationalMatrix(m.nrows, m.ncols, {(r, c): Q(v, scale) for c, col in enumerate(cols)
+                                             for r, v in col.items()})
+
+
+def extend_basis(base: RowReducer, candidates, count: int) -> list:
     """The first `count` of `candidates` that are each independent modulo
-    the span of `base` and of those taken before; fewer when the
+    the row space of `base` and of those taken before; fewer when the
     candidates run out.  Reading stops at the `count`-th, so a lazy
-    `candidates` computes no row after it."""
-    red = reducer_of(ncols, base)
+    `candidates` computes no row after it.  The candidates go to a copy
+    of `base`, which is left as it was."""
+    red = RowReducer(base.ncols)
+    red._rows = {c: dict(row) for c, row in base._rows.items()}
+    red._by_col = {c: set(pcs) for c, pcs in base._by_col.items()}
     taken = []
     for v in candidates:
         if red.add(v):

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from math import lcm
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .exactlin import (
     Q,
@@ -25,7 +24,7 @@ from .exactlin import (
     _integer_rows,
     as_sparse_vector,
     extend_basis,
-    invert,
+    inverse_columns,
     iterated_images,
     reducer_of,
 )
@@ -202,20 +201,39 @@ def three_step_defect(g: LieAlgebra) -> list[tuple[int, int, int, int]]:
 # ---------------------------------------------------------------------------
 # central series, nilpotency, characteristic sequence
 
+def _series(g: LieAlgebra) -> list[RowReducer]:
+    """Reducers whose row spaces are g^1, g^2, ... with g^k = [g^(k-1), g].
+
+    g^1 is read off the nonzero constants; each deeper term pushes the
+    previous term's primitive integer rows through every X_k of
+    `integer_table`.  Stops after a zero term or one whose dimension
+    repeats, as `exactlin.iterated_images` does.  The reducers are made
+    in `exactlin.reducer_of` (see `_center_reducer`) and not kept."""
+    n = g.dim
+    table, _ = g.integer_table()
+    terms: list[RowReducer] = []
+    rows = [table[pair] for pair in g.constants]
+    dim = n
+    while dim:
+        red = reducer_of(n, rows)
+        terms.append(red)
+        if red.rank == dim:
+            break
+        dim = red.rank
+        rows = [_bracket_sparse(table, v, k) for v in red._rows.values() for k in range(n)]
+    return terms
+
+
 def lower_central_series(g: LieAlgebra) -> SubspaceChain:
     """Chain g = g^0 ⊇ g^1 ⊇ ... with g^k = [g^(k-1), g].
 
     The recorded dims stop at the first 0, or repeat once when the chain
     stabilizes at a nonzero ideal (non-nilpotent input).  The brackets
-    are taken on integers: the integer rows of each term are pushed
-    through the L-scaled table of `integer_table`, which spans the same
-    image, and only the RREF bases are `Fraction`s.
+    are taken on integers (`_series`), and only the RREF bases are
+    `Fraction`s.
     """
-    n = g.dim
-    table, _ = g.integer_table()
-    bases = [tuple({j: QONE} for j in range(n))]
-    bases += [tuple(image) for image in iterated_images(
-        n, lambda v: (_bracket_sparse(table, v, k) for k in range(n)))]
+    bases = [tuple({j: QONE} for j in range(g.dim))]
+    bases += [tuple(v for _, v in sorted(red.pivots.items())) for red in _series(g)]
     return SubspaceChain(tuple(len(b) for b in bases), tuple(bases))
 
 
@@ -329,49 +347,48 @@ def derived_dim(g: LieAlgebra) -> int:
 
 
 def basis_change(g: LieAlgebra, f: RationalMatrix) -> LieAlgebra:
-    """Transport of structure: (f·μ)(x, y) = f^(-1) μ(f x, f y)."""
+    """Transport of structure: (f·μ)(x, y) = f^(-1) μ(f x, f y).
+
+    The integer columns of f^(-1) are read off the reducer of (f | I)
+    (`exactlin.inverse_columns`), and `_transport` moves the integer
+    table; one `Fraction` is made per nonzero constant."""
     n = g.dim
     if f.nrows != n or f.ncols != n:
         raise ValueError("basis change matrix has wrong shape")
     try:
-        finv = invert(f)
+        finv = inverse_columns(f)
     except ValueError:
         raise ValueError("singular basis change matrix") from None
-    return LieAlgebra(n, transport(f, finv)(*g.integer_table()))
+    table, scale = g.integer_table()
+    cols = _integer_rows(dict(enumerate(_columns(f))))
+    return LieAlgebra(n, _transport(table, (scale,), cols, finv)[0])
 
 
-def transport(f: RationalMatrix, finv: RationalMatrix) -> Callable[..., dict]:
-    """The map from (table, L), L times the table of a skew bilinear map β
-    on all ordered pairs as `LieAlgebra.integer_table` gives it, to the
-    constants, on pairs i < j, of (x, y) |-> finv β(f x, f y).
+def _transport(table, scales: Sequence[int], a, b) -> list[dict[tuple[int, int], dict[int, Q]]]:
+    """The constants, on pairs i < j, of (x, y) |-> B β_r(A x, A y) for
+    each skew bilinear map β_r, r < len(scales), of one table laid out
+    as `LieAlgebra.integer_table`, value key r n + m holding coordinate
+    m of scales[r] β_r.  a = (cols, s) holds s times the columns of A,
+    and b those of B, as int dicts.
 
-    With f X_j = sum_b f_bj X_b, β(f X_i, f X_j) = sum_b f_bj β(f X_i, X_b),
-    and each β(f X_i, X_b) is one sparse bracket of column i of f.  finv
-    is applied through its sparse columns.  The sums run on integers:
-    column i of f is cleared to a_i times itself (`exactlin._integer_row`)
-    and every column of finv to B times itself, B the lcm of their
-    denominators, once when the map is made, so each sum is a_i a_j L B
-    times its value and one `Fraction` is made per nonzero output entry.
-    """
-    n = f.nrows
-    cols = [_integer_row(col) for col in _columns(f)]
-    inv = [_integer_row(col) for col in _columns(finv)]
-    common = lcm(*(b for _, b in inv))
-    inv_cols = [{r: x * (common // b) for r, x in col.items()} for col, b in inv]
-
-    def move(table, scale: int) -> dict[tuple[int, int], dict[int, Q]]:
-        constants = {}
-        for i, (ci, ai) in enumerate(cols):
-            left = [_bracket_sparse(table, ci, b) for b in range(n)]  # a_i L β(f X_i, X_b)
-            for j in range(i + 1, n):
-                cj, aj = cols[j]
-                v = _lincomb((c, left[b]) for b, c in cj.items())
-                w = _lincomb((c, inv_cols[m]) for m, c in v.items())
-                if w:
-                    d = ai * aj * scale * common
-                    constants[(i, j)] = {m: Q(x, d) for m, x in w.items()}
-        return constants
-    return move
+    With A X_j = sum_k A_kj X_k, β(A X_i, A X_j) = sum_k A_kj β(A X_i, X_k),
+    and each β(A X_i, X_k) is one sparse bracket of column i of A, taken
+    for every r at once: n^2 brackets per call, however many maps.  The
+    sums run on integers; one `Fraction` is made per nonzero entry."""
+    (acols, sa), (bcols, sb) = a, b
+    n = len(acols)
+    shifted = [{r * n + m: x for m, x in bcols[c].items()}
+               for r in range(len(scales)) for c in range(n)]
+    dens = [sa * sa * sb * s for s in scales]
+    moved: list[dict[tuple[int, int], dict[int, Q]]] = [{} for _ in scales]
+    for i in range(n):
+        left = [_bracket_sparse(table, acols[i], k) for k in range(n)]  # s_r sa β_r(A X_i, X_k)
+        for j in range(i + 1, n):
+            v = _lincomb((c, left[k]) for k, c in acols[j].items())
+            for u, x in _lincomb((c, shifted[u]) for u, c in v.items()).items():
+                r, m = divmod(u, n)
+                moved[r].setdefault((i, j), {})[m] = Q(x, dens[r])
+    return moved
 
 
 def adapted_basis(g: LieAlgebra) -> RationalMatrix | None:
@@ -400,21 +417,21 @@ def adapted_basis(g: LieAlgebra) -> RationalMatrix | None:
     """
     if all(len(sp) == 1 for sp in g.constants.values()):
         return None
-    chain = lower_central_series(g)
-    if all(len(v) == 1 for basis in chain.bases for v in basis):
+    terms = _series(g)
+    if all(len(v) == 1 for red in terms for v in red._rows.values()):
         return None
-    n, dims, bases = g.dim, chain.dims, chain.bases
+    n = g.dim
+    dims = [n] + [red.rank for red in terms]
     table, scale = g.integer_table()
     center = [_integer_row(v)[0] for v in _center_reducer(g).kernel_basis_sparse()]
-    gens = layer = extend_basis(n, bases[1], center + [{j: 1} for j in range(n)],
-                                n - dims[1])
+    gens = layer = extend_basis(terms[0], center + [{j: 1} for j in range(n)], n - dims[1])
     cols: list[dict[int, Q]] = list(gens)
     for k in range(1, len(dims) - 1):
         count = dims[k] - dims[k + 1]
         if not count:  # the series stopped at a nonzero ideal
-            cols += bases[k]
+            cols += [v for _, v in sorted(terms[k - 1].pivots.items())]
             break
-        layer = extend_basis(n, bases[k + 1], (
+        layer = extend_basis(terms[k], (
             _lincomb((c, _bracket_sparse(table, y, j)) for j, c in x.items())
             for y in layer for x in gens), count)
         if len(layer) < count:

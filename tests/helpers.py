@@ -74,13 +74,19 @@ def bracket_vec_basis(g, v, k: int) -> tuple[Q, ...]:
     return tuple(acc)
 
 
+def dense_inverse(f: RationalMatrix) -> list[list[Q]]:
+    """The dense rows of f^(-1), read off the RREF of [f | I]."""
+    n = f.nrows
+    rows = [row + [Q(int(c == r)) for c in range(n)] for r, row in enumerate(dense_rows(f))]
+    rref = dense_rref(rows)
+    return [[rref[r].get(n + c, Q(0)) for c in range(n)] for r in range(n)]
+
+
 def dense_basis_change(g, f: RationalMatrix):
     """f^(-1) [f X_i, f X_j] with dense columns of f and a dense inverse
     read off the RREF of [f | I]."""
     n = g.dim
-    rows = [row + [Q(int(c == r)) for c in range(n)] for r, row in enumerate(dense_rows(f))]
-    rref = dense_rref(rows)
-    inv = [[rref[r].get(n + c, Q(0)) for c in range(n)] for r in range(n)]
+    inv = dense_inverse(f)
     cols = list(zip(*dense_rows(f)))
     constants = {}
     for i in range(n):
@@ -89,6 +95,15 @@ def dense_basis_change(g, f: RationalMatrix):
             w = tuple(sum((a * b for a, b in zip(row, v)), Q(0)) for row in inv)
             constants[(i, j)] = sparse(w)
     return LieAlgebra(n, constants)
+
+
+def dense_transport_back(phi: Cochain, f: RationalMatrix) -> Cochain:
+    """The 2-cochain (x, y) -> f phi(f^(-1) x, f^(-1) y): phi read as a
+    skew bracket and moved by the dense basis change of f^(-1)."""
+    n = phi.dim
+    finv = RationalMatrix(n, n, {(r, c): x for r, row in enumerate(dense_inverse(f))
+                                 for c, x in enumerate(row) if x})
+    return Cochain(2, n, dense_basis_change(LieAlgebra(n, phi.coeffs), finv).constants)
 
 
 def dense_rref(rows: list[list[Q]]) -> dict[int, dict[int, Q]]:

@@ -78,6 +78,7 @@ from helpers import (
     dense,
     dense_rank,
     dense_rref,
+    dense_transport_back,
     operator_rows,
     random_coeffs,
     sparse,
@@ -1149,6 +1150,33 @@ def test_transported_representatives_are_cocycles_in_given_basis(g, kind):
             assert ch_delta2(g, c).is_zero()
         red.add(idx.to_flat(c))
     assert red.rank == r.z2_dim
+
+
+def _dense_workload_inputs():
+    """The 16 inputs of the `dense` benchmark workload, in pool order."""
+    g, rng = families.g_k3k2k1(1, 0, 2), rng_for(DEFAULT_SEED)
+    return [(f"dense#{k}", basis_change(g, random_invertible(5, rng, -2, 2)), "cr")
+            for k in range(16)]
+
+
+TRANSPORT_INPUTS = _dense_workload_inputs() + [
+    (name, basis_change(g, f), kind) for name, kind, g, f in arbitrary_basis_inputs()
+    if name in ("g_p01(2)", "rigid7")]
+
+
+@pytest.mark.parametrize("g,kind", [(g, kind) for _, g, kind in TRANSPORT_INPUTS],
+                         ids=[name for name, _, _ in TRANSPORT_INPUTS])
+def test_representatives_match_dense_transport_one_at_a_time(g, kind):
+    """All representatives go back to the given basis in one integer
+    transport; in order, they equal the kernel cochains of the generator
+    basis moved back one at a time by `helpers.dense_transport_back`."""
+    f = adapted_basis(g)
+    h = basis_change(g, f)
+    assert adapted_basis(h) is None
+    kernel = space_dims(h, kind, with_representatives=True).representatives
+    got = space_dims(g, kind, with_representatives=True).representatives
+    assert len(got) > 1
+    assert got == tuple(dense_transport_back(phi, f) for phi in kernel)
 
 
 def test_representatives_after_rational_basis_change_are_recorded():

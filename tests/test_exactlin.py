@@ -12,8 +12,10 @@ from nilrig.exactlin import (
     RationalMatrix,
     RowReducer,
     as_rational,
+    extend_basis,
     invert,
     parse_rational,
+    reducer_of,
 )
 
 from nilrig.liealg import DEFAULT_SEED, basis_change
@@ -322,6 +324,23 @@ def test_rational_matrix_rejects_bad_shape_and_index(nrows, ncols, entries, msg)
 def test_invert_rejects_non_square():
     with pytest.raises(ValueError, match="only square matrices can be inverted"):
         invert(M([[1, 0, 0], [0, 1, 0]]))
+
+
+def test_extend_basis_leaves_its_reducer_unchanged():
+    """extend_basis feeds the candidates to a copy: the reducer it is
+    given keeps its rows, and the candidates it takes each raise the
+    dense rank of the base and of those taken before."""
+    base = [{0: Q(1), 2: Q(-1, 2)}, {1: 2, 3: 3}]
+    red = reducer_of(5, base)
+    pivots, rows_seen = red.pivots, red.rows_seen
+    candidates = [{0: 2, 2: -1}, {2: 1}, {0: 1}, {3: Q(1, 3), 1: Q(2, 9)}, {4: 1}, {3: 1}]
+    taken = extend_basis(red, candidates, 2)
+    assert taken == [{2: 1}, {4: 1}]
+    assert red.pivots == pivots and red.rows_seen == rows_seen
+    assert extend_basis(red, candidates, 5) == [{2: 1}, {4: 1}, {3: 1}]
+    assert red.pivots == pivots
+    dense_base = [[row.get(c, 0) for c in range(5)] for row in base]
+    assert dense_rank(dense_base + [[v.get(c, 0) for c in range(5)] for v in taken]) == 4
 
 
 def test_invert_and_singular():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from nilrig import families
 from nilrig.cohom import derivation_algebra_dim
-from nilrig.exactlin import RationalMatrix, RowReducer
+from nilrig.exactlin import RationalMatrix, RowReducer, invert
 from nilrig.liealg import (
     DEFAULT_SEED,
     CharSeq,
@@ -247,6 +247,9 @@ def test_lcs_matches_dense_rref_on_non_nilpotent():
     assert check_lcs_against_dense_rref(g) == (3, 2, 2)
 
 
+SL2 = LieAlgebra(3, {(0, 1): {2: Q(1)}, (0, 2): {1: Q(-1)}, (1, 2): {0: Q(1)}})
+
+
 def test_nilindex_values():
     assert nilindex(families.heisenberg(1)) == 2
     assert nilindex(families.g_k3k2k1(1, 0, 2)) == 3
@@ -275,9 +278,8 @@ def test_lie_algebra_rejects_bad_dim_and_pairs(dim, constants, msg):
 
 
 def test_characteristic_sequence_rejects_non_nilpotent():
-    sl2 = LieAlgebra(3, {(0, 1): {2: Q(1)}, (0, 2): {1: Q(-1)}, (1, 2): {0: Q(1)}})
     with pytest.raises(ValueError, match="stabilized at nonzero ideal"):
-        characteristic_sequence(sl2)
+        characteristic_sequence(SL2)
 
 
 def test_step_defects():
@@ -492,6 +494,15 @@ SKEW_NON_LIE = LieAlgebra(4, {(0, 1): {2: 1}, (0, 2): {1: 1, 3: "1/2"},
                               (1, 3): {0: 2, 3: -1}, (2, 3): {2: 1}})
 
 
+@pytest.mark.parametrize("g,dims", [(abelian(0), (0,)), (SL2, (3, 3)), (SKEW_NON_LIE, (4, 3, 3))],
+                         ids=["abelian(0)", "sl2", "skew"])
+def test_lcs_stop_rule_matches_dense_rref(g, dims):
+    """The series stops at once on the zero algebra, and after one
+    repeated dimension on sl2, its own derived algebra, and on the skew
+    input that breaks Jacobi."""
+    assert check_lcs_against_dense_rref(g) == dims
+
+
 #: a Lie algebra with rational structure constants: g_k3k2k1(1,0,2) with
 #: its basis rescaled by diag(1, 1/2, 1/3, 2, 1)
 RATIONAL_K3K2K1 = dense_basis_change(
@@ -703,6 +714,22 @@ def test_generator_basis_brackets_are_unit_columns(g):
         for c, (y, x) in chosen.items():
             assert h.constants[(min(x, y), max(x, y))] == {c: Q(1 if y < x else -1)}
         assert not any(x in pair for pair in h.constants for x in central)
+
+
+@pytest.mark.parametrize("g", FAMILY_MEMBERS.values(), ids=FAMILY_MEMBERS.keys())
+def test_basis_change_matches_dense_recomputation_on_every_family(g):
+    """The integer inverse and transport of basis_change against f^(-1)
+    mu(f x, f y) on dense Fractions (`helpers.dense_basis_change`: the
+    columns of f bracketed by `helpers.bracket`, the inverse by dense
+    Gauss-Jordan of [f | I]), under integer, unipotent and rational f;
+    and changing back by f^(-1) gives g again."""
+    rng = rng_for(43)
+    n = g.dim
+    for f in (random_invertible(n, rng, -2, 2), random_unipotent(n, rng, extra=n),
+              rational_invertible(n, rng)):
+        moved = basis_change(g, f)
+        assert moved == dense_basis_change(g, f)
+        assert basis_change(moved, invert(f)) == g
 
 
 def test_central_generators_come_first():
