@@ -15,7 +15,6 @@ from .liealg import (
     basis_change,
     center_dim,
     characteristic_sequence,
-    derived_dim,
     jacobi_defect,
     lower_central_series,
     nilindex,

@@ -38,10 +38,11 @@ from .liealg import (
     LieAlgebra,
     center_dim,
     characteristic_sequence,
-    derived_dim,
     jacobi_defect,
     lower_central_series,
     nilindex,
+    _characteristic_sequence,
+    _nilindex,
 )
 
 
@@ -189,16 +190,16 @@ def cmd_analyze(args) -> int:
     chain = lower_central_series(g)
     doc["lower_central_series_dims"] = list(chain.dims)
     try:
-        doc["nilindex"] = nilindex(g)
+        doc["nilindex"] = _nilindex(chain)
     except ValueError as exc:
         doc["nilindex_error"] = str(exc)
         _emit(doc)
         return 1
-    cs = characteristic_sequence(g)
+    cs = _characteristic_sequence(g, chain)
     doc["characteristic_sequence"] = list(cs.parts)
     doc["characteristic_sequence_certified"] = cs.certified
     doc["center_dim"] = center_dim(g)
-    doc["derived_dim"] = derived_dim(g)
+    doc["derived_dim"] = chain.dims[1] if len(chain.dims) > 1 else 0  # the zero algebra's is (0,)
     doc["derivation_algebra_dim"] = derivation_algebra_dim(g)
     _emit(doc)
     return 0

@@ -56,7 +56,10 @@ The bracket is read only in its cleared form, kept on the algebra:
 images are integer rows built from them.  The concrete operators run on
 integers too: each input map is cleared once per call (`_cleared`), mu
 enters as the integer table, and one `Fraction` is made per nonzero
-output entry.
+output entry.  A batch of maps is one cleared map whose member r holds
+X_m at value coordinate r*n + m; the same composition (`_compose`) and
+placement (`_combine`, `_unpack`) evaluate it in one pass, which is how
+`_after_delta1` gives an operator after delta^1 at all n^2 units E_ab.
 """
 
 from __future__ import annotations
@@ -202,18 +205,23 @@ def _cleared(m) -> tuple[dict[tuple[int, ...], dict[int, int]], int]:
     return values, scale
 
 
-def _compose(f, h, slot: int):
+def _compose(f, h, slot: int, dim: int):
     """f o_slot h on cleared maps; its scale is the product of theirs.
     Walks the stored values of h and, for each coordinate X_s of such a
-    value, the stored values of f whose argument `slot` is X_s."""
+    value, the stored values of f whose argument `slot` is X_s.  In a
+    batch, coordinate r*dim + s is X_s of member r: it looks f up at X_s
+    and shifts the values of f by r*dim (at most one of f, h is a batch)."""
     (fvalues, fscale), (hvalues, hscale) = f, h
     by_slot: dict[int, list[tuple[tuple[int, ...], tuple[int, ...], dict[int, int]]]] = {}
     for idx, vec in fvalues.items():
         by_slot.setdefault(idx[slot], []).append((idx[:slot], idx[slot + 1:], vec))
     acc: dict[tuple[int, ...], dict[int, int]] = {}
     for mid, hv in hvalues.items():
-        for s, c in hv.items():
-            for before, after, fv in by_slot.get(s, ()):
+        for u, c in hv.items():
+            shift = u - u % dim
+            for before, after, fv in by_slot.get(u - shift, ()):
+                if shift:
+                    fv = {m + shift: x for m, x in fv.items()}
                 _accumulate(acc, before + mid + after, c, fv)
     return acc, fscale * hscale
 
@@ -232,16 +240,15 @@ def comp1(f, h, slot: int = 0) -> MultiMap:
     if not 0 <= slot < f.arity:
         raise ValueError("slot out of range")
     arity = f.arity + h.arity - 1
-    return _combine(arity, f.dim, False,
-                    [(1, tuple(range(arity)), _compose(_cleared(f), _cleared(h), slot))])
+    return _unpack(arity, f.dim, False, _combine(False, [
+        (1, tuple(range(arity)), _compose(_cleared(f), _cleared(h), slot, f.dim))]))[0]
 
 
-def _combine(arity: int, dim: int, skew: bool, terms) -> Cochain | MultiMap:
+def _combine(skew: bool, terms) -> tuple[dict[tuple[int, ...], dict[int, int]], int]:
     """The sum over (coef, perm, m) in `terms`, m a cleared map, of the
-    maps (x_1..x_k) |-> coef * m(x_perm[0], .., x_perm[k-1]): a Cochain
-    of its values on increasing tuples when `skew`, else a MultiMap.  The
-    terms are brought to the lcm of their scales and summed on integers;
-    each nonzero entry of the sum is divided by that lcm once."""
+    maps (x_1..x_k) |-> coef * m(x_perm[0], .., x_perm[k-1]), as a
+    cleared map: the terms are brought to the lcm of their scales and
+    summed on integers, on increasing tuples only when `skew`."""
     scale = lcm(*(s for _, _, (_, s) in terms))
     acc: dict[tuple[int, ...], dict[int, int]] = {}
     for coef, perm, (values, s) in terms:
@@ -255,8 +262,20 @@ def _combine(arity: int, dim: int, skew: bool, terms) -> Cochain | MultiMap:
         for t, vec in values:
             if not skew or all(map(lt, t, t[1:])):
                 _accumulate(acc, t, coef, vec)
-    return (Cochain if skew else MultiMap)(arity, dim, {
-        t: {m: Q(x, scale) for m, x in row.items() if x} for t, row in acc.items()})
+    return acc, scale
+
+
+def _unpack(arity: int, dim: int, skew: bool, m, size: int = 1) -> list[Cochain | MultiMap]:
+    """The `size` members of the cleared batch m (see `_compose`), Cochains
+    when `skew`, else MultiMaps; each nonzero entry is divided once."""
+    values, scale = m
+    members: list[dict] = [{} for _ in range(size)]
+    for t, row in values.items():
+        for u, x in row.items():
+            if x:
+                r, s = divmod(u, dim)
+                members[r].setdefault(t, {})[s] = Q(x, scale)
+    return [(Cochain if skew else MultiMap)(arity, dim, coeffs) for coeffs in members]
 
 
 # ---------------------------------------------------------------------------
@@ -325,18 +344,17 @@ def _expansion(degrees: tuple[tuple[int, ...], ...], pieces: tuple) -> tuple:
 
 
 def _graded_pieces(dim: int, leaves: Mapping[tuple[int, ...], tuple], pieces,
-                   sign: int = 1) -> list[Cochain | MultiMap]:
-    """sign times the part of multidegree `degree` of identity(nu), for
-    each (identity, degree) in `pieces`, where nu is the sum of the maps
-    in `leaves` {multidegree: cleared map} on a `dim`-dimensional space.
-    Each labelled node is composed once, for all the pieces, and stays
-    cleared until the placement step."""
+                   sign: int = 1) -> list[tuple]:
+    """sign times the part of multidegree `degree` of identity(nu), as a
+    cleared map (`_combine`), for each (identity, degree) in `pieces`; nu
+    is the sum of the maps in `leaves` {multidegree: cleared map} on a
+    `dim`-dimensional space.  Each labelled node is composed once for all
+    the pieces; a leaf held at most once per tree may be a batch."""
     nodes, terms = _expansion(tuple(leaves), tuple(pieces))
     values = list(leaves.values())
     for f, h, slot in nodes:
-        values.append(_compose(values[f], values[h], slot))
-    return [_combine(identity.arity, dim, identity.skew,
-                     [(sign * coef, perm, values[k]) for coef, perm, k in piece])
+        values.append(_compose(values[f], values[h], slot, dim))
+    return [_combine(identity.skew, [(sign * coef, perm, values[k]) for coef, perm, k in piece])
             for (identity, _), piece in zip(pieces, terms)]
 
 
@@ -356,10 +374,15 @@ def chevalley_delta1(g: LieAlgebra, f: Cochain) -> Cochain:
         raise ValueError("expected an arity-1 cochain")
     if f.dim != g.dim:
         raise ValueError("dimension mismatch")
-    mu, f = g.integer_table(), _cleared(f)
-    a = _compose(mu, f, 0)
-    return _combine(2, g.dim, True, [(1, (0, 1), a), (-1, (1, 0), a),
-                                     (-1, (0, 1), _compose(f, mu, 0))])
+    return _unpack(2, g.dim, True, _delta1(g, _cleared(f), True))[0]
+
+
+def _delta1(g: LieAlgebra, f, skew: bool):
+    """delta f, cleared, for f a cleared 1-map or batch; on all pairs unless `skew`."""
+    mu = g.integer_table()
+    a = _compose(mu, f, 0, g.dim)
+    return _combine(skew, [(1, (0, 1), a), (-1, (1, 0), a),
+                           (-1, (0, 1), _compose(f, mu, 0, g.dim))])
 
 
 def _along(g: LieAlgebra, phi: Cochain) -> dict[tuple[int, ...], tuple]:
@@ -377,7 +400,7 @@ def chevalley_delta2(g: LieAlgebra, phi: Cochain) -> Cochain:
     i.e. minus the cyclic sum of (mu o1 phi + phi o1 mu)(x,y,z): minus
     the part of the Jacobiator of mu + t*phi linear in t.
     """
-    return _graded_pieces(g.dim, _along(g, phi), [(_JACOBI, (1,))], -1)[0]
+    return _degree2(g, _along(g, phi), None)[0]
 
 
 def _format_tuple(idx: Sequence[int]) -> str:
@@ -393,10 +416,21 @@ def _require_steps(g: LieAlgebra, p: int) -> None:
         raise ValueError(f"not {p}-step: {comb} != 0")
 
 
-def _comb_delta2(g: LieAlgebra, phi: Cochain, p: int) -> MultiMap:
-    leaves = _along(g, phi)
-    _require_steps(g, p)
-    return _graded_pieces(g.dim, leaves, [(_COMB[p], (1,))])[0]
+def _degree2(g: LieAlgebra, leaves, p: int | None, size: int = 1) -> list[Cochain | MultiMap]:
+    """delta^2 (p None), T (p 2) or delta_R (p 3) of the phi leaf, per batch member."""
+    if p is not None:
+        _require_steps(g, p)
+    identity, sign = (_JACOBI, -1) if p is None else (_COMB[p], 1)
+    summed, = _graded_pieces(g.dim, leaves, [(identity, (1,))], sign)
+    return _unpack(identity.arity, g.dim, identity.skew, summed, size)
+
+
+def _after_delta1(g: LieAlgebra, p: int | None) -> list[Cochain | MultiMap]:
+    """`_degree2` after delta^1 at every E_ab: X_b -> X_a in one pass, as
+    the batch F(X_b) = sum_a X_a in member a*n + b (the composite at E_ab)."""
+    n = g.dim
+    units = {(b,): {(a * n + b) * n + a: 1 for a in range(n)} for b in range(n)}, 1
+    return _degree2(g, {(0,): g.integer_table(), (1,): _delta1(g, units, False)}, p, n * n)
 
 
 def ch_delta2(g: LieAlgebra, phi: Cochain) -> MultiMap:
@@ -406,7 +440,7 @@ def ch_delta2(g: LieAlgebra, phi: Cochain) -> MultiMap:
     The output is skew in (x, y) only; its full vanishing is the degree-2
     cocycle condition of the 2-step deformation complex.
     """
-    return _comb_delta2(g, phi, 2)
+    return _degree2(g, _along(g, phi), 2)[0]
 
 
 def r_delta2(g: LieAlgebra, phi: Cochain) -> MultiMap:
@@ -416,7 +450,7 @@ def r_delta2(g: LieAlgebra, phi: Cochain) -> MultiMap:
     map [[phi(x1,x2),x3],x4] + [phi([x1,x2],x3),x4] + phi([[x1,x2],x3],x4),
     the part of nu o1 (nu o1 nu) at nu = mu + t*phi linear in t.
     """
-    return _comb_delta2(g, phi, 3)
+    return _degree2(g, _along(g, phi), 3)[0]
 
 
 def deformed_bracket(g: LieAlgebra, phi: Cochain, t: Q = QONE) -> LieAlgebra:
@@ -960,8 +994,9 @@ class DeformationCheck:
 
 
 def _zero_condition(name: str, defect) -> tuple[str, bool, tuple[int, ...] | None]:
-    hit = defect.first_nonzero()
-    return (name, hit is None, None if hit is None else hit[0])
+    # defect is cleared: its first argument tuple with a nonzero value
+    hit = min((t for t, row in defect[0].items() if any(row.values())), default=None)
+    return (name, hit is None, hit)
 
 
 #: (name, identity, power of t) of each condition, by number of steps
@@ -1006,7 +1041,8 @@ def jordan_linearized_defect(a: MultiMap) -> MultiMap:
     identically zero iff the commutative multiplication satisfies the
     degree-4 Jordan identity."""
     _require_symmetric(a, "multiplication")
-    return _graded_pieces(a.dim, {(0,): _cleared(a)}, [(_JORDAN, (0,))])[0]
+    summed, = _graded_pieces(a.dim, {(0,): _cleared(a)}, [(_JORDAN, (0,))])
+    return _unpack(_JORDAN.arity, a.dim, False, summed)[0]
 
 
 def jordan_cocycle_defect(a: MultiMap, phi: MultiMap) -> MultiMap:
@@ -1018,5 +1054,5 @@ def jordan_cocycle_defect(a: MultiMap, phi: MultiMap) -> MultiMap:
     """
     _require_symmetric(a, "multiplication")
     _require_symmetric(phi, "cochain")
-    return _graded_pieces(a.dim, {(0,): _cleared(a), (1,): _cleared(phi)},
-                          [(_JORDAN, (1,))])[0]
+    summed, = _graded_pieces(a.dim, {(0,): _cleared(a), (1,): _cleared(phi)}, [(_JORDAN, (1,))])
+    return _unpack(_JORDAN.arity, a.dim, False, summed)[0]

@@ -239,7 +239,11 @@ def lower_central_series(g: LieAlgebra) -> SubspaceChain:
 
 def nilindex(g: LieAlgebra) -> int:
     """Smallest k with g^k = 0; errors when the series stops short of 0."""
-    chain = lower_central_series(g)
+    return _nilindex(lower_central_series(g))
+
+
+def _nilindex(chain: SubspaceChain) -> int:
+    """`nilindex` read off the lower central series `chain`."""
     if chain.dims and chain.dims[-1] == 0:
         return len(chain.dims) - 1
     raise ValueError("series stabilized at nonzero ideal")
@@ -282,11 +286,13 @@ def characteristic_sequence(g: LieAlgebra) -> CharSeq:
     is attainable there), the maximum over all candidates is returned
     with `certified` False.
     """
+    return _characteristic_sequence(g, lower_central_series(g))
+
+
+def _characteristic_sequence(g: LieAlgebra, chain: SubspaceChain) -> CharSeq:
+    """`characteristic_sequence` of g, whose lower central series is `chain`."""
     n = g.dim
-    chain = lower_central_series(g)
-    if chain.dims[-1] != 0:
-        raise ValueError("series stabilized at nonzero ideal")
-    if len(chain.dims) <= 2:  # abelian (or zero): ad x = 0 for every x
+    if _nilindex(chain) <= 1:  # abelian (or zero): ad x = 0 for every x
         return CharSeq((1,) * n, certified=True)
     bounds = list(chain.dims[1:-1])
     bounds[0] = min(bounds[0], n - center_dim(g) - 1)
@@ -339,11 +345,6 @@ def _center_reducer(g: LieAlgebra) -> RowReducer:
 def center_dim(g: LieAlgebra) -> int:
     """Dimension of {x : [x, X_j] = 0 for all j}."""
     return g.dim - _center_reducer(g).rank
-
-
-def derived_dim(g: LieAlgebra) -> int:
-    dims = lower_central_series(g).dims
-    return dims[1] if len(dims) > 1 else 0  # the zero algebra's series is (0,)
 
 
 def basis_change(g: LieAlgebra, f: RationalMatrix) -> LieAlgebra:

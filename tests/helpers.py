@@ -387,3 +387,19 @@ def random_coeffs(template, rng, lo: int = -3, hi: int = 3) -> dict[str, Q]:
 def criterion_rows(doc: dict, criterion: int) -> list[dict]:
     """The rows of a `run_claims` document that belong to `criterion`."""
     return [r for r in doc["claims"] if r["criterion"] == criterion]
+
+
+#: one member of every family of `nilrig.families`
+FAMILY_MEMBERS = {
+    "heisenberg(2)": families.heisenberg(2),
+    "g_p1(3)": families.g_p1(3),
+    "g_p12(2)": families.g_p12(2),
+    "g6": families.rigid_2step("g6"),
+    "g_k3k2k1(1,0,2)": families.g_k3k2k1(1, 0, 2),
+    "g_p01(2)": families.g_p01(2),
+    "rigid7": families.rigid_3step_7(),
+    "deformed_2step": families.deformed_2step("g_p1", families.FamilyParams(
+        "221", p=3, coeffs={name: Q(k + 1) for k, name in enumerate(
+            families.normalized_cocycle_template("221", 3).free)})),
+    "F731[6]": families.classification_F731()[6],
+}

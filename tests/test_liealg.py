@@ -20,7 +20,6 @@ from nilrig.liealg import (
     basis_change,
     center_dim,
     characteristic_sequence,
-    derived_dim,
     jacobi_defect,
     lower_central_series,
     nilindex,
@@ -30,6 +29,7 @@ from nilrig.liealg import (
 from nilrig.sampling import random_invertible, random_unipotent, rng_for
 
 from helpers import (
+    FAMILY_MEMBERS,
     ad_matrix,
     bracket,
     bracket_basis,
@@ -438,7 +438,7 @@ def test_charseq_validation():
 def test_center_and_derived():
     h3 = families.heisenberg(1)
     assert center_dim(h3) == 1
-    assert derived_dim(h3) == 1
+    assert lower_central_series(h3).dims[1] == 1
     assert center_dim(families.g_p1(2)) == 2
 
 
@@ -680,21 +680,6 @@ def test_adapted_basis_spans_lower_central_series(g):
             for v in basis:
                 red.add(v)
             assert all(not red.residual(col) for col in cols[n - dim:])
-
-
-FAMILY_MEMBERS = {
-    "heisenberg(2)": families.heisenberg(2),
-    "g_p1(3)": families.g_p1(3),
-    "g_p12(2)": families.g_p12(2),
-    "g6": families.rigid_2step("g6"),
-    "g_k3k2k1(1,0,2)": families.g_k3k2k1(1, 0, 2),
-    "g_p01(2)": families.g_p01(2),
-    "rigid7": families.rigid_3step_7(),
-    "deformed_2step": families.deformed_2step("g_p1", families.FamilyParams(
-        "221", p=3, coeffs={name: Q(k + 1) for k, name in enumerate(
-            families.normalized_cocycle_template("221", 3).free)})),
-    "F731[6]": families.classification_F731()[6],
-}
 
 
 @pytest.mark.parametrize("g", FAMILY_MEMBERS.values(), ids=FAMILY_MEMBERS.keys())
