@@ -189,7 +189,7 @@ def _accumulate(acc: dict, key: tuple[int, ...], coef, vec: Mapping[int, Q]) -> 
 # multilinear map on ordered basis tuples, as int dicts.  The concrete
 # operators compose and place cleared maps and make `Fraction`s only in
 # their outputs; a composed map may keep entries that cancelled to 0,
-# and the placement step drops them.
+# and the unpacking step (`_unpack`) drops them.
 
 def _cleared(m) -> tuple[dict[tuple[int, ...], dict[int, int]], int]:
     """m as a cleared map, L the lcm of the denominators of its values;
