@@ -74,7 +74,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 from . import liealg
 from .exactlin import (Q, QONE, RationalMatrix, RowReducer, _integer_row,
-                       _integer_rows, as_rational, as_sparse_vector, insertion_order,
+                       _integer_rows, as_int, as_rational, as_sparse_vector, insertion_order,
                        inverse_columns)
 from .liealg import LieAlgebra, jacobi_defect, three_step_defect, two_step_defect
 
@@ -102,8 +102,8 @@ class _Multilinear:
 
     def __init__(self, arity: int, dim: int,
                  coeffs: Mapping[tuple[int, ...], Mapping[int, object]] | None = None):
-        self.arity = arity
-        self.dim = dim
+        self.arity = as_int(arity, "arity")
+        self.dim = as_int(dim, "dimension")
         clean: dict[tuple[int, ...], dict[int, Q]] = {}
         for idx, vec in (coeffs or {}).items():
             idx = tuple(idx)
@@ -147,14 +147,14 @@ class Cochain(_Multilinear):
 
     def __init__(self, arity: int, dim: int,
                  coeffs: Mapping[tuple[int, ...], Sequence] | None = None):
-        if arity < 1:
+        if as_int(arity, "arity") < 1:
             raise ValueError("arity must be positive")
         super().__init__(arity, dim, coeffs)
 
     def _check(self, idx: tuple[int, ...]) -> None:
         if len(idx) != self.arity:
             raise ValueError(f"index tuple {idx} has wrong arity")
-        if any(not 0 <= i < self.dim for i in idx):
+        if not all(type(i) is int and 0 <= i < self.dim for i in idx):
             raise ValueError(f"index tuple {idx} out of range")
         if any(a >= b for a, b in zip(idx, idx[1:])):
             raise ValueError(f"index tuple {idx} must be strictly increasing")
@@ -166,7 +166,7 @@ class MultiMap(_Multilinear):
     __slots__ = ()
 
     def _check(self, idx: tuple[int, ...]) -> None:
-        if len(idx) != self.arity or any(not 0 <= i < self.dim for i in idx):
+        if len(idx) != self.arity or not all(type(i) is int and 0 <= i < self.dim for i in idx):
             raise ValueError(f"bad index tuple {idx}")
 
 
@@ -541,15 +541,10 @@ def _term_rows(idx: CochainIndex, terms) -> Iterator[dict[int, int]]:
             yield row
 
 
-def _integer_basis(red: RowReducer) -> list[dict[int, int]]:
-    """The RREF rows of `red`, each times the lcm of its denominators."""
-    return [_integer_row(row)[0] for row in red.pivots.values()]
-
-
 def _zero_pair_block(idx: CochainIndex, chains) -> list[dict[int, int]]:
     """A basis of the rows R(phi(X_0, X_1)) over the chains R (image
-    lists, see `_chain_images`), on the n columns of pair (0, 1), as
-    integer rows.
+    lists, see `_chain_images`), on the n columns of pair (0, 1): the
+    primitive integer rows that the reducer stores.
 
     For a pair with [X_i, X_j] = 0 the T and delta_R terms reduce to
     R(phi(X_i, X_j)), which depend on (i, j) only through the flat base of
@@ -560,7 +555,7 @@ def _zero_pair_block(idx: CochainIndex, chains) -> list[dict[int, int]]:
     red = RowReducer(idx.dim)
     red.add_rows(row for images in chains
                  for row in _term_rows(idx, ((1, {0: 1}, 1, images),)))
-    return _integer_basis(red)
+    return list(red._rows.values())
 
 
 def _shifted(block: list[dict[int, int]], base: int) -> Iterator[dict[int, int]]:
@@ -596,7 +591,7 @@ def _span_rows(idx: CochainIndex, vectors, outside, table,
     red.add_rows(vectors)
     units = {m for row in block if len(row) == 1 for m in row}
     passed: set[int] = set()   # the s of the basis vectors e_s done so far
-    for b in _integer_basis(red):
+    for b in red._rows.values():
         if len(b) != 1:
             for c, chain in enumerate(outside):
                 yield from _term_rows(idx, ((1, b, c, chain),))
@@ -661,7 +656,7 @@ def _comb_rows(g: LieAlgebra, p: int) -> Iterator[dict[int, int]]:
     block = _zero_pair_block(idx, (images[chain] for chain in product(range(n), repeat=p - 1)))
     inside, outside = _support_split(images, n)
     # a zero A_p past the pair needs p > 2
-    ann = _integer_basis(liealg._center_reducer(g)) if p > 2 else []
+    ann = list(liealg._center_reducer(g)._rows.values()) if p > 2 else []
 
     @lru_cache(maxsize=None)
     def through(chain):

@@ -57,6 +57,13 @@ def as_rational(x) -> Q:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
+def as_int(x, what: str) -> int:
+    """`x`, a size, when it is an int and not a bool, else TypeError naming it."""
+    if type(x) is not int:
+        raise TypeError(f"{what} must be an int, got {x!r}")
+    return x
+
+
 def as_sparse_vector(vec, dim: int) -> dict[int, Q]:
     """The exact value of one vector input {coordinate: rational}: the
     nonzero entries, each through `as_rational`.  A value that is not a
@@ -86,13 +93,13 @@ class RationalMatrix:
 
     def __init__(self, nrows: int, ncols: int,
                  entries: Mapping[tuple[int, int], Q] | None = None):
-        if nrows < 0 or ncols < 0:
+        if as_int(nrows, "row count") < 0 or as_int(ncols, "column count") < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         self.nrows = nrows
         self.ncols = ncols
         clean: dict[tuple[int, int], Q] = {}
         for (r, c), v in (entries or {}).items():
-            if not (0 <= r < nrows and 0 <= c < ncols):
+            if not (type(r) is type(c) is int and 0 <= r < nrows and 0 <= c < ncols):
                 raise ValueError(f"entry index ({r},{c}) out of range")
             v = as_rational(v)
             if v != 0:
@@ -405,27 +412,23 @@ def extend_basis(base: RowReducer, candidates, count: int) -> list:
     return taken
 
 
-def iterated_images(n: int, push) -> list[list[dict[int, Q]]]:
-    """Sparse RREF bases, in pivot-column order, of V_1, V_2, ...: V_0 is
-    Q^n and V_k is spanned by push(v) for the basis rows v of V_(k-1).
-
-    `push` gets each basis row as the reducer's primitive integer
-    multiple of it (unit rows {j: 1} for V_0), so a push that keeps
-    ints stays on ints; only the returned bases are `Fraction`s.  Stops
-    after a zero image, or after one whose dimension repeats the
-    previous one (the chain has stabilized at a nonzero subspace).
-    """
-    images: list[list[dict[int, Q]]] = []
-    rows: list[dict[int, int]] = [{j: 1} for j in range(n)]
-    while rows:
+def iterated_images(n: int, push, rows: Iterable[Mapping[int, Q]]) -> list[RowReducer]:
+    """Reducers whose row spaces are V_1, V_2, ...: V_1 is the span of
+    `rows` and V_(k+1) that of push(v) over the primitive integer rows v
+    that the reducer of V_k stores, so a push that keeps ints makes no
+    `Fraction`.  Stops after a zero term or one whose dimension repeats
+    the previous one (n before V_1).  The reducers are made here, not in
+    the caller: perfbench/tracer.py takes those that `nilrig.liealg` and
+    `nilrig.cohom` make inside `space_dims` for its Z and B^2 reducers."""
+    terms: list[RowReducer] = []
+    dim = n
+    while dim:
         red = RowReducer(n)
         for v in rows:
-            for w in push(v):
-                red.add(w)
-        pivots = red.pivots
-        image = [pivots[c] for c in red.pivot_cols()]
-        images.append(image)
-        if len(image) == len(rows):
+            red.add(v)
+        terms.append(red)
+        if red.rank == dim:
             break
-        rows = [red._rows[c] for c in red.pivot_cols()]
-    return images
+        dim = red.rank
+        rows = [w for v in red._rows.values() for w in push(v)]
+    return terms

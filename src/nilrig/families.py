@@ -21,11 +21,11 @@ def algebra_from_brackets(dim: int,
     """Build an algebra from 1-based bracket data {(i, j): {k: coeff}}."""
     constants: dict[tuple[int, int], dict[int, object]] = {}
     for (i, j), image in brackets.items():
-        if not (1 <= i < j <= dim):
+        if not (type(i) is type(j) is int and 1 <= i < j <= dim):
             raise ValueError(f"bracket pair ({i},{j}) must satisfy 1 <= i < j <= dim")
         for k in image:
-            if not 1 <= k <= dim:
-                raise ValueError(f"image index {k} out of range")
+            if type(k) is not int or not 1 <= k <= dim:
+                raise ValueError(f"image index {k!r} out of range")
         constants[(i - 1, j - 1)] = {k - 1: c for k, c in image.items()}
     return LieAlgebra(dim, constants)
 

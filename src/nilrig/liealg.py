@@ -22,6 +22,7 @@ from .exactlin import (
     RowReducer,
     _integer_row,
     _integer_rows,
+    as_int,
     as_sparse_vector,
     extend_basis,
     inverse_columns,
@@ -37,16 +38,16 @@ _COMBINATIONS = 50
 class LieAlgebra:
     """Finite-dimensional algebra given by rational structure constants."""
 
-    __slots__ = ("dim", "constants", "_table", "_double", "_three_step", "_center")
+    __slots__ = ("dim", "constants", "_table", "_double", "_center")
 
     def __init__(self, dim: int,
                  constants: Mapping[tuple[int, int], Mapping[int, object]] | None = None):
-        if dim < 0:
+        if as_int(dim, "dimension") < 0:
             raise ValueError("dimension must be nonnegative")
         self.dim = dim
         clean: dict[tuple[int, int], dict[int, Q]] = {}
         for (i, j), vec in (constants or {}).items():
-            if not (0 <= i < j < dim):
+            if not (type(i) is type(j) is int and 0 <= i < j < dim):
                 raise ValueError(f"bracket pair ({i},{j}) must satisfy 0 <= i < j < dim")
             v = as_sparse_vector(vec, dim)
             if v:
@@ -54,7 +55,6 @@ class LieAlgebra:
         self.constants = clean
         self._table: tuple[dict[tuple[int, int], dict[int, int]], int] | None = None
         self._double: dict[tuple[int, int, int], dict[int, int]] | None = None
-        self._three_step: tuple[tuple[int, int, int, int], ...] | None = None
         self._center: RowReducer | None = None
 
     def integer_table(self) -> tuple[dict[tuple[int, int], dict[int, int]], int]:
@@ -187,41 +187,25 @@ def three_step_defect(g: LieAlgebra) -> list[tuple[int, int, int, int]]:
     """Basis tuples (i, j, k, l) with [[[X_i, X_j], X_k], X_l] != 0.
 
     Only a double bracket w outside the centre is bracketed with each X_l.
-    Computed once per algebra and kept on it; each call returns a new list.
+    Nothing is kept: each call computes a new list.
     """
-    if g._three_step is None:
-        table, _ = g.integer_table()
-        center = _center_reducer(g)
-        g._three_step = tuple(key + (l,) for key, w in g.double_brackets().items()
-                              if not center.in_kernel(w)
-                              for l in range(g.dim) if _bracket_sparse(table, w, l))
-    return list(g._three_step)
+    table, _ = g.integer_table()
+    center = _center_reducer(g)
+    return [key + (l,) for key, w in g.double_brackets().items() if not center.in_kernel(w)
+            for l in range(g.dim) if _bracket_sparse(table, w, l)]
 
 
 # ---------------------------------------------------------------------------
 # central series, nilpotency, characteristic sequence
 
 def _series(g: LieAlgebra) -> list[RowReducer]:
-    """Reducers whose row spaces are g^1, g^2, ... with g^k = [g^(k-1), g].
-
-    g^1 is read off the nonzero constants; each deeper term pushes the
-    previous term's primitive integer rows through every X_k of
-    `integer_table`.  Stops after a zero term or one whose dimension
-    repeats, as `exactlin.iterated_images` does.  The reducers are made
-    in `exactlin.reducer_of` (see `_center_reducer`) and not kept."""
+    """Reducers whose row spaces are g^1, g^2, ... with g^k = [g^(k-1), g]:
+    one `exactlin.iterated_images` chain on `integer_table`, started at
+    the nonzero constants and pushed through every X_k.  Not kept."""
     n = g.dim
     table, _ = g.integer_table()
-    terms: list[RowReducer] = []
-    rows = [table[pair] for pair in g.constants]
-    dim = n
-    while dim:
-        red = reducer_of(n, rows)
-        terms.append(red)
-        if red.rank == dim:
-            break
-        dim = red.rank
-        rows = [_bracket_sparse(table, v, k) for v in red._rows.values() for k in range(n)]
-    return terms
+    return iterated_images(n, lambda v: [_bracket_sparse(table, v, k) for k in range(n)],
+                           [table[pair] for pair in g.constants])
 
 
 def lower_central_series(g: LieAlgebra) -> SubspaceChain:
@@ -255,11 +239,11 @@ def _ad_ranks(table, x: Mapping[int, Q], n: int) -> list[int]:
     nilpotent.
 
     The image of (ad x)^k is ad x applied to the image of (ad x)^(k-1),
-    so each power pushes only the previous basis rows through ad x.
+    so each power pushes only the previous term's rows through ad x.
     """
     cols = [_bracket_sparse(table, x, j) for j in range(n)]  # [x, X_j]
-    return [len(image) for image in iterated_images(
-        n, lambda v: (_lincomb((c, cols[j]) for j, c in v.items()),))]
+    return [red.rank for red in iterated_images(
+        n, lambda v: (_lincomb((c, cols[j]) for j, c in v.items()),), cols)]
 
 
 def _jordan_type(ranks: Sequence[int], n: int) -> tuple[int, ...]:
@@ -330,9 +314,8 @@ def _center_reducer(g: LieAlgebra) -> RowReducer:
     """A RowReducer fed the rows (j, m) -> L c_ij^m of `integer_table`,
     whose kernel is the centre {x : [x, X_j] = 0 for all j}.  Built once,
     kept on the algebra and shared like `integer_table`, so callers only
-    read it and never add a row.  It is made in `exactlin.reducer_of`:
-    perfbench/tracer.py takes the reducers that `nilrig.liealg` and
-    `nilrig.cohom` make inside `space_dims` for its Z and B^2 reducers."""
+    read it and never add a row.  It is made in `exactlin.reducer_of`,
+    for the reason `exactlin.iterated_images` gives."""
     if g._center is None:
         rows: dict[tuple[int, int], dict[int, int]] = {}
         for (i, j), sp in g.integer_table()[0].items():

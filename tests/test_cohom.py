@@ -161,19 +161,28 @@ HALF5 = LieAlgebra(5, {(0, 2): {3: Q(1)}, (1, 2): {3: Q(1, 2)}, (2, 3): {4: Q(-1
 # --- strict values -------------------------------------------------------------
 
 @pytest.mark.parametrize("cls", [Cochain, MultiMap])
-@pytest.mark.parametrize("value,error,text", [
-    pytest.param({0: 0.1}, TypeError, "0.1", id="0.1"),
-    pytest.param({0: True}, TypeError, "True", id="True"),
+@pytest.mark.parametrize("args,error,text", [
+    pytest.param((2, 3, {(0, 1): {0: 0.1}}), TypeError, "0.1", id="0.1"),
+    pytest.param((2, 3, {(0, 1): {0: True}}), TypeError, "True", id="True"),
     # a value is {coordinate: rational}: no dense tuple or list, and no
     # fourth coordinate in a 3-dim space
-    pytest.param((1, 2, 3, 4), TypeError, "mapping", id="tuple"),
-    pytest.param([0, 0, 1], TypeError, "mapping", id="list"),
-    pytest.param({3: 4}, ValueError, "coordinate 3", id="coordinate-3"),
-    pytest.param({-1: 1}, ValueError, "coordinate -1", id="coordinate-minus-1"),
+    pytest.param((2, 3, {(0, 1): (1, 2, 3, 4)}), TypeError, "mapping", id="tuple"),
+    pytest.param((2, 3, {(0, 1): [0, 0, 1]}), TypeError, "mapping", id="list"),
+    pytest.param((2, 3, {(0, 1): {3: 4}}), ValueError, "coordinate 3", id="coordinate-3"),
+    pytest.param((2, 3, {(0, 1): {-1: 1}}), ValueError, "coordinate -1",
+                 id="coordinate-minus-1"),
+    # arity and dimension are ints and no bools (TypeError), and so is each
+    # entry of an index tuple (ValueError, as for a coordinate)
+    pytest.param((2, 3.0, {}), TypeError, "3.0", id="dim-3.0"),
+    pytest.param((2.0, 3, {}), TypeError, "2.0", id="arity-2.0"),
+    pytest.param((True, 3, {}), TypeError, "True", id="arity-True"),
+    pytest.param((2, 3, {(0, 1.0): {0: 1}}), ValueError, "(0, 1.0)", id="index-1.0"),
+    pytest.param((2, 3, {(False, True): {0: 1}}), ValueError, "(False, True)",
+                 id="index-False-True"),
 ])
-def test_multilinear_rejects_float_and_bool(cls, value, error, text):
+def test_multilinear_rejects_float_and_bool(cls, args, error, text):
     with pytest.raises(error, match=re.escape(text)):
-        cls(2, 3, {(0, 1): value})
+        cls(*args)
 
 
 @pytest.mark.parametrize("cls", [Cochain, MultiMap])

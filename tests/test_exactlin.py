@@ -1,5 +1,6 @@
 import re
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +12,7 @@ from nilrig.exactlin import (
     _PROGRESS_ROWS,
     RationalMatrix,
     RowReducer,
+    _integer_row,
     as_rational,
     extend_basis,
     invert,
@@ -61,12 +63,16 @@ def test_as_rational_rejects_inexact_values(bad):
         as_rational(bad)
 
 
-@pytest.mark.parametrize("bad", [0.1, True])
+@pytest.mark.parametrize("bad", [0.1, True, 2.0, False])
 def test_rational_matrix_rejects_float_and_bool(bad):
     with pytest.raises(TypeError, match=re.escape(repr(bad))):
         RationalMatrix(2, 2, {(0, 1): bad})
     with pytest.raises(TypeError, match=re.escape(repr(bad))):
         M([[1, bad], [0, 1]])
+    # nor as a shape
+    for shape in ((bad, 2), (2, bad)):
+        with pytest.raises(TypeError, match=re.escape(repr(bad))):
+            RationalMatrix(*shape, {})
 
 
 def test_rational_matrix_stores_fractions():
@@ -170,12 +176,24 @@ def test_row_reducer_membership():
     assert red.residual({0: Q(1), 2: Q(1)})
 
 
+def check_stored_rows(red):
+    """The library reads a reducer's stored rows as its integer basis:
+    each is the primitive integer multiple of its RREF row, with a
+    positive lead and content 1."""
+    pivots = red.pivots
+    for c, row in red._rows.items():
+        assert row == _integer_row(pivots[c])[0]
+        assert all(type(v) is int for v in row.values())
+        assert row[c] > 0 and gcd(*row.values()) == 1
+
+
 def check_rref_and_residual(rows, probe):
     red = RowReducer(len(rows[0]))
     for k, r in enumerate(rows):
         row = {c: Q(x) for c, x in enumerate(r)}
         red.add(row)
         assert not red.residual(row)
+        check_stored_rows(red)
         pivots = red.pivots
         for p, prow in pivots.items():
             assert min(prow) == p and prow[p] == 1
@@ -283,6 +301,8 @@ def test_add_rows_matches_add(case):
     assert many.pivots == one.pivots
     assert many.kernel_basis_sparse() == one.kernel_basis_sparse()
     assert (many.rank, many.rows_seen) == (one.rank, one.rows_seen)
+    check_stored_rows(one)
+    check_stored_rows(many)
 
 
 # add_rows inserts its held rows in an order of its own; the table is
@@ -315,6 +335,9 @@ def test_progress_reports_rows_rank_and_rate():
     (2, -1, {}, "dimensions must be nonnegative"),
     (2, 2, {(2, 0): 1}, re.escape("entry index (2,0) out of range")),
     (2, 2, {(0, -1): 1}, re.escape("entry index (0,-1) out of range")),
+    # an index entry is an int and no bool, as a vector coordinate is
+    (2, 2, {(0, 1.0): 1}, re.escape("entry index (0,1.0) out of range")),
+    (2, 2, {(True, 0): 1}, re.escape("entry index (True,0) out of range")),
 ])
 def test_rational_matrix_rejects_bad_shape_and_index(nrows, ncols, entries, msg):
     with pytest.raises(ValueError, match=msg):

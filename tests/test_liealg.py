@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 
 from nilrig import families
 from nilrig.cohom import derivation_algebra_dim
-from nilrig.exactlin import RationalMatrix, RowReducer, invert
+from nilrig.exactlin import RationalMatrix, RowReducer, invert, iterated_images
 from nilrig.liealg import (
     DEFAULT_SEED,
     CharSeq,
     LieAlgebra,
     _ad_ranks,
     _bracket_sparse,
+    _series,
     abelian,
     adapted_basis,
     basis_change,
@@ -152,9 +153,9 @@ def test_three_step_defect_with_central_and_noncentral_double_brackets():
         (0, 1, 0, 0)]
 
 
-def test_three_step_defect_is_kept_and_returned_as_a_new_list():
-    """The defect is computed once per algebra; a caller that changes the
-    list it got does not change what the next call returns."""
+def test_three_step_defect_returns_a_new_list():
+    """A caller that changes the list it got does not change what the
+    next call returns."""
     g = LieAlgebra(5, dict(FILIFORM5.constants))
     first = three_step_defect(g)
     first.append((9, 9, 9, 9))
@@ -174,18 +175,31 @@ def test_jacobi_violation_detected():
     assert any(x != 0 for x in jacobiator(g, 0, 1, 2))
 
 
-@pytest.mark.parametrize("value,error,text", [
-    pytest.param({2: 0.1}, TypeError, "0.1", id="0.1"),
-    pytest.param({2: True}, TypeError, "True", id="True"),
+@pytest.mark.parametrize("make,error,text", [
+    pytest.param(lambda: LieAlgebra(3, {(0, 1): {2: 0.1}}), TypeError, "0.1", id="0.1"),
+    pytest.param(lambda: LieAlgebra(3, {(0, 1): {2: True}}), TypeError, "True", id="True"),
     # a bracket value is {coordinate: rational}: no dense tuple or list
-    pytest.param((0, 0, 1), TypeError, "mapping", id="tuple"),
-    pytest.param([0, 0, 1], TypeError, "mapping", id="list"),
-    pytest.param({3: 1}, ValueError, "coordinate 3", id="coordinate-3"),
-    pytest.param({-1: 1}, ValueError, "coordinate -1", id="coordinate-minus-1"),
+    pytest.param(lambda: LieAlgebra(3, {(0, 1): (0, 0, 1)}), TypeError, "mapping", id="tuple"),
+    pytest.param(lambda: LieAlgebra(3, {(0, 1): [0, 0, 1]}), TypeError, "mapping", id="list"),
+    pytest.param(lambda: LieAlgebra(3, {(0, 1): {3: 1}}), ValueError, "coordinate 3",
+                 id="coordinate-3"),
+    pytest.param(lambda: LieAlgebra(3, {(0, 1): {-1: 1}}), ValueError, "coordinate -1",
+                 id="coordinate-minus-1"),
+    # the dimension is an int and no bool (TypeError), and so is each
+    # entry of a bracket pair (ValueError, as for a coordinate)
+    pytest.param(lambda: LieAlgebra(3.0, {(0, 1): {2: 1}}), TypeError, "3.0", id="dim-3.0"),
+    pytest.param(lambda: LieAlgebra(True, {}), TypeError, "True", id="dim-True"),
+    pytest.param(lambda: LieAlgebra(3, {(0, 1.0): {2: 1}}), ValueError, "(0,1.0)",
+                 id="pair-1.0"),
+    pytest.param(lambda: LieAlgebra(3, {(False, True): {2: 1}}), ValueError, "(False,True)",
+                 id="pair-False-True"),
+    # 1-based bracket data: True - 1 would be the int 0
+    pytest.param(lambda: families.algebra_from_brackets(3, {(True, 2): {3: 1}}), ValueError,
+                 "(True,2)", id="brackets-pair-True"),
 ])
-def test_lie_algebra_rejects_float_and_bool(value, error, text):
+def test_lie_algebra_rejects_float_and_bool(make, error, text):
     with pytest.raises(error, match=re.escape(text)):
-        LieAlgebra(3, {(0, 1): value})
+        make()
 
 
 def test_lie_algebra_stores_fractions():
@@ -396,6 +410,47 @@ def test_charseq_uncertified_on_free_3step():
     cs = characteristic_sequence(FREE_3STEP_2GEN)
     assert cs.parts == (3, 1, 1) and not cs.certified
     assert lower_central_series(FREE_3STEP_2GEN).dims[2] == 2
+
+
+#: [X1, X2] = X2 plus a 3-dim Heisenberg summand: g^1 = <X2, X5> and
+#: g^2 = g^3 = <X2>, so the series stops on a repeated dimension
+STABLE_PLUS_H3 = LieAlgebra(5, {(0, 1): {1: 1}, (2, 3): {4: 1}})
+
+
+@pytest.mark.parametrize("g,dims", [
+    (families.heisenberg(2), (1, 0)),
+    (families.g_p01(3), (6, 3, 0)),
+    (FREE_3STEP_2GEN, (3, 2, 0)),
+    (STABLE_PLUS_H3, (2, 1, 1)),
+    (abelian(0), ()),
+], ids=["heisenberg(2)", "g_p01(3)", "free3", "stable+h3", "abelian(0)"])
+def test_iterated_images_gives_the_series_as_reducers(g, dims):
+    """`_series` is one `iterated_images` chain: a list of reducers whose
+    ranks are the dims of g^1, g^2, ..., up to a zero or repeated one."""
+    terms = _series(g)
+    assert all(type(red) is RowReducer for red in terms)
+    assert tuple(red.rank for red in terms) == dims
+    assert lower_central_series(g).dims == (g.dim,) + dims
+
+
+def test_iterated_images_pushes_integer_rows():
+    """V_1 is spanned by the rows given, and push gets the primitive
+    integer rows of each term, also when the rows given are Fractions."""
+    seen = []
+
+    def shift(v):  # X_j -> 2 X_(j+1) on Q^4
+        seen.append(v)
+        return [{j + 1: 2 * x for j, x in v.items() if j < 3}]
+
+    terms = iterated_images(4, shift, [{1: Q(1, 2)}, {2: Q(-2, 3), 3: Q(1, 3)}, {3: Q(5)}])
+    assert [red.rank for red in terms] == [3, 2, 1, 0]
+    assert sorted(tuple(v.items()) for v in seen) == [
+        ((1, 1),), ((2, 1),), ((2, 1),), ((3, 1),), ((3, 1),), ((3, 1),)]
+
+
+def test_ad_ranks_of_a_central_element():
+    g = families.heisenberg(1)
+    assert _ad_ranks(g.integer_table()[0], {2: 1}, 3) == [0]
 
 
 def test_charseq_certified_by_combination_on_h3_plus_h3():
