@@ -74,16 +74,12 @@ def _load_doc(path: str) -> dict:
         raise CliError(f"{path}: {exc}") from None
 
 
-def _is_int(x) -> bool:
-    # JSON true/false load as bool, which Python counts as an int
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _parse_entries(path: str, doc: dict) -> tuple[int, dict[tuple[int, int], dict[int, Q]]]:
     if not isinstance(doc, dict) or "dim" not in doc:
         raise CliError(f"{path}: document must be an object with a 'dim' field")
     dim = doc["dim"]
-    if not _is_int(dim) or dim < 0:
+    # JSON true/false load as bool, which Python counts as an int
+    if type(dim) is not int or dim < 0:
         raise CliError(f"{path}: 'dim' must be a nonnegative integer")
     brackets = doc.get("brackets", [])
     if not isinstance(brackets, list):
@@ -91,7 +87,7 @@ def _parse_entries(path: str, doc: dict) -> tuple[int, dict[tuple[int, int], dic
     entries: dict[tuple[int, int], dict[int, Q]] = {}
     for pos, row in enumerate(brackets):
         where = f"{path}: brackets[{pos}]"
-        if not (isinstance(row, dict) and _is_int(row.get("i")) and _is_int(row.get("j"))):
+        if not (isinstance(row, dict) and type(row.get("i")) is type(row.get("j")) is int):
             raise CliError(f"{where}: need integer fields 'i' and 'j'")
         i, j = row["i"], row["j"]
         if not (1 <= i <= dim and 1 <= j <= dim):

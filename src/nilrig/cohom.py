@@ -74,7 +74,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 from . import liealg
 from .exactlin import (Q, QONE, RationalMatrix, RowReducer, _integer_row,
-                       _integer_rows, as_int, as_rational, as_sparse_vector, insertion_order,
+                       _integer_rows, as_rational, as_size, as_sparse_vector, insertion_order,
                        inverse_columns)
 from .liealg import LieAlgebra, jacobi_defect, three_step_defect, two_step_defect
 
@@ -96,14 +96,16 @@ class _Multilinear:
     """Storage shared by Cochain and MultiMap: the nonzero values of a
     k-linear map on basis index tuples, each key checked by the
     subclass's `_check` and each value by `as_sparse_vector` (a
-    `Fraction` entry is stored as given)."""
+    `Fraction` entry is stored as given); the arity is at least
+    `_least_arity`."""
 
     __slots__ = ("arity", "dim", "coeffs")
+    _least_arity = 0
 
     def __init__(self, arity: int, dim: int,
                  coeffs: Mapping[tuple[int, ...], Mapping[int, object]] | None = None):
-        self.arity = as_int(arity, "arity")
-        self.dim = as_int(dim, "dimension")
+        self.arity = as_size(arity, "arity", self._least_arity)
+        self.dim = as_size(dim, "dimension")
         clean: dict[tuple[int, ...], dict[int, Q]] = {}
         for idx, vec in (coeffs or {}).items():
             idx = tuple(idx)
@@ -144,12 +146,7 @@ class Cochain(_Multilinear):
     """
 
     __slots__ = ()
-
-    def __init__(self, arity: int, dim: int,
-                 coeffs: Mapping[tuple[int, ...], Sequence] | None = None):
-        if as_int(arity, "arity") < 1:
-            raise ValueError("arity must be positive")
-        super().__init__(arity, dim, coeffs)
+    _least_arity = 1
 
     def _check(self, idx: tuple[int, ...]) -> None:
         if len(idx) != self.arity:
@@ -517,19 +514,19 @@ def _chain_images(g: LieAlgebra) -> dict[tuple[int, ...], list[tuple[int, dict[i
 
 
 def _term_rows(idx: CochainIndex, terms) -> Iterator[dict[int, int]]:
-    """Rows of sum coef * R(phi(u, X_c)) over the terms (coef, u, c, images),
+    """Rows of sum R(phi(u, X_c)) over the terms (u, c, images),
     u a sparse vector and images the list of a chain R (`_chain_images`,
     possibly cut by `_support_split` or followed by functionals, `_through`),
     as linear functionals of the flat unknowns: one row per output
     coordinate of R, in sorted order, with zero entries dropped.  The T
     and delta_R generators build their rows here."""
     rows: dict[int, dict[int, int]] = {}
-    for coef, u, c, images in terms:
+    for u, c, images in terms:
         for s, us in u.items():
             if s == c:
                 continue
             base, sg = idx.flat(s, c, 0)
-            f = coef * us * sg
+            f = us * sg
             for t, img in images:
                 col = base + t
                 for m, val in img.items():
@@ -554,7 +551,7 @@ def _zero_pair_block(idx: CochainIndex, chains) -> list[dict[int, int]]:
         return []
     red = RowReducer(idx.dim)
     red.add_rows(row for images in chains
-                 for row in _term_rows(idx, ((1, {0: 1}, 1, images),)))
+                 for row in _term_rows(idx, (({0: 1}, 1, images),)))
     return list(red._rows.values())
 
 
@@ -594,7 +591,7 @@ def _span_rows(idx: CochainIndex, vectors, outside, table,
     for b in red._rows.values():
         if len(b) != 1:
             for c, chain in enumerate(outside):
-                yield from _term_rows(idx, ((1, b, c, chain),))
+                yield from _term_rows(idx, ((b, c, chain),))
             continue
         (s, v), = b.items()
         for c, chain in enumerate(outside):
@@ -674,13 +671,13 @@ def _comb_rows(g: LieAlgebra, p: int) -> Iterator[dict[int, int]]:
         for args, terms in states:
             a = combs[p].get(args)
             if not a:
-                yield from _term_rows(idx, [(1, u, c, through(chain)) for u, c, chain in terms])
+                yield from _term_rows(idx, [(u, c, through(chain)) for u, c, chain in terms])
                 continue
             for x in range(n):
                 if inside[x]:
-                    yield from _term_rows(idx, [(1, u, c, images[chain + (x,)])
+                    yield from _term_rows(idx, [(u, c, images[chain + (x,)])
                                                 for u, c, chain in terms]
-                                          + [(1, a, x, inside[x])])
+                                          + [(a, x, inside[x])])
     yield from _span_rows(idx, combs[p].values(), outside, table, block)
 
 

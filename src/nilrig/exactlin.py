@@ -50,17 +50,22 @@ def as_rational(x) -> Q:
     else raises TypeError naming the value."""
     if isinstance(x, Q):
         return x
-    if isinstance(x, int) and not isinstance(x, bool):
+    if type(x) is int:
         return Q(x)
     if isinstance(x, str):
         return parse_rational(x)
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-def as_int(x, what: str) -> int:
-    """`x`, a size, when it is an int and not a bool, else TypeError naming it."""
+def as_size(x, what: str, least: int = 0) -> int:
+    """`x`, a size (a dimension, arity, shape, or family or operad size),
+    when it is an int, not a bool, and at least `least`; else TypeError
+    naming the value or ValueError naming the bound."""
     if type(x) is not int:
         raise TypeError(f"{what} must be an int, got {x!r}")
+    if x < least:
+        bound = {0: "nonnegative", 1: "positive"}.get(least, f"at least {least}")
+        raise ValueError(f"{what} must be {bound}")
     return x
 
 
@@ -93,10 +98,8 @@ class RationalMatrix:
 
     def __init__(self, nrows: int, ncols: int,
                  entries: Mapping[tuple[int, int], Q] | None = None):
-        if as_int(nrows, "row count") < 0 or as_int(ncols, "column count") < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        self.nrows = nrows
-        self.ncols = ncols
+        self.nrows = as_size(nrows, "matrix dimensions")
+        self.ncols = as_size(ncols, "matrix dimensions")
         clean: dict[tuple[int, int], Q] = {}
         for (r, c), v in (entries or {}).items():
             if not (type(r) is type(c) is int and 0 <= r < nrows and 0 <= c < ncols):

@@ -11,7 +11,7 @@ from functools import partial
 from typing import Mapping, NamedTuple, Sequence
 
 from .cohom import Cochain, CochainIndex, ch_delta2, deformed_bracket
-from .exactlin import Q, QZERO, RowReducer, as_rational
+from .exactlin import Q, QZERO, RowReducer, as_rational, as_size
 from .liealg import LieAlgebra
 
 
@@ -35,25 +35,21 @@ def algebra_from_brackets(dim: int,
 
 def heisenberg(p: int) -> LieAlgebra:
     """Dim 2p+1: [X_1,X_2] = ... = [X_{2p-1},X_{2p}] = X_{2p+1}."""
-    if p < 1:
-        raise ValueError("p must be at least 1")
-    n = 2 * p + 1
+    n = 2 * as_size(p, "p", 1) + 1
     return algebra_from_brackets(
         n, {(2 * i - 1, 2 * i): {n: 1} for i in range(1, p + 1)})
 
 
 def g_p1(p: int) -> LieAlgebra:
     """Dim 2p+1 model with blocks (2,..,2,1): [X_1, X_{2i}] = X_{2i+1}."""
-    if p < 1:
-        raise ValueError("p must be at least 1")
+    as_size(p, "p", 1)
     return algebra_from_brackets(
         2 * p + 1, {(1, 2 * i): {2 * i + 1: 1} for i in range(1, p + 1)})
 
 
 def g_p12(p: int) -> LieAlgebra:
     """Dim 2p model with blocks (2,..,2,1,1): [X_1, X_{2i}] = X_{2i+1}, i < p."""
-    if p < 2:
-        raise ValueError("p must be at least 2")
+    as_size(p, "p", 2)
     return algebra_from_brackets(
         2 * p, {(1, 2 * i): {2 * i + 1: 1} for i in range(1, p)})
 
@@ -86,9 +82,7 @@ def rigid_2step(which: str) -> LieAlgebra:
 def g_k3k2k1(k3: int, k2: int, k1: int) -> LieAlgebra:
     """3-step model of dimension 3*k3 + 2*k2 + k1 with block sizes
     (3,..,3,2,..,2,1,..,1) of multiplicities (k3, k2, k1)."""
-    if k3 < 1 or k2 < 0 or k1 < 1:
-        raise ValueError("need k3 >= 1, k2 >= 0, k1 >= 1")
-    n = 3 * k3 + 2 * k2 + k1
+    n = 3 * as_size(k3, "k3", 1) + 2 * as_size(k2, "k2") + as_size(k1, "k1", 1)
     brackets: dict[tuple[int, int], dict[int, int]] = {}
     for i in range(k3):
         brackets[(1, 2 + 3 * i)] = {3 + 3 * i: 1}
@@ -100,9 +94,7 @@ def g_k3k2k1(k3: int, k2: int, k1: int) -> LieAlgebra:
 
 def g_p01(p: int) -> LieAlgebra:
     """Dim 3p+1: [X_1, X_{3i-1}] = X_{3i}, [X_1, X_{3i}] = X_{3i+1}."""
-    if p < 1:
-        raise ValueError("p must be at least 1")
-    return g_k3k2k1(p, 0, 1)
+    return g_k3k2k1(as_size(p, "p", 1), 0, 1)
 
 
 def rigid_3step_7() -> LieAlgebra:
@@ -140,12 +132,10 @@ class CocycleTemplate:
     of the family.  `free` lists the names in order of first appearance.
     """
 
-    family: str
     p: int
     dim: int
     free: tuple[str, ...] = field(init=False)
     entries: tuple[_Entry, ...]
-    relations: tuple[str, ...] = ()
 
     def __post_init__(self):
         names = dict.fromkeys(name for _, terms in self.entries for name, _ in terms)
@@ -175,14 +165,13 @@ def _free(i: int, j: int, images: Sequence[int],
 
 
 def _template_221(p: int) -> CocycleTemplate:
-    if p < 2:
-        raise ValueError("p must be at least 2")
+    as_size(p, "p", 2)
     odd = [2 * k + 1 for k in range(1, p + 1)]   # X_3, X_5, .., X_{2p+1}
     entries = [_free(2, 4, odd[2:])]
     entries += [_free(2, 2 * i, odd[1:]) for i in range(3, p + 1)]
     for i in range(2, p + 1):
         entries += [_free(2 * i, 2 * j, odd) for j in range(i + 1, p + 1)]
-    return CocycleTemplate("221", p, 2 * p + 1, tuple(e for e in entries if e[1]))
+    return CocycleTemplate(p, 2 * p + 1, tuple(e for e in entries if e[1]))
 
 
 def _template_p12(family: str, p: int) -> CocycleTemplate:
@@ -190,24 +179,21 @@ def _template_p12(family: str, p: int) -> CocycleTemplate:
     has a free coefficient on each odd X_3 .. X_{2p-1} and on X_{2p}.
     C2 stops at last = p - 1, C1 has no X_{2p} term, and Z2kk adds
     phi(X_1, X_{2p}) = a X_{2p}."""
-    if p < 2:
-        raise ValueError("p must be at least 2")
+    as_size(p, "p", 2)
     last = p - 1 if family == "C2" else p
     images = [2 * k + 1 for k in range(1, p)] + ([] if family == "C1" else [2 * p])
     entries = [((1, 2 * p), (("a", 2 * p),))] if family == "Z2kk" else []
     for i in range(2, last + 1):
         entries += [_free(2 * i, 2 * j, images) for j in range(i + 1, last + 1)]
-    return CocycleTemplate(family, p, 2 * p, tuple(entries))
+    return CocycleTemplate(p, 2 * p, tuple(entries))
 
 
 def _template_p01(p: int) -> CocycleTemplate:
     """The free coefficient a_{i,j}^k of block k sits on X_{3k+1}."""
-    if p < 1:
-        raise ValueError("p must be at least 1")
+    as_size(p, "p", 1)
     blocks = range(1, p + 1)
     tops = [3 * k + 1 for k in blocks]
     entries = []
-    relations = []
     for i in blocks:
         entries += [_free(3 * i - 1, 3 * j, tops, blocks) for j in range(i, p + 1)]
     for i in blocks:
@@ -220,23 +206,19 @@ def _template_p01(p: int) -> CocycleTemplate:
                 terms.append((_coeff_name(3 * i, 3 * j - 1, k), 3 * k))
                 terms.append((_coeff_name(3 * i - 1, 3 * j, k), 3 * k))
                 terms.append((_coeff_name(3 * i - 1, 3 * j - 1, k), 3 * k + 1))
-                relations.append(
-                    f"phi(X{3 * i - 1},X{3 * j - 1})|X{3 * k} = "
-                    f"{_coeff_name(3 * i, 3 * j - 1, k)} + {_coeff_name(3 * i - 1, 3 * j, k)}")
             entries.append(((3 * i - 1, 3 * j - 1), tuple(terms)))
-    return CocycleTemplate("p01", p, 3 * p + 1, tuple(entries), tuple(relations))
+    return CocycleTemplate(p, 3 * p + 1, tuple(entries))
 
 
 def _template_clas3111(p: int) -> CocycleTemplate:
     """Normal form on the dim n = 3 + p algebra with one 3-block; p >= 2."""
-    if p < 2:
-        raise ValueError("p must be at least 2")
+    as_size(p, "p", 2)
     n = 3 + p
     entries = [_free(2, 3, range(5, n + 1))]
     entries += [_free(2, k, range(4, n + 1)) for k in range(5, n + 1)]
     for l in range(5, n + 1):
         entries += [_free(l, k, range(4, n + 1)) for k in range(l + 1, n + 1)]
-    return CocycleTemplate("clas3111", p, n, tuple(entries))
+    return CocycleTemplate(p, n, tuple(entries))
 
 
 _TEMPLATES = {
@@ -344,8 +326,7 @@ def cocycle_space_dim_221(p: int) -> CocycleSpaceDim:
     once by exact linear algebra on the instantiated pattern (verifying
     along the way that every pattern cochain is a T-cocycle), and once by
     the closed form p(p+1)(p-2)/2."""
-    if p < 2:
-        raise ValueError("p must be at least 2")
+    as_size(p, "p", 2)
     template = normalized_cocycle_template("221", p)
     g = g_p1(p)
     idx = CochainIndex(g.dim)

@@ -22,7 +22,7 @@ from .exactlin import (
     RowReducer,
     _integer_row,
     _integer_rows,
-    as_int,
+    as_size,
     as_sparse_vector,
     extend_basis,
     inverse_columns,
@@ -42,9 +42,7 @@ class LieAlgebra:
 
     def __init__(self, dim: int,
                  constants: Mapping[tuple[int, int], Mapping[int, object]] | None = None):
-        if as_int(dim, "dimension") < 0:
-            raise ValueError("dimension must be nonnegative")
-        self.dim = dim
+        self.dim = as_size(dim, "dimension")
         clean: dict[tuple[int, int], dict[int, Q]] = {}
         for (i, j), vec in (constants or {}).items():
             if not (type(i) is type(j) is int and 0 <= i < j < dim):
@@ -108,8 +106,8 @@ class CharSeq:
     certified: bool = field(default=False, compare=False)
 
     def __post_init__(self):
-        if any(p <= 0 for p in self.parts):
-            raise ValueError("partition parts must be positive")
+        for p in self.parts:
+            as_size(p, "partition part", 1)
         if any(a < b for a, b in zip(self.parts, self.parts[1:])):
             raise ValueError("partition parts must be non-increasing")
 

@@ -12,13 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, factorial
 
-from .exactlin import Q, as_rational
+from .exactlin import Q, as_rational, as_size
 
 
 def two_nilp_dims(order: int) -> tuple[int, ...]:
     """Dimensions 1, 1, 0, 0, ... of the quadratic nilpotency operad."""
-    if order < 1:
-        raise ValueError("order must be at least 1")
+    as_size(order, "order", 1)
     return (1, 1)[:order] + (0,) * max(0, order - 2)
 
 
@@ -26,11 +25,8 @@ def gen_function(dims, order: int) -> tuple[Q, ...]:
     """Coefficients of the exponential generating function
     sum_a dims[a - 1]/a! x^a up to x^order; entry k multiplies x^k."""
     for d in dims:
-        if not isinstance(d, int) or isinstance(d, bool):
-            raise TypeError(f"not an integer dimension: {d!r}")
-        if d < 0:
-            raise ValueError("dimensions must be nonnegative")
-    if order > len(dims):
+        as_size(d, "dimension")
+    if as_size(order, "order") > len(dims):
         raise ValueError("order exceeds the available dimension sequence")
     return (Q(0),) + tuple(Q(dims[a - 1], factorial(a)) for a in range(1, order + 1))
 
@@ -42,8 +38,7 @@ def dual_dims_2nilp(order: int) -> tuple[int, ...]:
     d_{2k+1} = sum_{i=1..k}  C(2k+1, i) d_i d_{2k+1-i},
     d_{2k}   = sum_{i=1..k-1} C(2k, i) d_i d_{2k-i} + C(2k, k) d_k^2 / 2.
     """
-    if order < 2:
-        raise ValueError("order must be at least 2")
+    as_size(order, "order", 2)
     d = [0, 1, 1]  # 1-based
     for m in range(3, order + 1):
         if m % 2 == 1:
@@ -68,8 +63,7 @@ def count_commutative_binary_trees(n: int) -> int:
     carry disjoint leaf sets, so the two children are always distinct and
     the frozenset representation is canonical under commutativity.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    as_size(n, "n", 1)
     cache: dict[frozenset[int], set] = {}
 
     def trees(leaves: frozenset[int]) -> set:

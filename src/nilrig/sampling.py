@@ -11,7 +11,7 @@ from fractions import Fraction as Q
 
 from . import families
 from .cohom import Cochain, MultiMap
-from .exactlin import RationalMatrix, invert
+from .exactlin import RationalMatrix, inverse_columns, invert
 from .liealg import LieAlgebra, _columns, _lincomb, abelian
 
 
@@ -33,7 +33,7 @@ def random_invertible(n: int, rng: random.Random, lo: int = -3, hi: int = 3) -> 
     while True:
         m = random_matrix(n, rng, lo, hi)
         try:
-            invert(m)
+            inverse_columns(m)
             return m
         except ValueError:
             continue

@@ -2,7 +2,8 @@
 some code in `src/`, `scripts/` or `perfbench/` other than `__init__.py`
 and the name's own definition refers to it.  A name that only its tests
 reach belongs in `tests/helpers.py` or nowhere.  The same holds for each
-public member of an exported class."""
+public member of an exported class, read as an attribute (`obj.member`):
+a parameter or local variable of the same name does not count."""
 
 import ast
 import dataclasses
@@ -26,35 +27,41 @@ def _exported() -> set[str]:
             for alias in node.names}
 
 
-def _references(node: ast.AST, inside: tuple[str, ...], out: set[str]) -> None:
-    """Add to `out` each name that `node` reads outside a definition of
-    that same name (so recursion, a class's own methods and the assignment
-    that defines a field do not count)."""
+def _references(node: ast.AST, inside: tuple[str, ...], names: set[str],
+                attrs: set[str]) -> None:
+    """Add to `names` each bare name and to `attrs` each attribute that
+    `node` reads outside a definition of that same name (so recursion, a
+    class's own methods and the assignment that defines a field do not
+    count)."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         inside = inside + (node.name,)
     elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
         if node.id not in inside:
-            out.add(node.id)
+            names.add(node.id)
     elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
         if node.attr not in inside:
-            out.add(node.attr)
+            attrs.add(node.attr)
     for child in ast.iter_child_nodes(node):
-        _references(child, inside, out)
+        _references(child, inside, names, attrs)
 
 
-def _production_references() -> set[str]:
+def _production_references() -> tuple[set[str], set[str]]:
+    """(names, attrs), as `_references` collects them, over the code in
+    `src/` other than `__init__.py`, `scripts/` and `perfbench/`."""
     files = [p for p in (ROOT / "src").rglob("*.py") if p != INIT]
     files += list((ROOT / "scripts").glob("*.py")) + list((ROOT / "perfbench").glob("*.py"))
-    out: set[str] = set()
+    names: set[str] = set()
+    attrs: set[str] = set()
     for path in files:
-        _references(ast.parse(path.read_text(encoding="utf-8")), (), out)
-    return out
+        _references(ast.parse(path.read_text(encoding="utf-8")), (), names, attrs)
+    return names, attrs
 
 
 def test_every_exported_name_has_a_production_caller():
     exported = _exported()
     assert RESERVED <= exported
-    uncalled = sorted(exported - RESERVED - _production_references())
+    names, attrs = _production_references()
+    uncalled = sorted(exported - RESERVED - names - attrs)
     assert not uncalled, f"exported names with no caller outside tests: {uncalled}"
 
 
@@ -73,8 +80,8 @@ def _members(cls: type) -> set[str]:
 
 def test_every_member_of_an_exported_class_has_a_production_reader():
     classes = [getattr(nilrig, name) for name in _exported()]
-    references = _production_references()
+    _, attrs = _production_references()
     unread = sorted(f"{cls.__name__}.{member}"
                     for cls in classes if isinstance(cls, type)
-                    for member in _members(cls) - references)
+                    for member in _members(cls) - attrs)
     assert not unread, f"public members with no reader outside tests: {unread}"

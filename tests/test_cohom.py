@@ -179,6 +179,8 @@ HALF5 = LieAlgebra(5, {(0, 2): {3: Q(1)}, (1, 2): {3: Q(1, 2)}, (2, 3): {4: Q(-1
     pytest.param((2, 3, {(0, 1.0): {0: 1}}), ValueError, "(0, 1.0)", id="index-1.0"),
     pytest.param((2, 3, {(False, True): {0: 1}}), ValueError, "(False, True)",
                  id="index-False-True"),
+    # a negative size is a ValueError
+    pytest.param((2, -1, {}), ValueError, "dimension must be nonnegative", id="dim-minus-1"),
 ])
 def test_multilinear_rejects_float_and_bool(cls, args, error, text):
     with pytest.raises(error, match=re.escape(text)):
@@ -239,6 +241,12 @@ def test_delta1_hand_case():
     (lambda: Cochain(2, 3, {(1, 1): {0: 1}}), re.escape("(1, 1) must be strictly increasing")),
     (lambda: MultiMap(2, 3, {(0, 3): {0: 1}}), re.escape("bad index tuple (0, 3)")),
     (lambda: MultiMap(2, 3, {(0,): {0: 1}}), re.escape("bad index tuple (0,)")),
+    pytest.param(lambda: Cochain(2, -1, {}), "dimension must be nonnegative",
+                 id="cochain-dim-minus-1"),
+    pytest.param(lambda: MultiMap(2, -3, {}), "dimension must be nonnegative",
+                 id="multimap-dim-minus-3"),
+    pytest.param(lambda: MultiMap(-1, 3, {}), "arity must be nonnegative",
+                 id="multimap-arity-minus-1"),
 ])
 def test_multilinear_maps_reject_bad_keys(make, msg):
     with pytest.raises(ValueError, match=msg):

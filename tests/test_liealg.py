@@ -196,6 +196,15 @@ def test_jacobi_violation_detected():
     # 1-based bracket data: True - 1 would be the int 0
     pytest.param(lambda: families.algebra_from_brackets(3, {(True, 2): {3: 1}}), ValueError,
                  "(True,2)", id="brackets-pair-True"),
+    # the sizes of the model families, and the parts of a partition
+    pytest.param(lambda: families.heisenberg(2.0), TypeError, "p must be an int, got 2.0",
+                 id="heisenberg-2.0"),
+    pytest.param(lambda: families.g_p1(True), TypeError, "p must be an int, got True",
+                 id="g_p1-True"),
+    pytest.param(lambda: families.g_k3k2k1(1, True, 1), TypeError, "k2 must be an int, got True",
+                 id="g_k3k2k1-k2-True"),
+    pytest.param(lambda: CharSeq((2, 1.0)), TypeError, "partition part must be an int, got 1.0",
+                 id="charseq-part-1.0"),
 ])
 def test_lie_algebra_rejects_float_and_bool(make, error, text):
     with pytest.raises(error, match=re.escape(text)):

@@ -121,6 +121,8 @@ def test_gen_function_checks_dims():
             gen_function((1, bad), 2)
     with pytest.raises(ValueError, match="nonnegative"):
         gen_function((1, -1), 2)
+    with pytest.raises(TypeError, match=re.escape("order must be an int, got True")):
+        gen_function((1, 1), True)
 
 
 def test_static_table_contents():
