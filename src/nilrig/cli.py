@@ -266,10 +266,7 @@ def _build_family(name: str, params: list[str]) -> list[tuple[str, LieAlgebra]]:
     arity, build = _FAMILIES[name]
     if len(params) != arity:
         raise CliError(f"family {name} takes {arity} parameter(s)")
-    try:
-        return build(params)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    return build(params)
 
 
 def cmd_family(args) -> int:

@@ -234,7 +234,7 @@ def comp1(f, h, slot: int = 0) -> MultiMap:
     """
     if f.dim != h.dim:
         raise ValueError("dimension mismatch")
-    if not 0 <= slot < f.arity:
+    if not 0 <= as_size(slot, "slot") < f.arity:
         raise ValueError("slot out of range")
     arity = f.arity + h.arity - 1
     return _unpack(arity, f.dim, False, _combine(False, [
@@ -1046,5 +1046,7 @@ def jordan_cocycle_defect(a: MultiMap, phi: MultiMap) -> MultiMap:
     """
     _require_symmetric(a, "multiplication")
     _require_symmetric(phi, "cochain")
+    if phi.dim != a.dim:
+        raise ValueError("dimension mismatch")
     summed, = _graded_pieces(a.dim, {(0,): _cleared(a), (1,): _cleared(phi)}, [(_JORDAN, (1,))])
     return _unpack(_JORDAN.arity, a.dim, False, summed)[0]

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Mapping, NamedTuple, Sequence
+from itertools import accumulate
+from typing import Mapping, Sequence
 
 from .cohom import Cochain, CochainIndex, ch_delta2, deformed_bracket
 from .exactlin import Q, QZERO, RowReducer, as_rational, as_size
@@ -40,18 +41,21 @@ def heisenberg(p: int) -> LieAlgebra:
         n, {(2 * i - 1, 2 * i): {n: 1} for i in range(1, p + 1)})
 
 
+def _blocks(sizes: Sequence[int]) -> dict[tuple[int, int], dict[int, int]]:
+    """1-based brackets [X_1, X_a] = X_{a+1} along consecutive blocks of
+    the given sizes after X_1: a block X_b..X_{b+s-1} gives a = b..b+s-2."""
+    return {(1, a): {a + 1: 1} for b, s in zip(accumulate(sizes, initial=2), sizes)
+            for a in range(b, b + s - 1)}
+
+
 def g_p1(p: int) -> LieAlgebra:
     """Dim 2p+1 model with blocks (2,..,2,1): [X_1, X_{2i}] = X_{2i+1}."""
-    as_size(p, "p", 1)
-    return algebra_from_brackets(
-        2 * p + 1, {(1, 2 * i): {2 * i + 1: 1} for i in range(1, p + 1)})
+    return algebra_from_brackets(2 * as_size(p, "p", 1) + 1, _blocks((2,) * p))
 
 
 def g_p12(p: int) -> LieAlgebra:
     """Dim 2p model with blocks (2,..,2,1,1): [X_1, X_{2i}] = X_{2i+1}, i < p."""
-    as_size(p, "p", 2)
-    return algebra_from_brackets(
-        2 * p, {(1, 2 * i): {2 * i + 1: 1} for i in range(1, p)})
+    return algebra_from_brackets(2 * as_size(p, "p", 2), _blocks((2,) * (p - 1)))
 
 
 _RIGID_2STEP: dict[str, tuple[int, int, dict[tuple[int, int], dict[int, int]]]] = {
@@ -73,23 +77,14 @@ def rigid_2step(which: str) -> LieAlgebra:
         dim, rows, extra = _RIGID_2STEP[which]
     except KeyError:
         raise ValueError(f"unknown rigid 2-step algebra: {which!r}") from None
-    brackets: dict[tuple[int, int], dict[int, int]] = {
-        (1, 2 * i): {2 * i + 1: 1} for i in range(1, rows + 1)}
-    brackets.update(extra)
-    return algebra_from_brackets(dim, brackets)
+    return algebra_from_brackets(dim, _blocks((2,) * rows) | extra)
 
 
 def g_k3k2k1(k3: int, k2: int, k1: int) -> LieAlgebra:
     """3-step model of dimension 3*k3 + 2*k2 + k1 with block sizes
     (3,..,3,2,..,2,1,..,1) of multiplicities (k3, k2, k1)."""
     n = 3 * as_size(k3, "k3", 1) + 2 * as_size(k2, "k2") + as_size(k1, "k1", 1)
-    brackets: dict[tuple[int, int], dict[int, int]] = {}
-    for i in range(k3):
-        brackets[(1, 2 + 3 * i)] = {3 + 3 * i: 1}
-        brackets[(1, 3 + 3 * i)] = {4 + 3 * i: 1}
-    for j in range(1, k2 + 1):
-        brackets[(1, 3 * k3 + 2 * j)] = {3 * k3 + 2 * j + 1: 1}
-    return algebra_from_brackets(n, brackets)
+    return algebra_from_brackets(n, _blocks((3,) * k3 + (2,) * k2))
 
 
 def g_p01(p: int) -> LieAlgebra:
@@ -99,15 +94,8 @@ def g_p01(p: int) -> LieAlgebra:
 
 def rigid_3step_7() -> LieAlgebra:
     """The distinguished rigid 7-dimensional 3-step algebra."""
-    brackets: dict[tuple[int, int], dict[int, int]] = {}
-    for i in (1, 2):
-        brackets[(1, 3 * i - 1)] = {3 * i: 1}
-        brackets[(1, 3 * i)] = {3 * i + 1: 1}
-    brackets[(2, 3)] = {4: 1}
-    brackets[(3, 5)] = {7: 1}
-    brackets[(5, 6)] = {4: 1}
-    brackets[(2, 5)] = {6: 1}
-    return algebra_from_brackets(7, brackets)
+    return algebra_from_brackets(7, _blocks((3, 3)) | {
+        (2, 3): {4: 1}, (3, 5): {7: 1}, (5, 6): {4: 1}, (2, 5): {6: 1}})
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +120,6 @@ class CocycleTemplate:
     of the family.  `free` lists the names in order of first appearance.
     """
 
-    p: int
     dim: int
     free: tuple[str, ...] = field(init=False)
     entries: tuple[_Entry, ...]
@@ -171,7 +158,7 @@ def _template_221(p: int) -> CocycleTemplate:
     entries += [_free(2, 2 * i, odd[1:]) for i in range(3, p + 1)]
     for i in range(2, p + 1):
         entries += [_free(2 * i, 2 * j, odd) for j in range(i + 1, p + 1)]
-    return CocycleTemplate(p, 2 * p + 1, tuple(e for e in entries if e[1]))
+    return CocycleTemplate(2 * p + 1, tuple(e for e in entries if e[1]))
 
 
 def _template_p12(family: str, p: int) -> CocycleTemplate:
@@ -185,7 +172,7 @@ def _template_p12(family: str, p: int) -> CocycleTemplate:
     entries = [((1, 2 * p), (("a", 2 * p),))] if family == "Z2kk" else []
     for i in range(2, last + 1):
         entries += [_free(2 * i, 2 * j, images) for j in range(i + 1, last + 1)]
-    return CocycleTemplate(p, 2 * p, tuple(entries))
+    return CocycleTemplate(2 * p, tuple(entries))
 
 
 def _template_p01(p: int) -> CocycleTemplate:
@@ -207,7 +194,7 @@ def _template_p01(p: int) -> CocycleTemplate:
                 terms.append((_coeff_name(3 * i - 1, 3 * j, k), 3 * k))
                 terms.append((_coeff_name(3 * i - 1, 3 * j - 1, k), 3 * k + 1))
             entries.append(((3 * i - 1, 3 * j - 1), tuple(terms)))
-    return CocycleTemplate(p, 3 * p + 1, tuple(entries))
+    return CocycleTemplate(3 * p + 1, tuple(entries))
 
 
 def _template_clas3111(p: int) -> CocycleTemplate:
@@ -218,7 +205,7 @@ def _template_clas3111(p: int) -> CocycleTemplate:
     entries += [_free(2, k, range(4, n + 1)) for k in range(5, n + 1)]
     for l in range(5, n + 1):
         entries += [_free(l, k, range(4, n + 1)) for k in range(l + 1, n + 1)]
-    return CocycleTemplate(p, n, tuple(entries))
+    return CocycleTemplate(n, tuple(entries))
 
 
 _TEMPLATES = {
@@ -253,21 +240,21 @@ class FamilyParams:
     coeffs: Mapping[str, object] = field(default_factory=dict)
 
 
+#: base model name -> (constructor, templates it carries)
+_BASES = {"g_p1": (g_p1, {"221"}), "g_p12": (g_p12, {"C1", "C2", "Z2kk"})}
+
+
 def deformed_2step(base: str, params: FamilyParams) -> LieAlgebra:
     """Member of the 2-step family over g_p1 (template 221) or g_p12
     (templates C1 / C2) with the given template coefficients."""
-    if base == "g_p1":
-        g0 = g_p1(params.p)
-        allowed = {"221"}
-    elif base == "g_p12":
-        g0 = g_p12(params.p)
-        allowed = {"C1", "C2", "Z2kk"}
-    else:
-        raise ValueError(f"unknown base model: {base!r}")
+    try:
+        model, allowed = _BASES[base]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown base model: {base!r}") from None
+    g0 = model(params.p)
     if params.name not in allowed:
         raise ValueError(f"template {params.name!r} does not match base {base!r}")
-    template = normalized_cocycle_template(params.name, params.p)
-    phi = template.instantiate(params.coeffs)
+    phi = normalized_cocycle_template(params.name, params.p).instantiate(params.coeffs)
     return deformed_bracket(g0, phi)
 
 
@@ -316,16 +303,11 @@ def classification_F731() -> list[LieAlgebra]:
 # ---------------------------------------------------------------------------
 # cocycle space counting
 
-class CocycleSpaceDim(NamedTuple):
-    linear_dim: int
-    closed_form: int
-
-
-def cocycle_space_dim_221(p: int) -> CocycleSpaceDim:
-    """Dimension of the 221-pattern cocycle space on g_p1, twice over:
-    once by exact linear algebra on the instantiated pattern (verifying
-    along the way that every pattern cochain is a T-cocycle), and once by
-    the closed form p(p+1)(p-2)/2."""
+def cocycle_space_dim_221(p: int) -> tuple[int, int]:
+    """Dimension of the 221-pattern cocycle space on g_p1, twice over, as
+    (linear, closed): once by exact linear algebra on the instantiated
+    pattern (verifying along the way that every pattern cochain is a
+    T-cocycle), and once by the closed form p(p+1)(p-2)/2."""
     as_size(p, "p", 2)
     template = normalized_cocycle_template("221", p)
     g = g_p1(p)
@@ -336,5 +318,4 @@ def cocycle_space_dim_221(p: int) -> CocycleSpaceDim:
         if not ch_delta2(g, phi).is_zero():
             raise RuntimeError(f"pattern coefficient {name} is not a cocycle")
         red.add(idx.to_flat(phi))
-    closed = p * (p + 1) * (p - 2) // 2
-    return CocycleSpaceDim(red.rank, closed)
+    return red.rank, p * (p + 1) * (p - 2) // 2

@@ -2,11 +2,16 @@
 some code in `src/`, `scripts/` or `perfbench/` other than `__init__.py`
 and the name's own definition refers to it.  A name that only its tests
 reach belongs in `tests/helpers.py` or nowhere.  The same holds for each
-public member of an exported class, read as an attribute (`obj.member`):
-a parameter or local variable of the same name does not count."""
+public member of every public class that a nilrig module defines, exported
+or not (a return type such as a record class is API too), read as an
+attribute (`obj.member`): a parameter or local variable of the same name
+does not count.  The check matches the attribute name alone, so a read of
+`x.p` counts for every class with a member `p`, whatever the type of `x`."""
 
 import ast
 import dataclasses
+import importlib
+import pkgutil
 from enum import Enum
 from pathlib import Path
 
@@ -78,10 +83,19 @@ def _members(cls: type) -> set[str]:
     return {name for name in names if not name.startswith("_")}
 
 
+def _public_classes() -> list[type]:
+    """Every class that a nilrig module defines under a public name."""
+    modules = [importlib.import_module(f"nilrig.{info.name}")
+               for info in pkgutil.iter_modules(nilrig.__path__)
+               if not info.name.startswith("_")]
+    return [obj for module in modules for name, obj in vars(module).items()
+            if isinstance(obj, type) and obj.__module__ == module.__name__
+            and not name.startswith("_")]
+
+
 def test_every_member_of_an_exported_class_has_a_production_reader():
-    classes = [getattr(nilrig, name) for name in _exported()]
+    classes = _public_classes()
     _, attrs = _production_references()
     unread = sorted(f"{cls.__name__}.{member}"
-                    for cls in classes if isinstance(cls, type)
-                    for member in _members(cls) - attrs)
+                    for cls in classes for member in _members(cls) - attrs)
     assert not unread, f"public members with no reader outside tests: {unread}"

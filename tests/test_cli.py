@@ -124,6 +124,20 @@ def test_paper_report_json_in_missing_directory(tmp_path, capsys):
     assert "[PASS]" not in err and "[FAIL]" not in err
 
 
+@pytest.mark.parametrize("argv,line", [
+    pytest.param(("validate", "missing.json"), "error: missing.json: no such file",
+                 id="validate-missing-file"),
+    pytest.param(("family", "g-p1", "0"), "error: p must be positive", id="family-g-p1-0"),
+    pytest.param(("family", "g-p1", "x"), "error: invalid literal for int() with base 10: 'x'",
+                 id="family-g-p1-x"),
+])
+def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capsys, argv, line):
+    monkeypatch.chdir(tmp_path)
+    code, doc, err = run(capsys, *argv)
+    assert (code, doc, err.splitlines()) == (1, None, [line])
+    assert os.listdir(".") == []
+
+
 def test_malformed_json_reports_line(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{\n  broken\n}")

@@ -247,6 +247,8 @@ def test_delta1_hand_case():
                  id="multimap-dim-minus-3"),
     pytest.param(lambda: MultiMap(-1, 3, {}), "arity must be nonnegative",
                  id="multimap-arity-minus-1"),
+    pytest.param(lambda: Cochain(2, 3, {(0,): {0: 1}}), re.escape("(0,) has wrong arity"),
+                 id="cochain-key-length"),
 ])
 def test_multilinear_maps_reject_bad_keys(make, msg):
     with pytest.raises(ValueError, match=msg):
@@ -609,6 +611,37 @@ def test_comp1_rejects_slot_out_of_range():
     f = Cochain(2, 3, {(0, 1): e(3, 2)})
     with pytest.raises(ValueError, match="slot"):
         comp1(f, f, 2)
+
+
+#: a symmetric 3-dimensional multiplication, X_1 X_1 = X_2
+SQUARE3 = MultiMap(2, 3, {(0, 0): {1: 1}})
+
+
+@pytest.mark.parametrize("make,error,text", [
+    pytest.param(lambda: comp1(single(3, (0, 1), 2), single(3, (0, 1), 2), 1.0), TypeError,
+                 "slot must be an int, got 1.0", id="comp1-slot-1.0"),
+    pytest.param(lambda: comp1(single(3, (0, 1), 2), single(3, (0, 1), 2), True), TypeError,
+                 "slot must be an int, got True", id="comp1-slot-True"),
+    pytest.param(lambda: comp1(single(3, (0, 1), 2), single(2, (0, 1), 1)), ValueError,
+                 "dimension mismatch", id="comp1-dim"),
+    pytest.param(lambda: chevalley_delta1(H3, Cochain(1, 2, {(0,): e(2, 1)})), ValueError,
+                 "dimension mismatch", id="delta1-dim"),
+    pytest.param(lambda: ch_delta2(H3, Cochain(3, 3, {(0, 1, 2): e(3, 0)})), ValueError,
+                 "expected an arity-2 cochain", id="ch-delta2-arity"),
+    pytest.param(lambda: ch_delta2(H3, single(4, (0, 1), 3)), ValueError,
+                 "expected an arity-2 cochain", id="ch-delta2-dim"),
+    pytest.param(lambda: deformed_bracket(H3, Cochain(3, 3, {(0, 1, 2): e(3, 0)})), ValueError,
+                 "expected an arity-2 cochain", id="deformed-bracket-arity"),
+    pytest.param(lambda: deformed_bracket(H3, single(4, (0, 1), 3)), ValueError,
+                 "expected an arity-2 cochain", id="deformed-bracket-dim"),
+    pytest.param(lambda: jordan_linearized_defect(MultiMap(3, 2, {(0, 0, 0): e(2, 1)})),
+                 ValueError, "multiplication must be bilinear", id="jordan-linearized-arity-3"),
+    pytest.param(lambda: jordan_cocycle_defect(SQUARE3, MultiMap(2, 2, {(0, 0): e(2, 1)})),
+                 ValueError, "dimension mismatch", id="jordan-cocycle-dim"),
+])
+def test_operators_reject_bad_arguments(make, error, text):
+    with pytest.raises(error, match=re.escape(text)):
+        make()
 
 
 def test_comp1_identity_left():

@@ -99,6 +99,34 @@ def test_rigid_3step_7():
     assert characteristic_sequence(g).parts == (3, 3, 1)
 
 
+#: 1-based bracket tables [X_i, X_j] = X_k as {(i, j): k}, written out
+#: from each model's block pattern and, for the rigid laws, their extra
+#: brackets
+_G9_EXTRA = {(2, 4): 7, (2, 8): 5, (4, 6): 9, (6, 8): 3}
+_R7_EXTRA = {(2, 3): 4, (3, 5): 7, (5, 6): 4, (2, 5): 6}
+
+
+@pytest.mark.parametrize("make,dim,table", [
+    pytest.param(lambda: families.g_p1(2), 5, {(1, 2): 3, (1, 4): 5}, id="g_p1-2"),
+    pytest.param(lambda: families.g_p1(4), 9, {(1, 2): 3, (1, 4): 5, (1, 6): 7, (1, 8): 9},
+                 id="g_p1-4"),
+    pytest.param(lambda: families.g_p12(2), 4, {(1, 2): 3}, id="g_p12-2"),
+    pytest.param(lambda: families.g_p12(4), 8, {(1, 2): 3, (1, 4): 5, (1, 6): 7},
+                 id="g_p12-4"),
+    pytest.param(lambda: families.g_k3k2k1(2, 1, 2), 10,
+                 {(1, 2): 3, (1, 3): 4, (1, 5): 6, (1, 6): 7, (1, 8): 9}, id="g_k3k2k1-2-1-2"),
+    pytest.param(lambda: families.rigid_2step("g9"), 9,
+                 {(1, 2): 3, (1, 4): 5, (1, 6): 7, (1, 8): 9, **_G9_EXTRA}, id="rigid-g9"),
+    pytest.param(families.rigid_3step_7, 7,
+                 {(1, 2): 3, (1, 3): 4, (1, 5): 6, (1, 6): 7, **_R7_EXTRA}, id="rigid7"),
+])
+def test_block_model_bracket_tables(make, dim, table):
+    """The full structure constants of the block models, entry by entry."""
+    g = make()
+    assert g.dim == dim
+    assert g.constants == {(i - 1, j - 1): e(dim, k - 1) for (i, j), k in table.items()}
+
+
 def test_every_constructor_is_lie_and_advertised_step():
     cases = [
         (families.heisenberg(2), 2),
@@ -210,6 +238,11 @@ def test_bracket_data_and_template_coefficients_reject_float_and_bool(bad):
         t.instantiate({t.free[0]: bad})
 
 
+def test_bracket_data_rejects_image_out_of_range():
+    with pytest.raises(ValueError, match="image index 4 out of range"):
+        families.algebra_from_brackets(3, {(1, 2): {4: 1}})
+
+
 def test_bracket_data_and_template_coefficients_give_fractions():
     g = families.algebra_from_brackets(3, {(1, 2): {3: "-2/4"}, (1, 3): {3: 2}})
     assert g.constants == {(0, 1): {2: Q(-1, 2)}, (0, 2): {2: Q(2)}}
@@ -266,6 +299,8 @@ def test_deformed_2step_validation():
         families.deformed_2step("g_p1", families.FamilyParams("C1", p=3))
     with pytest.raises(ValueError, match="unknown base"):
         families.deformed_2step("nope", families.FamilyParams("221", p=3))
+    with pytest.raises(ValueError, match=re.escape("unknown base model: ['g_p1']")):
+        families.deformed_2step(["g_p1"], families.FamilyParams("221", p=3))
 
 
 def test_seven_dim_subfamily_fixtures():
