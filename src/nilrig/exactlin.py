@@ -14,8 +14,10 @@ code stream their rows through it instead of materialising dense arrays.
 aside as unit pivots and inserts the other rows by decreasing first
 column, so each new pivot lies left of the pivots before it, where every
 pivot row is zero, and back-substitution has almost nothing to do.
-Inside, the reducer clears denominators and eliminates on integers; it
-converts back to `Fraction`s only in what it returns.
+A unit row at a column whose pivot row is e_c already, from any call, is
+only counted.  Inside, the reducer clears denominators (not again for a
+row of ints) and eliminates on integers; it converts back to
+`Fraction`s only in what it returns.
 """
 
 from __future__ import annotations
@@ -129,16 +131,15 @@ class RationalMatrix:
 _PROGRESS_ROWS = 10000
 
 
-def _integer_row(row: Mapping[int, Q]) -> tuple[dict[int, int], int]:
+def _integer_row(row: Mapping[int, Q], copy: bool = True) -> tuple[dict[int, int], int]:
     """(ints, scale) with ints == scale * row: the nonzero entries of a
-    rational row cleared of denominators by their lcm."""
-    scale = 1
-    for v in row.values():
-        d = v.denominator
-        if d != 1:
-            scale = scale * d // gcd(scale, d)
-    return {c: v.numerator * (scale // v.denominator)
-            for c, v in row.items() if v}, scale
+    rational row cleared of denominators by their lcm, in a new dict; with
+    copy=False a row of ints is `row` itself (for a row that is only read,
+    or that no caller holds)."""
+    if {*map(type, row.values())} <= {int}:
+        return {c: v for c, v in row.items() if v} if copy else row, 1
+    scale = lcm(*(v.denominator for v in row.values()))
+    return {c: v.numerator * (scale // v.denominator) for c, v in row.items() if v}, scale
 
 
 def _integer_rows(rows: Mapping) -> tuple[dict, int]:
@@ -199,10 +200,10 @@ class RowReducer:
     def pivot_cols(self) -> list[int]:
         return sorted(self._rows)
 
-    def _reduce(self, row: Mapping[int, Q]) -> tuple[dict[int, int], int]:
-        """(work, scale): work == scale * (row reduced against the table),
-        an integer row that is zero at every pivot column."""
-        work, scale = _integer_row(row)
+    def _reduce(self, work: dict[int, int], scale: int) -> tuple[dict[int, int], int]:
+        """(m * work reduced against the table, m * scale): an integer row
+        zero at every pivot column.  `work` may change in place, so it
+        must be a row that no caller holds."""
         rows = self._rows
         hits = [c for c in work if c in rows]
         if not hits:
@@ -230,21 +231,21 @@ class RowReducer:
 
     def residual(self, row: Mapping[int, Q]) -> dict[int, Q]:
         """Reduce `row` against the pivot table without inserting it."""
-        work, scale = self._reduce(row)
+        work, scale = self._reduce(*_integer_row(row))
         return {c: Q(v, scale) for c, v in work.items()}
 
-    def _tick(self) -> None:
-        """Count one row offered, and report progress every _PROGRESS_ROWS."""
-        self.rows_seen += 1
-        if self.progress is not None and self.rows_seen % _PROGRESS_ROWS == 0:
+    def _tick(self, seen: int) -> None:
+        """Set `rows_seen` to `seen`, and report progress every _PROGRESS_ROWS."""
+        self.rows_seen = seen
+        if self.progress is not None and seen % _PROGRESS_ROWS == 0:
             elapsed = perf_counter() - self._started
             self.progress(self.rows_seen, self.rank,
                           self.rows_seen / elapsed if elapsed > 0 else 0.0)
 
     def add(self, row: Mapping[int, Q]) -> bool:
         """Insert a row; returns True when it contributed a new pivot."""
-        self._tick()
-        return self._insert(row)
+        self._tick(self.rows_seen + 1)
+        return self._insert(_integer_row(row)[0])
 
     def add_rows(self, rows: Iterable[Mapping[int, Q]]) -> None:
         """Insert every row of `rows`; the table ends as if each went
@@ -253,11 +254,13 @@ class RowReducer:
 
         A row with one nonzero entry at column c puts e_c in the row
         space: the first such row at c becomes the pivot row e_c at once,
-        a repeat is only counted.  Every other row is held back and
-        inserted after the stream ends with those unit columns dropped,
-        so no row is reduced against a unit pivot and no unit pivot
-        back-substitutes; a held row that only touched unit columns (or
-        had no entry at all) is not inserted.
+        and a repeat, or one at a c whose pivot row an earlier `add_rows`
+        or `add` made e_c, is only counted.  Every other row is held back
+        and inserted after the stream ends as a copy without those unit
+        columns and zero entries, which the table may keep as it is if
+        its values are ints; so no row is reduced against a unit pivot
+        and no unit pivot back-substitutes.  A held row that only touched
+        unit columns (or had no entry at all) is not inserted.
 
         The held rows go in by decreasing first column, ties by
         decreasing last column.  A pivot row is zero left of its pivot,
@@ -266,29 +269,35 @@ class RowReducer:
         unless the row's first column is a pivot already.  The table is
         canonical, so the order changes the work and not the result.
         """
+        table, by_col = self._rows, self._by_col
         units: set[int] = set()
         held = []
-        for row in rows:
-            self._tick()
+        tick = self.progress is not None
+        seen = self.rows_seen
+        for seen, row in enumerate(rows, seen + 1):
+            if tick:
+                self._tick(seen)
             if len(row) == 1:
                 (c, v), = row.items()
                 if v and c not in units:
                     units.add(c)
-                    if c in self._by_col:
-                        self._insert(row)
-                    else:
+                    if c not in by_col:
                         # no pivot row touches c: e_c is already reduced
                         # and nothing needs back-substituting
-                        self._rows[c] = {c: 1}
-                        self._by_col[c] = {c}
+                        table[c] = {c: 1}
+                        by_col[c] = {c}
+                    elif len(table.get(c, ())) != 1:
+                        self._insert({c: 1})
                 continue
             held.append(row)
-        held = [{c: v for c, v in row.items() if c not in units} for row in held]
+        self.rows_seen = seen
+        held = [{c: v for c, v in row.items() if v and c not in units} for row in held]
         for row in insertion_order(held):
-            self._insert(row)
+            self._insert(_integer_row(row, copy=False)[0])
 
-    def _insert(self, row: Mapping[int, Q]) -> bool:
-        work, _ = self._reduce(row)
+    def _insert(self, work: dict[int, int]) -> bool:
+        """Reduce `work`, a row no caller holds, and store it unless zero."""
+        work, _ = self._reduce(work, 1)
         if not work:
             return False
         c = min(work)
@@ -332,7 +341,7 @@ class RowReducer:
         Only the pivot rows that share a column with `vec` are dotted; any
         other row contributes exactly 0.
         """
-        ivec, _ = _integer_row(vec)
+        ivec, _ = _integer_row(vec, copy=False)
         rows, by_col = self._rows, self._by_col
         for pc in {pc for c in ivec for pc in by_col.get(c, ())}:
             prow = rows[pc]

@@ -1,3 +1,4 @@
+import copy
 import re
 from fractions import Fraction as Q
 from math import gcd
@@ -268,12 +269,12 @@ def test_pivots_match_dense_rref_after_basis_change():
 # Rows over 2-6 columns, each either a single entry {c: v} (v may be 0,
 # and the few columns make repeats and singles after multi-entry rows on
 # the same column common) or a multi-entry row; plus a cut that splits
-# the rows over two add_rows calls, so the second meets a non-empty table.
-# Entries are Fractions or ints, so rows of ints (the rows the cohomology
-# generators make) and mixed rows both occur.
-def _rows_and_cut(ncols):
+# the rows over two calls, so the second meets a non-empty table.
+# Entries are Fractions or ints, so rows of ints and mixed rows both
+# occur; `int_rows_and_cut` draws ints only, zeros included, the rows
+# that every cohomology row generator yields.
+def _rows_and_cut(ncols, value=st.one_of(rationals, st.integers(-4, 4))):
     col = st.integers(0, ncols - 1)
-    value = st.one_of(rationals, st.integers(-4, 4))
     single = st.builds(lambda c, v: {c: v}, col, value)
     multi = st.dictionaries(col, value, min_size=2, max_size=ncols)
     rows = st.lists(st.one_of(single, single, multi), max_size=12)
@@ -281,7 +282,33 @@ def _rows_and_cut(ncols):
                                              st.integers(0, len(rs))))
 
 
-@given(st.integers(2, 6).flatmap(_rows_and_cut))
+rows_and_cut = st.integers(2, 6).flatmap(_rows_and_cut)
+int_rows_and_cut = st.integers(2, 6).flatmap(lambda n: _rows_and_cut(n, st.integers(-4, 4)))
+
+
+def check_add_rows_matches_add(ncols, rows, cut):
+    """Rows fed one `add` at a time, in two `add_rows` calls, and in
+    `add` calls up to the cut and one `add_rows` call after it, give one
+    table and one count."""
+    one = RowReducer(ncols)
+    for row in rows:
+        one.add(row)
+    many = RowReducer(ncols)
+    many.add_rows(iter(rows[:cut]))
+    many.add_rows(iter(rows[cut:]))
+    mixed = RowReducer(ncols)
+    for row in rows[:cut]:
+        mixed.add(row)
+    mixed.add_rows(iter(rows[cut:]))
+    for red in (many, mixed):
+        assert red.pivots == one.pivots
+        assert red.kernel_basis_sparse() == one.kernel_basis_sparse()
+        assert (red.rank, red.rows_seen) == (one.rank, one.rows_seen)
+        check_stored_rows(red)
+    check_stored_rows(one)
+
+
+@given(rows_and_cut)
 # {0: 0} has one key but is the zero row: it must not make column 0 a
 # unit column, so the pivot row at 0 stays {0: 1, 1: 1}
 @example((2, [{0: Q(0)}, {0: Q(1), 1: Q(1)}], 2))
@@ -291,23 +318,85 @@ def _rows_and_cut(ncols):
 @example((3, [{0: Q(0), 1: Q(0)}, {1: Q(2), 2: Q(1)}, {}], 3))
 @settings(max_examples=150, deadline=None)
 def test_add_rows_matches_add(case):
+    check_add_rows_matches_add(*case)
+
+
+@given(int_rows_and_cut)
+# after the cut, a unit row at a column whose pivot row is e_c is only
+# counted: e_c from a unit row of the first call, or from `add`
+@example((2, [{0: 2}, {0: -1}], 1))
+# ... or from a held row of the first call, cut to {0: 1} by the unit
+# column 1
+@example((3, [{0: 1, 1: 1}, {1: 1}, {0: 3}], 2))
+# a unit row at a column that a multi-entry pivot row touches still
+# back-substitutes: at a column that is no pivot, and at the pivot
+# column of {0: 1, 2: 1}
+@example((3, [{0: 1, 1: 1}, {1: 2}], 1))
+@example((3, [{0: 1, 2: 1}, {0: 3}], 1))
+# zero entries of int rows are dropped, also beside a unit column
+@example((3, [{0: 0, 1: 1}, {1: 5}, {0: 0, 1: 1, 2: 0}], 2))
+@settings(max_examples=150, deadline=None)
+def test_add_rows_matches_add_on_int_rows(case):
+    check_add_rows_matches_add(*case)
+
+
+def test_add_rows_only_counts_a_unit_row_at_a_unit_pivot():
+    inserted = []
+
+    class Counting(RowReducer):
+        __slots__ = ()
+
+        def _insert(self, work):
+            inserted.append(dict(work))
+            return super()._insert(work)
+
+    red = Counting(5)
+    red.add({0: 2})
+    # e_1 from a unit row; the held row {1: 1, 2: 1} goes in as e_2
+    red.add_rows([{1: 1, 2: 1}, {1: -1}, {3: 1, 4: 1}])
+    inserted.clear()
+    red.add_rows([{0: 5}, {1: 3}, {2: Q(-1, 2)}, {4: 7}])
+    # the pivot rows at 0, 1 and 2 are e_c, from `add`, a unit row and a
+    # held row; {4: 7} meets the pivot row {3: 1, 4: 1} and goes in
+    assert inserted == [{4: 1}]
+    assert red.rows_seen == 8 and red.rank == 5
+    assert red.pivots == {c: {c: 1} for c in range(5)}
+
+
+@given(st.one_of(rows_and_cut, int_rows_and_cut))
+@settings(max_examples=100, deadline=None)
+def test_reducer_keeps_no_row_it_is_passed(case):
     ncols, rows, cut = case
-    one = RowReducer(ncols)
+    snapshot = copy.deepcopy(rows)
+    red = RowReducer(ncols)
+    for row in rows[:cut]:
+        red.add(row)
+    red.add_rows(rows[cut:])
     for row in rows:
-        one.add(row)
-    many = RowReducer(ncols)
-    many.add_rows(iter(rows[:cut]))
-    many.add_rows(iter(rows[cut:]))
-    assert many.pivots == one.pivots
-    assert many.kernel_basis_sparse() == one.kernel_basis_sparse()
-    assert (many.rank, many.rows_seen) == (one.rank, one.rows_seen)
-    check_stored_rows(one)
-    check_stored_rows(many)
+        red.residual(row)
+        red.in_kernel(row)
+    assert repr(rows) == repr(snapshot)
+    assert {id(row) for row in rows}.isdisjoint(map(id, red._rows.values()))
+
+
+@given(small_matrices, st.lists(st.lists(st.integers(-2, 2), min_size=5, max_size=5),
+                                max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_in_kernel_reads_int_vectors(rows, probes):
+    # rows and probes of ints with their zero entries, as the row
+    # generators and the delta^1 images give them
+    ncols = len(rows[0])
+    red = RowReducer(ncols)
+    red.add_rows([dict(enumerate(r)) for r in rows])
+    for p in probes + rows:
+        vec = dict(enumerate(p[:ncols]))
+        dot = all(sum(x * vec[c] for c, x in enumerate(r)) == 0 for r in rows)
+        assert red.in_kernel(vec) == dot
 
 
 # add_rows inserts its held rows in an order of its own; the table is
 # canonical, so the order the rows arrive in must not show
-@given(st.integers(2, 6).flatmap(_rows_and_cut), st.randoms(use_true_random=False))
+@given(rows_and_cut, st.randoms(use_true_random=False))
 @settings(max_examples=100, deadline=None)
 def test_add_rows_ignores_row_order(case, rnd):
     ncols, rows, _ = case
@@ -328,6 +417,18 @@ def test_progress_reports_rows_rank_and_rate():
         red.add({k % 2: Q(1), 2: Q(k)})
     assert [(n, rank) for n, rank, _ in calls] == [(_PROGRESS_ROWS, 3), (2 * _PROGRESS_ROWS, 3)]
     assert all(rate > 0 for _, _, rate in calls)
+
+
+def test_add_rows_reports_progress_as_rows_are_read():
+    # progress comes at the same counts as through `add`, with the rank
+    # as the stream is read: held rows go in when their call ends
+    calls = []
+    red = RowReducer(4, progress=lambda *args: calls.append(args))
+    red.add_rows({k % 2: 1} if k < _PROGRESS_ROWS else {2: 1, 3: k}
+                 for k in range(_PROGRESS_ROWS + 5))
+    red.add_rows({3: 1} for _ in range(_PROGRESS_ROWS))
+    assert [(n, rank) for n, rank, _ in calls] == [(_PROGRESS_ROWS, 2), (2 * _PROGRESS_ROWS, 4)]
+    assert red.rows_seen == 2 * _PROGRESS_ROWS + 5
 
 
 @pytest.mark.parametrize("nrows,ncols,entries,msg", [
