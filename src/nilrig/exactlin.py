@@ -133,9 +133,10 @@ _PROGRESS_ROWS = 10000
 
 def _integer_row(row: Mapping[int, Q], copy: bool = True) -> tuple[dict[int, int], int]:
     """(ints, scale) with ints == scale * row: the nonzero entries of a
-    rational row cleared of denominators by their lcm, in a new dict; with
-    copy=False a row of ints is `row` itself (for a row that is only read,
-    or that no caller holds)."""
+    rational row cleared of denominators by their lcm, in a new dict.
+    With copy=False a row of ints is `row` itself, zero entries kept: only
+    for a row that is only read, or one without zeros that no caller
+    holds, which may then be stored and changed."""
     if {*map(type, row.values())} <= {int}:
         return {c: v for c, v in row.items() if v} if copy else row, 1
     scale = lcm(*(v.denominator for v in row.values()))
@@ -248,9 +249,9 @@ class RowReducer:
         return self._insert(_integer_row(row)[0])
 
     def add_rows(self, rows: Iterable[Mapping[int, Q]]) -> None:
-        """Insert every row of `rows`; the table ends as if each went
-        through `add`, and `rows_seen` and progress count each row as it
-        is read.
+        """Insert every row of `rows`; the table and `rows_seen` end as if
+        each went through `add`, and progress comes at the same counts
+        (without a callback, `rows_seen` is set once the stream ends).
 
         A row with one nonzero entry at column c puts e_c in the row
         space: the first such row at c becomes the pivot row e_c at once,

@@ -286,10 +286,33 @@ rows_and_cut = st.integers(2, 6).flatmap(_rows_and_cut)
 int_rows_and_cut = st.integers(2, 6).flatmap(lambda n: _rows_and_cut(n, st.integers(-4, 4)))
 
 
-def check_add_rows_matches_add(ncols, rows, cut):
+@given(st.one_of(rows_and_cut, int_rows_and_cut))
+# {0: 0} has one key but is the zero row: it must not make column 0 a
+# unit column, so the pivot row at 0 stays {0: 1, 1: 1}
+@example((2, [{0: Q(0)}, {0: Q(1), 1: Q(1)}], 2))
+# the empty row (a delta^1 image of a derivation) and a row of zeros are
+# counted and leave no pivot; neither may reach the sort by first column
+@example((2, [{}, {0: Q(1), 1: Q(1)}], 1))
+@example((3, [{0: Q(0), 1: Q(0)}, {1: Q(2), 2: Q(1)}, {}], 3))
+# after the cut, a unit row at a column whose pivot row is e_c is only
+# counted: e_c from a unit row of the first call, or from `add`
+@example((2, [{0: 2}, {0: -1}], 1))
+# ... or from a held row of the first call, cut to {0: 1} by the unit
+# column 1
+@example((3, [{0: 1, 1: 1}, {1: 1}, {0: 3}], 2))
+# a unit row at a column that a multi-entry pivot row touches still
+# back-substitutes: at a column that is no pivot, and at the pivot
+# column of {0: 1, 2: 1}
+@example((3, [{0: 1, 1: 1}, {1: 2}], 1))
+@example((3, [{0: 1, 2: 1}, {0: 3}], 1))
+# zero entries of int rows are dropped, also beside a unit column
+@example((3, [{0: 0, 1: 1}, {1: 5}, {0: 0, 1: 1, 2: 0}], 2))
+@settings(max_examples=300, deadline=None)
+def test_add_rows_matches_add(case):
     """Rows fed one `add` at a time, in two `add_rows` calls, and in
     `add` calls up to the cut and one `add_rows` call after it, give one
     table and one count."""
+    ncols, rows, cut = case
     one = RowReducer(ncols)
     for row in rows:
         one.add(row)
@@ -306,38 +329,6 @@ def check_add_rows_matches_add(ncols, rows, cut):
         assert (red.rank, red.rows_seen) == (one.rank, one.rows_seen)
         check_stored_rows(red)
     check_stored_rows(one)
-
-
-@given(rows_and_cut)
-# {0: 0} has one key but is the zero row: it must not make column 0 a
-# unit column, so the pivot row at 0 stays {0: 1, 1: 1}
-@example((2, [{0: Q(0)}, {0: Q(1), 1: Q(1)}], 2))
-# the empty row (a delta^1 image of a derivation) and a row of zeros are
-# counted and leave no pivot; neither may reach the sort by first column
-@example((2, [{}, {0: Q(1), 1: Q(1)}], 1))
-@example((3, [{0: Q(0), 1: Q(0)}, {1: Q(2), 2: Q(1)}, {}], 3))
-@settings(max_examples=150, deadline=None)
-def test_add_rows_matches_add(case):
-    check_add_rows_matches_add(*case)
-
-
-@given(int_rows_and_cut)
-# after the cut, a unit row at a column whose pivot row is e_c is only
-# counted: e_c from a unit row of the first call, or from `add`
-@example((2, [{0: 2}, {0: -1}], 1))
-# ... or from a held row of the first call, cut to {0: 1} by the unit
-# column 1
-@example((3, [{0: 1, 1: 1}, {1: 1}, {0: 3}], 2))
-# a unit row at a column that a multi-entry pivot row touches still
-# back-substitutes: at a column that is no pivot, and at the pivot
-# column of {0: 1, 2: 1}
-@example((3, [{0: 1, 1: 1}, {1: 2}], 1))
-@example((3, [{0: 1, 2: 1}, {0: 3}], 1))
-# zero entries of int rows are dropped, also beside a unit column
-@example((3, [{0: 0, 1: 1}, {1: 5}, {0: 0, 1: 1, 2: 0}], 2))
-@settings(max_examples=150, deadline=None)
-def test_add_rows_matches_add_on_int_rows(case):
-    check_add_rows_matches_add(*case)
 
 
 def test_add_rows_only_counts_a_unit_row_at_a_unit_pivot():
