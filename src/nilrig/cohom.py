@@ -538,10 +538,10 @@ def _term_rows(idx: CochainIndex, terms) -> Iterator[dict[int, int]]:
             yield row
 
 
-def _zero_pair_block(idx: CochainIndex, chains) -> list[dict[int, int]]:
+def _zero_pair_block(idx: CochainIndex, chains) -> list[int | dict[int, int]]:
     """A basis of the rows R(phi(X_0, X_1)) over the chains R (image
     lists, see `_chain_images`), on the n columns of pair (0, 1): the
-    primitive integer rows that the reducer stores.
+    primitive integer rows that the reducer stores, e_c as its column c.
 
     For a pair with [X_i, X_j] = 0 the T and delta_R terms reduce to
     R(phi(X_i, X_j)), which depend on (i, j) only through the flat base of
@@ -552,12 +552,15 @@ def _zero_pair_block(idx: CochainIndex, chains) -> list[dict[int, int]]:
     red = RowReducer(idx.dim)
     red.add_rows(row for images in chains
                  for row in _term_rows(idx, (({0: 1}, 1, images),)))
-    return list(red._rows.values())
+    return [min(row) if len(row) == 1 else row for row in red.integer_rows()]
 
 
-def _shifted(block: list[dict[int, int]], base: int) -> Iterator[dict[int, int]]:
+def _shifted(block: list[int | dict[int, int]], base: int) -> Iterator[dict[int, int]]:
     for row in block:
-        yield {base + c: v for c, v in row.items()}
+        if type(row) is int:
+            yield {base + row: 1}
+        else:
+            yield {base + c: v for c, v in row.items()}
 
 
 def _support_split(images, n: int) -> tuple[list, list]:
@@ -574,21 +577,21 @@ def _support_split(images, n: int) -> tuple[list, list]:
 
 
 def _span_rows(idx: CochainIndex, vectors, outside, table,
-               block: list[dict[int, int]]) -> Iterator[dict[int, int]]:
+               block: list[int | dict[int, int]]) -> Iterator[dict[int, int]]:
     """The rows phi(b, X_c)_m for b in a basis of the span of `vectors`,
     every c and every m outside M_c (`_support_split`): they span the
     rows phi(v, X_c)_m of every v in `vectors`.
 
     A basis vector e_s gives the unit rows phi(X_s, X_c)_m, and two kinds
     of them are in the stream already, so they are skipped: at a c with
-    [X_s, X_c] = 0 (no key (s, c) in `table`), the m whose e_m is a row
-    of the zero-pair `block`; at a c whose e_c came earlier in the basis,
+    [X_s, X_c] = 0 (no key (s, c) in `table`), the unit columns m of the
+    zero-pair `block`; at a c whose e_c came earlier in the basis,
     the m outside M_s, which that pass gave as phi(X_c, X_s)_m."""
     red = RowReducer(idx.dim)
     red.add_rows(vectors)
-    units = {m for row in block if len(row) == 1 for m in row}
+    units = {m for m in block if type(m) is int}
     passed: set[int] = set()   # the s of the basis vectors e_s done so far
-    for b in red._rows.values():
+    for b in red.integer_rows():
         if len(b) != 1:
             for c, chain in enumerate(outside):
                 yield from _term_rows(idx, ((b, c, chain),))
@@ -653,7 +656,7 @@ def _comb_rows(g: LieAlgebra, p: int) -> Iterator[dict[int, int]]:
     block = _zero_pair_block(idx, (images[chain] for chain in product(range(n), repeat=p - 1)))
     inside, outside = _support_split(images, n)
     # a zero A_p past the pair needs p > 2
-    ann = list(liealg._center_reducer(g)._rows.values()) if p > 2 else []
+    ann = liealg._center_reducer(g).integer_rows() if p > 2 else []
 
     @lru_cache(maxsize=None)
     def through(chain):

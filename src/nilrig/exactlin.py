@@ -10,14 +10,16 @@ Matrices are sparse (only nonzero entries stored).  `RowReducer` accepts
 rows one at a time and maintains a fully back-substituted pivot table;
 the tall, very sparse elimination problems produced by the cohomology
 code stream their rows through it instead of materialising dense arrays.
-`RowReducer.add_rows` takes a whole stream: it sets single-entry rows
-aside as unit pivots and inserts the other rows by decreasing first
-column, so each new pivot lies left of the pivots before it, where every
-pivot row is zero, and back-substitution has almost nothing to do.
-A unit row at a column whose pivot row is e_c already, from any call, is
-only counted.  Inside, the reducer clears denominators (not again for a
-row of ints) and eliminates on integers; it converts back to
-`Fraction`s only in what it returns.
+A pivot row e_c, which most of those rows give, is kept as its bare
+column c.  `RowReducer.add_rows` takes a whole stream: it sets
+single-entry rows aside as unit pivots and inserts the other rows,
+without their unit columns, by decreasing first column, so each new
+pivot lies left of the pivots before it, where every pivot row is zero,
+and back-substitution has almost nothing to do.  A unit row at a column
+whose pivot row is e_c already is only counted, by `add` too.  Inside,
+the reducer clears denominators (not again for a row of ints) and
+eliminates on integers; it converts back to `Fraction`s only in what it
+returns.
 """
 
 from __future__ import annotations
@@ -169,8 +171,10 @@ class RowReducer:
 
     Inside, each pivot row is stored as the primitive integer multiple of
     its RREF row with a positive leading entry, so elimination runs on
-    Python integers.  `pivots`, `residual` and `kernel_basis_sparse`
-    convert back to `Fraction`s at the boundary.
+    Python integers; a pivot row e_c is stored as None, with no entry in
+    the column index, and is dropped from a row wherever it is met.
+    `integer_rows` reads the stored rows; `pivots`, `residual` and
+    `kernel_basis_sparse` convert back to `Fraction`s at the boundary.
     """
 
     __slots__ = ("ncols", "rows_seen", "progress", "_rows", "_by_col", "_started")
@@ -179,9 +183,10 @@ class RowReducer:
         self.ncols = ncols
         self.rows_seen = 0
         self.progress = progress
-        # pivot column -> primitive integer row, in the order pivots appear
-        self._rows: dict[int, dict[int, int]] = {}
-        # column -> pivot columns whose row is nonzero there
+        # pivot column -> primitive integer row, or None for e_c, in the
+        # order pivots appear
+        self._rows: dict[int, dict[int, int] | None] = {}
+        # column -> pivot columns whose row, not e_c, is nonzero there
         self._by_col: dict[int, set[int]] = {}
         self._started = perf_counter()
 
@@ -194,12 +199,21 @@ class RowReducer:
         """Pivot column -> RREF row (leading entry 1), in insertion order."""
         out = {}
         for pc, prow in self._rows.items():
-            lead = prow[pc]
-            out[pc] = {c: Q(v, lead) for c, v in prow.items()}
+            if prow is None:
+                out[pc] = {pc: QONE}
+            else:
+                lead = prow[pc]
+                out[pc] = {c: Q(v, lead) for c, v in prow.items()}
         return out
 
     def pivot_cols(self) -> list[int]:
         return sorted(self._rows)
+
+    def integer_rows(self) -> list[dict[int, int]]:
+        """The stored rows in insertion order: each pivot row's primitive
+        integer multiple with a positive lead, e_c as {c: 1}.  The caller
+        may read them, not change them."""
+        return [{c: 1} if row is None else row for c, row in self._rows.items()]
 
     def _reduce(self, work: dict[int, int], scale: int) -> tuple[dict[int, int], int]:
         """(m * work reduced against the table, m * scale): an integer row
@@ -211,16 +225,21 @@ class RowReducer:
             return work, scale
         # m * work - sum work[c] * (m / lead_c) * row_c in one pass: each
         # pivot row is zero at the other pivot columns, so clearing one
-        # never refills another
+        # never refills another, and a unit column is only dropped
         m = 1
+        full = []
         for c in hits:
-            lead = rows[c][c]
+            prow = rows[c]
+            if prow is None:
+                del work[c]
+                continue
+            full.append((c, prow))
+            lead = prow[c]
             if lead != 1:
                 m = m * lead // gcd(m, lead)
         if m != 1:
             work = {c: m * v for c, v in work.items()}
-        for c in hits:
-            prow = rows[c]
+        for c, prow in full:
             coef = work[c] // prow[c]
             for cc, v in prow.items():
                 s = work.get(cc, 0) - coef * v
@@ -244,8 +263,11 @@ class RowReducer:
                           self.rows_seen / elapsed if elapsed > 0 else 0.0)
 
     def add(self, row: Mapping[int, Q]) -> bool:
-        """Insert a row; returns True when it contributed a new pivot."""
+        """Insert a row; returns True when it contributed a new pivot.  A
+        unit row at a column whose pivot row is e_c is only counted."""
         self._tick(self.rows_seen + 1)
+        if len(row) == 1 and self._rows.get(next(iter(row)), 0) is None:
+            return False
         return self._insert(_integer_row(row)[0])
 
     def add_rows(self, rows: Iterable[Mapping[int, Q]]) -> None:
@@ -255,12 +277,14 @@ class RowReducer:
 
         A row with one nonzero entry at column c puts e_c in the row
         space: the first such row at c becomes the pivot row e_c at once,
-        and a repeat, or one at a c whose pivot row an earlier `add_rows`
-        or `add` made e_c, is only counted.  Every other row is held back
-        and inserted after the stream ends as a copy without those unit
-        columns and zero entries, which the table may keep as it is if
-        its values are ints; so no row is reduced against a unit pivot
-        and no unit pivot back-substitutes.  A held row that only touched
+        and one at a c whose pivot row is e_c already, from this call or
+        an earlier one, is only counted.  Every other row is held back
+        and inserted after the stream ends as a copy without zero entries
+        and without the columns of every e_c pivot in the table then,
+        whichever call made it; the table may keep that copy as it is if
+        its values are ints.  So no row is reduced against a unit pivot:
+        a held row meets one only if the held rows before it made it, and
+        then the column is only dropped.  A held row that only touched
         unit columns (or had no entry at all) is not inserted.
 
         The held rows go in by decreasing first column, ties by
@@ -271,7 +295,6 @@ class RowReducer:
         canonical, so the order changes the work and not the result.
         """
         table, by_col = self._rows, self._by_col
-        units: set[int] = set()
         held = []
         tick = self.progress is not None
         seen = self.rows_seen
@@ -280,19 +303,18 @@ class RowReducer:
                 self._tick(seen)
             if len(row) == 1:
                 (c, v), = row.items()
-                if v and c not in units:
-                    units.add(c)
+                if v:
                     if c not in by_col:
-                        # no pivot row touches c: e_c is already reduced
-                        # and nothing needs back-substituting
-                        table[c] = {c: 1}
-                        by_col[c] = {c}
-                    elif len(table.get(c, ())) != 1:
+                        # no stored row touches c: e_c is a pivot already,
+                        # or it is reduced and nothing back-substitutes
+                        table.setdefault(c, None)
+                    else:
                         self._insert({c: 1})
                 continue
             held.append(row)
         self.rows_seen = seen
-        held = [{c: v for c, v in row.items() if v and c not in units} for row in held]
+        held = [{c: v for c, v in row.items() if v and table.get(c, 0) is not None}
+                for row in held]
         for row in insertion_order(held):
             self._insert(_integer_row(row, copy=False)[0])
 
@@ -310,7 +332,8 @@ class RowReducer:
         lead = work[c]
         rows, by_col = self._rows, self._by_col
         # back-substitute into the rows that are nonzero at the new pivot
-        # column: row <- lead * row - row[c] * work, then make it primitive
+        # column: row <- lead * row - row[c] * work, then make it
+        # primitive, or e_pc when only its pivot is left
         for pc in by_col.pop(c, ()):
             prow = rows[pc]
             a = prow[c]
@@ -327,10 +350,17 @@ class RowReducer:
                     del prow[cc]
                     if cc != c:
                         by_col[cc].discard(pc)
+            if len(prow) == 1:
+                rows[pc] = None
+                del by_col[pc]
+                continue
             content = gcd(*prow.values())
             if content != 1:
                 for cc in prow:
                     prow[cc] //= content
+        if len(work) == 1:
+            rows[c] = None
+            return True
         rows[c] = work
         for cc in work:
             by_col.setdefault(cc, set()).add(c)
@@ -340,11 +370,18 @@ class RowReducer:
         """True iff every fed row annihilates `vec` (M @ vec == 0).
 
         Only the pivot rows that share a column with `vec` are dotted; any
-        other row contributes exactly 0.
+        other row contributes exactly 0, and e_c contributes vec[c].
         """
         ivec, _ = _integer_row(vec, copy=False)
         rows, by_col = self._rows, self._by_col
-        for pc in {pc for c in ivec for pc in by_col.get(c, ())}:
+        hit = set()
+        for c, x in ivec.items():
+            pcs = by_col.get(c)
+            if pcs is not None:
+                hit |= pcs
+            elif x and c in rows:
+                return False
+        for pc in hit:
             prow = rows[pc]
             s = 0
             for c, x in ivec.items():
@@ -414,7 +451,7 @@ def extend_basis(base: RowReducer, candidates, count: int) -> list:
     `candidates` computes no row after it.  The candidates go to a copy
     of `base`, which is left as it was."""
     red = RowReducer(base.ncols)
-    red._rows = {c: dict(row) for c, row in base._rows.items()}
+    red._rows = {c: None if row is None else dict(row) for c, row in base._rows.items()}
     red._by_col = {c: set(pcs) for c, pcs in base._by_col.items()}
     taken = []
     for v in candidates:
@@ -443,5 +480,5 @@ def iterated_images(n: int, push, rows: Iterable[Mapping[int, Q]]) -> list[RowRe
         if red.rank == dim:
             break
         dim = red.rank
-        rows = [w for v in red._rows.values() for w in push(v)]
+        rows = [w for v in red.integer_rows() for w in push(v)]
     return terms

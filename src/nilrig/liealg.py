@@ -400,7 +400,7 @@ def adapted_basis(g: LieAlgebra) -> RationalMatrix | None:
     if all(len(sp) == 1 for sp in g.constants.values()):
         return None
     terms = _series(g)
-    if all(len(v) == 1 for red in terms for v in red._rows.values()):
+    if all(v is None for red in terms for v in red._rows.values()):
         return None
     n = g.dim
     dims = [n] + [red.rank for red in terms]

@@ -87,7 +87,11 @@ def count_commutative_binary_trees(n: int) -> int:
         cache[leaves] = out
         return out
 
-    return len(trees(frozenset(range(n))))
+    count = len(trees(frozenset(range(n))))
+    # `trees` refers to itself: without this its cache of trees lives on
+    # as cyclic garbage until the collector next runs
+    del trees
+    return count
 
 
 def koszul_check(g_primal, g_dual) -> tuple[Q, ...]:

@@ -178,12 +178,14 @@ def test_row_reducer_membership():
 
 
 def check_stored_rows(red):
-    """The library reads a reducer's stored rows as its integer basis:
-    each is the primitive integer multiple of its RREF row, with a
-    positive lead and content 1."""
+    """The library reads a reducer's stored rows (`integer_rows`, e_c
+    included) as its integer basis: each is the primitive integer
+    multiple of its RREF row, with a positive lead and content 1."""
     pivots = red.pivots
-    for c, row in red._rows.items():
-        assert row == _integer_row(pivots[c])[0]
+    rows = red.integer_rows()
+    assert len(rows) == len(pivots)
+    for (c, prow), row in zip(pivots.items(), rows):
+        assert row == _integer_row(prow)[0]
         assert all(type(v) is int for v in row.values())
         assert row[c] > 0 and gcd(*row.values()) == 1
 
@@ -352,6 +354,87 @@ def test_add_rows_only_counts_a_unit_row_at_a_unit_pivot():
     assert inserted == [{4: 1}]
     assert red.rows_seen == 8 and red.rank == 5
     assert red.pivots == {c: {c: 1} for c in range(5)}
+
+
+def test_add_only_counts_a_unit_row_at_a_unit_pivot():
+    inserted = []
+
+    class Counting(RowReducer):
+        __slots__ = ()
+
+        def _insert(self, work):
+            inserted.append(dict(work))
+            return super()._insert(work)
+
+    red = Counting(5)
+    red.add({0: 2})
+    red.add_rows([{1: -1}])
+    # e_3, whose back-substitution leaves the pivot row at 2 as e_2
+    red.add({2: 1, 3: 1})
+    red.add({3: 4})
+    inserted.clear()
+    # the pivot rows at 0, 1, 2 and 3 are e_c, from `add`, from
+    # `add_rows`, by back-substitution and from `add`
+    assert [red.add(row) for row in ({0: 5}, {1: 3}, {2: Q(-1, 2)}, {3: 1})] == [False] * 4
+    assert inserted == []
+    assert red.add({4: 7}) and inserted == [{4: 7}]
+    assert red.rows_seen == 9 and red.rank == 5
+    assert red.pivots == {c: {c: 1} for c in range(5)}
+
+
+def test_add_rows_reduces_no_row_against_a_unit_pivot():
+    met = []
+
+    class Counting(RowReducer):
+        __slots__ = ()
+
+        def _reduce(self, work, scale):
+            pivots = self.pivots
+            met.extend(c for c in work if pivots.get(c) == {c: 1})
+            return super()._reduce(work, scale)
+
+    red = Counting(6)
+    red.add({0: 1})
+    red.add_rows([{1: 3}, {2: 1, 3: 1}])
+    # e_3, whose back-substitution leaves the pivot row at 2 as e_2
+    red.add_rows([{3: 1}])
+    met.clear()
+    # held rows at the e_c pivots of `add`, of a unit row, of a
+    # back-substitution and of an earlier call: all of them are dropped
+    # before a held row is reduced
+    red.add_rows([{0: 1, 4: 1, 5: 1}, {1: 2, 2: 1, 3: -1, 4: 1, 5: 2}])
+    assert met == []
+    assert red.rank == 6 and red.rows_seen == 6
+
+
+# {0: 1, 1: 1} then {1: 1} turns the pivot row at 0 into e_0, through
+# `add`, through two `add_rows` calls, and in one call
+@given(st.one_of(rows_and_cut, int_rows_and_cut), st.lists(st.booleans(), max_size=12))
+@example((2, [{0: 1, 1: 1}, {1: 1}], 1), [True, True])
+@example((2, [{0: 1, 1: 1}, {1: 1}], 1), [False, False])
+@example((2, [{0: 1, 1: 1}, {1: 1}], 2), [False, False])
+@example((3, [{0: 1, 1: 1, 2: 1}, {1: 1, 2: 1}, {2: 3}], 2), [False, True, False])
+@settings(max_examples=200, deadline=None)
+def test_stored_rows_are_units_or_have_two_entries(case, by_add):
+    """After any mix of `add` and `add_rows`, every stored row with one
+    entry is kept as a bare unit column and the table is `add`'s."""
+    ncols, rows, cut = case
+    red, one = RowReducer(ncols), RowReducer(ncols)
+    batch = []
+    for k, row in enumerate(rows):
+        one.add(row)
+        if k == cut or (k < len(by_add) and by_add[k]):
+            red.add_rows(batch)
+            batch = []
+        if k < len(by_add) and by_add[k]:
+            red.add(row)
+        else:
+            batch.append(row)
+        assert all(v is None or len(v) > 1 for v in red._rows.values())
+    red.add_rows(batch)
+    assert all(v is None or len(v) > 1 for v in red._rows.values())
+    assert red.pivots == one.pivots and red.rows_seen == one.rows_seen
+    check_stored_rows(red)
 
 
 @given(st.one_of(rows_and_cut, int_rows_and_cut))

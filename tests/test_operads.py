@@ -1,3 +1,4 @@
+import gc
 import re
 from fractions import Fraction as Q
 
@@ -47,6 +48,14 @@ def test_tree_oracle_matches_recurrence():
     rec = dual_dims_2nilp(6)
     for n in range(1, 7):
         assert count_commutative_binary_trees(n) == rec[n - 1]
+
+
+def test_tree_oracle_leaves_no_cyclic_garbage():
+    # the enumeration's cache of 945 trees at n = 6 is freed on return,
+    # not left for the cycle collector
+    gc.collect()
+    assert count_commutative_binary_trees(6) == 945
+    assert gc.collect() == 0
 
 
 def test_koszul_functional_equation():
